@@ -53,10 +53,15 @@ CollectionResult TransitionCollector::CollectOue(
     }
     const uint64_t n = states.size();
     const double q = OueParams{epsilon, domain_size_}.q();
+    // Nearly every state of a large domain went unreported and draws
+    // Binomial(n, q): set up that sampler once per round.
+    const Rng::BinomialParam unreported(n, q);
     std::vector<uint64_t> ones(domain_size_, 0);
     for (uint32_t i = 0; i < domain_size_; ++i) {
-      const uint64_t kept = rng.Binomial(true_counts[i], OueParams::p());
-      const uint64_t flipped = rng.Binomial(n - true_counts[i], q);
+      const uint64_t count = true_counts[i];
+      const uint64_t kept = rng.Binomial(count, OueParams::p());
+      const uint64_t flipped =
+          count == 0 ? rng.Binomial(unreported) : rng.Binomial(n - count, q);
       ones[i] = kept + flipped;
     }
     aggregator.AddRawCounts(ones, n);

@@ -29,6 +29,20 @@ Status ValidateLocation(const Point& p) {
 /// Observation buffers kept for reuse; beyond this, RecycleBatch frees.
 constexpr size_t kMaxPooledObservationBuffers = 8;
 
+/// \p slot's pending bits for \p open_round (none when stamped earlier).
+uint8_t PendingBits(const UserTable::Slot& slot, int64_t open_round) {
+  return slot.round == open_round ? slot.pending : 0;
+}
+
+/// \p slot's pending bits for \p open_round, dropping an older round's.
+uint8_t& OpenPending(UserTable::Slot& slot, int64_t open_round) {
+  if (slot.round != open_round) {
+    slot.round = open_round;
+    slot.pending = 0;
+  }
+  return slot.pending;
+}
+
 int64_t NowSteadyNanos() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -159,6 +173,7 @@ Status IngestSession::BoundaryPoison() const {
   return poison_status_;
 }
 
+// HOT PATH — per-event admission: one shard lock, one table probe.
 Status IngestSession::Enter(uint64_t user, const Point& location) {
   RETRASYN_RETURN_NOT_OK(BoundaryPoison());
   Shard& shard = shard_of(user);
@@ -178,30 +193,35 @@ Status IngestSession::Enter(uint64_t user, const Point& location) {
   return st;
 }
 
+// HOT PATH — one probe; a new user's row is claimed from that same probe.
+// Only the rejection messages allocate.
 Status IngestSession::EnterLocked(Shard& shard, uint64_t user,
                                   const Point& location) {
   RETRASYN_RETURN_NOT_OK(ValidateLocation(location));
-  auto pending = shard.pending.find(user);
-  if (pending != shard.pending.end() && pending->second.has_location) {
-    return Status::FailedPrecondition(
-        UserTag(user) + " already reported a location in round " +
-        std::to_string(open_round_) + " (duplicate Enter?)");
-  }
-  const bool active = shard.active.count(user) != 0;
-  const bool quitting = pending != shard.pending.end() && pending->second.quit;
-  if (active && !quitting) {
-    return Status::FailedPrecondition(
-        UserTag(user) + " already has a live stream; Move to report its next "
-        "location or Quit to end it before re-entering");
+  const UserTable::ProbeResult probe = shard.table.Probe(user);
+  if (probe.found) {
+    const UserTable::Slot& slot = shard.table[probe.slot];
+    const uint8_t pending = PendingBits(slot, open_round_);
+    if (pending & UserTable::kPendingLocation) {
+      return Status::FailedPrecondition(
+          UserTag(user) + " already reported a location in round " +
+          std::to_string(open_round_) + " (duplicate Enter?)");
+    }
+    if (slot.live && !(pending & UserTable::kPendingQuit)) {
+      return Status::FailedPrecondition(
+          UserTag(user) + " already has a live stream; Move to report its "
+          "next location or Quit to end it before re-entering");
+    }
   }
   if (shard.journal != nullptr) {
     RETRASYN_RETURN_NOT_OK(
         shard.journal->Append(JournalEvent::Enter(user, location)));
   }
-  PendingRound& round = shard.pending[user];
-  round.has_location = true;
-  round.is_enter = true;
-  round.cell = grid_->Locate(location);
+  UserTable::Slot& slot =
+      shard.table[probe.found ? probe.slot : shard.table.Insert(probe, user)];
+  OpenPending(slot, open_round_) |=
+      UserTable::kPendingLocation | UserTable::kPendingEnter;
+  slot.cell = grid_->Locate(location);
   ++shard.num_pending_enters;
   ++shard.num_pending_events;
   shard.pending_metric->Set(static_cast<int64_t>(shard.num_pending_events));
@@ -210,6 +230,7 @@ Status IngestSession::EnterLocked(Shard& shard, uint64_t user,
   return Status::OK();
 }
 
+// HOT PATH — per-event admission: one shard lock, one table probe.
 Status IngestSession::Move(uint64_t user, const Point& location) {
   RETRASYN_RETURN_NOT_OK(BoundaryPoison());
   Shard& shard = shard_of(user);
@@ -226,22 +247,24 @@ Status IngestSession::Move(uint64_t user, const Point& location) {
   return st;
 }
 
+// HOT PATH — one probe; only the rejection messages allocate.
 Status IngestSession::MoveLocked(Shard& shard, uint64_t user,
                                  const Point& location) {
   RETRASYN_RETURN_NOT_OK(ValidateLocation(location));
-  auto pending = shard.pending.find(user);
-  if (pending != shard.pending.end() && pending->second.quit) {
+  const UserTable::ProbeResult probe = shard.table.Probe(user);
+  const uint8_t pending =
+      probe.found ? PendingBits(shard.table[probe.slot], open_round_) : 0;
+  if (pending & UserTable::kPendingQuit) {
     return Status::FailedPrecondition(
         UserTag(user) + " quit in round " + std::to_string(open_round_) +
         "; Enter to start a new stream");
   }
-  if (pending != shard.pending.end() && pending->second.has_location) {
+  if (pending & UserTable::kPendingLocation) {
     return Status::FailedPrecondition(
         UserTag(user) + " already reported a location in round " +
         std::to_string(open_round_) + " (one report per timestamp)");
   }
-  auto active = shard.active.find(user);
-  if (active == shard.active.end()) {
+  if (!probe.found || !shard.table[probe.slot].live) {
     return Status::FailedPrecondition(
         UserTag(user) + " has no live stream at round " +
         std::to_string(open_round_) +
@@ -251,11 +274,9 @@ Status IngestSession::MoveLocked(Shard& shard, uint64_t user,
     RETRASYN_RETURN_NOT_OK(
         shard.journal->Append(JournalEvent::Move(user, location)));
   }
-  PendingRound& round = shard.pending[user];
-  round.has_location = true;
-  round.is_enter = false;
-  round.cell = grid_->ClampToReachable(active->second.last_cell,
-                                       grid_->Locate(location));
+  UserTable::Slot& slot = shard.table[probe.slot];
+  OpenPending(slot, open_round_) |= UserTable::kPendingLocation;
+  slot.cell = grid_->ClampToReachable(slot.last_cell, grid_->Locate(location));
   ++shard.num_pending_events;
   shard.pending_metric->Set(static_cast<int64_t>(shard.num_pending_events));
   shard.peak_pending_metric->SetMax(
@@ -263,6 +284,7 @@ Status IngestSession::MoveLocked(Shard& shard, uint64_t user,
   return Status::OK();
 }
 
+// HOT PATH — per-event admission: one shard lock, one table probe.
 Status IngestSession::Quit(uint64_t user) {
   RETRASYN_RETURN_NOT_OK(BoundaryPoison());
   Shard& shard = shard_of(user);
@@ -279,15 +301,18 @@ Status IngestSession::Quit(uint64_t user) {
   return st;
 }
 
+// HOT PATH — one probe; only the rejection messages allocate.
 Status IngestSession::QuitLocked(Shard& shard, uint64_t user) {
-  auto pending = shard.pending.find(user);
-  if (pending != shard.pending.end() && pending->second.quit &&
-      !pending->second.has_location) {
+  const UserTable::ProbeResult probe = shard.table.Probe(user);
+  const uint8_t pending =
+      probe.found ? PendingBits(shard.table[probe.slot], open_round_) : 0;
+  if ((pending & UserTable::kPendingQuit) &&
+      !(pending & UserTable::kPendingLocation)) {
     return Status::FailedPrecondition(UserTag(user) + " already quit in round " +
                                       std::to_string(open_round_));
   }
-  if (pending != shard.pending.end() && pending->second.has_location) {
-    if (pending->second.is_enter) {
+  if (pending & UserTable::kPendingLocation) {
+    if (pending & UserTable::kPendingEnter) {
       // The enter is still buffered — no report left the device — so quitting
       // simply cancels it. An explicit quit buffered before the enter (the
       // Quit -> Enter -> Quit ordering) stays: it closes the *old* stream.
@@ -300,11 +325,13 @@ Status IngestSession::QuitLocked(Shard& shard, uint64_t user) {
       --shard.num_pending_events;
       shard.pending_metric->Set(
           static_cast<int64_t>(shard.num_pending_events));
-      if (pending->second.quit) {
-        pending->second.has_location = false;
-        pending->second.is_enter = false;
+      if (pending & UserTable::kPendingQuit) {
+        shard.table[probe.slot].pending = UserTable::kPendingQuit;
       } else {
-        shard.pending.erase(pending);
+        // Without a quit the enter was a new stream's: the row held nothing
+        // else.
+        RETRASYN_DCHECK(!shard.table[probe.slot].live);
+        shard.table.Erase(probe.slot);
       }
       return Status::OK();
     }
@@ -314,14 +341,14 @@ Status IngestSession::QuitLocked(Shard& shard, uint64_t user) {
         "; the quit transition carries the previous round's location, so quit "
         "in the next round or just stop reporting");
   }
-  if (shard.active.count(user) == 0) {
+  if (!probe.found || !shard.table[probe.slot].live) {
     return Status::FailedPrecondition(UserTag(user) +
                                       " has no live stream to quit");
   }
   if (shard.journal != nullptr) {
     RETRASYN_RETURN_NOT_OK(shard.journal->Append(JournalEvent::Quit(user)));
   }
-  shard.pending[user].quit = true;
+  OpenPending(shard.table[probe.slot], open_round_) |= UserTable::kPendingQuit;
   ++shard.num_pending_quits;
   ++shard.num_pending_events;
   shard.pending_metric->Set(static_cast<int64_t>(shard.num_pending_events));
@@ -334,8 +361,7 @@ size_t IngestSession::num_active_users() const {
   size_t n = 0;
   for (const auto& shard : shards_) {
     MutexLock l(shard->mu);
-    n += shard->active.size() - shard->num_pending_quits +
-         shard->num_pending_enters;
+    n += shard->num_live - shard->num_pending_quits + shard->num_pending_enters;
   }
   return n;
 }
@@ -410,7 +436,7 @@ SessionCheckpointState IngestSession::SaveCheckpointState() const {
   size_t total_pending = 0;
   for (const auto& shard : shards_) {
     shard->mu.AssertHeld();
-    total_active += shard->active.size();
+    total_active += shard->num_live;
     total_pending += shard->num_pending_events;
   }
   RETRASYN_CHECK_MSG(total_pending == 0,
@@ -421,9 +447,11 @@ SessionCheckpointState IngestSession::SaveCheckpointState() const {
   state.active.reserve(total_active);
   for (const auto& shard : shards_) {
     shard->mu.AssertHeld();
-    for (const auto& [user, stream] : shard->active) {
+    const UserTable& table = shard->table;
+    for (size_t i = 0; i < table.capacity(); ++i) {
+      if (!table.occupied(i) || !table[i].live) continue;
       state.active.push_back(SessionCheckpointState::ActiveEntry{
-          user, stream.stream_index, stream.last_cell});
+          table[i].user, table[i].stream_index, table[i].last_cell});
     }
   }
   // User order merges the shard slices into the same vector a single shard
@@ -441,13 +469,13 @@ SessionCheckpointState IngestSession::SaveCheckpointState() const {
 Status IngestSession::RestoreCheckpointState(SessionCheckpointState state) {
   // Restore targets a fresh session, but "fresh" never implied "unobserved":
   // a monitoring thread polling stats()/num_active_users() during recovery
-  // read shard->active while this wrote it. Hold every shard for the whole
+  // read shard->table while this wrote it. Hold every shard for the whole
   // restore, same index-order protocol as Tick().
   ShardLockSet locks(shards_);
   bool fresh = open_round_ == 0 && next_stream_index_ == 0;
   for (const auto& shard : shards_) {
     shard->mu.AssertHeld();
-    fresh = fresh && shard->active.empty() && shard->pending.empty();
+    fresh = fresh && shard->table.size() == 0;
   }
   if (!fresh) {
     return Status::FailedPrecondition(
@@ -509,11 +537,17 @@ Status IngestSession::RestoreCheckpointState(SessionCheckpointState state) {
   for (const SessionCheckpointState::ActiveEntry& e : state.active) {
     Shard& shard = shard_of(e.user);
     shard.mu.AssertHeld();
-    shard.active.emplace(e.user, ActiveStream{e.stream_index, e.last_cell});
+    // Users are unique (validated above), so the probe never finds one.
+    UserTable::Slot& slot =
+        shard.table[shard.table.Insert(shard.table.Probe(e.user), e.user)];
+    slot.live = true;
+    slot.stream_index = e.stream_index;
+    slot.last_cell = e.last_cell;
+    ++shard.num_live;
   }
   for (const auto& shard : shards_) {
     shard->mu.AssertHeld();
-    shard->active_metric->Set(static_cast<int64_t>(shard->active.size()));
+    shard->active_metric->Set(static_cast<int64_t>(shard->num_live));
   }
   quitted_at_ = std::move(state.quitted_at);
   free_indices_ = std::move(state.free_indices);
@@ -523,37 +557,33 @@ Status IngestSession::RestoreCheckpointState(SessionCheckpointState state) {
 void IngestSession::SealShard(Shard& shard) {
   std::vector<SealedEntry>& entries = shard.entries;
   entries.clear();
-  entries.reserve(shard.pending.size() + shard.active.size());
-  for (const auto& [user, round] : shard.pending) {
-    if (round.quit) {
-      const ActiveStream& stream = shard.active.at(user);
-      entries.push_back(SealedEntry{user, stream.stream_index,
-                                    states_->QuitIndex(stream.last_cell),
-                                    stream.last_cell, 0, false});
+  // A row yields at most a quit and a location, and only a row with a
+  // pending enter can yield both.
+  entries.reserve(shard.table.size() + shard.num_pending_enters);
+  const UserTable& table = shard.table;
+  for (size_t i = 0; i < table.capacity(); ++i) {
+    if (!table.occupied(i)) continue;
+    const UserTable::Slot& slot = table[i];
+    const uint8_t pending = PendingBits(slot, open_round_);
+    const uint32_t slot_index = static_cast<uint32_t>(i);
+    // An explicit quit, or an implicit one: a live stream that sent nothing
+    // this round lapses, exactly like the batch importer splitting gapped
+    // trajectories. Either way it carries the last reported cell.
+    if ((pending & UserTable::kPendingQuit) ||
+        (slot.live && !(pending & UserTable::kPendingLocation))) {
+      entries.push_back(SealedEntry{slot.user, slot_index, slot.stream_index,
+                                    states_->QuitIndex(slot.last_cell), 0,
+                                    false});
     }
-    if (round.has_location) {
-      if (round.is_enter) {
-        entries.push_back(SealedEntry{user, 0, states_->EnterIndex(round.cell),
-                                      round.cell, 1, true});
-      } else {
-        const ActiveStream& stream = shard.active.at(user);
-        const uint32_t state =
-            states_->MoveIndex(stream.last_cell, round.cell);
-        RETRASYN_DCHECK(state != kInvalidState);
-        entries.push_back(SealedEntry{user, stream.stream_index, state,
-                                      round.cell, 1, false});
-      }
-    }
-  }
-  // Implicit quits: live streams that sent nothing this round lapse, exactly
-  // like the batch importer splitting gapped trajectories.
-  for (const auto& [user, stream] : shard.active) {
-    auto pending = shard.pending.find(user);
-    if (pending == shard.pending.end() ||
-        (!pending->second.quit && !pending->second.has_location)) {
-      entries.push_back(SealedEntry{user, stream.stream_index,
-                                    states_->QuitIndex(stream.last_cell),
-                                    stream.last_cell, 0, false});
+    if (!(pending & UserTable::kPendingLocation)) continue;
+    if (pending & UserTable::kPendingEnter) {
+      entries.push_back(SealedEntry{slot.user, slot_index, 0,
+                                    states_->EnterIndex(slot.cell), 1, true});
+    } else {
+      const uint32_t state = states_->MoveIndex(slot.last_cell, slot.cell);
+      RETRASYN_DCHECK(state != kInvalidState);
+      entries.push_back(SealedEntry{slot.user, slot_index, slot.stream_index,
+                                    state, 1, false});
     }
   }
   std::sort(entries.begin(), entries.end(),
@@ -563,25 +593,36 @@ void IngestSession::SealShard(Shard& shard) {
 }
 
 void IngestSession::CommitShard(Shard& shard) {
-  // In place, in (user, phase) order: a quit erases, a location overwrites
-  // or inserts, and a quit-then-re-enter replaces — no rebuild of the whole
-  // map, so the steady-state commit allocates nothing.
-  for (const SealedEntry& e : shard.entries) {
+  // In place, through each entry's slot, in (user, phase) order: a quit ends
+  // the stream and drops the row unless the user re-enters right behind it;
+  // a location (re)writes the stream. Erase moves no other row, so every
+  // entry's slot stays valid; the pending bits need no clearing because the
+  // next round's stamp supersedes them.
+  const std::vector<SealedEntry>& entries = shard.entries;
+  for (size_t k = 0; k < entries.size(); ++k) {
+    const SealedEntry& e = entries[k];
+    UserTable::Slot& slot = shard.table[e.slot];
     if (e.phase == 0) {
-      shard.active.erase(e.user);
+      slot.live = false;
+      --shard.num_live;
+      if (k + 1 == entries.size() || entries[k + 1].user != e.user) {
+        shard.table.Erase(e.slot);
+      }
     } else {
-      shard.active[e.user] = ActiveStream{e.stream_index, e.cell};
+      if (e.is_enter) ++shard.num_live;
+      slot.live = true;
+      slot.stream_index = e.stream_index;
+      slot.last_cell = slot.cell;
     }
   }
   if (!options_.reuse_seal_buffers) {
     std::vector<SealedEntry>().swap(shard.entries);
   }
-  shard.pending.clear();
   shard.num_pending_enters = 0;
   shard.num_pending_events = 0;
   shard.num_pending_quits = 0;
   shard.pending_metric->Set(0);
-  shard.active_metric->Set(static_cast<int64_t>(shard.active.size()));
+  shard.active_metric->Set(static_cast<int64_t>(shard.num_live));
 }
 
 Status IngestSession::Tick() {
@@ -614,7 +655,7 @@ Status IngestSession::Tick() {
       // aligned — no shard closes a round a sibling cannot.
       RETRASYN_RETURN_NOT_OK(shard->journal->status());
     }
-    total_entries += shard->pending.size() + shard->active.size();
+    total_entries += shard->table.size() + shard->num_pending_enters;
   }
   for (auto& shard : shards_) {
     shard->mu.AssertHeld();

@@ -63,7 +63,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/mutex.h"
@@ -71,6 +70,7 @@
 #include "common/thread_pool.h"
 #include "geo/state_space.h"
 #include "journal/journal_writer.h"
+#include "service/user_table.h"
 #include "stream/feeder.h"
 #include "telemetry/telemetry.h"
 
@@ -285,38 +285,30 @@ class IngestSession {
   }
 
  private:
-  struct PendingRound {
-    bool quit = false;          ///< explicit Quit buffered this round
-    bool has_location = false;  ///< Enter or Move buffered this round
-    bool is_enter = false;
-    CellId cell = 0;            ///< located (and clamped) report
-  };
-
-  struct ActiveStream {
-    uint32_t stream_index = 0;  ///< engine-facing index of this segment
-    CellId last_cell = 0;       ///< last reported (clamped) cell
-  };
-
   /// One event of the sealed round, fully resolved during the parallel
   /// per-shard seal (transition state and — for quits/moves — the stream
   /// index are pure functions of shard state); only an enter's stream index
   /// waits for the global merge, which assigns it on the merged sequence.
+  /// The commit writes the result straight into \p slot, the user's row in
+  /// the shard table (no slot moves between seal and commit).
   struct SealedEntry {
     uint64_t user = 0;
+    uint32_t slot = 0;          ///< the user's UserTable slot
     uint32_t stream_index = 0;  ///< quits/moves: owner; enters: merge-assigned
     uint32_t state = 0;         ///< transition-state index of the observation
-    CellId cell = 0;            ///< reported cell (phase 1); final (phase 0)
     uint8_t phase = 0;          ///< 0 = quit, 1 = enter/move
     bool is_enter = false;
   };
 
-  /// One user partition: its own mutex, validation + pending state, journal
-  /// stream, seal scratch, and counters. Producers lock exactly one shard
-  /// per event; Tick() locks them all.
+  /// One user partition: its own mutex, user table, journal stream, seal
+  /// scratch, and counters. Producers lock exactly one shard per event;
+  /// Tick() locks them all.
   struct Shard {
     mutable Mutex mu;
-    std::unordered_map<uint64_t, ActiveStream> active GUARDED_BY(mu);
-    std::unordered_map<uint64_t, PendingRound> pending GUARDED_BY(mu);
+    /// One row per user with a live stream or a report buffered this round
+    /// (pending bits stamped with the open round; see UserTable).
+    UserTable table GUARDED_BY(mu);
+    size_t num_live GUARDED_BY(mu) = 0;  ///< rows holding a live stream
     size_t num_pending_enters GUARDED_BY(mu) = 0;
     size_t num_pending_events GUARDED_BY(mu) = 0;
     size_t num_pending_quits GUARDED_BY(mu) = 0;
@@ -373,14 +365,14 @@ class IngestSession {
       REQUIRES(shard.mu);
   Status QuitLocked(Shard& shard, uint64_t user) REQUIRES(shard.mu);
 
-  /// Builds \p shard's sorted entry run for the round being sealed. Pure
-  /// per-shard work (runs on the seal pool while the Tick thread holds every
-  /// shard mutex); mutates only the shard's scratch, never its committed
-  /// state.
+  /// Builds \p shard's sorted entry run for the round being sealed in one
+  /// linear pass over its table. Pure per-shard work (runs on the seal pool
+  /// while the Tick thread holds every shard mutex); mutates only the
+  /// shard's scratch, never its committed state.
   void SealShard(Shard& shard) REQUIRES(shard.mu);
-  /// Applies the sealed round to \p shard's committed state, in place:
-  /// quits erase, locations overwrite/insert. O(events), allocation-free at
-  /// steady state.
+  /// Applies the sealed round to \p shard's table, in place through each
+  /// entry's slot: quits erase the row, locations overwrite it. O(events),
+  /// no lookups, allocation-free at steady state.
   void CommitShard(Shard& shard) REQUIRES(shard.mu);
 
   /// Pops a recycled observation buffer (reuse_seal_buffers) or returns a
