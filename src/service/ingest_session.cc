@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "common/radix_sort.h"
 #include "common/stopwatch.h"
 
 namespace retrasyn {
@@ -120,6 +121,11 @@ void IngestSession::RegisterMetrics() {
     shard.active_metric = registry_->GetGauge(
         "retrasyn_ingest_active_streams",
         "Live streams owned by this shard", labels);
+    // A registry shared with an earlier session may already hold a peak;
+    // the shard's own mark starts there so the gauge never moves down.
+    MutexLock l(shard.mu);  // construction: uncontended
+    shard.peak_pending =
+        static_cast<size_t>(shard.peak_pending_metric->Value());
   }
 }
 
@@ -221,12 +227,10 @@ Status IngestSession::EnterLocked(Shard& shard, uint64_t user,
       shard.table[probe.found ? probe.slot : shard.table.Insert(probe, user)];
   OpenPending(slot, open_round_) |=
       UserTable::kPendingLocation | UserTable::kPendingEnter;
-  slot.cell = grid_->Locate(location);
+  slot.state = states_->EnterIndex(grid_->Locate(location));
   ++shard.num_pending_enters;
   ++shard.num_pending_events;
-  shard.pending_metric->Set(static_cast<int64_t>(shard.num_pending_events));
-  shard.peak_pending_metric->SetMax(
-      static_cast<int64_t>(shard.num_pending_events));
+  PublishPending(shard);
   return Status::OK();
 }
 
@@ -276,11 +280,17 @@ Status IngestSession::MoveLocked(Shard& shard, uint64_t user,
   }
   UserTable::Slot& slot = shard.table[probe.slot];
   OpenPending(slot, open_round_) |= UserTable::kPendingLocation;
-  slot.cell = grid_->ClampToReachable(slot.last_cell, grid_->Locate(location));
+  // The transition state is resolved here, once: a reachable cell indexes
+  // directly, anything else is first clamped to the nearest reachable
+  // neighbor, exactly like the batch feeder.
+  const CellId cell = grid_->Locate(location);
+  slot.state = states_->MoveIndex(slot.last_cell, cell);
+  if (slot.state == kInvalidState) {
+    slot.state = states_->MoveIndex(
+        slot.last_cell, grid_->ClampToReachable(slot.last_cell, cell));
+  }
   ++shard.num_pending_events;
-  shard.pending_metric->Set(static_cast<int64_t>(shard.num_pending_events));
-  shard.peak_pending_metric->SetMax(
-      static_cast<int64_t>(shard.num_pending_events));
+  PublishPending(shard);
   return Status::OK();
 }
 
@@ -323,8 +333,7 @@ Status IngestSession::QuitLocked(Shard& shard, uint64_t user) {
       }
       --shard.num_pending_enters;
       --shard.num_pending_events;
-      shard.pending_metric->Set(
-          static_cast<int64_t>(shard.num_pending_events));
+      PublishPending(shard);
       if (pending & UserTable::kPendingQuit) {
         shard.table[probe.slot].pending = UserTable::kPendingQuit;
       } else {
@@ -351,10 +360,16 @@ Status IngestSession::QuitLocked(Shard& shard, uint64_t user) {
   OpenPending(shard.table[probe.slot], open_round_) |= UserTable::kPendingQuit;
   ++shard.num_pending_quits;
   ++shard.num_pending_events;
-  shard.pending_metric->Set(static_cast<int64_t>(shard.num_pending_events));
-  shard.peak_pending_metric->SetMax(
-      static_cast<int64_t>(shard.num_pending_events));
+  PublishPending(shard);
   return Status::OK();
+}
+
+void IngestSession::PublishPending(Shard& shard) {
+  shard.pending_metric->Set(static_cast<int64_t>(shard.num_pending_events));
+  if (shard.num_pending_events > shard.peak_pending) {
+    shard.peak_pending = shard.num_pending_events;
+    shard.peak_pending_metric->Set(static_cast<int64_t>(shard.peak_pending));
+  }
 }
 
 size_t IngestSession::num_active_users() const {
@@ -554,12 +569,18 @@ Status IngestSession::RestoreCheckpointState(SessionCheckpointState state) {
   return Status::OK();
 }
 
+void IngestSession::SizeSealBuffers(Shard& shard) {
+  const size_t n = shard.num_live + shard.num_pending_enters;
+  shard.entries.resize(n);
+  shard.radix_scratch.resize(n);
+}
+
+// HOT PATH — one pass over the table, then a radix sort on the user id.
+// The buffers are sized out of line (SizeSealBuffers).
 void IngestSession::SealShard(Shard& shard) {
-  std::vector<SealedEntry>& entries = shard.entries;
-  entries.clear();
-  // A row yields at most a quit and a location, and only a row with a
-  // pending enter can yield both.
-  entries.reserve(shard.table.size() + shard.num_pending_enters);
+  SizeSealBuffers(shard);
+  SealedEntry* const out = shard.entries.data();
+  size_t n = 0;
   const UserTable& table = shard.table;
   for (size_t i = 0; i < table.capacity(); ++i) {
     if (!table.occupied(i)) continue;
@@ -571,25 +592,24 @@ void IngestSession::SealShard(Shard& shard) {
     // trajectories. Either way it carries the last reported cell.
     if ((pending & UserTable::kPendingQuit) ||
         (slot.live && !(pending & UserTable::kPendingLocation))) {
-      entries.push_back(SealedEntry{slot.user, slot_index, slot.stream_index,
-                                    states_->QuitIndex(slot.last_cell), 0,
-                                    false});
+      out[n++] = SealedEntry{slot.user, slot_index, slot.stream_index,
+                             states_->QuitIndex(slot.last_cell), 0, false};
     }
-    if (!(pending & UserTable::kPendingLocation)) continue;
-    if (pending & UserTable::kPendingEnter) {
-      entries.push_back(SealedEntry{slot.user, slot_index, 0,
-                                    states_->EnterIndex(slot.cell), 1, true});
-    } else {
-      const uint32_t state = states_->MoveIndex(slot.last_cell, slot.cell);
-      RETRASYN_DCHECK(state != kInvalidState);
-      entries.push_back(SealedEntry{slot.user, slot_index, slot.stream_index,
-                                    state, 1, false});
+    if (pending & UserTable::kPendingLocation) {
+      const bool is_enter = (pending & UserTable::kPendingEnter) != 0;
+      out[n++] = SealedEntry{slot.user, slot_index,
+                             is_enter ? 0 : slot.stream_index, slot.state, 1,
+                             is_enter};
     }
   }
-  std::sort(entries.begin(), entries.end(),
-            [](const SealedEntry& a, const SealedEntry& b) {
-              return a.user != b.user ? a.user < b.user : a.phase < b.phase;
-            });
+  RETRASYN_DCHECK(n == shard.entries.size());
+  // Stable on the user id alone: the pass above emits a user's quit before
+  // its location, and (user, phase) is unique, so the result is exactly the
+  // (user, phase) order the merge's byte contract needs.
+  const SealedEntry* sorted =
+      RadixSortByKey(out, shard.radix_scratch.data(), n,
+                     [](const SealedEntry& e) { return e.user; });
+  if (sorted != out) shard.entries.swap(shard.radix_scratch);
 }
 
 void IngestSession::CommitShard(Shard& shard) {
@@ -609,14 +629,23 @@ void IngestSession::CommitShard(Shard& shard) {
         shard.table.Erase(e.slot);
       }
     } else {
-      if (e.is_enter) ++shard.num_live;
+      // The location's cell, decoded from its state: e_c sits at
+      // num_move_states() + c, and m_{last,c} at MoveOffset(last) + the
+      // index of c in Neighbors(last).
+      if (e.is_enter) {
+        ++shard.num_live;
+        slot.last_cell = e.state - states_->num_move_states();
+      } else {
+        slot.last_cell = grid_->Neighbors(
+            slot.last_cell)[e.state - states_->MoveOffset(slot.last_cell)];
+      }
       slot.live = true;
       slot.stream_index = e.stream_index;
-      slot.last_cell = slot.cell;
     }
   }
   if (!options_.reuse_seal_buffers) {
     std::vector<SealedEntry>().swap(shard.entries);
+    std::vector<SealedEntry>().swap(shard.radix_scratch);
   }
   shard.num_pending_enters = 0;
   shard.num_pending_events = 0;
@@ -723,6 +752,9 @@ Status IngestSession::Tick() {
   // 2. K-way merge of the sorted shard runs into the global (user, phase)
   //    order — O(n log k) worth of comparisons instead of the O(n log n)
   //    global sort, and identical to it because shards partition the users.
+  //    For the same reason two cursors never hold the same user, so the
+  //    cursors compare users alone; a user's quit and location are adjacent
+  //    in one run and leave it in order.
   //    Enters draw their stream index here, on the merged sequence, which is
   //    what keeps the assignment a pure function of the batch sequence and
   //    byte-identical to a single shard. Nothing mutates session state: a
@@ -751,9 +783,9 @@ Status IngestSession::Tick() {
   while (!cursors.empty()) {
     size_t min = 0;
     for (size_t c = 1; c < cursors.size(); ++c) {
-      const SealedEntry& a = *cursors[c].it;
-      const SealedEntry& b = *cursors[min].it;
-      if (a.user != b.user ? a.user < b.user : a.phase < b.phase) min = c;
+      const uint64_t user = cursors[c].it->user;
+      RETRASYN_DCHECK(user != cursors[min].it->user);
+      if (user < cursors[min].it->user) min = c;
     }
     SealedEntry& e = *cursors[min].it++;
     if (cursors[min].it == cursors[min].end) {

@@ -295,7 +295,9 @@ class IngestSession {
     uint64_t user = 0;
     uint32_t slot = 0;          ///< the user's UserTable slot
     uint32_t stream_index = 0;  ///< quits/moves: owner; enters: merge-assigned
-    uint32_t state = 0;         ///< transition-state index of the observation
+    /// Transition-state index of the observation: a location copies the
+    /// state its slot resolved at admission; a quit is q_{last_cell}.
+    uint32_t state = 0;
     uint8_t phase = 0;          ///< 0 = quit, 1 = enter/move
     bool is_enter = false;
   };
@@ -312,13 +314,21 @@ class IngestSession {
     size_t num_pending_enters GUARDED_BY(mu) = 0;
     size_t num_pending_events GUARDED_BY(mu) = 0;
     size_t num_pending_quits GUARDED_BY(mu) = 0;
+    /// High-water mark of num_pending_events, mirrored into
+    /// peak_pending_metric when it rises. Only this shard writes that gauge,
+    /// always under mu, so a plain compare replaces the gauge's CAS loop.
+    size_t peak_pending GUARDED_BY(mu) = 0;
     /// Not owned; null = no journaling. The pointer itself is guarded (swapped
     /// by AttachJournal(s), read by producers); the pointee synchronizes
     /// internally where it is shared (TakeSealedSegments / presync).
     JournalWriter* journal GUARDED_BY(mu) = nullptr;
-    /// Seal scratch, sorted by (user, phase) each round; reused across
-    /// rounds under reuse_seal_buffers.
+    /// Seal scratch: the round's entry run, sorted by (user, phase) each
+    /// round; reused across rounds under reuse_seal_buffers.
     std::vector<SealedEntry> entries GUARDED_BY(mu);
+    /// The radix sort's ping-pong partner of entries, kept the same size; the
+    /// two swap when the sorted run lands here. Grown with entries at the
+    /// first seal and released with it when reuse_seal_buffers is off.
+    std::vector<SealedEntry> radix_scratch GUARDED_BY(mu);
     /// Registry-backed counters (stable pointers into registry_; set once in
     /// the constructor). IngestStats reads these — one source of truth.
     Counter* accepted_metric = nullptr;
@@ -365,14 +375,26 @@ class IngestSession {
       REQUIRES(shard.mu);
   Status QuitLocked(Shard& shard, uint64_t user) REQUIRES(shard.mu);
 
-  /// Builds \p shard's sorted entry run for the round being sealed in one
-  /// linear pass over its table. Pure per-shard work (runs on the seal pool
-  /// while the Tick thread holds every shard mutex); mutates only the
-  /// shard's scratch, never its committed state.
+  /// Publishes shard.num_pending_events to the pending gauge, and to the
+  /// peak gauge when it sets a new high.
+  static void PublishPending(Shard& shard) REQUIRES(shard.mu);
+
+  /// Sizes \p shard's entry run and radix scratch for the round being
+  /// sealed: every live stream seals exactly one entry (a move, or a quit —
+  /// explicit or by lapse) and every pending enter one more. Grows
+  /// geometrically, so steady-state rounds allocate nothing.
+  static void SizeSealBuffers(Shard& shard) REQUIRES(shard.mu);
+
+  /// Builds \p shard's sorted entry run for the round being sealed: one
+  /// linear pass over its table copies each report's admission-resolved
+  /// state, then a radix sort on the user id orders the run. Pure per-shard
+  /// work (runs on the seal pool while the Tick thread holds every shard
+  /// mutex); mutates only the shard's scratch, never its committed state.
   void SealShard(Shard& shard) REQUIRES(shard.mu);
   /// Applies the sealed round to \p shard's table, in place through each
-  /// entry's slot: quits erase the row, locations overwrite it. O(events),
-  /// no lookups, allocation-free at steady state.
+  /// entry's slot: quits erase the row, locations overwrite it (the new
+  /// last_cell decoded from the entry's state). O(events), no lookups,
+  /// allocation-free at steady state.
   void CommitShard(Shard& shard) REQUIRES(shard.mu);
 
   /// Pops a recycled observation buffer (reuse_seal_buffers) or returns a

@@ -44,7 +44,11 @@ class UserTable {
     int64_t round = -1;
     uint32_t stream_index = 0;  ///< live stream's engine-facing index
     CellId last_cell = 0;       ///< live stream's last reported (clamped) cell
-    CellId cell = 0;            ///< this round's located (and clamped) report
+    /// This round's report as its transition-state index, resolved at
+    /// admission: e_c for an enter, m_{last_cell,c} (c clamped to a
+    /// reachable cell) for a move. The commit derives the next last_cell
+    /// from it.
+    uint32_t state = 0;
     uint8_t ctrl = kEmpty;
     bool live = false;          ///< holds a stream from a closed round
     uint8_t pending = 0;        ///< PendingFlag bits, valid iff round is open
@@ -135,6 +139,8 @@ class UserTable {
   size_t size_ = 0;
   size_t tombstones_ = 0;
 };
+
+static_assert(sizeof(UserTable::Slot) == 32, "two slots per cache line");
 
 }  // namespace retrasyn
 

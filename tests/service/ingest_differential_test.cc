@@ -10,6 +10,11 @@
 // keys that share a shard residue and collide in the table's hash bits,
 // growth through many rehashes with deletions in between, and checkpoint
 // save/restore across shard counts.
+//
+// The grid comes from the RETRASYN_GRID_BACKEND-selected factory, so the
+// quadtree CI run checks the session's admission-time transition states
+// (a direct MoveIndex, falling back to ClampToReachable for unreachable
+// cells) against the reference's clamp-then-index on both backends.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +27,7 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "geo/grid.h"
+#include "geo/grid_factory.h"
 #include "geo/state_space.h"
 #include "service/ingest_session.h"
 #include "service/user_table.h"
@@ -72,8 +77,14 @@ class ReferenceSession {
     Pending& round = pending_[user];
     round.has_location = true;
     round.is_enter = false;
-    round.cell =
-        grid_.ClampToReachable(active->second.last_cell, grid_.Locate(p));
+    const CellId from = active->second.last_cell;
+    const CellId located = grid_.Locate(p);
+    round.cell = grid_.ClampToReachable(from, located);
+    if (round.cell == located) {
+      ++direct_moves;
+    } else {
+      ++clamped_moves;
+    }
     return StatusCode::kOk;
   }
 
@@ -189,6 +200,8 @@ class ReferenceSession {
   int enter_cancellations = 0;
   int lapses = 0;
   int duplicate_rejections = 0;
+  int direct_moves = 0;   ///< the located cell was reachable
+  int clamped_moves = 0;  ///< the located cell had to be clamped
 
  private:
   struct Stream {
@@ -335,7 +348,8 @@ class Lockstep {
 
 struct DifferentialFixture {
   DifferentialFixture()
-      : grid(BoundingBox{0.0, 0.0, 100.0, 100.0}, 8), states(grid) {}
+      : grid(MakeEnvGrid(BoundingBox{0.0, 0.0, 100.0, 100.0}, 8)),
+        states(*grid) {}
 
   Point RandomPoint(Rng& rng) const {
     if (rng.Bernoulli(0.005)) {
@@ -344,7 +358,7 @@ struct DifferentialFixture {
     return Point{rng.UniformDouble(0.0, 100.0), rng.UniformDouble(0.0, 100.0)};
   }
 
-  Grid grid;
+  std::unique_ptr<SpatialGrid> grid;
   StateSpace states;
 };
 
@@ -412,6 +426,9 @@ TEST(IngestDifferentialTest, RandomizedRoundsMatchReferenceAtEveryShardCount) {
     EXPECT_GT(ref.enter_cancellations, 0) << "seed " << seed;
     EXPECT_GT(ref.lapses, 0) << "seed " << seed;
     EXPECT_GT(ref.duplicate_rejections, 0) << "seed " << seed;
+    // Both admission paths ran: the direct MoveIndex and the clamp fallback.
+    EXPECT_GT(ref.direct_moves, 0) << "seed " << seed;
+    EXPECT_GT(ref.clamped_moves, 0) << "seed " << seed;
   }
 }
 
@@ -422,9 +439,10 @@ TEST(IngestDifferentialTest, ExtremeAndCollidingIdsWalkTheEdgeCases) {
   Lockstep lockstep(fx.states, {1, 4});
   std::vector<uint64_t> users = {0, kMaxUser};
   for (uint64_t k : CollidingKeys(4, 8)) users.push_back(k);
-  const Point a = fx.grid.CellCenter(fx.grid.Cell(2, 2));
-  const Point b = fx.grid.CellCenter(fx.grid.Cell(2, 3));
-  const Point far = fx.grid.CellCenter(fx.grid.Cell(7, 7));
+  // Centers of the uniform 8x8 grid's cells (2, 2), (2, 3) and (7, 7).
+  const Point a{31.25, 31.25};
+  const Point b{43.75, 31.25};
+  const Point far{93.75, 93.75};
   using Op = Lockstep::Op;
   for (uint64_t u : users) {
     ASSERT_NO_FATAL_FAILURE(lockstep.Apply(Op::kEnter, u, a));

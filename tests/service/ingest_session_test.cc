@@ -228,6 +228,71 @@ TEST(IngestSessionTest, NonAdjacentMoveClampedLikeFeeder) {
   EXPECT_EQ(decoded.from, fx.grid.Cell(0, 0));
   EXPECT_TRUE(fx.grid.AreNeighbors(fx.grid.Cell(0, 0), decoded.to));
   EXPECT_EQ(decoded.to, fx.grid.Cell(1, 1));  // closest neighbor to (3,3)
+  // The commit decodes the clamped cell from the state: the next move
+  // starts there.
+  ASSERT_TRUE(session.Move(1, fx.CellPoint(2, 2)).ok());
+  ASSERT_TRUE(session.Tick().ok());
+  const TransitionState next =
+      fx.states.Decode(fx.batches[2].observations[0].state);
+  EXPECT_EQ(next.kind, StateKind::kMove);
+  EXPECT_EQ(next.from, fx.grid.Cell(1, 1));
+  EXPECT_EQ(next.to, fx.grid.Cell(2, 2));
+}
+
+TEST(IngestSessionTest, PeakPendingGaugeIsTheHighWaterMarkAcrossRounds) {
+  SessionFixture fx;
+  Telemetry telemetry;
+  IngestSessionOptions options;
+  options.telemetry = &telemetry;
+  auto make_session = [&] {
+    return std::make_unique<IngestSession>(
+        fx.states, [](TimestampBatch) { return Status::OK(); }, options);
+  };
+  const Gauge* peak_gauge = telemetry.registry().GetGauge(
+      "retrasyn_ingest_pending_events_peak", "", {{"shard", "0"}});
+  auto session = make_session();
+  // Exported gauge and IngestStats agree, and both hold the high-water mark.
+  auto expect_peak = [&](uint64_t pending, uint64_t peak) {
+    const IngestShardStats s = session->stats().shards[0];
+    EXPECT_EQ(s.pending_events, pending);
+    EXPECT_EQ(s.peak_pending_events, peak);
+    EXPECT_EQ(peak_gauge->Value(), static_cast<int64_t>(peak));
+  };
+  expect_peak(0, 0);
+  // Round 0: five enters.
+  for (uint64_t u = 1; u <= 5; ++u) {
+    ASSERT_TRUE(session->Enter(u, fx.CellPoint(0, 0)).ok());
+  }
+  expect_peak(5, 5);
+  ASSERT_TRUE(session->Tick().ok());
+  expect_peak(0, 5);
+  // Round 1: three moves and a quit stay below the mark.
+  for (uint64_t u = 1; u <= 3; ++u) {
+    ASSERT_TRUE(session->Move(u, fx.CellPoint(0, 1)).ok());
+  }
+  ASSERT_TRUE(session->Quit(4).ok());
+  expect_peak(4, 5);
+  ASSERT_TRUE(session->Tick().ok());
+  // Round 2: rises to 7; a cancelled enter lowers pending, not the mark.
+  for (uint64_t u = 1; u <= 3; ++u) {
+    ASSERT_TRUE(session->Move(u, fx.CellPoint(1, 1)).ok());
+  }
+  for (uint64_t u = 10; u < 14; ++u) {
+    ASSERT_TRUE(session->Enter(u, fx.CellPoint(2, 2)).ok());
+  }
+  expect_peak(7, 7);
+  ASSERT_TRUE(session->Quit(13).ok());
+  expect_peak(6, 7);
+  ASSERT_TRUE(session->Tick().ok());
+  expect_peak(0, 7);
+  // A later session on the same registry continues from the exported mark.
+  session = make_session();
+  ASSERT_TRUE(session->Enter(1, fx.CellPoint(0, 0)).ok());
+  expect_peak(1, 7);
+  for (uint64_t u = 2; u <= 8; ++u) {
+    ASSERT_TRUE(session->Enter(u, fx.CellPoint(0, 0)).ok());
+  }
+  expect_peak(8, 8);
 }
 
 TEST(IngestSessionTest, NonFiniteLocationRejected) {
