@@ -1,65 +1,72 @@
 #include "common/alias_table.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace retrasyn {
 
-void AliasTable::Build(const double* weights, size_t n) {
-  prob_.clear();
-  alias_.clear();
-  small_.clear();
-  large_.clear();
-  scaled_.clear();
-  total_ = 0.0;
-  has_mass_ = false;
-  if (n == 0) return;
+double AliasTable::BuildSlice(const double* weights, size_t n, double* prob,
+                              uint32_t* alias, Worklists& work) {
   RETRASYN_CHECK(n <= static_cast<size_t>(UINT32_MAX));
-
-  prob_.resize(n, 0.0);
-  alias_.resize(n, 0);
-  scaled_.resize(n);
+  std::vector<uint32_t>& small = work.small;
+  std::vector<uint32_t>& large = work.large;
+  std::vector<double>& scaled = work.scaled;
+  small.clear();
+  large.clear();
+  scaled.resize(n);
+  double total = 0.0;
   for (size_t i = 0; i < n; ++i) {
     const double w = weights[i] > 0.0 ? weights[i] : 0.0;
-    scaled_[i] = w;
-    total_ += w;
+    scaled[i] = w;
+    total += w;
   }
-  if (total_ <= 0.0) return;
-  has_mass_ = true;
+  if (total <= 0.0) {
+    std::fill(prob, prob + n, 0.0);
+    std::fill(alias, alias + n, 0u);
+    return total;
+  }
 
   // Vose's stable partition: columns scaled to mean 1, the deficit of each
   // under-full column topped up by exactly one over-full donor.
-  const double scale = static_cast<double>(n) / total_;
+  const double scale = static_cast<double>(n) / total;
   for (size_t i = 0; i < n; ++i) {
-    scaled_[i] *= scale;
-    if (scaled_[i] < 1.0) {
-      small_.push_back(static_cast<uint32_t>(i));
+    scaled[i] *= scale;
+    if (scaled[i] < 1.0) {
+      small.push_back(static_cast<uint32_t>(i));
     } else {
-      large_.push_back(static_cast<uint32_t>(i));
+      large.push_back(static_cast<uint32_t>(i));
     }
   }
-  while (!small_.empty() && !large_.empty()) {
-    const uint32_t s = small_.back();
-    small_.pop_back();
-    const uint32_t l = large_.back();
-    prob_[s] = scaled_[s];
-    alias_[s] = l;
-    scaled_[l] -= 1.0 - scaled_[s];
-    if (scaled_[l] < 1.0) {
-      large_.pop_back();
-      small_.push_back(l);
+  while (!small.empty() && !large.empty()) {
+    const uint32_t s = small.back();
+    small.pop_back();
+    const uint32_t l = large.back();
+    prob[s] = scaled[s];
+    alias[s] = l;
+    scaled[l] -= 1.0 - scaled[s];
+    if (scaled[l] < 1.0) {
+      large.pop_back();
+      small.push_back(l);
     }
   }
   // Leftovers are exactly full up to rounding; their alias is never taken.
-  for (uint32_t l : large_) {
-    prob_[l] = 1.0;
-    alias_[l] = l;
+  for (uint32_t l : large) {
+    prob[l] = 1.0;
+    alias[l] = l;
   }
-  for (uint32_t s : small_) {
-    prob_[s] = 1.0;
-    alias_[s] = s;
+  for (uint32_t s : small) {
+    prob[s] = 1.0;
+    alias[s] = s;
   }
-  small_.clear();
-  large_.clear();
+  return total;
+}
+
+void AliasTable::Build(const double* weights, size_t n) {
+  prob_.resize(n);
+  alias_.resize(n);
+  total_ = BuildSlice(weights, n, prob_.data(), alias_.data(), work_);
+  has_mass_ = total_ > 0.0;
 }
 
 }  // namespace retrasyn

@@ -9,6 +9,12 @@
 // and of |C|: the tables are cached and invalidated by the mobility model's
 // dirty-state log (see core/transition_sampler_cache.h).
 //
+// The algorithm lives in two static routines over caller-owned slices,
+// BuildSlice and SampleSlice, so many small tables can share flat arrays and
+// one set of build worklists (the sampler cache keeps one slice per source
+// cell). The AliasTable class owns its slice and calls the same routines, so
+// a class table and a slice built from the same weights draw identically.
+//
 // Build() reuses the table's internal storage, so steady-state rebuilds of a
 // same-sized distribution perform no heap allocation.
 
@@ -25,13 +31,42 @@ namespace retrasyn {
 
 class AliasTable {
  public:
+  /// Scratch for BuildSlice. Reusing one instance across builds keeps
+  /// steady-state rebuilds allocation-free.
+  struct Worklists {
+    std::vector<uint32_t> small;
+    std::vector<uint32_t> large;
+    std::vector<double> scaled;
+  };
+
+  /// Builds an alias table over \p n weights into the caller's slices
+  /// prob[0, n) and alias[0, n), which hold slice-local column indices.
+  /// Negative weights are treated as zero, matching Rng::Discrete. Returns
+  /// the sum of the clamped weights; when it is not positive the slices are
+  /// zero-filled and must not be sampled.
+  static double BuildSlice(const double* weights, size_t n, double* prob,
+                           uint32_t* alias, Worklists& work);
+
+  /// Samples a column in [0, n) of a slice built with a positive total.
+  /// Consumes exactly one RNG draw: the integer and fractional parts of one
+  /// uniform double select the column and the accept/alias branch (53
+  /// mantissa bits cover both for any realistic n).
+  // HOT PATH — the per-synthetic-point draw; table lookups only.
+  static size_t SampleSlice(const double* prob, const uint32_t* alias,
+                            size_t n, Rng& rng) {
+    const double x = rng.UniformDouble() * static_cast<double>(n);
+    size_t column = static_cast<size_t>(x);
+    if (column >= n) column = n - 1;  // fp guard
+    const double frac = x - static_cast<double>(column);
+    return frac < prob[column] ? column : alias[column];
+  }
+
   AliasTable() = default;
 
-  /// (Re)builds the table from \p n weights. Negative weights are treated as
-  /// zero, matching Rng::Discrete. A zero total mass leaves the table with
-  /// has_mass() == false; Sample must not be called in that state (the caller
-  /// decides the fallback, again matching Discrete's size() sentinel
-  /// contract).
+  /// (Re)builds the table from \p n weights. A zero total mass leaves the
+  /// table with has_mass() == false; Sample must not be called in that state
+  /// (the caller decides the fallback, again matching Discrete's size()
+  /// sentinel contract).
   void Build(const double* weights, size_t n);
   void Build(const std::vector<double>& weights) {
     Build(weights.data(), weights.size());
@@ -43,25 +78,15 @@ class AliasTable {
   double total_mass() const { return total_; }
 
   /// Samples an index in [0, size()) proportional to the build weights.
-  /// Requires has_mass(). Consumes exactly one RNG draw: the integer and
-  /// fractional parts of one uniform double select the column and the
-  /// accept/alias branch (53 mantissa bits cover both for any realistic n).
-  // HOT PATH — the per-synthetic-point draw; table lookups only.
+  /// Requires has_mass(); see SampleSlice.
   size_t Sample(Rng& rng) const {
-    const double x = rng.UniformDouble() * static_cast<double>(prob_.size());
-    size_t column = static_cast<size_t>(x);
-    if (column >= prob_.size()) column = prob_.size() - 1;  // fp guard
-    const double frac = x - static_cast<double>(column);
-    return frac < prob_[column] ? column : alias_[column];
+    return SampleSlice(prob_.data(), alias_.data(), prob_.size(), rng);
   }
 
  private:
   std::vector<double> prob_;     ///< acceptance threshold per column, in [0,1]
   std::vector<uint32_t> alias_;  ///< overflow target per column
-  // Build worklists, kept as members so rebuilds do not allocate.
-  std::vector<uint32_t> small_;
-  std::vector<uint32_t> large_;
-  std::vector<double> scaled_;
+  Worklists work_;
   double total_ = 0.0;
   bool has_mass_ = false;
 };

@@ -450,10 +450,7 @@ EngineCheckpointState RetraSynEngine::SaveCheckpointState() const {
   state.ledger_window_sum = ledger_.window_sum();
   state.ledger_last_t = ledger_.last_t();
   state.ledger_max_window_spend = ledger_.MaxWindowSpend();
-  state.tracker_last_report.assign(tracker_.last_reports().begin(),
-                                   tracker_.last_reports().end());
-  std::sort(state.tracker_last_report.begin(),
-            state.tracker_last_report.end());
+  state.tracker_last_report = tracker_.last_reports();
   state.tracker_violation = tracker_.HasViolation();
   state.tracker_num_reports = tracker_.num_reports();
   state.status.reserve(status_.size());
@@ -518,6 +515,21 @@ Status RetraSynEngine::RestoreCheckpointState(EngineCheckpointState state) {
     return Status::InvalidArgument(
         "checkpointed report/quit bucket references an unknown index");
   }
+  // The report tracker is dense over the same indices, so its users are
+  // bounded by the status vector (checked above) before anything is sized
+  // from them; they are saved in strictly increasing user order.
+  for (size_t i = 0; i < state.tracker_last_report.size(); ++i) {
+    const uint64_t user = state.tracker_last_report[i].first;
+    if (user >= state.status.size()) {
+      return Status::InvalidArgument(
+          "checkpointed report tracker references an unknown index");
+    }
+    if (i > 0 && user <= state.tracker_last_report[i - 1].first) {
+      return Status::InvalidArgument(
+          "checkpointed report tracker is not in strictly increasing user "
+          "order");
+    }
+  }
   if (!rng_.set_state(state.rng_state)) {
     return Status::InvalidArgument("checkpointed RNG state is all-zero");
   }
@@ -531,9 +543,8 @@ Status RetraSynEngine::RestoreCheckpointState(EngineCheckpointState state) {
                      std::move(state.allocator_ratio_history));
   ledger_.Restore(std::move(state.ledger_spends), state.ledger_window_sum,
                   state.ledger_last_t, state.ledger_max_window_spend);
-  tracker_.Restore({state.tracker_last_report.begin(),
-                    state.tracker_last_report.end()},
-                   state.tracker_violation, state.tracker_num_reports);
+  tracker_.Restore(state.tracker_last_report, state.tracker_violation,
+                   state.tracker_num_reports);
   status_.clear();
   status_.reserve(state.status.size());
   for (uint8_t s : state.status) {

@@ -19,8 +19,18 @@ Synthesizer::Synthesizer(const StateSpace& states,
 
 std::vector<uint32_t> Synthesizer::LiveDensity() const {
   std::vector<uint32_t> counts(states_->num_cells(), 0);
-  for (const CellStream& s : live_) ++counts[s.cells.back()];
+  for (CellId c : cur_) ++counts[c];
   return counts;
+}
+
+bool Synthesizer::ColumnMatchesLive() const {
+  if (cur_.size() != live_.size()) return false;
+  for (size_t i = 0; i < live_.size(); ++i) {
+    if (live_[i].cells.empty() || cur_[i] != live_[i].cells.back()) {
+      return false;
+    }
+  }
+  return true;
 }
 
 double Synthesizer::QuitProbabilityAt(const GlobalMobilityModel& model,
@@ -112,9 +122,11 @@ void Synthesizer::Spawn(const GlobalMobilityModel& model, uint32_t count,
     }
     CellStream stream;
     stream.enter_time = t;
+    stream.cells.reserve(kSpawnReserve);
     stream.cells.push_back(cell);
     ++total_points_;
     live_.push_back(std::move(stream));
+    cur_.push_back(cell);
   }
 }
 
@@ -198,17 +210,28 @@ int Synthesizer::EffectiveChunks(size_t work_items) const {
   return std::min(config_.num_threads, by_work);
 }
 
-void Synthesizer::QuitAndGeneratePhase(const GlobalMobilityModel& model,
-                                       Rng& rng) {
+void Synthesizer::PrepareRoundScratch(int chunks, Rng& rng) {
   const size_t n = live_.size();
   quit_flags_.assign(n, 0);
   proposed_.resize(n);
+  chunk_rngs_.clear();
+  if (chunks > 1) {
+    for (int c = 0; c < chunks; ++c) chunk_rngs_.push_back(rng.Fork());
+  }
+}
+
+// HOT PATH — the per-stream quit+move body; reads the dense live-cell column
+// and each stream's vector header, never a stream's cell buffer.
+void Synthesizer::QuitAndGeneratePhase(const GlobalMobilityModel& model,
+                                       Rng& rng) {
+  const size_t n = live_.size();
+  const int chunks = EffectiveChunks(n);
+  PrepareRoundScratch(chunks, rng);
   auto process = [&](size_t i, Rng& r) {
-    CellStream& stream = live_[i];
-    const CellId at = stream.cells.back();
+    const CellId at = cur_[i];
     if (config_.use_quit) {
       const double base = QuitProbabilityAt(model, at);
-      const double len = static_cast<double>(stream.cells.size());
+      const double len = static_cast<double>(live_[i].cells.size());
       if (r.Bernoulli(std::min(1.0, len / config_.lambda * base))) {
         quit_flags_[i] = 1;
         return;
@@ -216,14 +239,11 @@ void Synthesizer::QuitAndGeneratePhase(const GlobalMobilityModel& model,
     }
     proposed_[i] = SampleNextCell(model, at, r);
   };
-  const int chunks = EffectiveChunks(n);
   if (chunks <= 1) {
     for (size_t i = 0; i < n; ++i) process(i, rng);
     return;
   }
   const size_t chunk_size = (n + chunks - 1) / chunks;
-  chunk_rngs_.clear();
-  for (int c = 0; c < chunks; ++c) chunk_rngs_.push_back(rng.Fork());
   auto run_chunk = [&](int c) {
     const size_t lo = static_cast<size_t>(c) * chunk_size;
     const size_t hi = std::min(n, lo + chunk_size);
@@ -260,12 +280,14 @@ void Synthesizer::Step(const GlobalMobilityModel& model,
       } else {
         if (w != i) {
           live_[w] = std::move(live_[i]);
+          cur_[w] = cur_[i];
           proposed_[w] = proposed_[i];
         }
         ++w;
       }
     }
     live_.resize(w);
+    cur_.resize(w);
     proposed_.resize(w);
   }
 
@@ -293,8 +315,7 @@ void Synthesizer::Step(const GlobalMobilityModel& model,
       // positive mass is exhausted (the former uniform fallback).
       std::vector<std::pair<double, double>> race(live_.size());
       for (size_t i = 0; i < live_.size(); ++i) {
-        const double w =
-            quit_dist.empty() ? 0.0 : quit_dist[live_[i].cells.back()];
+        const double w = quit_dist.empty() ? 0.0 : quit_dist[cur_[i]];
         const double u = rng.UniformDouble();
         if (w > 0.0) {
           race[i] = {-std::log1p(-u) / w, 0.0};  // Exp(1)/w, u in [0,1)
@@ -311,7 +332,8 @@ void Synthesizer::Step(const GlobalMobilityModel& model,
       victims.resize(surplus);
       // Remove in descending index order so swap-erase stays valid. Victims
       // never receive this round's proposed point: they end at their last
-      // cell, exactly as when the adjustment preceded generation.
+      // cell, exactly as when the adjustment preceded generation. cur_ is
+      // left as it is: nothing reads it before the commit replaces it.
       std::sort(victims.rbegin(), victims.rend());
       for (size_t victim : victims) {
         finished_.push_back(std::move(live_[victim]));
@@ -326,13 +348,25 @@ void Synthesizer::Step(const GlobalMobilityModel& model,
   }
 
   // 3b. Commit the proposed points of the remaining survivors (Markov step).
-  for (size_t i = 0; i < live_.size(); ++i) {
+  //     The append slot of each stream is in its own heap buffer, so the
+  //     loop prefetches the slot kCommitPrefetch streams ahead; the vector
+  //     header that locates it is dense in live_, and a prefetch never
+  //     faults. The proposals become the live-cell column.
+  const size_t n = live_.size();
+  for (size_t i = 0; i < n; ++i) {
+    if (i + kCommitPrefetch < n) {
+      const std::vector<CellId>& ahead = live_[i + kCommitPrefetch].cells;
+      __builtin_prefetch(ahead.data() + ahead.size(), /*rw=*/1);
+    }
     live_[i].cells.push_back(proposed_[i]);
   }
-  total_points_ += live_.size();
+  cur_.swap(proposed_);
+  total_points_ += n;
 
   // 4. Fill the deficit with fresh entering streams at timestamp t.
   if (deficit > 0) Spawn(model, deficit, t, rng);
+
+  RETRASYN_DCHECK(ColumnMatchesLive());
 
   if (step_hist_ != nullptr) {
     RecordStepTelemetry(step_watch.ElapsedSeconds(),
@@ -350,6 +384,12 @@ void Synthesizer::Restore(std::vector<CellStream> live,
                           std::vector<CellStream> finished,
                           uint64_t total_points, bool initialized) {
   live_ = std::move(live);
+  cur_.clear();
+  cur_.reserve(live_.size());
+  for (const CellStream& s : live_) {
+    RETRASYN_CHECK(!s.cells.empty());
+    cur_.push_back(s.cells.back());
+  }
   finished_ = std::move(finished);
   total_points_ = total_points;
   initialized_ = initialized;
@@ -368,6 +408,7 @@ CellStreamSet Synthesizer::Finish(int64_t num_timestamps) {
   for (CellStream& s : live_) out.Add(std::move(s)).CheckOK();
   finished_.clear();
   live_.clear();
+  cur_.clear();
   initialized_ = false;
   total_points_ = 0;
   return out;

@@ -27,7 +27,17 @@
 // from raw model frequencies. Quit decisions and proposed next cells are
 // staged in reusable scratch buffers; points are only committed after the
 // size adjustment picks its victims, which preserves the phase ordering
-// above while halving the traversals. Setting
+// above while halving the traversals.
+//
+// The round close touches dense arrays only. A live-cell column cur_,
+// parallel to live_, holds every live stream's current cell
+// (live_[i].cells.back()) between rounds. Spawn, the stable retire
+// compaction, Restore and Finish apply to cur_ what they do to live_; the
+// commit replaces cur_ with the survivors' proposals, so the victim
+// swap-erase before it leaves cur_ alone. The quit+move pass, the
+// size-adjustment race and LiveDensity() read the column and the streams'
+// vector headers, never a stream's heap cell buffer; only the commit writes
+// there, one append per survivor, prefetched a few streams ahead. Setting
 // SynthesizerConfig::use_sampler_cache = false restores the legacy
 // linear-scan sampling (O(degree) + an allocation per point) for A/B
 // benchmarking; both paths draw from identical distributions.
@@ -158,6 +168,13 @@ class Synthesizer {
                uint64_t total_points, bool initialized);
 
  private:
+  /// Cells reserved for each spawned stream. glibc's smallest chunk already
+  /// holds 24 bytes, so 6 cells cost the same memory as 1 and skip the
+  /// 1 -> 2 -> 4 reallocations of a stream's first appends.
+  static constexpr size_t kSpawnReserve = 6;
+  /// How many streams ahead the commit loop prefetches the append slot.
+  static constexpr size_t kCommitPrefetch = 16;
+
   void Spawn(const GlobalMobilityModel& model, uint32_t count, int64_t t,
              Rng& rng);
   /// Fused Eq. 8 termination + Markov step: one (optionally parallel) pass
@@ -165,6 +182,12 @@ class Synthesizer {
   /// committed: quitters move to finished_ and the size adjustment may still
   /// drop survivors before their proposed point is appended.
   void QuitAndGeneratePhase(const GlobalMobilityModel& model, Rng& rng);
+  /// Sizes the per-round scratch for the current live set and forks the
+  /// per-chunk RNGs when \p chunks > 1. Kept out of QuitAndGeneratePhase so
+  /// that pass stays allocation-free by construction.
+  void PrepareRoundScratch(int chunks, Rng& rng);
+  /// True iff cur_ mirrors live_ (cur_[i] == live_[i].cells.back()).
+  bool ColumnMatchesLive() const;
   /// Number of work chunks for \p work_items (1 = run serially on the main
   /// RNG; >1 = forked per-chunk RNGs). Depends only on the config and the
   /// work size, never on the machine.
@@ -188,6 +211,7 @@ class Synthesizer {
   TransitionSamplerCache cache_;
   ThreadPool* pool_ = nullptr;
   std::vector<CellStream> live_;
+  std::vector<CellId> cur_;  ///< live-cell column: live_[i].cells.back()
   std::vector<CellStream> finished_;
   uint64_t total_points_ = 0;
   bool initialized_ = false;

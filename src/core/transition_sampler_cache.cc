@@ -8,25 +8,34 @@ namespace retrasyn {
 
 TransitionSamplerCache::TransitionSamplerCache(const StateSpace& states)
     : states_(&states),
-      next_cell_(states.num_cells()),
+      cells_(states.num_cells()),
+      move_prob_(states.num_move_states(), 0.0),
+      move_alias_(states.num_move_states(), 0),
+      move_target_(states.num_move_states()),
       quit_prob_(states.num_cells(), 0.0),
       move_mass_(states.num_cells(), 0.0),
       quit_dist_(states.num_cells(), 0.0),
-      cell_dirty_scratch_(states.num_cells(), 0) {}
+      cell_dirty_scratch_(states.num_cells(), 0) {
+  const SpatialGrid& grid = states.grid();
+  for (CellId c = 0; c < states.num_cells(); ++c) {
+    const std::vector<CellId>& nbrs = grid.Neighbors(c);
+    CellSampler& cell = cells_[c];
+    cell.offset = states.MoveOffset(c);
+    cell.degree = static_cast<uint32_t>(nbrs.size());
+    std::copy(nbrs.begin(), nbrs.end(), move_target_.begin() + cell.offset);
+  }
+}
 
 void TransitionSamplerCache::RebuildCell(const GlobalMobilityModel& model,
                                          CellId c) {
-  const auto& nbrs = states_->grid().Neighbors(c);
-  const StateId offset = states_->MoveOffset(c);
-  weight_scratch_.clear();
-  double mass = 0.0;
-  for (size_t i = 0; i < nbrs.size(); ++i) {
-    const double f =
-        std::max(0.0, model.frequency(offset + static_cast<StateId>(i)));
-    weight_scratch_.push_back(f);
-    mass += f;
-  }
-  next_cell_[c].Build(weight_scratch_);
+  CellSampler& cell = cells_[c];
+  // The cell's movement frequencies are contiguous in the model; BuildSlice
+  // clamps negatives to zero exactly as max(0, f_ij) does.
+  const double mass = AliasTable::BuildSlice(
+      model.frequencies().data() + cell.offset, cell.degree,
+      move_prob_.data() + cell.offset, move_alias_.data() + cell.offset,
+      cell_worklists_);
+  cell.has_mass = mass > 0.0;
   move_mass_[c] = mass;
   const double quit = std::max(0.0, model.frequency(states_->QuitIndex(c)));
   const double total = mass + quit;
@@ -35,13 +44,9 @@ void TransitionSamplerCache::RebuildCell(const GlobalMobilityModel& model,
 }
 
 void TransitionSamplerCache::RebuildEnter(const GlobalMobilityModel& model) {
-  const uint32_t num_cells = states_->num_cells();
-  weight_scratch_.clear();
-  for (CellId c = 0; c < num_cells; ++c) {
-    weight_scratch_.push_back(
-        std::max(0.0, model.frequency(states_->EnterIndex(c))));
-  }
-  enter_.Build(weight_scratch_);
+  // Entering states are contiguous too: [EnterIndex(0), +|C|).
+  enter_.Build(model.frequencies().data() + states_->EnterIndex(0),
+               states_->num_cells());
   ++stats_.enter_rebuilds;
 }
 

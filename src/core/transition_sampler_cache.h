@@ -7,14 +7,23 @@
 // source cell, a Walker/Vose alias table over the outgoing movement
 // frequencies plus the Eq. 6/8 quit probability, and global alias tables for
 // the entering distribution and the movement-source marginal, making every
-// per-point operation one RNG draw and two array reads — independent of cell
-// degree and of |C|.
+// per-point operation one RNG draw and three array reads — independent of
+// cell degree and of |C|.
+//
+// The per-cell tables are flat. Cell c's movement states occupy
+// [MoveOffset(c), MoveOffset(c) + degree) in the state space, and its alias
+// slice occupies the same range of two flat arrays (acceptance threshold and
+// slice-local alias column), next to a flat move_target array holding the
+// cell each movement state reaches. A draw reads the cell's {offset, degree,
+// has_mass} record, one column of the slice and one target: no per-cell
+// object, no pointer chase into a per-cell heap buffer.
 //
 // Invalidation is driven by the model's change log: ReplaceAll (or a
 // collapsed log) triggers a full rebuild, while the DMU's UpdateStates only
 // re-derives the cells whose states were actually selected (Sync cost
-// O(dirty) instead of O(|S|)). Rebuilds reuse all internal storage, so the
-// steady state performs no heap allocation at all.
+// O(dirty) instead of O(|S|)). Every per-cell rebuild writes in place and
+// shares one set of alias worklists, so the steady state performs no heap
+// allocation at all.
 //
 // Thread-safety: Sync mutates the cache and must not run concurrently with
 // sampling; the sampling accessors are const and safe to call from parallel
@@ -59,10 +68,14 @@ class TransitionSamplerCache {
   /// O(1) Markov step out of \p from, distributed exactly like the linear
   /// scan over max(0, f_ij): dwells in place (returns \p from) when the cell
   /// has no outgoing movement mass.
+  // HOT PATH — one draw per synthetic point; flat table reads only.
   CellId SampleNextCell(CellId from, Rng& rng) const {
-    const AliasTable& table = next_cell_[from];
-    if (!table.has_mass()) return from;
-    return states_->grid().Neighbors(from)[table.Sample(rng)];
+    const CellSampler& cell = cells_[from];
+    if (!cell.has_mass) return from;
+    const size_t column = AliasTable::SampleSlice(
+        move_prob_.data() + cell.offset, move_alias_.data() + cell.offset,
+        cell.degree, rng);
+    return move_target_[cell.offset + column];
   }
 
   /// Eq. 8 base quit probability at \p at: f_iQ / (sum_nbrs f_ix + f_iQ).
@@ -113,10 +126,20 @@ class TransitionSamplerCache {
   uint64_t synced_replace_version_ = 0;
   size_t dirty_log_consumed_ = 0;
 
-  // Derived structures.
-  std::vector<AliasTable> next_cell_;  ///< per source cell, over Neighbors()
-  std::vector<double> quit_prob_;      ///< per cell, Eq. 8 base
-  std::vector<double> move_mass_;      ///< per cell: sum of outgoing f_ij
+  /// Where a source cell's alias slice lives in the flat move arrays.
+  struct CellSampler {
+    StateId offset = 0;     ///< MoveOffset(c)
+    uint32_t degree = 0;    ///< Neighbors(c).size()
+    bool has_mass = false;  ///< outgoing movement mass is positive
+  };
+
+  // Derived structures. The move_* arrays are indexed by movement state.
+  std::vector<CellSampler> cells_;      ///< per source cell
+  std::vector<double> move_prob_;       ///< alias acceptance thresholds
+  std::vector<uint32_t> move_alias_;    ///< slice-local alias columns
+  std::vector<CellId> move_target_;     ///< cell each movement state reaches
+  std::vector<double> quit_prob_;       ///< per cell, Eq. 8 base
+  std::vector<double> move_mass_;       ///< per cell: sum of outgoing f_ij
   AliasTable enter_;
   // Lazily (re)built from move_mass_ on first use after invalidation; see
   // SampleMoveMarginalCell for the (serial-only) mutability contract.
@@ -125,7 +148,7 @@ class TransitionSamplerCache {
   std::vector<double> quit_dist_;
 
   // Sync scratch (reused; no steady-state allocation).
-  std::vector<double> weight_scratch_;
+  AliasTable::Worklists cell_worklists_;  ///< shared by every cell rebuild
   std::vector<uint8_t> cell_dirty_scratch_;
   std::vector<CellId> dirty_cells_scratch_;
 

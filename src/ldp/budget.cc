@@ -46,16 +46,43 @@ void BudgetLedger::EvictBefore(int64_t t_min) {
   }
 }
 
-bool ReportWindowTracker::RecordReport(uint64_t user, int64_t t) {
+bool ReportWindowTracker::RecordReport(uint32_t user, int64_t t) {
   ++num_reports_;
-  auto it = last_report_.find(user);
-  if (it != last_report_.end() && t - it->second < window_) {
-    violation_ = true;
-    it->second = t;
-    return false;
+  if (user >= last_report_.size()) {
+    // Geometric growth keeps the amortized cost per new user O(1).
+    last_report_.resize(std::max<size_t>(size_t{user} + 1,
+                                         last_report_.size() * 2),
+                        kNeverReported);
   }
-  last_report_[user] = t;
-  return true;
+  int64_t& last = last_report_[user];
+  const bool ok = last == kNeverReported || t - last >= window_;
+  if (!ok) violation_ = true;
+  last = t;
+  return ok;
+}
+
+std::vector<std::pair<uint64_t, int64_t>> ReportWindowTracker::last_reports()
+    const {
+  std::vector<std::pair<uint64_t, int64_t>> out;
+  for (size_t user = 0; user < last_report_.size(); ++user) {
+    if (last_report_[user] != kNeverReported) {
+      out.emplace_back(user, last_report_[user]);
+    }
+  }
+  return out;
+}
+
+void ReportWindowTracker::Restore(
+    const std::vector<std::pair<uint64_t, int64_t>>& last_reports,
+    bool violation, int64_t num_reports) {
+  size_t size = 0;
+  for (const auto& entry : last_reports) {
+    size = std::max<size_t>(size, entry.first + 1);
+  }
+  last_report_.assign(size, kNeverReported);
+  for (const auto& [user, t] : last_reports) last_report_[user] = t;
+  violation_ = violation;
+  num_reports_ = num_reports;
 }
 
 }  // namespace retrasyn

@@ -7,14 +7,18 @@
 //
 // For population-division strategies the analogous guarantee is "each user
 // reports at most once per window with the full budget"; ReportWindowTracker
-// verifies that invariant over user report histories.
+// verifies that invariant over user report histories. Users are the engines'
+// dense stream indices, so the tracker keeps one int64 last-report time per
+// index in a flat vector (a sentinel marks "never reported") instead of a
+// hash node per user ever seen.
 
 #ifndef RETRASYN_LDP_BUDGET_H_
 #define RETRASYN_LDP_BUDGET_H_
 
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
+#include <limits>
+#include <utility>
 #include <vector>
 
 namespace retrasyn {
@@ -78,28 +82,29 @@ class ReportWindowTracker {
 
   /// Records that user \p user reported at time \p t. Returns false (and
   /// flags a violation) if the user already reported within the last w
-  /// timestamps.
-  bool RecordReport(uint64_t user, int64_t t);
+  /// timestamps. \p user is a dense stream index: the tracker grows to
+  /// cover it, so callers pass indices their own dense bookkeeping covers.
+  bool RecordReport(uint32_t user, int64_t t);
 
   bool HasViolation() const { return violation_; }
   int64_t num_reports() const { return num_reports_; }
 
   // --- Checkpoint state ----------------------------------------------------
 
-  const std::unordered_map<uint64_t, int64_t>& last_reports() const {
-    return last_report_;
-  }
+  /// Every user that ever reported with its last report time, in user order.
+  std::vector<std::pair<uint64_t, int64_t>> last_reports() const;
 
-  void Restore(std::unordered_map<uint64_t, int64_t> last_report,
-               bool violation, int64_t num_reports) {
-    last_report_ = std::move(last_report);
-    violation_ = violation;
-    num_reports_ = num_reports;
-  }
+  /// Replaces the state. Every user in \p last_reports must already be
+  /// bounded by the caller (it sizes the dense vector).
+  void Restore(const std::vector<std::pair<uint64_t, int64_t>>& last_reports,
+               bool violation, int64_t num_reports);
 
  private:
+  static constexpr int64_t kNeverReported =
+      std::numeric_limits<int64_t>::min();
+
   int window_;
-  std::unordered_map<uint64_t, int64_t> last_report_;
+  std::vector<int64_t> last_report_;  ///< per user; kNeverReported if none
   bool violation_ = false;
   int64_t num_reports_ = 0;
 };

@@ -152,5 +152,56 @@ TEST(AliasTableTest, SampleConsumesExactlyOneDraw) {
   EXPECT_EQ(a(), b());
 }
 
+TEST(AliasTableTest, SliceMatchesClassDrawForDraw) {
+  // The class owns one slice and calls the slice routines, so a slice built
+  // into shared flat arrays (as the sampler cache does, many per array, one
+  // set of worklists) must reproduce the class draw for draw.
+  const std::vector<std::vector<double>> cases = {
+      {4.2},                                          // n = 1
+      {0.0, 0.0, 0.0},                                // all-zero weights
+      {-1.0, 2.0, -0.5, 3.0},                         // negative weights
+      {0.3, 0.0, 1.7},                                // degree 3
+      {1.0, 5.0, 0.25, 0.0, 2.0},                     // degree 5
+      {0.1, 0.9, 0.4, 0.0, 0.0, 3.0, 0.2, 0.6, 1.1},  // degree 9
+  };
+  size_t total_columns = 0;
+  for (const auto& w : cases) total_columns += w.size();
+  // Poisoned flat arrays: every column must be written by BuildSlice.
+  std::vector<double> prob(total_columns + 2, -7.0);
+  std::vector<uint32_t> alias(total_columns + 2, 12345u);
+  AliasTable::Worklists work;
+  size_t offset = 1;
+  for (size_t k = 0; k < cases.size(); ++k) {
+    const std::vector<double>& w = cases[k];
+    AliasTable table;
+    table.Build(w);
+    const double total = AliasTable::BuildSlice(
+        w.data(), w.size(), prob.data() + offset, alias.data() + offset, work);
+    EXPECT_EQ(total, table.total_mass()) << "case " << k;
+    EXPECT_EQ(total > 0.0, table.has_mass()) << "case " << k;
+    for (size_t i = 0; i < w.size(); ++i) {
+      EXPECT_GE(prob[offset + i], 0.0) << "case " << k;
+      EXPECT_LE(prob[offset + i], 1.0) << "case " << k;
+      EXPECT_LT(alias[offset + i], w.size()) << "case " << k;
+    }
+    if (table.has_mass()) {
+      Rng a(100 + k), b(100 + k);
+      for (int i = 0; i < 2000; ++i) {
+        const size_t from_slice = AliasTable::SampleSlice(
+            prob.data() + offset, alias.data() + offset, w.size(), b);
+        ASSERT_EQ(table.Sample(a), from_slice) << "case " << k << " draw " << i;
+        ASSERT_GT(w[from_slice], 0.0) << "case " << k;
+      }
+      EXPECT_EQ(a(), b());
+    }
+    offset += w.size();
+  }
+  // Neighbouring slices never write outside their own range.
+  EXPECT_EQ(prob.front(), -7.0);
+  EXPECT_EQ(prob.back(), -7.0);
+  EXPECT_EQ(alias.front(), 12345u);
+  EXPECT_EQ(alias.back(), 12345u);
+}
+
 }  // namespace
 }  // namespace retrasyn

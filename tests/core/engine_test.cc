@@ -299,5 +299,49 @@ TEST(EngineTest, RecyclingOffKeepsQuittedSlotsForever) {
   EXPECT_EQ(engine.total_retired(), 0u);
 }
 
+TEST(EngineTest, CheckpointRestoreBoundsTheDenseReportTracker) {
+  const EngineFixture fx(30);
+  const RetraSynConfig config =
+      BaseConfig(DivisionStrategy::kPopulation, AllocationKind::kAdaptive);
+  RetraSynEngine engine(fx.states, config);
+  fx.Run(engine);
+  const EngineCheckpointState saved = engine.SaveCheckpointState();
+  ASSERT_FALSE(saved.tracker_last_report.empty());
+  for (size_t i = 1; i < saved.tracker_last_report.size(); ++i) {
+    EXPECT_LT(saved.tracker_last_report[i - 1].first,
+              saved.tracker_last_report[i].first);
+  }
+
+  // A faithful round trip reproduces the tracker exactly.
+  RetraSynEngine restored(fx.states, config);
+  ASSERT_TRUE(restored.RestoreCheckpointState(saved).ok());
+  const EngineCheckpointState again = restored.SaveCheckpointState();
+  EXPECT_EQ(again.tracker_last_report, saved.tracker_last_report);
+  EXPECT_EQ(again.tracker_num_reports, saved.tracker_num_reports);
+  EXPECT_EQ(again.tracker_violation, saved.tracker_violation);
+
+  // Checkpoint bytes must never size the dense vector: a user far beyond
+  // the status vector is refused before anything is allocated.
+  EngineCheckpointState huge = saved;
+  huge.tracker_last_report.emplace_back(uint64_t{1} << 40, 29);
+  EXPECT_EQ(restored.RestoreCheckpointState(huge).code(),
+            StatusCode::kInvalidArgument);
+
+  EngineCheckpointState edge = saved;
+  edge.tracker_last_report.back().first = edge.status.size();
+  EXPECT_EQ(restored.RestoreCheckpointState(edge).code(),
+            StatusCode::kInvalidArgument);
+
+  EngineCheckpointState unordered = saved;
+  ASSERT_GE(unordered.tracker_last_report.size(), 2u);
+  std::swap(unordered.tracker_last_report[0], unordered.tracker_last_report[1]);
+  EXPECT_EQ(restored.RestoreCheckpointState(unordered).code(),
+            StatusCode::kInvalidArgument);
+
+  // The refusals left the restored state untouched.
+  EXPECT_EQ(restored.SaveCheckpointState().tracker_last_report,
+            saved.tracker_last_report);
+}
+
 }  // namespace
 }  // namespace retrasyn

@@ -1,13 +1,16 @@
 // Tests for the multi-threaded synthesis path (the paper's future-work
 // acceleration): correctness invariants must hold for any thread count, and
-// results must be reproducible for a fixed thread count.
+// results must be reproducible for a fixed thread count. The grid comes
+// from RETRASYN_GRID_BACKEND, so the quadtree CI step covers it too.
 
 #include <gtest/gtest.h>
+
+#include <memory>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/synthesizer.h"
-#include "geo/grid.h"
+#include "geo/grid_factory.h"
 
 namespace retrasyn {
 namespace {
@@ -15,7 +18,8 @@ namespace {
 class ParallelSynthesizerTest : public testing::Test {
  protected:
   ParallelSynthesizerTest()
-      : grid_(BoundingBox{0.0, 0.0, 1.0, 1.0}, 5),
+      : grid_owner_(MakeEnvGrid(BoundingBox{0.0, 0.0, 1.0, 1.0}, 5)),
+        grid_(*grid_owner_),
         states_(grid_),
         model_(states_) {
     std::vector<double> f(states_.size(), 0.0);
@@ -46,7 +50,8 @@ class ParallelSynthesizerTest : public testing::Test {
     return synthesizer.Finish(horizon);
   }
 
-  Grid grid_;
+  std::unique_ptr<SpatialGrid> grid_owner_;
+  const SpatialGrid& grid_;
   StateSpace states_;
   GlobalMobilityModel model_;
 };

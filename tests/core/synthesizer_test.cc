@@ -1,9 +1,18 @@
+// The grid comes from RETRASYN_GRID_BACKEND, so the quadtree CI step runs
+// every case over variable-degree cells too; no case assumes uniform
+// row/col geometry.
+
 #include "core/synthesizer.h"
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "common/rng.h"
-#include "geo/grid.h"
+#include "common/thread_pool.h"
+#include "geo/grid_factory.h"
 
 namespace retrasyn {
 namespace {
@@ -11,7 +20,8 @@ namespace {
 class SynthesizerTest : public testing::Test {
  protected:
   SynthesizerTest()
-      : grid_(BoundingBox{0.0, 0.0, 1.0, 1.0}, 3),
+      : grid_owner_(MakeEnvGrid(BoundingBox{0.0, 0.0, 1.0, 1.0}, 3)),
+        grid_(*grid_owner_),
         states_(grid_),
         model_(states_) {}
 
@@ -33,7 +43,8 @@ class SynthesizerTest : public testing::Test {
     return config;
   }
 
-  Grid grid_;
+  std::unique_ptr<SpatialGrid> grid_owner_;
+  const SpatialGrid& grid_;
   StateSpace states_;
   GlobalMobilityModel model_;
 };
@@ -186,37 +197,112 @@ TEST_F(SynthesizerTest, FinishClosesEverythingAndResets) {
 }
 
 TEST_F(SynthesizerTest, SurplusTerminationPrefersQuitDistribution) {
-  // Quit mass concentrated on cell 8: streams currently at cell 8 should be
-  // terminated first during size adjustment.
+  // Quit mass concentrated on the last cell: streams currently there should
+  // be terminated first during size adjustment. With Eq. 8 quits on, the
+  // race runs over the compacted survivors, so it also pins that their
+  // current cells were compacted with them.
+  const CellId hot = grid_.NumCells() - 1;
   std::vector<double> f(states_.size(), 0.0);
   for (CellId c = 0; c < grid_.NumCells(); ++c) {
     f[states_.MoveIndex(c, c)] = 1.0;  // everyone dwells
   }
-  f[states_.QuitIndex(8)] = 1.0;
+  f[states_.QuitIndex(hot)] = 1.0;
   f[states_.EnterIndex(0)] = 0.5;
-  f[states_.EnterIndex(8)] = 0.5;
+  f[states_.EnterIndex(hot)] = 0.5;
   model_.ReplaceAll(f);
-  SynthesizerConfig config = DefaultConfig();
-  config.use_quit = false;  // only size adjustment may terminate
-  Synthesizer syn(states_, config);
-  Rng rng(10);
-  syn.Initialize(model_, 400, 0, rng);
-  syn.Step(model_, 250, 1, rng);
-  EXPECT_EQ(syn.num_live(), 250u);
-  const CellStreamSet out = syn.Finish(2);
-  size_t terminated_at_8 = 0, terminated_elsewhere = 0;
-  for (const CellStream& s : out.streams()) {
-    if (s.length() == 1) {  // terminated during the adjustment
-      if (s.cells.back() == 8) {
-        ++terminated_at_8;
-      } else {
-        ++terminated_elsewhere;
+  for (bool use_quit : {false, true}) {
+    SCOPED_TRACE(use_quit ? "with Eq. 8 quits" : "size adjustment only");
+    SynthesizerConfig config = DefaultConfig();
+    config.use_quit = use_quit;
+    Synthesizer syn(states_, config);
+    Rng rng(10);
+    syn.Initialize(model_, 400, 0, rng);
+    syn.Step(model_, 250, 1, rng);
+    EXPECT_EQ(syn.num_live(), 250u);
+    const CellStreamSet out = syn.Finish(2);
+    size_t terminated_at_hot = 0, terminated_elsewhere = 0;
+    for (const CellStream& s : out.streams()) {
+      if (s.length() == 1) {  // terminated at t = 1
+        if (s.cells.back() == hot) {
+          ++terminated_at_hot;
+        } else {
+          ++terminated_elsewhere;
+        }
       }
     }
+    EXPECT_EQ(terminated_at_hot, 150u);
+    // Only the hot cell carries quit mass, for Eq. 8 and for the race.
+    EXPECT_EQ(terminated_elsewhere, 0u);
   }
-  EXPECT_GT(terminated_at_8, 0u);
-  EXPECT_EQ(terminated_elsewhere, 0u);  // all victims were at cell 8
 }
+
+class SynthesizerColumnTest : public SynthesizerTest,
+                              public testing::WithParamInterface<int> {
+ protected:
+  /// LiveDensity() reads the live-cell column; it must equal a recount over
+  /// the streams themselves.
+  void ExpectColumnMatchesStreams(const Synthesizer& syn,
+                                  const std::string& where) {
+    std::vector<uint32_t> recount(grid_.NumCells(), 0);
+    for (const CellStream& s : syn.live_streams()) ++recount[s.cells.back()];
+    EXPECT_EQ(syn.LiveDensity(), recount) << where;
+  }
+};
+
+TEST_P(SynthesizerColumnTest, LiveDensityMatchesRecountThroughEveryReorder) {
+  FillUniformModel(0.05);  // quit mass: Eq. 8 terminations every round
+  SynthesizerConfig config = DefaultConfig();
+  config.num_threads = GetParam();
+  // Large enough that 4 threads really run 4 chunks on a shared pool.
+  ThreadPool pool(2);
+  Synthesizer syn(states_, config);
+  syn.SetThreadPool(&pool);
+  Rng rng(31);
+  syn.Initialize(model_, 10000, 0, rng);
+  ExpectColumnMatchesStreams(syn, "after Initialize");
+
+  // Shrinking targets force the size-adjustment victims (swap-erase);
+  // growing ones force deficit spawns after the commit.
+  const uint32_t targets[] = {10000, 9000, 12000, 12000, 3000, 9000};
+  int64_t t = 1;
+  size_t finished_before = syn.finished_streams().size();
+  for (uint32_t target : targets) {
+    syn.Step(model_, target, t, rng);
+    EXPECT_EQ(syn.num_live(), target);
+    EXPECT_GT(syn.finished_streams().size(), finished_before) << "t=" << t;
+    finished_before = syn.finished_streams().size();
+    ExpectColumnMatchesStreams(syn, "after step " + std::to_string(t));
+    ++t;
+  }
+
+  // Restore rebuilds the column from the streams: the restored synthesizer
+  // reports the same density and then draws exactly the same rounds.
+  Synthesizer restored(states_, config);
+  restored.SetThreadPool(&pool);
+  restored.Restore(syn.live_streams(), syn.finished_streams(),
+                   syn.total_points(), /*initialized=*/true);
+  ExpectColumnMatchesStreams(restored, "after Restore");
+  EXPECT_EQ(restored.LiveDensity(), syn.LiveDensity());
+  Rng rng_restored = rng;
+  for (uint32_t target : {8000u, 11000u}) {
+    syn.Step(model_, target, t, rng);
+    restored.Step(model_, target, t, rng_restored);
+    ExpectColumnMatchesStreams(restored, "restored step " + std::to_string(t));
+    ++t;
+  }
+  const CellStreamSet a = syn.Finish(t);
+  EXPECT_TRUE(syn.LiveDensity() ==
+              std::vector<uint32_t>(grid_.NumCells(), 0));
+  const CellStreamSet b = restored.Finish(t);
+  ASSERT_EQ(a.streams().size(), b.streams().size());
+  for (size_t i = 0; i < a.streams().size(); ++i) {
+    ASSERT_EQ(a.streams()[i].enter_time, b.streams()[i].enter_time);
+    ASSERT_EQ(a.streams()[i].cells, b.streams()[i].cells) << "stream " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, SynthesizerColumnTest,
+                         testing::Values(1, 4));
 
 }  // namespace
 }  // namespace retrasyn

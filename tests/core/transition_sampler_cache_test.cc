@@ -1,38 +1,94 @@
 // TransitionSamplerCache: the cached O(1) samplers must (a) draw from
 // exactly the distributions the model derives linearly, (b) re-derive only
 // what a DMU-selective update touched, and (c) rebuild fully on ReplaceAll
-// or a collapsed dirty log.
+// or a collapsed dirty log. The grid comes from RETRASYN_GRID_BACKEND, so
+// the quadtree CI step runs every case over variable-degree cells too.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "common/alias_table.h"
 #include "common/rng.h"
 #include "core/mobility_model.h"
 #include "core/synthesizer.h"
 #include "core/transition_sampler_cache.h"
-#include "geo/grid.h"
+#include "geo/grid_factory.h"
 #include "geo/state_space.h"
 
 namespace retrasyn {
 namespace {
 
+std::vector<double> RandomFrequencies(const StateSpace& states,
+                                      uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> f(states.size());
+  for (double& x : f) x = rng.UniformDouble() * 0.02;
+  return f;
+}
+
+/// Chi-square of cached next-cell draws out of \p from against the exact
+/// movement weights max(0, f_ij) the linear scan draws from, at the upper
+/// critical value z standard deviations out (3.09: the 99.9th percentile of
+/// one test; larger z keeps a family of many cells at the same level).
+void ExpectNextCellMatchesLinear(const StateSpace& states,
+                                 const GlobalMobilityModel& model,
+                                 const TransitionSamplerCache& cache,
+                                 CellId from, double z = 3.09) {
+  const auto& nbrs = states.grid().Neighbors(from);
+  const StateId offset = states.MoveOffset(from);
+  double total = 0.0;
+  std::vector<double> weights(nbrs.size());
+  for (size_t i = 0; i < nbrs.size(); ++i) {
+    weights[i] = std::max(0.0, model.frequency(offset + i));
+    total += weights[i];
+  }
+  ASSERT_GT(total, 0.0);
+  const int n = 120000;
+  Rng rng(200 + from);
+  std::vector<int> counts(states.num_cells(), 0);
+  for (int i = 0; i < n; ++i) ++counts[cache.SampleNextCell(from, rng)];
+  double chi2 = 0.0;
+  int dof = -1;
+  int drawn = 0;
+  for (size_t i = 0; i < nbrs.size(); ++i) {
+    const double expected = n * weights[i] / total;
+    const int got = counts[nbrs[i]];
+    drawn += got;
+    if (expected == 0.0) {
+      EXPECT_EQ(got, 0) << "cell " << from << " neighbor " << nbrs[i];
+      continue;
+    }
+    chi2 += (got - expected) * (got - expected) / expected;
+    ++dof;
+  }
+  EXPECT_EQ(drawn, n) << "cell " << from << " drew a non-neighbor";
+  if (dof < 1) return;
+  // Wilson-Hilferty critical value; at z = 3.09 it reads 26.3 at dof 8
+  // against the tabulated 99.9th percentile of 26.1.
+  const double h = 2.0 / (9.0 * dof);
+  const double critical = dof * std::pow(1.0 - h + z * std::sqrt(h), 3);
+  EXPECT_LT(chi2, critical) << "cell " << from << " dof " << dof;
+}
+
 class TransitionSamplerCacheTest : public testing::Test {
  protected:
   TransitionSamplerCacheTest()
-      : grid_(BoundingBox{0.0, 0.0, 1.0, 1.0}, 6),
+      : grid_owner_(MakeEnvGrid(BoundingBox{0.0, 0.0, 1.0, 1.0}, 6)),
+        grid_(*grid_owner_),
         states_(grid_),
         model_(states_) {}
 
   std::vector<double> RandomFrequencies(uint64_t seed) {
-    Rng rng(seed);
-    std::vector<double> f(states_.size());
-    for (double& x : f) x = rng.UniformDouble() * 0.02;
-    return f;
+    return retrasyn::RandomFrequencies(states_, seed);
   }
 
-  Grid grid_;
+  std::unique_ptr<SpatialGrid> grid_owner_;
+  const SpatialGrid& grid_;
   StateSpace states_;
   GlobalMobilityModel model_;
 };
@@ -129,34 +185,55 @@ TEST_F(TransitionSamplerCacheTest, NextCellSamplerMatchesLinearDistribution) {
   model_.ReplaceAll(RandomFrequencies(9));
   TransitionSamplerCache cache(states_);
   cache.Sync(model_);
-  // Chi-square of cached next-cell draws against the exact movement weights
-  // for a few representative cells (corner, edge, interior).
-  const int n = 120000;
+  // A few representative cells (on the uniform grid: corner, edge, interior).
   for (CellId from : {CellId{0}, CellId{3}, CellId{14}}) {
-    const auto& nbrs = grid_.Neighbors(from);
-    const StateId offset = states_.MoveOffset(from);
-    double total = 0.0;
-    std::vector<double> weights(nbrs.size());
-    for (size_t i = 0; i < nbrs.size(); ++i) {
-      weights[i] = std::max(0.0, model_.frequency(offset + i));
-      total += weights[i];
-    }
-    ASSERT_GT(total, 0.0);
-    Rng rng(200 + from);
-    std::vector<int> counts(grid_.NumCells(), 0);
-    for (int i = 0; i < n; ++i) ++counts[cache.SampleNextCell(from, rng)];
-    double chi2 = 0.0;
-    int dof = -1;
-    for (size_t i = 0; i < nbrs.size(); ++i) {
-      const double expected = n * weights[i] / total;
-      if (expected == 0.0) continue;
-      const int got = counts[nbrs[i]];
-      chi2 += (got - expected) * (got - expected) / expected;
-      ++dof;
-    }
-    // 99.9th percentile for dof <= 8 is below 26.1.
-    EXPECT_LT(chi2, 26.1) << "cell " << from;
+    ExpectNextCellMatchesLinear(states_, model_, cache, from);
   }
+}
+
+TEST(TransitionSamplerCacheQuadtreeTest,
+     NextCellSamplerMatchesLinearDistribution) {
+  // Quadtree leaves have variable degree, so neighbouring flat slices have
+  // different lengths; every cell's slice must still draw its own
+  // distribution. Some movement states are zeroed and one cell carries a
+  // single positive weight, so zero columns and degree-1 mass are covered.
+  auto grid = MakeSpatialGrid(BoundingBox{0.0, 0.0, 1.0, 1.0}, 6,
+                              GridBackend::kQuadtree);
+  ASSERT_TRUE(grid.ok()) << grid.status().ToString();
+  const StateSpace states(*grid.value());
+  GlobalMobilityModel model(states);
+  std::vector<double> f = RandomFrequencies(states, 9);
+  for (StateId s = 0; s < states.num_move_states(); s += 4) f[s] = 0.0;
+  const CellId single = states.num_cells() / 2;
+  const StateId single_offset = states.MoveOffset(single);
+  const size_t single_degree = grid.value()->Neighbors(single).size();
+  for (size_t i = 0; i < single_degree; ++i) f[single_offset + i] = 0.0;
+  f[single_offset + single_degree - 1] = 0.01;
+  model.ReplaceAll(f);
+  TransitionSamplerCache cache(states);
+  cache.Sync(model);
+
+  size_t min_degree = SIZE_MAX, max_degree = 0;
+  for (CellId c = 0; c < states.num_cells(); ++c) {
+    const std::vector<CellId>& nbrs = grid.value()->Neighbors(c);
+    min_degree = std::min(min_degree, nbrs.size());
+    max_degree = std::max(max_degree, nbrs.size());
+    // z = 4.0 holds the whole family of ~34 cells at about the 0.1% level
+    // (Bonferroni).
+    ExpectNextCellMatchesLinear(states, model, cache, c, /*z=*/4.0);
+    // Exact: the flat slice draws exactly what a stand-alone table over the
+    // same weights draws.
+    AliasTable table;
+    table.Build(model.frequencies().data() + states.MoveOffset(c),
+                nbrs.size());
+    ASSERT_TRUE(table.has_mass()) << "cell " << c;
+    Rng a(500 + c), b(500 + c);
+    for (int i = 0; i < 1000; ++i) {
+      ASSERT_EQ(nbrs[table.Sample(a)], cache.SampleNextCell(c, b))
+          << "cell " << c << " draw " << i;
+    }
+  }
+  EXPECT_LT(min_degree, max_degree) << "quadtree should vary the degree";
 }
 
 TEST_F(TransitionSamplerCacheTest, ZeroMassCellDwellsInPlace) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 namespace retrasyn {
 namespace {
 
@@ -97,6 +101,29 @@ TEST(ReportWindowTrackerTest, UsersIndependent) {
   EXPECT_TRUE(tracker.RecordReport(2, 0));
   EXPECT_TRUE(tracker.RecordReport(3, 3));
   EXPECT_FALSE(tracker.HasViolation());
+}
+
+TEST(ReportWindowTrackerTest, LastReportsInUserOrderAndRestoreRoundTrips) {
+  ReportWindowTracker tracker(4);
+  EXPECT_TRUE(tracker.RecordReport(9, 1));
+  EXPECT_TRUE(tracker.RecordReport(0, 2));
+  EXPECT_TRUE(tracker.RecordReport(4, 3));
+  EXPECT_TRUE(tracker.RecordReport(9, 6));
+  const std::vector<std::pair<uint64_t, int64_t>> expected = {
+      {0, 2}, {4, 3}, {9, 6}};
+  EXPECT_EQ(tracker.last_reports(), expected);
+
+  ReportWindowTracker restored(4);
+  restored.Restore(tracker.last_reports(), tracker.HasViolation(),
+                   tracker.num_reports());
+  EXPECT_EQ(restored.last_reports(), expected);
+  EXPECT_EQ(restored.num_reports(), 4);
+  // The restored history still polices the window, and unseen users (inside
+  // or beyond the restored range) start clean.
+  EXPECT_FALSE(restored.RecordReport(4, 5));
+  EXPECT_TRUE(restored.HasViolation());
+  EXPECT_TRUE(restored.RecordReport(1, 5));
+  EXPECT_TRUE(restored.RecordReport(100, 5));
 }
 
 }  // namespace
