@@ -62,7 +62,7 @@ struct CaseResult {
 };
 
 CaseResult RunCase(bool checkpointed, const StateSpace& states,
-                   const Grid& grid, int64_t rounds, int64_t live,
+                   const UniformGrid& grid, int64_t rounds, int64_t live,
                    int64_t churn, int window, int64_t every,
                    int64_t segment_bytes, uint64_t seed) {
   const std::string journal_dir =
@@ -164,7 +164,7 @@ int Main(int argc, char** argv) {
   }
 
   const BoundingBox box{0.0, 0.0, 1000.0, 1000.0};
-  const Grid grid(box, grid_k);
+  const UniformGrid grid(box, grid_k);
   const StateSpace states(grid);
 
   std::vector<CaseResult> results;

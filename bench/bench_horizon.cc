@@ -2,24 +2,23 @@
 // that runs for months instead of a one-shot experiment.
 //
 // A steady-churn workload (constant live population, `churn` streams
-// quitting and entering per round) is driven for `rounds` rounds twice —
-// recycling on and off. For each mode the bench reports per-round Tick()
-// cost early in the run (rounds [100, 200)) vs at the end of the horizon,
-// the session's index high-water mark, the engine's dense per-user slot
-// count, and the process RSS before/mid/after the run. Without recycling
-// the index space and dense vectors grow linearly with every stream ever
-// started; with it they stay at the steady-state pool
-// (live + churn * (window + 2)).
+// quitting and entering per round) is driven for `rounds` rounds through a
+// Create-built service, which recycles stream indices. The bench reports
+// per-round Tick() cost early in the run (rounds [100, 200)) vs at the end
+// of the horizon, the session's index high-water mark, the engine's dense
+// per-user slot count, and the process RSS before/mid/after the run. The
+// index space and dense vectors stay at the steady-state pool
+// (live + churn * (window + 2)) instead of growing with every stream ever
+// started.
 //
-// A third mode, recycle_on_spill, additionally journals the workload and
+// A second mode, recycle_on_spill, additionally journals the workload and
 // checkpoints every `every` rounds with history spill: closed streams move
 // to checkpoint-owned spill files instead of accumulating in the engine,
 // so steady-state RSS is flat in the horizon (rss_mid == rss_end) where
 // plain recycle_on still grows linearly with the closed-stream history.
 //
-// Modes run smallest-footprint first (spill, on, off) so no reading is
-// inflated by allocator pages a bigger earlier run grew (pollution in this
-// order only shrinks the reported gaps, never fakes one).
+// The spill mode runs first, so its reading is not inflated by allocator
+// pages the bigger run grew.
 //
 // The whole profile is repeated per grid backend (--backends, default
 // "uniform,quadtree", via MakeSpatialGrid at matched cell count): long-horizon
@@ -92,7 +91,7 @@ double MeanRange(const std::vector<double>& v, size_t lo, size_t hi) {
   return sum / static_cast<double>(hi - lo);
 }
 
-ModeResult RunMode(bool recycle, bool spill, const StateSpace& states,
+ModeResult RunMode(bool spill, const StateSpace& states,
                    const SpatialGrid& grid, int64_t rounds, int64_t live,
                    int64_t churn, int window, int64_t every, uint64_t seed) {
   RetraSynConfig config;
@@ -101,7 +100,6 @@ ModeResult RunMode(bool recycle, bool spill, const StateSpace& states,
   config.division = DivisionStrategy::kPopulation;
   config.lambda = static_cast<double>(live) / static_cast<double>(churn);
   config.seed = seed;
-  config.recycle_stream_indices = recycle;
   std::string journal_dir, checkpoint_dir;
   if (spill) {
     journal_dir = MakeTempDir("bench-horizon-journal-", ".").ValueOrDie();
@@ -115,7 +113,7 @@ ModeResult RunMode(bool recycle, bool spill, const StateSpace& states,
 
   ModeResult result;
   result.grid_backend = GridBackendName(grid.backend());
-  result.mode = spill ? "recycle_on_spill" : (recycle ? "recycle_on" : "recycle_off");
+  result.mode = spill ? "recycle_on_spill" : "recycle_on";
   result.rss_start_mb = RssMb();
 
   auto service = TrajectoryService::Create(states, config);
@@ -259,12 +257,10 @@ int Main(int argc, char** argv) {
     grid_or.status().CheckOK();
     const std::unique_ptr<SpatialGrid> grid = std::move(grid_or).value();
     const StateSpace states(*grid);
-    results.push_back(RunMode(true, true, states, *grid, rounds, live, churn,
-                              window, every, seed));
-    results.push_back(RunMode(true, false, states, *grid, rounds, live, churn,
-                              window, every, seed));
-    results.push_back(RunMode(false, false, states, *grid, rounds, live,
-                              churn, window, every, seed));
+    for (bool spill : {true, false}) {
+      results.push_back(RunMode(spill, states, *grid, rounds, live, churn,
+                                window, every, seed));
+    }
   }
   for (const ModeResult& m : results) {
     std::fprintf(

@@ -114,7 +114,8 @@ double Percentile(std::vector<double> sorted, double q) {
 }
 
 ModeResult RunMode(const std::string& mode, const StateSpace& states,
-                   const Grid& grid, const std::vector<RoundScript>& script,
+                   const UniformGrid& grid,
+                   const std::vector<RoundScript>& script,
                    const RetraSynConfig& base_config, int queue_capacity,
                    bool journaled = false, bool dump_telemetry = false) {
   RetraSynConfig config = base_config;
@@ -171,7 +172,6 @@ struct ShardResult {
   int shards = 0;
   uint32_t users = 0;
   int rounds = 0;
-  bool reuse_buffers = true;
   double events_per_s = 0.0;
   double tick_mean_ms = 0.0;   ///< seal + merge + commit, per round
   double seal_s = 0.0;         ///< cumulative parallel per-shard seal
@@ -190,7 +190,6 @@ class NullEngine : public StreamReleaseEngine {
     return CellStreamSet(n);
   }
   std::vector<uint32_t> LiveDensity() const override { return {}; }
-  CellStreamSet Finish(int64_t n) override { return CellStreamSet(n); }
   std::string name() const override { return "bench-null"; }
 };
 
@@ -207,10 +206,9 @@ uint64_t ShardOf(uint64_t user, int shards) {
 
 ShardResult RunShardSweep(const StateSpace& states, const BoundingBox& box,
                           int shards, uint32_t users, int rounds,
-                          bool reuse_buffers, bool dump_telemetry = false) {
+                          bool dump_telemetry = false) {
   ServiceOptions options;
   options.ingest_shards = shards;
-  options.reuse_seal_buffers = reuse_buffers;
   auto service = TrajectoryService::CreateWithEngine(
       states, std::make_unique<NullEngine>(), options);
   service.status().CheckOK();
@@ -232,7 +230,6 @@ ShardResult RunShardSweep(const StateSpace& states, const BoundingBox& box,
   result.shards = shards;
   result.users = users;
   result.rounds = rounds;
-  result.reuse_buffers = reuse_buffers;
   uint64_t steady_allocs = 0;
   uint64_t steady_bytes = 0;
   Stopwatch total;
@@ -249,8 +246,8 @@ ShardResult RunShardSweep(const StateSpace& states, const BoundingBox& box,
       });
     }
     for (auto& thread : producers) thread.join();
-    // The allocation count covers the seal + merge + commit inside Tick()
-    // (the reuse knob's domain), not the producers' pending-event buffering.
+    // The allocation count covers the seal + merge + commit inside Tick(),
+    // not the producers' pending-event buffering.
     // Rounds 0 and 1 are warmup: round 0 runs with every buffer cold, and
     // round 1 is the first with live streams, so the entry and observation
     // buffers grow once to their steady capacity there. The claim is steady
@@ -313,12 +310,11 @@ bool WriteJson(const std::string& path, uint32_t grid_k, uint32_t users,
     std::fprintf(
         f,
         "  {\"bench\": \"ingest_sharded\", \"shards\": %d, \"users\": %u, "
-        "\"rounds\": %d, \"cores\": %d, \"reuse_seal_buffers\": %s, "
+        "\"rounds\": %d, \"cores\": %d, "
         "\"events_per_s\": %.0f, \"tick_mean_ms\": %.3f, "
         "\"seal_s\": %.4f, \"merge_s\": %.4f, \"commit_s\": %.4f, "
         "\"allocs_per_round\": %.1f, \"alloc_bytes_per_round\": %.0f}%s\n",
-        r.shards, r.users, r.rounds, cores,
-        r.reuse_buffers ? "true" : "false", r.events_per_s, r.tick_mean_ms,
+        r.shards, r.users, r.rounds, cores, r.events_per_s, r.tick_mean_ms,
         r.seal_s, r.merge_s, r.commit_s, r.allocs_per_round,
         r.alloc_bytes_per_round, i + 1 < shard_results.size() ? "," : "");
   }
@@ -346,7 +342,7 @@ int Main(int argc, char** argv) {
   const bool dump_telemetry = bench::DumpTelemetryRequested(flags);
 
   const BoundingBox box{0.0, 0.0, 1000.0, 1000.0};
-  const Grid grid(box, grid_k);
+  const UniformGrid grid(box, grid_k);
   const StateSpace states(grid);
   const std::vector<RoundScript> script =
       ScriptWorkload(box, users, rounds, seed);
@@ -390,9 +386,8 @@ int Main(int argc, char** argv) {
   // Sharded ingest throughput sweep: shard count x live population, against
   // a no-op engine so the measurement isolates the ingest path. Expect
   // near-linear scaling in min(shards, cores) — the "cores" JSON field
-  // records what the host could actually exercise. The pinned reuse-off rows
-  // measure what the seal-buffer reuse saves: with reuse on, steady-state
-  // allocs per round is O(1); off, it is O(population).
+  // records what the host could actually exercise. allocs_per_round pins the
+  // seal-buffer reuse: steady-state allocations per round stay O(1).
   std::vector<ShardResult> shard_results;
   if (!flags.GetBool("no_sweep", false)) {
     const std::vector<uint32_t> populations =
@@ -405,26 +400,18 @@ int Main(int argc, char** argv) {
     for (uint32_t population : populations) {
       for (int shards : shard_counts) {
         shard_results.push_back(RunShardSweep(states, box, shards, population,
-                                              sweep_rounds,
-                                              /*reuse_buffers=*/true,
-                                              dump_telemetry));
+                                              sweep_rounds, dump_telemetry));
       }
     }
-    // The allocation A/B pair, pinned at the smallest population.
-    shard_results.push_back(RunShardSweep(states, box, shard_counts.back(),
-                                          populations.front(), sweep_rounds,
-                                          /*reuse_buffers=*/false,
-                                          dump_telemetry));
     for (const ShardResult& r : shard_results) {
       std::fprintf(stderr,
-                   "shards=%d users=%7u rounds=%d reuse=%-3s  "
+                   "shards=%d users=%7u rounds=%d  "
                    "%10.0f events/s  tick mean=%7.3f ms  "
                    "(seal %.3fs merge %.3fs commit %.3fs)  "
                    "allocs/round=%.1f (%.0f KiB)\n",
-                   r.shards, r.users, r.rounds, r.reuse_buffers ? "on" : "off",
-                   r.events_per_s, r.tick_mean_ms, r.seal_s, r.merge_s,
-                   r.commit_s, r.allocs_per_round,
-                   r.alloc_bytes_per_round / 1024.0);
+                   r.shards, r.users, r.rounds, r.events_per_s,
+                   r.tick_mean_ms, r.seal_s, r.merge_s, r.commit_s,
+                   r.allocs_per_round, r.alloc_bytes_per_round / 1024.0);
     }
   }
 

@@ -162,7 +162,7 @@ int Main(int argc, char** argv) {
   const std::string json_path = flags.GetString("json", "BENCH_journal.json");
 
   const BoundingBox box{0.0, 0.0, 1000.0, 1000.0};
-  const Grid grid(box, grid_k);
+  const UniformGrid grid(box, grid_k);
   const StateSpace states(grid);
 
   std::vector<AppendResult> appends;

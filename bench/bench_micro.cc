@@ -146,7 +146,7 @@ void BM_SamplerCacheSyncIncremental(benchmark::State& state) {
   // Steady-state DMU round: a small selective update followed by a Sync that
   // re-derives only the touched cells.
   const uint32_t dirty = static_cast<uint32_t>(state.range(0));
-  const Grid grid(BoundingBox{0.0, 0.0, 1.0, 1.0}, 32);
+  const UniformGrid grid(BoundingBox{0.0, 0.0, 1.0, 1.0}, 32);
   const StateSpace states(grid);
   GlobalMobilityModel model(states);
   Rng rng(24);
@@ -175,7 +175,7 @@ BENCHMARK(BM_SamplerCacheSyncIncremental)
 
 void BM_SynthesizerStep(benchmark::State& state) {
   const uint32_t population = static_cast<uint32_t>(state.range(0));
-  const Grid grid(BoundingBox{0.0, 0.0, 1.0, 1.0}, 10);
+  const UniformGrid grid(BoundingBox{0.0, 0.0, 1.0, 1.0}, 10);
   const StateSpace states(grid);
   GlobalMobilityModel model(states);
   Rng rng(6);
@@ -194,39 +194,13 @@ void BM_SynthesizerStep(benchmark::State& state) {
 }
 BENCHMARK(BM_SynthesizerStep)->Range(1000, 64000)->Complexity(benchmark::oN);
 
-void BM_SynthesizerStepLegacy(benchmark::State& state) {
-  // A/B partner of BM_SynthesizerStep: the former linear-scan sampling with
-  // a heap allocation per sampled point (use_sampler_cache=false).
-  const uint32_t population = static_cast<uint32_t>(state.range(0));
-  const Grid grid(BoundingBox{0.0, 0.0, 1.0, 1.0}, 10);
-  const StateSpace states(grid);
-  GlobalMobilityModel model(states);
-  Rng rng(6);
-  std::vector<double> f(states.size());
-  for (double& x : f) x = rng.UniformDouble() * 0.01;
-  model.ReplaceAll(f);
-  SynthesizerConfig config;
-  config.lambda = 50.0;
-  config.use_sampler_cache = false;
-  Synthesizer synthesizer(states, config);
-  synthesizer.Initialize(model, population, 0, rng);
-  int64_t t = 1;
-  for (auto _ : state) {
-    synthesizer.Step(model, population, t++, rng);
-  }
-  state.SetComplexityN(population);
-}
-BENCHMARK(BM_SynthesizerStepLegacy)
-    ->Range(1000, 64000)
-    ->Complexity(benchmark::oN);
-
 void BM_SynthesizerStepThreads(benchmark::State& state) {
   // The paper's future-work acceleration: parallel synthesis. Sweep worker
   // threads at a fixed large population, on a live persistent pool (without
   // one the chunks run inline and the sweep would measure serial execution).
   const int threads = static_cast<int>(state.range(0));
   const uint32_t population = 64000;
-  const Grid grid(BoundingBox{0.0, 0.0, 1.0, 1.0}, 10);
+  const UniformGrid grid(BoundingBox{0.0, 0.0, 1.0, 1.0}, 10);
   const StateSpace states(grid);
   GlobalMobilityModel model(states);
   Rng rng(9);
@@ -248,7 +222,7 @@ void BM_SynthesizerStepThreads(benchmark::State& state) {
 BENCHMARK(BM_SynthesizerStepThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_GridLocate(benchmark::State& state) {
-  const Grid grid(BoundingBox{0.0, 0.0, 30000.0, 30000.0}, 18);
+  const UniformGrid grid(BoundingBox{0.0, 0.0, 30000.0, 30000.0}, 18);
   Rng rng(7);
   Point p{rng.UniformDouble(0, 30000), rng.UniformDouble(0, 30000)};
   for (auto _ : state) {

@@ -1,7 +1,6 @@
 // Round-synthesis latency bench (paper SIV-B / Fig. 7): how long one
-// synthesis round takes as population and grid size grow, and what the
-// cached alias samplers + persistent thread pool buy over the legacy
-// linear-scan / thread-spawn hot path.
+// synthesis round takes as population and grid size grow, serially and on a
+// persistent thread pool, and what telemetry costs the hot path.
 //
 // For each (grid, population) point the bench drives a Synthesizer through
 // warm-up plus measured rounds against a randomized mobility model. Between
@@ -10,9 +9,7 @@
 // sampler cache pays its real incremental invalidation cost, not a
 // cached-forever fantasy. Modes:
 //
-//   legacy  — use_sampler_cache=false, serial: the former O(degree)-per-point
-//             path with a heap allocation per sampled point.
-//   cached  — alias samplers, serial. The headline single-thread speedup.
+//   cached  — alias samplers, serial. The single-thread baseline.
 //   cached_telemetry
 //           — cached with a Telemetry attached to the synthesizer: measures
 //             what metric recording costs the hot path. --telemetry_budget
@@ -109,7 +106,6 @@ ModeResult RunMode(const std::string& mode, const StateSpace& states,
   SynthesizerConfig config;
   config.lambda = 50.0;
   config.num_threads = threads;
-  config.use_sampler_cache = (mode != "legacy");
   // Declared before the synthesizer: attached components keep raw metric
   // pointers until they stop stepping.
   Telemetry telemetry;
@@ -159,17 +155,9 @@ bool WriteJson(const std::string& path, const std::vector<SweepPoint>& sweep) {
   std::fprintf(f, "[\n");
   bool first = true;
   for (const SweepPoint& point : sweep) {
-    double legacy_mean = 0.0;
-    for (const ModeResult& m : point.modes) {
-      if (m.mode == "legacy") legacy_mean = m.mean_round_ms;
-    }
     for (const ModeResult& m : point.modes) {
       if (!first) std::fprintf(f, ",\n");
       first = false;
-      const double speedup =
-          (legacy_mean > 0.0 && m.mean_round_ms > 0.0)
-              ? legacy_mean / m.mean_round_ms
-              : 0.0;
       std::fprintf(
           f,
           "  {\"bench\": \"round_latency\", \"grid_backend\": \"%s\", "
@@ -178,13 +166,12 @@ bool WriteJson(const std::string& path, const std::vector<SweepPoint>& sweep) {
           "\"telemetry\": %s, "
           "\"threads\": %d, \"rounds\": %d, \"mean_round_ms\": %.4f, "
           "\"p50_round_ms\": %.4f, "
-          "\"min_round_ms\": %.4f, \"points_per_sec\": %.0f, "
-          "\"speedup_vs_legacy\": %.2f}",
+          "\"min_round_ms\": %.4f, \"points_per_sec\": %.0f}",
           point.grid_backend.c_str(), point.grid_k, point.num_cells,
           point.num_states, point.population,
           m.mode.c_str(), m.telemetry ? "true" : "false",
           m.threads, m.rounds, m.mean_round_ms, m.p50_round_ms,
-          m.min_round_ms, m.points_per_sec, speedup);
+          m.min_round_ms, m.points_per_sec);
     }
   }
   std::fprintf(f, "\n]\n");
@@ -267,27 +254,23 @@ int Main(int argc, char** argv) {
         point.num_cells = grid->NumCells();
         point.num_states = states.size();
         point.population = pop;
-        point.modes.push_back(RunMode("legacy", states, pop, 1, nullptr,
-                                      warmup, rounds, seed));
         point.modes.push_back(RunMode("cached", states, pop, 1, nullptr,
                                       warmup, rounds, seed));
         point.modes.push_back(RunMode("cached_telemetry", states, pop, 1,
                                       nullptr, warmup, rounds, seed));
         point.modes.push_back(RunMode("pooled", states, pop, threads, &pool,
                                       warmup, rounds, seed));
-        const double legacy = point.modes[0].mean_round_ms;
         for (const ModeResult& m : point.modes) {
           std::fprintf(stderr,
                        "%-8s grid=%2ux%-2u cells=%5u pop=%6u %-16s threads=%d  "
                        "mean=%8.3f ms  p50=%8.3f ms  min=%8.3f ms  "
-                       "%10.0f pts/s  %.2fx\n",
+                       "%10.0f pts/s\n",
                        point.grid_backend.c_str(), k, k, point.num_cells, pop,
                        m.mode.c_str(), m.threads, m.mean_round_ms,
-                       m.p50_round_ms, m.min_round_ms, m.points_per_sec,
-                       legacy > 0.0 ? legacy / m.mean_round_ms : 0.0);
+                       m.p50_round_ms, m.min_round_ms, m.points_per_sec);
         }
-        const double base_p50 = point.modes[1].p50_round_ms;
-        const double tel_p50 = point.modes[2].p50_round_ms;
+        const double base_p50 = point.modes[0].p50_round_ms;
+        const double tel_p50 = point.modes[1].p50_round_ms;
         const double overhead =
             base_p50 > 0.0 ? tel_p50 / base_p50 - 1.0 : 0.0;
         worst_overhead = std::max(worst_overhead, overhead);

@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(db.TotalPoints()),
               static_cast<long long>(db.num_timestamps()));
 
-  const Grid grid(db.box(), static_cast<uint32_t>(flags.GetInt("k", 6)));
+  const UniformGrid grid(db.box(), static_cast<uint32_t>(flags.GetInt("k", 6)));
   const StateSpace states(grid);
   const StreamFeeder feeder(db, grid, states);
 

@@ -34,8 +34,9 @@ struct SweepPoint {
 };
 
 SweepPoint RunOnce(const StreamDatabase& db, const StreamFeeder& feeder,
-                   const Grid& grid, const StateSpace& states, double epsilon,
-                   int w, DivisionStrategy division, double lambda) {
+                   const UniformGrid& grid, const StateSpace& states,
+                   double epsilon, int w, DivisionStrategy division,
+                   double lambda) {
   RetraSynConfig config;
   config.epsilon = epsilon;
   config.window = w;
@@ -71,7 +72,7 @@ int main(int argc, char** argv) {
   data_config.mean_arrivals = 65.0;
   Rng rng(13);
   const StreamDatabase db = GenerateHotspotStreams(data_config, rng);
-  const Grid grid(db.box(), 6);
+  const UniformGrid grid(db.box(), 6);
   const StateSpace states(grid);
   const StreamFeeder feeder(db, grid, states);
   const double lambda = db.AverageLength();

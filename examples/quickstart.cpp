@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
               static_cast<long long>(db.num_timestamps()));
 
   // 2. Geospatial discretization and the transition-state space.
-  const Grid grid(db.box(), /*k=*/6);
+  const UniformGrid grid(db.box(), /*k=*/6);
   const StateSpace states(grid);
   std::printf("grid: %u cells, state space |S| = %u\n", grid.NumCells(),
               states.size());

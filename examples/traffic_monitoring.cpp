@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   Rng data_rng(11);
   const StreamDatabase db = GenerateHotspotStreams(data_config, data_rng);
 
-  const Grid grid(db.box(), 6);
+  const UniformGrid grid(db.box(), 6);
   const StateSpace states(grid);
 
   RetraSynConfig config;

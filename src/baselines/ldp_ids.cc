@@ -292,8 +292,4 @@ std::vector<uint32_t> LdpIdsEngine::LiveDensity() const {
   return synthesizer_.LiveDensity();  // all zeros before initialization
 }
 
-CellStreamSet LdpIdsEngine::Finish(int64_t num_timestamps) {
-  return synthesizer_.Finish(num_timestamps);
-}
-
 }  // namespace retrasyn

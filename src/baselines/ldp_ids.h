@@ -65,7 +65,6 @@ class LdpIdsEngine : public StreamReleaseEngine {
   void Observe(const TimestampBatch& batch) override;
   CellStreamSet SnapshotRelease(int64_t num_timestamps) const override;
   std::vector<uint32_t> LiveDensity() const override;
-  CellStreamSet Finish(int64_t num_timestamps) override;
   std::string name() const override;
 
   const LdpIdsConfig& config() const { return config_; }

@@ -15,6 +15,7 @@ namespace retrasyn {
 constexpr double kMinRoundEpsilon = 1e-4;
 
 Status RetraSynConfig::Validate() const {
+  RETRASYN_RETURN_NOT_OK(ServiceOptions::Validate());
   if (!std::isfinite(epsilon) || epsilon <= 0.0) {
     return Status::InvalidArgument(
         "epsilon must be a positive finite privacy budget, got " +
@@ -59,32 +60,16 @@ Status RetraSynConfig::Validate() const {
         "num_threads " + std::to_string(num_threads) +
         " exceeds the sanity cap of " + std::to_string(kMaxThreads));
   }
-  if (ingest_shards < 1) {
-    return Status::InvalidArgument(
-        "ingest_shards must be >= 1 (1 = unsharded ingestion), got " +
-        std::to_string(ingest_shards));
-  }
-  if (ingest_shards > kMaxIngestShards) {
-    return Status::InvalidArgument(
-        "ingest_shards " + std::to_string(ingest_shards) +
-        " exceeds the sanity cap of " + std::to_string(kMaxIngestShards));
-  }
-  // round_queue_capacity and the journal_*/checkpoint_* fields are
-  // service-layer state
-  // (ignored by bare engines); ServiceOptions::Validate owns their checks,
-  // via the TrajectoryService factories.
   return Status::OK();
 }
 
-namespace {
-
-/// Resolves the configured thread count: explicit value, or the shared
-/// pool's size / hardware concurrency for the 0 = auto setting.
 int ResolveThreads(const RetraSynConfig& config) {
   if (config.num_threads > 0) return config.num_threads;
   if (config.thread_pool != nullptr) return config.thread_pool->num_threads();
   return std::max(1u, std::thread::hardware_concurrency());
 }
+
+namespace {
 
 SynthesizerConfig MakeSynthesizerConfig(const RetraSynConfig& config) {
   SynthesizerConfig synth;
@@ -93,7 +78,6 @@ SynthesizerConfig MakeSynthesizerConfig(const RetraSynConfig& config) {
   synth.use_size_adjustment = config.use_eq;
   synth.random_init = !config.use_eq;
   synth.num_threads = ResolveThreads(config);
-  synth.use_sampler_cache = config.use_sampler_cache;
   return synth;
 }
 
@@ -168,7 +152,6 @@ void RetraSynEngine::EnsureUser(uint32_t user) {
 
 void RetraSynEngine::RetireQuitted(int64_t t) {
   retired_last_round_.clear();
-  if (!config_.recycle_stream_indices) return;
   // A quitted stream's last possible report was its quit round (the quit
   // transition itself), so once that round leaves the w-window the index's
   // whole contribution has left it too — Alg. 1's recycle boundary, applied
@@ -290,7 +273,7 @@ void RetraSynEngine::CommitStatuses(const TimestampBatch& batch,
       if (config_.allocation.kind == AllocationKind::kRandom) {
         report_slot_[obs.user_index] = kNoSlot;
       }
-      if (config_.recycle_stream_indices) quitted.push_back(obs.user_index);
+      quitted.push_back(obs.user_index);
     }
   }
   if (!quitted.empty()) quitted_at_.emplace_back(t, std::move(quitted));
@@ -564,10 +547,6 @@ CellStreamSet RetraSynEngine::SnapshotRelease(int64_t num_timestamps) const {
 
 std::vector<uint32_t> RetraSynEngine::LiveDensity() const {
   return synthesizer_.LiveDensity();  // all zeros before initialization
-}
-
-CellStreamSet RetraSynEngine::Finish(int64_t num_timestamps) {
-  return synthesizer_.Finish(num_timestamps);
 }
 
 }  // namespace retrasyn

@@ -89,12 +89,6 @@ class StreamReleaseEngine {
   /// synthesis round.
   virtual std::vector<uint32_t> LiveDensity() const = 0;
 
-  /// Closes all live synthetic streams and returns the synthetic database
-  /// over the given horizon. The engine is finished afterwards. Legacy
-  /// batch-pipeline entry point; prefer SnapshotRelease, which does not
-  /// consume the engine.
-  virtual CellStreamSet Finish(int64_t num_timestamps) = 0;
-
   virtual std::string name() const = 0;
 
   /// Registers the engine's metrics in \p telemetry (not owned; null
@@ -103,7 +97,83 @@ class StreamReleaseEngine {
   virtual void AttachTelemetry(Telemetry* telemetry) { (void)telemetry; }
 };
 
-struct RetraSynConfig {
+/// \brief The service-layer knobs: how a TrajectoryService closes rounds,
+/// shards ingestion, journals, checkpoints and observes itself. Each is
+/// declared here once. RetraSynConfig inherits them, so a RetraSyn
+/// deployment sets them on its config; services over custom engines
+/// (CreateWithEngine / Attach) take them alone. Bare engines ignore them.
+struct ServiceOptions {
+  /// kAsync moves the round-closing work off the ingest thread onto a
+  /// dedicated closer worker per service (the parallel synthesis inside still
+  /// uses thread_pool/num_threads). For a fixed (seed, num_threads) the
+  /// release sequence and snapshots are byte-identical to kInline; only the
+  /// thread that produces them changes. Requires TrajectoryService::Drain()
+  /// before SnapshotRelease().
+  SyncPolicy sync_policy = SyncPolicy::kInline;
+  /// Bounded depth of the async round queue (sealed batches waiting for the
+  /// closer); >= 1. Ignored under kInline.
+  int round_queue_capacity = 8;
+  /// Tick() behavior when the async round queue is full.
+  BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
+  /// Ingest shards: the service's IngestSession partitions users across this
+  /// many shards (hash of user id), each owning its slice of validation,
+  /// pending-event state, and — when journaling — its own journal segment
+  /// stream under journal_dir/shard-NNN. Shards admit events concurrently
+  /// (one producer thread per shard scales batch production across cores);
+  /// Tick() seals every shard in parallel and k-way-merges the sorted shard
+  /// batches into the same deterministic observation sequence a single shard
+  /// produces, so the released bytes are identical for every shard count.
+  /// The shard count is part of the deployment fingerprint: a journal
+  /// written under N shards only replays under N. In [1, kMaxIngestShards].
+  int ingest_shards = 1;
+  /// Directory of the durable event journal (write-ahead log of every
+  /// accepted Enter/Move/Quit/Tick). Empty disables journaling. Non-empty:
+  /// the Create factories require the directory to hold no existing journal
+  /// (fresh deployment); the Recover factories replay an existing one and
+  /// continue appending. See docs/durability.md.
+  std::string journal_dir;
+  /// When the journal fsyncs. kEveryRound (default) makes every closed round
+  /// crash-durable; kNever trusts the OS; kEveryRecord hardens every event.
+  FsyncPolicy journal_fsync = FsyncPolicy::kEveryRound;
+  /// Journal segment rotation threshold in bytes
+  /// (>= JournalOptions::kMinSegmentBytes).
+  int64_t journal_segment_bytes = 64 << 20;
+  /// Write a full service checkpoint every N closed rounds (0 = off).
+  /// Requires journal_dir, checkpoint_dir and a RetraSynEngine (custom
+  /// engines have no serializable state). Recovery then loads the newest
+  /// checkpoint and replays only the journal suffix behind it — O(window)
+  /// instead of O(horizon) — and compaction retires journal segments older
+  /// than the oldest retained checkpoint minus the w-window. Deliberately
+  /// NOT part of the deployment fingerprint: cadence and retention may
+  /// change across restarts. See docs/durability.md.
+  int64_t checkpoint_every_rounds = 0;
+  /// Directory for checkpoint and history spill files.
+  std::string checkpoint_dir;
+  /// Newest checkpoints kept on disk (>= 1; default 2, so one corrupted
+  /// checkpoint still leaves a bounded-replay recovery path).
+  int checkpoint_retain = 2;
+  /// Move closed synthetic streams into history spill files at every
+  /// checkpoint, keeping steady-state memory flat over unbounded horizons;
+  /// SnapshotRelease reads them back on demand.
+  bool checkpoint_spill_history = true;
+  /// Service-owned telemetry (metrics registry + round tracing; see
+  /// src/telemetry/), read via TrajectoryService::telemetry(). Observation-
+  /// only by contract — released bytes are byte-identical with it on or
+  /// off — and deliberately NOT part of the deployment fingerprint, so it
+  /// may be toggled across restarts of the same journaled deployment.
+  bool enable_telemetry = true;
+
+  /// Upper bound Validate accepts for ingest_shards.
+  static constexpr int kMaxIngestShards = 64;
+
+  /// Rejects nonsensical service settings (every TrajectoryService factory
+  /// runs it). Defined with the service, which owns these fields' meaning.
+  Status Validate() const;
+};
+
+/// \brief A RetraSyn deployment: the mechanism parameters below plus the
+/// inherited service-layer knobs.
+struct RetraSynConfig : ServiceOptions {
   double epsilon = 1.0;
   int window = 20;
   DivisionStrategy division = DivisionStrategy::kPopulation;
@@ -132,10 +202,13 @@ struct RetraSynConfig {
   Postprocess postprocess = Postprocess::kClip;
   uint64_t seed = 1;
   /// Worker threads for the synthesis hot path. 1 = serial (default); 0 =
-  /// resolve to the hardware concurrency (or the shared pool's size) at
-  /// engine construction. For n > 1 the synthetic output is byte-identical
-  /// for a fixed (seed, num_threads) on any machine, but differs from the
-  /// serial stream. Values above kMaxThreads are rejected by Validate.
+  /// resolve to the shared pool's size (or the hardware concurrency) at
+  /// engine construction; see ResolveThreads. For n > 1 the synthetic output
+  /// is byte-identical for a fixed (seed, resolved thread count) on any
+  /// machine, but differs from the serial stream. The deployment fingerprint
+  /// hashes the resolved count, so recovery refuses a journal or checkpoint
+  /// written under a different one. Values above kMaxThreads are rejected by
+  /// Validate.
   int num_threads = 1;
   /// A pool shared across engines/services (multi-tenant deployments: one
   /// pool, several sessions). When null and num_threads > 1 the engine owns
@@ -144,98 +217,21 @@ struct RetraSynConfig {
   /// count from the pool size (or hardware), trading that reproducibility
   /// away explicitly.
   std::shared_ptr<ThreadPool> thread_pool;
-  /// When false, synthesis samples through legacy linear scans instead of the
-  /// cached alias tables (A/B benchmarking; distributionally identical).
-  bool use_sampler_cache = true;
-  /// Stream-index lifecycle over unbounded horizons. When true (default) the
-  /// service's IngestSession re-issues the index of a quitted stream once its
-  /// quit round has left the w-window — the last round the stream could
-  /// possibly have reported in — and the engine retires the matching dense
-  /// status/report-slot entries by the same rule, so per-user state is
-  /// bounded by the peak concurrent population plus one window of churn
-  /// instead of growing with every stream ever seen. Retirement is a
-  /// deterministic function of the sealed batch sequence alone (never of
-  /// closer timing or RNG), so Inline, Async, and journal replay all derive
-  /// byte-identical index assignments, and the released bytes are identical
-  /// with recycling on or off. false = legacy cumulative indices for A/B.
-  bool recycle_stream_indices = true;
-  /// Ingest shards: the service's IngestSession partitions users across this
-  /// many shards (hash of user id), each owning its slice of validation,
-  /// pending-event state, and — when journaling — its own journal segment
-  /// stream under journal_dir/shard-NNN. Shards admit events concurrently
-  /// (one producer thread per shard scales batch production across cores);
-  /// Tick() seals every shard in parallel and k-way-merges the sorted shard
-  /// batches into the same deterministic observation sequence a single shard
-  /// produces, so for a fixed shard count the released bytes are identical
-  /// to ingest_shards = 1. The shard count is part of the deployment
-  /// fingerprint: a journal written under N shards only replays under N.
-  /// Values above kMaxIngestShards are rejected by Validate.
-  int ingest_shards = 1;
-  /// When true (default) the session reuses its per-shard seal scratch and
-  /// recycles TimestampBatch observation buffers across rounds, so sealing
-  /// at steady state allocates nothing proportional to the population.
-  /// false = allocate fresh per round (A/B; byte-identical output).
-  bool reuse_seal_buffers = true;
-  /// kAsync moves the round-closing work off the ingest thread onto a
-  /// dedicated closer worker per service (the parallel synthesis inside still
-  /// uses thread_pool/num_threads). For a fixed (seed, num_threads) the
-  /// release sequence and snapshots are byte-identical to kInline; only the
-  /// thread that produces them changes. Requires TrajectoryService::Drain()
-  /// before SnapshotRelease(). Ignored by bare RetraSynEngine users — the
-  /// service layer owns the queue.
-  SyncPolicy sync_policy = SyncPolicy::kInline;
-  /// Bounded depth of the async round queue (sealed batches waiting for the
-  /// closer). The TrajectoryService factories require >= 1
-  /// (ServiceOptions::Validate). Ignored under kInline and by bare engines.
-  int round_queue_capacity = 8;
-  /// Tick() behavior when the async round queue is full.
-  BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
-  /// Directory of the durable event journal (write-ahead log of every
-  /// accepted Enter/Move/Quit/Tick). Empty disables journaling. Non-empty:
-  /// TrajectoryService::Create requires the directory to hold no existing
-  /// journal (fresh deployment); TrajectoryService::Recover replays an
-  /// existing one and continues appending. Ignored by bare engines — the
-  /// service layer owns the journal. See docs/durability.md.
-  std::string journal_dir;
-  /// When the journal fsyncs. kEveryRound (default) makes every closed round
-  /// crash-durable; kNever trusts the OS; kEveryRecord hardens every event.
-  FsyncPolicy journal_fsync = FsyncPolicy::kEveryRound;
-  /// Journal segment rotation threshold in bytes.
-  int64_t journal_segment_bytes = 64 << 20;
-  /// Write a full service checkpoint every N closed rounds (0 = off).
-  /// Requires journal_dir and checkpoint_dir. Recovery then loads the newest
-  /// checkpoint and replays only the journal suffix behind it — O(window)
-  /// instead of O(horizon) — and compaction retires journal segments older
-  /// than the oldest retained checkpoint minus the w-window. Deliberately
-  /// NOT part of the deployment fingerprint: cadence and retention may
-  /// change across restarts. See docs/durability.md.
-  int64_t checkpoint_every_rounds = 0;
-  /// Directory for checkpoint and history spill files.
-  std::string checkpoint_dir;
-  /// Newest checkpoints kept on disk (>= 1; default 2, so one corrupted
-  /// checkpoint still leaves a bounded-replay recovery path).
-  int checkpoint_retain = 2;
-  /// Move closed synthetic streams into history spill files at every
-  /// checkpoint, keeping steady-state memory flat over unbounded horizons;
-  /// SnapshotRelease reads them back on demand.
-  bool checkpoint_spill_history = true;
-  /// Service-owned telemetry (metrics registry + round tracing; see
-  /// src/telemetry/). Observation-only by contract — released bytes are
-  /// byte-identical with it on or off — and deliberately NOT part of the
-  /// deployment fingerprint, so it may be toggled across restarts of the
-  /// same journaled deployment. Ignored by bare engines.
-  bool enable_telemetry = true;
 
   /// Upper bound Validate accepts for num_threads.
   static constexpr int kMaxThreads = 256;
-  /// Upper bound Validate accepts for ingest_shards.
-  static constexpr int kMaxIngestShards = 64;
 
-  /// Rejects nonsensical configurations with a descriptive error instead of
-  /// crashing the process. TrajectoryService::Create and the engine
-  /// constructor both route through this.
+  /// Rejects nonsensical configurations — the service fields through
+  /// ServiceOptions::Validate, then the mechanism — with a descriptive error
+  /// instead of crashing the process. The TrajectoryService factories and
+  /// the engine constructor both route through this.
   Status Validate() const;
 };
+
+/// The synthesis thread count \p config runs with: num_threads, or for the
+/// 0 = auto setting the shared pool's size / the hardware concurrency. The
+/// engine sizes its chunking by it and the deployment fingerprint hashes it.
+int ResolveThreads(const RetraSynConfig& config);
 
 /// \brief The complete mutable state of a RetraSynEngine at a round boundary
 /// — everything a restored engine needs to continue the byte-identical
@@ -308,7 +304,6 @@ class RetraSynEngine : public StreamReleaseEngine {
   void Observe(const TimestampBatch& batch) override;
   CellStreamSet SnapshotRelease(int64_t num_timestamps) const override;
   std::vector<uint32_t> LiveDensity() const override;
-  CellStreamSet Finish(int64_t num_timestamps) override;
   std::string name() const override;
   /// Rounds/reports counters plus the four per-component latency histograms
   /// of ComponentTimes, recorded at the same points Observe() already times;
@@ -333,10 +328,14 @@ class RetraSynEngine : public StreamReleaseEngine {
 
   /// Stream indices retired at the start of the last Observe(): their stream
   /// quit >= window rounds before that batch, so the dense slots were reset
-  /// and the index may carry a new stream from that batch on. Empty unless
-  /// recycle_stream_indices is on (population division — budget division
-  /// keeps no per-user state). The service copies this into the round's
-  /// RoundRelease, so the retired flow rides the round-handler path: under
+  /// and the index may carry a new stream from that batch on. Always empty
+  /// under budget division, which keeps no per-user state. Retirement is a
+  /// deterministic function of the batch sequence alone, so the released
+  /// bytes are identical whether the caller re-issues retired indices (the
+  /// session of a Create/Recover-built service does) or keeps minting fresh
+  /// ones (StreamFeeder, custom-engine services). The service copies this
+  /// into the round's RoundRelease, so the retired flow rides the
+  /// round-handler path: under
   /// SyncPolicy::kAsync it is produced and consumed on the closer worker,
   /// never racing the ingest thread.
   const std::vector<uint32_t>& retired_last_round() const {
@@ -377,8 +376,7 @@ class RetraSynEngine : public StreamReleaseEngine {
 
   /// Resets the dense slots of indices whose stream quit at or before
   /// t - window (their last possible report has left the w-window), making
-  /// them safe for the session to re-issue. No-op under
-  /// recycle_stream_indices = false.
+  /// them safe for the session to re-issue.
   void RetireQuitted(int64_t t);
 
   /// Registers arrivals, recycles users whose report left the window, and
@@ -414,8 +412,7 @@ class RetraSynEngine : public StreamReleaseEngine {
   std::vector<int64_t> report_slot_;  ///< kRandom only; kNoSlot = unscheduled
   std::deque<std::pair<int64_t, std::vector<uint32_t>>> reported_at_;
   /// Indices whose stream quit, bucketed by quit round; a bucket retires
-  /// once its round leaves the w-window. Empty under
-  /// recycle_stream_indices = false. An index sits in at most one bucket:
+  /// once its round leaves the w-window. An index sits in at most one bucket:
   /// it can only quit again after being re-issued, which happens strictly
   /// after its previous bucket retired.
   std::deque<std::pair<int64_t, std::vector<uint32_t>>> quitted_at_;

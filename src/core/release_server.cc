@@ -14,8 +14,9 @@ ReleaseServer::ReleaseServer(const SpatialGrid& grid, int64_t retention_rounds)
   retention_ = retention_rounds;
 }
 
-Status ReleaseServer::Record(int64_t t, std::vector<uint32_t> density,
-                             uint64_t active) {
+Status ReleaseServer::OnRound(const RoundRelease& round) {
+  const int64_t t = round.t;
+  const std::vector<uint32_t>& density = round.density;
   if (density.size() != grid_->NumCells()) {
     return Status::InvalidArgument(
         "round " + std::to_string(t) + " carries " +
@@ -44,8 +45,8 @@ Status ReleaseServer::Record(int64_t t, std::vector<uint32_t> density,
     density_.push_back(zeros_);
     ++next_t_;
   }
-  active_.push_back(active);
-  density_.push_back(std::move(density));
+  active_.push_back(round.active);
+  density_.push_back(density);
   ++next_t_;
   // Retention bound: evict the oldest rounds so memory stays
   // O(retention * cells) on an unbounded stream. An evicted timestamp
@@ -58,19 +59,6 @@ Status ReleaseServer::Record(int64_t t, std::vector<uint32_t> density,
     }
   }
   return Status::OK();
-}
-
-Status ReleaseServer::OnRound(const RoundRelease& round) {
-  return Record(round.t, round.density, round.active);
-}
-
-Status ReleaseServer::Ingest(const StreamReleaseEngine& engine) {
-  std::vector<uint32_t> density = engine.LiveDensity();
-  uint64_t total = 0;
-  for (uint32_t c : density) total += c;
-  // next_t_ is never in the past, so this can only fail on an engine built
-  // over a different grid.
-  return Record(next_t_, std::move(density), total);
 }
 
 const std::vector<uint32_t>& ReleaseServer::DensityAt(int64_t t) const {

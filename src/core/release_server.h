@@ -28,7 +28,6 @@
 #include <deque>
 #include <vector>
 
-#include "core/engine.h"
 #include "core/release_sink.h"
 #include "geo/spatial_grid.h"
 #include "metrics/queries.h"
@@ -46,18 +45,10 @@ class ReleaseServer : public ReleaseSink {
   /// ReleaseSink: records one closed round. Rounds must arrive in strictly
   /// increasing timestamp order (the service guarantees this); a server
   /// subscribed mid-stream zero-backfills the rounds it missed so round t
-  /// always lands at index t. A duplicate or out-of-order round returns
-  /// InvalidArgument and records nothing — mixing OnRound with the legacy
-  /// Ingest() path can no longer silently misalign DensityAt/RangeCount.
+  /// always lands at index t. A duplicate or out-of-order round, or a
+  /// density of the wrong cardinality for this server's grid, returns
+  /// InvalidArgument and records nothing.
   Status OnRound(const RoundRelease& round) override;
-
-  /// Legacy pull-based ingestion: records the engine's current live density
-  /// at the next expected timestamp; call once per timestamp, right after
-  /// engine.Observe(). Routes through the same accounting as OnRound, so the
-  /// two paths interleave consistently. Fails (InvalidArgument) when the
-  /// engine's density cardinality does not match this server's grid. Prefer
-  /// subscribing the server to a TrajectoryService instead.
-  Status Ingest(const StreamReleaseEngine& engine);
 
   /// Number of ingested timestamps (also the next expected timestamp).
   int64_t horizon() const { return next_t_; }
@@ -100,11 +91,6 @@ class ReleaseServer : public ReleaseSink {
   double TrailingMeanActive(int window) const;
 
  private:
-  /// Shared accounting for both ingestion paths: records \p density at
-  /// timestamp \p t, zero-backfilling [next_t_, t). Fails on t < next_t_
-  /// (duplicate/out-of-order) or a density of the wrong cardinality.
-  Status Record(int64_t t, std::vector<uint32_t> density, uint64_t active);
-
   const SpatialGrid* grid_;
   std::vector<uint32_t> zeros_;  ///< out-of-retention answer
   /// Retained rounds, densities and totals; index 0 holds timestamp

@@ -33,88 +33,11 @@ bool Synthesizer::ColumnMatchesLive() const {
   return true;
 }
 
-double Synthesizer::QuitProbabilityAt(const GlobalMobilityModel& model,
-                                      CellId at) const {
-  if (config_.use_sampler_cache) return cache_.QuitProbability(at);
-  return model.QuitProbability(at);
-}
-
-namespace {
-
-// The pre-cache sampler, verbatim (sum-then-walk, one RNG draw per call).
-// The legacy A/B path must reproduce the *historical* per-point cost, so it
-// deliberately does not route through the rewritten Rng::Discrete — using it
-// would charge the baseline one draw per weight and inflate the measured
-// alias-table speedup.
-size_t DiscreteTwoPassLegacy(Rng& rng, const std::vector<double>& weights) {
-  double total = 0.0;
-  for (double w : weights) {
-    if (w > 0.0) total += w;
-  }
-  if (total <= 0.0) return weights.size();
-  double target = rng.UniformDouble() * total;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    const double w = weights[i] > 0.0 ? weights[i] : 0.0;
-    target -= w;
-    if (target < 0.0) return i;
-  }
-  for (size_t i = weights.size(); i > 0; --i) {
-    if (weights[i - 1] > 0.0) return i - 1;
-  }
-  return weights.size();
-}
-
-}  // namespace
-
-CellId Synthesizer::SampleNextCellLinear(const GlobalMobilityModel& model,
-                                         CellId from, Rng& rng) const {
-  const auto& nbrs = states_->grid().Neighbors(from);
-  std::vector<double> weights(nbrs.size());
-  const StateId offset = states_->MoveOffset(from);
-  for (size_t i = 0; i < nbrs.size(); ++i) {
-    weights[i] = std::max(0.0, model.frequency(offset + static_cast<StateId>(i)));
-  }
-  const size_t pick = DiscreteTwoPassLegacy(rng, weights);
-  if (pick >= nbrs.size()) return from;  // no observed mass: dwell in place
-  return nbrs[pick];
-}
-
-CellId Synthesizer::SampleNextCell(const GlobalMobilityModel& model,
-                                   CellId from, Rng& rng) const {
-  if (config_.use_sampler_cache) return cache_.SampleNextCell(from, rng);
-  return SampleNextCellLinear(model, from, rng);
-}
-
-void Synthesizer::Spawn(const GlobalMobilityModel& model, uint32_t count,
-                        int64_t t, Rng& rng) {
-  if (count == 0) return;
+void Synthesizer::Spawn(uint32_t count, int64_t t, Rng& rng) {
   const uint32_t num_cells = states_->num_cells();
-  // Derive the start-cell distribution once per call — never per spawned
-  // stream. With the cache this is a lookup of an already-built alias table;
-  // on the legacy path the distribution vector is hoisted out of the loop.
-  std::vector<double> start_weights;
-  if (!config_.use_sampler_cache) {
-    if (!config_.random_init) {
-      start_weights = model.EnterDistribution();
-    } else {
-      start_weights.assign(num_cells, 0.0);
-      for (CellId c = 0; c < num_cells; ++c) {
-        const StateId offset = states_->MoveOffset(c);
-        const size_t degree = states_->grid().Neighbors(c).size();
-        for (size_t i = 0; i < degree; ++i) {
-          start_weights[c] += std::max(0.0, model.frequency(offset + i));
-        }
-      }
-    }
-  }
   for (uint32_t i = 0; i < count; ++i) {
-    CellId cell;
-    if (config_.use_sampler_cache) {
-      cell = config_.random_init ? cache_.SampleMoveMarginalCell(rng)
-                                 : cache_.SampleEnterCell(rng);
-    } else {
-      cell = static_cast<CellId>(DiscreteTwoPassLegacy(rng, start_weights));
-    }
+    CellId cell = config_.random_init ? cache_.SampleMoveMarginalCell(rng)
+                                      : cache_.SampleEnterCell(rng);
     if (cell >= num_cells) {
       // No mass in the model yet: uniform fallback.
       cell = static_cast<CellId>(
@@ -134,8 +57,8 @@ void Synthesizer::Initialize(const GlobalMobilityModel& model,
                              uint32_t target_size, int64_t t, Rng& rng) {
   RETRASYN_CHECK(!initialized_);
   Stopwatch step_watch;
-  if (config_.use_sampler_cache) cache_.Sync(model);
-  Spawn(model, target_size, t, rng);
+  cache_.Sync(model);
+  Spawn(target_size, t, rng);
   initialized_ = true;
   if (step_hist_ != nullptr) {
     RecordStepTelemetry(step_watch.ElapsedSeconds(), /*finished_delta=*/0);
@@ -184,8 +107,6 @@ void Synthesizer::AttachTelemetry(Telemetry* telemetry) {
 void Synthesizer::RecordStepTelemetry(double seconds,
                                       uint64_t finished_delta) {
   step_hist_->Record(seconds);
-  // Finish() resets total_points_; resynchronize instead of underflowing.
-  if (total_points_ < points_reported_) points_reported_ = total_points_;
   points_metric_->Add(total_points_ - points_reported_);
   points_reported_ = total_points_;
   if (finished_delta > 0) finished_metric_->Add(finished_delta);
@@ -222,22 +143,21 @@ void Synthesizer::PrepareRoundScratch(int chunks, Rng& rng) {
 
 // HOT PATH — the per-stream quit+move body; reads the dense live-cell column
 // and each stream's vector header, never a stream's cell buffer.
-void Synthesizer::QuitAndGeneratePhase(const GlobalMobilityModel& model,
-                                       Rng& rng) {
+void Synthesizer::QuitAndGeneratePhase(Rng& rng) {
   const size_t n = live_.size();
   const int chunks = EffectiveChunks(n);
   PrepareRoundScratch(chunks, rng);
   auto process = [&](size_t i, Rng& r) {
     const CellId at = cur_[i];
     if (config_.use_quit) {
-      const double base = QuitProbabilityAt(model, at);
+      const double base = cache_.QuitProbability(at);
       const double len = static_cast<double>(live_[i].cells.size());
       if (r.Bernoulli(std::min(1.0, len / config_.lambda * base))) {
         quit_flags_[i] = 1;
         return;
       }
     }
-    proposed_[i] = SampleNextCell(model, at, r);
+    proposed_[i] = cache_.SampleNextCell(at, r);
   };
   if (chunks <= 1) {
     for (size_t i = 0; i < n; ++i) process(i, rng);
@@ -265,10 +185,10 @@ void Synthesizer::Step(const GlobalMobilityModel& model,
   RETRASYN_CHECK(initialized_);
   Stopwatch step_watch;
   const size_t finished_before = finished_.size();
-  if (config_.use_sampler_cache) cache_.Sync(model);
+  cache_.Sync(model);
 
   // 1. + 3a. Fused quit decision (Eq. 8) and next-cell proposal, one pass.
-  QuitAndGeneratePhase(model, rng);
+  QuitAndGeneratePhase(rng);
 
   // 1b. Retire quitters, compacting survivors (and their proposed cells) in
   //     place in stable order.
@@ -297,13 +217,7 @@ void Synthesizer::Step(const GlobalMobilityModel& model,
   uint32_t deficit = 0;
   if (config_.use_size_adjustment) {
     if (live_.size() > target_active) {
-      // Both conditional operands must be lvalues: mixing the cache's
-      // reference with a prvalue would copy the O(|C|) vector every round.
-      std::vector<double> model_quit_dist;
-      if (!config_.use_sampler_cache) model_quit_dist = model.QuitDistribution();
-      const std::vector<double>& quit_dist = config_.use_sampler_cache
-                                                 ? cache_.QuitDistribution()
-                                                 : model_quit_dist;
+      const std::vector<double>& quit_dist = cache_.QuitDistribution();
       const uint32_t surplus =
           static_cast<uint32_t>(live_.size()) - target_active;
       // Weighted sampling without replacement via one exponential race
@@ -364,7 +278,7 @@ void Synthesizer::Step(const GlobalMobilityModel& model,
   total_points_ += n;
 
   // 4. Fill the deficit with fresh entering streams at timestamp t.
-  if (deficit > 0) Spawn(model, deficit, t, rng);
+  if (deficit > 0) Spawn(deficit, t, rng);
 
   RETRASYN_DCHECK(ColumnMatchesLive());
 
@@ -399,18 +313,6 @@ CellStreamSet Synthesizer::Snapshot(int64_t num_timestamps) const {
   CellStreamSet out(num_timestamps);
   for (const CellStream& s : finished_) out.Add(s).CheckOK();
   for (const CellStream& s : live_) out.Add(s).CheckOK();
-  return out;
-}
-
-CellStreamSet Synthesizer::Finish(int64_t num_timestamps) {
-  CellStreamSet out(num_timestamps);
-  for (CellStream& s : finished_) out.Add(std::move(s)).CheckOK();
-  for (CellStream& s : live_) out.Add(std::move(s)).CheckOK();
-  finished_.clear();
-  live_.clear();
-  cur_.clear();
-  initialized_ = false;
-  total_points_ = 0;
   return out;
 }
 

@@ -32,15 +32,12 @@
 // The round close touches dense arrays only. A live-cell column cur_,
 // parallel to live_, holds every live stream's current cell
 // (live_[i].cells.back()) between rounds. Spawn, the stable retire
-// compaction, Restore and Finish apply to cur_ what they do to live_; the
+// compaction and Restore apply to cur_ what they do to live_; the
 // commit replaces cur_ with the survivors' proposals, so the victim
 // swap-erase before it leaves cur_ alone. The quit+move pass, the
 // size-adjustment race and LiveDensity() read the column and the streams'
 // vector headers, never a stream's heap cell buffer; only the commit writes
-// there, one append per survivor, prefetched a few streams ahead. Setting
-// SynthesizerConfig::use_sampler_cache = false restores the legacy
-// linear-scan sampling (O(degree) + an allocation per point) for A/B
-// benchmarking; both paths draw from identical distributions.
+// there, one append per survivor, prefetched a few streams ahead.
 //
 // The ablation/baseline switches: use_quit=false + use_size_adjustment=false
 // + random_init=true reproduce the NoEQ variant of SV-D and the behaviour of
@@ -49,9 +46,9 @@
 //
 // The live set is index-agnostic by design: synthetic streams are anonymous
 // (identified only by position in live_), never keyed by the real stream
-// indices the engine observes. Stream-index recycling
-// (RetraSynConfig::recycle_stream_indices) therefore cannot alias a new
-// real stream onto an old synthetic one — only the per-round active *count*
+// indices the engine observes. Stream-index recycling (the service
+// session re-issuing retired indices) therefore cannot alias a new real
+// stream onto an old synthetic one — only the per-round active *count*
 // crosses from collection into synthesis.
 
 #ifndef RETRASYN_CORE_SYNTHESIZER_H_
@@ -88,10 +85,6 @@ struct SynthesizerConfig {
   /// ThreadPool is attached, and of that pool's actual size. 1 = serial
   /// (default).
   int num_threads = 1;
-  /// When false, samples through the legacy linear scans over raw model
-  /// frequencies instead of the cached alias tables. Distributionally
-  /// identical; exists for A/B benchmarking and regression tests.
-  bool use_sampler_cache = true;
 };
 
 class Synthesizer {
@@ -132,10 +125,6 @@ class Synthesizer {
   /// (>= the last stepped timestamp + 1). The synthesizer keeps running.
   CellStreamSet Snapshot(int64_t num_timestamps) const;
 
-  /// Closes every live stream and returns the full synthetic database over
-  /// horizon \p num_timestamps. The synthesizer is empty afterwards.
-  CellStreamSet Finish(int64_t num_timestamps);
-
   /// Derivation-work counters of the underlying sampler cache (tests and
   /// benches assert rebuilds track model changes, not sample counts).
   const SamplerCacheStats& cache_stats() const { return cache_.stats(); }
@@ -175,13 +164,14 @@ class Synthesizer {
   /// How many streams ahead the commit loop prefetches the append slot.
   static constexpr size_t kCommitPrefetch = 16;
 
-  void Spawn(const GlobalMobilityModel& model, uint32_t count, int64_t t,
-             Rng& rng);
+  /// Starts \p count streams at timestamp \p t, their first cells drawn from
+  /// the cached entering (or, under random_init, move-marginal) sampler.
+  void Spawn(uint32_t count, int64_t t, Rng& rng);
   /// Fused Eq. 8 termination + Markov step: one (optionally parallel) pass
   /// fills quit_flags_ and proposed_ for every live stream. Nothing is
   /// committed: quitters move to finished_ and the size adjustment may still
   /// drop survivors before their proposed point is appended.
-  void QuitAndGeneratePhase(const GlobalMobilityModel& model, Rng& rng);
+  void QuitAndGeneratePhase(Rng& rng);
   /// Sizes the per-round scratch for the current live set and forks the
   /// per-chunk RNGs when \p chunks > 1. Kept out of QuitAndGeneratePhase so
   /// that pass stays allocation-free by construction.
@@ -196,15 +186,6 @@ class Synthesizer {
   /// Per-round telemetry epilogue: step latency, point/cache-stat deltas,
   /// finished-stream delta, live gauge. Only called when attached.
   void RecordStepTelemetry(double seconds, uint64_t finished_delta);
-
-  double QuitProbabilityAt(const GlobalMobilityModel& model, CellId at) const;
-  /// Samples the next cell out of \p from via the model's movement
-  /// distribution; stays in place when the cell has no observed mass.
-  CellId SampleNextCell(const GlobalMobilityModel& model, CellId from,
-                        Rng& rng) const;
-  /// Legacy linear-scan variant of SampleNextCell (use_sampler_cache=false).
-  CellId SampleNextCellLinear(const GlobalMobilityModel& model, CellId from,
-                              Rng& rng) const;
 
   const StateSpace* states_;
   SynthesizerConfig config_;

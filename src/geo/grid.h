@@ -60,10 +60,6 @@ class UniformGrid : public SpatialGrid {
   double cell_height_;
 };
 
-/// Legacy name: the library predates the SpatialGrid seam, and the uniform
-/// backend remains the default everywhere.
-using Grid = UniformGrid;
-
 }  // namespace retrasyn
 
 #endif  // RETRASYN_GEO_GRID_H_

@@ -417,7 +417,6 @@ IngestStats IngestSession::stats() const {
 }
 
 void IngestSession::RecycleBatch(TimestampBatch&& batch) {
-  if (!options_.reuse_seal_buffers) return;
   MutexLock l(obs_pool_mu_);
   if (obs_pool_.size() >= kMaxPooledObservationBuffers) return;
   batch.observations.clear();
@@ -427,7 +426,6 @@ void IngestSession::RecycleBatch(TimestampBatch&& batch) {
 std::vector<UserObservation> IngestSession::AcquireObservationBuffer(
     bool* reused) {
   *reused = false;
-  if (!options_.reuse_seal_buffers) return {};
   MutexLock l(obs_pool_mu_);
   if (obs_pool_.empty()) return {};
   std::vector<UserObservation> buffer = std::move(obs_pool_.back());
@@ -642,10 +640,6 @@ void IngestSession::CommitShard(Shard& shard) {
       slot.live = true;
       slot.stream_index = e.stream_index;
     }
-  }
-  if (!options_.reuse_seal_buffers) {
-    std::vector<SealedEntry>().swap(shard.entries);
-    std::vector<SealedEntry>().swap(shard.radix_scratch);
   }
   shard.num_pending_enters = 0;
   shard.num_pending_events = 0;

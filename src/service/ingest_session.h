@@ -77,11 +77,12 @@
 namespace retrasyn {
 
 /// \brief Index-lifecycle and sharding knobs for an IngestSession. The
-/// service layer derives these from RetraSynConfig (recycle_stream_indices +
-/// window + ingest_shards); the session's consumer — the engine behind the
-/// round handler — must apply the same retirement rule to its dense
-/// per-index state (RetraSynEngine does; see
-/// RetraSynEngine::retired_last_round()).
+/// service layer fills these in: it recycles (with the config's window) when
+/// it built the RetraSynEngine itself (Create/Recover), and takes
+/// num_shards from ServiceOptions::ingest_shards. A session that recycles
+/// needs a consumer — the engine behind the round handler — that applies the
+/// same retirement rule to its dense per-index state (RetraSynEngine does;
+/// see RetraSynEngine::retired_last_round()).
 struct IngestSessionOptions {
   /// Re-issue the index of a quitted stream once its quit round has left the
   /// w-window, instead of growing the cumulative counter forever.
@@ -91,9 +92,6 @@ struct IngestSessionOptions {
   /// User shards (>= 1). Events route to shard ShardOf(user, num_shards);
   /// each shard has its own mutex, state slice, and journal stream.
   int num_shards = 1;
-  /// Reuse per-shard seal scratch and recycle observation buffers across
-  /// rounds (see RecycleBatch); false allocates fresh each round (A/B).
-  bool reuse_seal_buffers = true;
   /// Service-owned telemetry bundle (not owned; may be null). When attached,
   /// ingest counters register in its registry, Tick() phases land in its
   /// RoundTrace, and boundary poisonings record a first-failure. When null
@@ -237,10 +235,9 @@ class IngestSession {
   IngestStats stats() const;
 
   /// Returns a consumed batch's observation buffer to the seal pool so the
-  /// next round seals into it instead of allocating
-  /// (IngestSessionOptions::reuse_seal_buffers; no-op otherwise). Called by
-  /// the service after the engine observed the batch — from the closer
-  /// worker under SyncPolicy::kAsync, so it is thread-safe.
+  /// next round seals into it instead of allocating. Called by the service
+  /// after the engine observed the batch — from the closer worker under
+  /// SyncPolicy::kAsync, so it is thread-safe.
   void RecycleBatch(TimestampBatch&& batch);
 
   /// High-water mark of the cumulative index counter: the next index a fresh
@@ -323,11 +320,11 @@ class IngestSession {
     /// internally where it is shared (TakeSealedSegments / presync).
     JournalWriter* journal GUARDED_BY(mu) = nullptr;
     /// Seal scratch: the round's entry run, sorted by (user, phase) each
-    /// round; reused across rounds under reuse_seal_buffers.
+    /// round; reused across rounds.
     std::vector<SealedEntry> entries GUARDED_BY(mu);
     /// The radix sort's ping-pong partner of entries, kept the same size; the
     /// two swap when the sorted run lands here. Grown with entries at the
-    /// first seal and released with it when reuse_seal_buffers is off.
+    /// first seal.
     std::vector<SealedEntry> radix_scratch GUARDED_BY(mu);
     /// Registry-backed counters (stable pointers into registry_; set once in
     /// the constructor). IngestStats reads these — one source of truth.
@@ -397,8 +394,8 @@ class IngestSession {
   /// allocation-free at steady state.
   void CommitShard(Shard& shard) REQUIRES(shard.mu);
 
-  /// Pops a recycled observation buffer (reuse_seal_buffers) or returns a
-  /// fresh one. \p reused reports which.
+  /// Pops a recycled observation buffer or returns a fresh one. \p reused
+  /// reports which.
   std::vector<UserObservation> AcquireObservationBuffer(bool* reused);
 
   /// Registers the session's metrics (called once from the constructor).
@@ -433,7 +430,7 @@ class IngestSession {
   std::atomic<bool> boundary_poisoned_{false};
   Status poison_status_;
 
-  // Recycled observation buffers (reuse_seal_buffers): consumed batches come
+  // Recycled observation buffers: consumed batches come
   // back through RecycleBatch — possibly from the async closer worker —
   // and the next Tick seals into one instead of allocating.
   mutable Mutex obs_pool_mu_;

@@ -33,6 +33,8 @@ void HashMixDouble(double v, uint64_t* h) {
 /// engine-config field that steers collection/synthesis. Stamped into each
 /// segment header so Recover under a changed deployment fails loudly —
 /// replay would still *accept* most events, just resolve them differently.
+/// tools/lint.py checks that every field declared in RetraSynConfig and
+/// AllocationConfig appears here (or carries an allowlisted reason).
 uint64_t DeploymentFingerprint(const StateSpace& states,
                                const RetraSynConfig& config) {
   uint64_t h = 14695981039346656037ull;
@@ -47,6 +49,8 @@ uint64_t DeploymentFingerprint(const StateSpace& states,
   HashMixU64(static_cast<uint64_t>(config.window), &h);
   HashMixU64(static_cast<uint64_t>(config.division), &h);
   HashMixU64(static_cast<uint64_t>(config.allocation.kind), &h);
+  HashMixDouble(config.allocation.alpha, &h);
+  HashMixU64(static_cast<uint64_t>(config.allocation.kappa), &h);
   HashMixDouble(config.allocation.max_portion, &h);
   HashMixDouble(config.allocation.min_portion, &h);
   HashMixU64(config.use_dmu ? 1 : 0, &h);
@@ -56,11 +60,10 @@ uint64_t DeploymentFingerprint(const StateSpace& states,
   HashMixU64(static_cast<uint64_t>(config.oracle), &h);
   HashMixU64(static_cast<uint64_t>(config.postprocess), &h);
   HashMixU64(config.seed, &h);
-  HashMixU64(static_cast<uint64_t>(config.num_threads), &h);
-  HashMixU64(config.use_sampler_cache ? 1 : 0, &h);
-  // Recycling changes which stream indices replayed enters resolve to, so a
-  // journal must never be replayed under the other setting.
-  HashMixU64(config.recycle_stream_indices ? 1 : 0, &h);
+  // The thread count sets the synthesis chunking, so the bytes depend on
+  // the resolved value: num_threads = 0 resolves from the pool or the
+  // hardware, and a restart on a different one must be refused.
+  HashMixU64(static_cast<uint64_t>(ResolveThreads(config)), &h);
   // The shard count fixes the journal layout (which shard stream holds
   // which user's events); replay under a different count would read the
   // wrong streams, so it is refused by fingerprint.
@@ -81,6 +84,26 @@ uint64_t DeploymentFingerprint(const StateSpace& states,
   HashMix(engine_name.data(), engine_name.size(), &h);
   HashMixU64(static_cast<uint64_t>(ingest_shards), &h);
   return h;
+}
+
+/// The fingerprint of a deployment: the config \p engine was built from
+/// (Create/Recover), or for a caller-built engine (\p config null) its
+/// self-reported name.
+uint64_t DeploymentFingerprint(const StateSpace& states,
+                               const RetraSynConfig* config,
+                               const StreamReleaseEngine& engine,
+                               int ingest_shards) {
+  return config != nullptr
+             ? DeploymentFingerprint(states, *config)
+             : DeploymentFingerprint(states, engine.name(), ingest_shards);
+}
+
+/// The w-event window a service keeps for a config-built engine: its
+/// session recycles stream indices by it and checkpoint compaction keeps it
+/// behind each checkpoint. 0 for a caller-built engine (\p config null):
+/// cumulative indices, since a custom engine need not tolerate reuse.
+int WindowOf(const RetraSynConfig* config) {
+  return config != nullptr ? config->window : 0;
 }
 
 /// The physical journal directories for \p options: the configured dir
@@ -154,6 +177,17 @@ Status CheckJournalLayout(const std::string& root, int ingest_shards) {
   return Status::OK();
 }
 
+/// The journal writers' options: the flat ServiceOptions fields plus the
+/// deployment fingerprint every segment header carries.
+JournalOptions JournalOptionsFor(const ServiceOptions& options,
+                                 uint64_t fingerprint) {
+  JournalOptions journal;
+  journal.fsync = options.journal_fsync;
+  journal.segment_bytes = options.journal_segment_bytes;
+  journal.fingerprint = fingerprint;
+  return journal;
+}
+
 /// Opens the journal writers for \p options when journaling is enabled —
 /// one per ingest shard; an empty vector (OK) when it is not.
 /// \p require_fresh rejects a directory that already holds any journal,
@@ -195,8 +229,7 @@ Result<std::vector<std::unique_ptr<JournalWriter>>> MaybeOpenJournals(
   // A sharded layout nests one journal directory per shard under the root;
   // the root itself must exist before the per-shard opens create theirs.
   RETRASYN_RETURN_NOT_OK(CreateDirIfMissing(options.journal_dir));
-  JournalOptions journal = options.journal;
-  journal.fingerprint = fingerprint;
+  const JournalOptions journal = JournalOptionsFor(options, fingerprint);
   for (const std::string& dir : JournalDirsFor(options)) {
     auto writer = JournalWriter::Open(dir, journal);
     if (!writer.ok()) return writer.status();
@@ -206,11 +239,12 @@ Result<std::vector<std::unique_ptr<JournalWriter>>> MaybeOpenJournals(
 }
 
 /// The checkpoint subsystem's options from the service's: the same
-/// fingerprint the journal stamps, retirement window = the w-event window.
-/// The cadence/retention knobs are deliberately NOT fingerprinted — they may
-/// change across restarts without invalidating durable state.
+/// fingerprint the journal stamps, retirement window = \p window (the
+/// w-event window of a config-built engine). The cadence/retention knobs are
+/// deliberately NOT fingerprinted — they may change across restarts without
+/// invalidating durable state.
 CheckpointOptions CheckpointOptionsFor(const ServiceOptions& options,
-                                       uint64_t fingerprint,
+                                       int window, uint64_t fingerprint,
                                        std::string grid_describe) {
   CheckpointOptions checkpoint;
   checkpoint.dir = options.checkpoint_dir;
@@ -219,7 +253,7 @@ CheckpointOptions CheckpointOptionsFor(const ServiceOptions& options,
   checkpoint.spill_history = options.checkpoint_spill_history;
   checkpoint.fingerprint = fingerprint;
   checkpoint.grid_describe = std::move(grid_describe);
-  checkpoint.window = options.recycle_window;
+  checkpoint.window = window;
   checkpoint.journal_dirs = JournalDirsFor(options);
   return checkpoint;
 }
@@ -242,13 +276,14 @@ Status CheckCheckpointable(const ServiceOptions& options,
 /// checkpoint directory is refused without leaving a fresh journal segment
 /// behind.
 Result<std::unique_ptr<CheckpointManager>> MaybeOpenCheckpoints(
-    const ServiceOptions& options, const StateSpace& states,
+    const ServiceOptions& options, int window, const StateSpace& states,
     uint64_t fingerprint, bool require_fresh) {
   if (options.checkpoint_every_rounds <= 0) {
     return std::unique_ptr<CheckpointManager>();
   }
   return CheckpointManager::Open(
-      CheckpointOptionsFor(options, fingerprint, states.grid().Describe()),
+      CheckpointOptionsFor(options, window, fingerprint,
+                           states.grid().Describe()),
       require_fresh);
 }
 
@@ -256,7 +291,7 @@ Result<std::unique_ptr<CheckpointManager>> MaybeOpenCheckpoints(
 
 TrajectoryService::TrajectoryService(
     const StateSpace& states, std::unique_ptr<StreamReleaseEngine> owned,
-    StreamReleaseEngine* engine, const ServiceOptions& options,
+    StreamReleaseEngine* engine, const ServiceOptions& options, int window,
     std::vector<std::unique_ptr<JournalWriter>> journals,
     bool defer_async_closer)
     : states_(&states),
@@ -281,10 +316,9 @@ TrajectoryService::TrajectoryService(
     }
   }
   IngestSessionOptions session_options;
-  session_options.recycle_stream_indices = options.recycle_stream_indices;
-  session_options.window = options.recycle_window;
+  session_options.recycle_stream_indices = window > 0;
+  session_options.window = window;
   session_options.num_shards = options.ingest_shards;
-  session_options.reuse_seal_buffers = options.reuse_seal_buffers;
   session_options.telemetry = telemetry_.get();
   session_ = std::make_unique<IngestSession>(
       states, [this](TimestampBatch batch) { return OnRound(std::move(batch)); },
@@ -331,46 +365,20 @@ TrajectoryService::~TrajectoryService() {
   checkpoint_.reset();
 }
 
-ServiceOptions ServiceOptions::FromConfig(const RetraSynConfig& config) {
-  ServiceOptions options;
-  options.sync_policy = config.sync_policy;
-  options.round_queue_capacity = config.round_queue_capacity;
-  options.backpressure = config.backpressure;
-  options.ingest_shards = config.ingest_shards;
-  options.reuse_seal_buffers = config.reuse_seal_buffers;
-  options.journal_dir = config.journal_dir;
-  options.journal.fsync = config.journal_fsync;
-  options.journal.segment_bytes = config.journal_segment_bytes;
-  options.recycle_stream_indices = config.recycle_stream_indices;
-  options.recycle_window = config.window;
-  options.checkpoint_every_rounds = config.checkpoint_every_rounds;
-  options.checkpoint_dir = config.checkpoint_dir;
-  options.checkpoint_retain = config.checkpoint_retain;
-  options.checkpoint_spill_history = config.checkpoint_spill_history;
-  options.enable_telemetry = config.enable_telemetry;
-  return options;
-}
-
 Status ServiceOptions::Validate() const {
   if (round_queue_capacity < 1) {
     return Status::InvalidArgument(
         "round_queue_capacity must be >= 1 sealed batch, got " +
         std::to_string(round_queue_capacity));
   }
-  if (ingest_shards < 1 || ingest_shards > RetraSynConfig::kMaxIngestShards) {
+  if (ingest_shards < 1 || ingest_shards > kMaxIngestShards) {
     return Status::InvalidArgument(
         "ingest_shards must be in [1, " +
-        std::to_string(RetraSynConfig::kMaxIngestShards) + "], got " +
+        std::to_string(kMaxIngestShards) + "], got " +
         std::to_string(ingest_shards));
   }
   if (!journal_dir.empty()) {
-    RETRASYN_RETURN_NOT_OK(journal.Validate());
-  }
-  if (recycle_stream_indices && recycle_window < 1) {
-    return Status::InvalidArgument(
-        "recycle_stream_indices requires recycle_window >= 1 (the w-event "
-        "window governing when a quitted stream's index retires), got " +
-        std::to_string(recycle_window));
+    RETRASYN_RETURN_NOT_OK(JournalOptionsFor(*this, 0).Validate());
   }
   if (checkpoint_every_rounds < 0) {
     return Status::InvalidArgument(
@@ -384,7 +392,7 @@ Status ServiceOptions::Validate() const {
           "checkpointing requires a journal (journal_dir): a checkpoint only "
           "bridges recovery to the journal suffix behind it");
     }
-    RETRASYN_RETURN_NOT_OK(CheckpointOptionsFor(*this, 0, "").Validate());
+    RETRASYN_RETURN_NOT_OK(CheckpointOptionsFor(*this, 0, 0, "").Validate());
   }
   return Status::OK();
 }
@@ -392,74 +400,44 @@ Status ServiceOptions::Validate() const {
 Result<std::unique_ptr<TrajectoryService>> TrajectoryService::Create(
     const StateSpace& states, const RetraSynConfig& config) {
   RETRASYN_RETURN_NOT_OK(config.Validate());
-  const ServiceOptions options = ServiceOptions::FromConfig(config);
-  RETRASYN_RETURN_NOT_OK(options.Validate());
-  const uint64_t fingerprint = DeploymentFingerprint(states, config);
-  auto checkpoint =
-      MaybeOpenCheckpoints(options, states, fingerprint, /*require_fresh=*/true);
-  if (!checkpoint.ok()) return checkpoint.status();
-  auto journals =
-      MaybeOpenJournals(options, /*require_fresh=*/true, fingerprint);
-  if (!journals.ok()) return journals.status();
   auto engine = std::make_unique<RetraSynEngine>(states, config);
   StreamReleaseEngine* raw = engine.get();
-  std::unique_ptr<TrajectoryService> service(
-      new TrajectoryService(states, std::move(engine), raw, options,
-                            std::move(journals).value()));
-  if (checkpoint.value() != nullptr) {
-    service->checkpoint_ = std::move(checkpoint).value();
-    service->checkpoint_->AttachJournals(RawJournals(service->journals_));
-    service->checkpoint_->AttachTelemetry(service->telemetry_.get());
-  }
-  return service;
+  return CreateImpl(states, std::move(engine), raw, config, &config);
 }
 
 Result<std::unique_ptr<TrajectoryService>> TrajectoryService::CreateWithEngine(
     const StateSpace& states, std::unique_ptr<StreamReleaseEngine> engine,
     const ServiceOptions& options) {
-  if (engine == nullptr) {
-    return Status::InvalidArgument("engine must not be null");
-  }
-  RETRASYN_RETURN_NOT_OK(options.Validate());
-  RETRASYN_RETURN_NOT_OK(CheckCheckpointable(options, engine.get()));
-  const uint64_t fingerprint =
-      DeploymentFingerprint(states, engine->name(), options.ingest_shards);
-  auto checkpoint =
-      MaybeOpenCheckpoints(options, states, fingerprint, /*require_fresh=*/true);
-  if (!checkpoint.ok()) return checkpoint.status();
-  auto journals =
-      MaybeOpenJournals(options, /*require_fresh=*/true, fingerprint);
-  if (!journals.ok()) return journals.status();
   StreamReleaseEngine* raw = engine.get();
-  std::unique_ptr<TrajectoryService> service(
-      new TrajectoryService(states, std::move(engine), raw, options,
-                            std::move(journals).value()));
-  if (checkpoint.value() != nullptr) {
-    service->checkpoint_ = std::move(checkpoint).value();
-    service->checkpoint_->AttachJournals(RawJournals(service->journals_));
-    service->checkpoint_->AttachTelemetry(service->telemetry_.get());
-  }
-  return service;
+  return CreateImpl(states, std::move(engine), raw, options, nullptr);
 }
 
 Result<std::unique_ptr<TrajectoryService>> TrajectoryService::Attach(
     const StateSpace& states, StreamReleaseEngine* engine,
     const ServiceOptions& options) {
+  return CreateImpl(states, nullptr, engine, options, nullptr);
+}
+
+Result<std::unique_ptr<TrajectoryService>> TrajectoryService::CreateImpl(
+    const StateSpace& states, std::unique_ptr<StreamReleaseEngine> owned,
+    StreamReleaseEngine* engine, const ServiceOptions& options,
+    const RetraSynConfig* config) {
   if (engine == nullptr) {
     return Status::InvalidArgument("engine must not be null");
   }
   RETRASYN_RETURN_NOT_OK(options.Validate());
   RETRASYN_RETURN_NOT_OK(CheckCheckpointable(options, engine));
+  const int window = WindowOf(config);
   const uint64_t fingerprint =
-      DeploymentFingerprint(states, engine->name(), options.ingest_shards);
-  auto checkpoint =
-      MaybeOpenCheckpoints(options, states, fingerprint, /*require_fresh=*/true);
+      DeploymentFingerprint(states, config, *engine, options.ingest_shards);
+  auto checkpoint = MaybeOpenCheckpoints(options, window, states, fingerprint,
+                                         /*require_fresh=*/true);
   if (!checkpoint.ok()) return checkpoint.status();
   auto journals =
       MaybeOpenJournals(options, /*require_fresh=*/true, fingerprint);
   if (!journals.ok()) return journals.status();
   std::unique_ptr<TrajectoryService> service(
-      new TrajectoryService(states, nullptr, engine, options,
+      new TrajectoryService(states, std::move(owned), engine, options, window,
                             std::move(journals).value()));
   if (checkpoint.value() != nullptr) {
     service->checkpoint_ = std::move(checkpoint).value();
@@ -472,48 +450,38 @@ Result<std::unique_ptr<TrajectoryService>> TrajectoryService::Attach(
 Result<std::unique_ptr<TrajectoryService>> TrajectoryService::Recover(
     const StateSpace& states, const RetraSynConfig& config) {
   RETRASYN_RETURN_NOT_OK(config.Validate());
-  if (config.journal_dir.empty()) {
-    return Status::InvalidArgument(
-        "Recover requires RetraSynConfig::journal_dir");
-  }
-  const ServiceOptions options = ServiceOptions::FromConfig(config);
   auto engine = std::make_unique<RetraSynEngine>(states, config);
   StreamReleaseEngine* raw = engine.get();
-  return RecoverImpl(states, std::move(engine), raw, options,
-                     DeploymentFingerprint(states, config));
+  return RecoverImpl(states, std::move(engine), raw, config, &config);
 }
 
 Result<std::unique_ptr<TrajectoryService>> TrajectoryService::RecoverWithEngine(
     const StateSpace& states, std::unique_ptr<StreamReleaseEngine> engine,
     const ServiceOptions& options) {
-  if (engine == nullptr) {
-    return Status::InvalidArgument("engine must not be null");
-  }
   StreamReleaseEngine* raw = engine.get();
-  const uint64_t fingerprint =
-      DeploymentFingerprint(states, raw->name(), options.ingest_shards);
-  return RecoverImpl(states, std::move(engine), raw, options, fingerprint);
+  return RecoverImpl(states, std::move(engine), raw, options, nullptr);
 }
 
 Result<std::unique_ptr<TrajectoryService>> TrajectoryService::RecoverAttached(
     const StateSpace& states, StreamReleaseEngine* engine,
     const ServiceOptions& options) {
-  if (engine == nullptr) {
-    return Status::InvalidArgument("engine must not be null");
-  }
-  return RecoverImpl(states, nullptr, engine, options,
-                     DeploymentFingerprint(states, engine->name(),
-                                           options.ingest_shards));
+  return RecoverImpl(states, nullptr, engine, options, nullptr);
 }
 
 Result<std::unique_ptr<TrajectoryService>> TrajectoryService::RecoverImpl(
     const StateSpace& states, std::unique_ptr<StreamReleaseEngine> owned,
     StreamReleaseEngine* engine, const ServiceOptions& options,
-    uint64_t fingerprint) {
+    const RetraSynConfig* config) {
+  if (engine == nullptr) {
+    return Status::InvalidArgument("engine must not be null");
+  }
   if (options.journal_dir.empty()) {
     return Status::InvalidArgument("Recover requires a journal_dir");
   }
   RETRASYN_RETURN_NOT_OK(options.Validate());
+  const int window = WindowOf(config);
+  const uint64_t fingerprint =
+      DeploymentFingerprint(states, config, *engine, options.ingest_shards);
 
   // Refuse a layout that contradicts the configured shard count before a
   // single record is read.
@@ -678,7 +646,7 @@ Result<std::unique_ptr<TrajectoryService>> TrajectoryService::RecoverImpl(
   // checkpoint, restore its state first and replay only the journal suffix
   // behind its round.
   std::unique_ptr<TrajectoryService> service(
-      new TrajectoryService(states, std::move(owned), engine, options,
+      new TrajectoryService(states, std::move(owned), engine, options, window,
                             /*journals=*/{}, /*defer_async_closer=*/true));
   int64_t resume_round = max_base;
   if (have_checkpoint) {
@@ -695,8 +663,8 @@ Result<std::unique_ptr<TrajectoryService>> TrajectoryService::RecoverImpl(
   // adopt the held locks and continue in fresh segments after the replayed
   // ones (their round accounting continues from the replayed total).
   if (options.sync_policy == SyncPolicy::kAsync) service->ArmCloser(options);
-  JournalOptions journal_options = options.journal;
-  journal_options.fingerprint = fingerprint;
+  const JournalOptions journal_options =
+      JournalOptionsFor(options, fingerprint);
   for (size_t s = 0; s < dirs.size(); ++s) {
     if (!existed[s]) {
       // Deferred until every validation passed: a refused Recover must not
@@ -730,8 +698,8 @@ Result<std::unique_ptr<TrajectoryService>> TrajectoryService::RecoverImpl(
   // the surviving checkpoints, and the scanned segments (its future
   // retirement candidates, per shard journal).
   if (options.checkpoint_every_rounds > 0) {
-    auto manager =
-        MaybeOpenCheckpoints(options, states, fingerprint, /*require_fresh=*/false);
+    auto manager = MaybeOpenCheckpoints(options, window, states, fingerprint,
+                                        /*require_fresh=*/false);
     if (!manager.ok()) return manager.status();
     service->checkpoint_ = std::move(manager).value();
     service->checkpoint_->AttachJournals(RawJournals(service->journals_));

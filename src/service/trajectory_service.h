@@ -8,13 +8,14 @@
 //   session.Tick();                             // close the round
 //   auto snapshot = service->SnapshotRelease(); // live synthetic database
 //
-// Unlike the legacy batch pipeline (StreamFeeder + one-shot Finish), the
+// Unlike the batch pipeline (StreamFeeder + a bare engine), the
 // service accepts reports while the stream is open, pushes each round's
 // release to subscribed ReleaseSinks, and serves non-destructive snapshots of
 // the evolving synthetic database at any time. Fully materialized
 // StreamDatabases replay through the same path via ReplayDatabase (replay.h).
 //
-// Round closing runs under one of two policies (RetraSynConfig::sync_policy):
+// Round closing runs under one of two policies (ServiceOptions::sync_policy,
+// which RetraSynConfig inherits):
 //
 //   SyncPolicy::kInline — Tick() runs collection + model update + synthesis
 //     + sink delivery on the calling thread. A handler/sink failure fails
@@ -26,7 +27,7 @@
 //     before SnapshotRelease(). Failures surface on the next Tick()/Drain().
 //     For a fixed (seed, num_threads) the released bytes equal kInline's.
 //
-// Durability (optional, RetraSynConfig::journal_dir): every accepted event
+// Durability (optional, ServiceOptions::journal_dir): every accepted event
 // is appended to a segmented write-ahead journal before the session commits
 // it, and TrajectoryService::Recover rebuilds a byte-identical service from
 // the journal after a crash. See docs/durability.md.
@@ -54,71 +55,21 @@
 
 namespace retrasyn {
 
-/// \brief Service-layer knobs for engines that are not built from a
-/// RetraSynConfig (CreateWithEngine / Attach). Create() derives these from
-/// the RetraSynConfig fields of the same names.
-struct ServiceOptions {
-  SyncPolicy sync_policy = SyncPolicy::kInline;
-  int round_queue_capacity = 8;
-  BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
-  /// Ingest shards (RetraSynConfig::ingest_shards): users are hash-
-  /// partitioned across this many independently locked session shards, each
-  /// with its own journal stream under journal_dir/shard-NNN when journaling
-  /// is on. Released bytes are identical for every shard count; the journal
-  /// fingerprint records it, so Recover under a different count is refused.
-  int ingest_shards = 1;
-  /// Reuse per-round sealing buffers (RetraSynConfig::reuse_seal_buffers).
-  bool reuse_seal_buffers = true;
-  /// Durable event journal directory; empty disables journaling. The
-  /// factories require the directory to hold no existing journal — resume an
-  /// existing one through TrajectoryService::Recover instead.
-  std::string journal_dir;
-  JournalOptions journal;
-  /// Stream-index recycling for the session (IngestSessionOptions): re-issue
-  /// a quitted stream's index once its quit round has left recycle_window
-  /// rounds. Default OFF here — a custom engine must tolerate index reuse
-  /// (reset its per-index state by the same quit-round + window rule, as
-  /// RetraSynEngine does) before a caller switches it on. Create() copies
-  /// RetraSynConfig::recycle_stream_indices / window, so RetraSyn services
-  /// recycle by default.
-  bool recycle_stream_indices = false;
-  int recycle_window = 0;
-  /// Periodic checkpointing + journal compaction (checkpoint_manager.h):
-  /// every N closed rounds the service captures its full state into
-  /// checkpoint_dir and retires journal segments older than the oldest
-  /// retained checkpoint minus the w-window, so recovery replays O(window)
-  /// rounds instead of the full horizon. Requires journal_dir (a checkpoint
-  /// only bridges to a journal suffix) and a RetraSynEngine (custom engines
-  /// have no serializable state). 0 disables checkpointing.
-  int64_t checkpoint_every_rounds = 0;
-  std::string checkpoint_dir;
-  int checkpoint_retain = 2;
-  /// Spill closed synthetic streams to history files at every checkpoint,
-  /// keeping steady-state memory flat over unbounded horizons.
-  bool checkpoint_spill_history = true;
-  /// Unified telemetry (RetraSynConfig::enable_telemetry): one metrics
-  /// registry + round-lifecycle trace threaded through the session, closer,
-  /// engine, journal, and checkpoint subsystems, snapshot via
-  /// TrajectoryService::telemetry(). Observation-only — released bytes are
-  /// byte-identical on or off — and NOT part of the deployment fingerprint.
-  bool enable_telemetry = true;
-
-  /// The service-layer fields of \p config, verbatim.
-  static ServiceOptions FromConfig(const RetraSynConfig& config);
-  Status Validate() const;
-};
-
 class TrajectoryService {
  public:
-  /// Builds a RetraSyn engine from \p config and wraps it in a service.
-  /// Returns InvalidArgument (via RetraSynConfig::Validate) instead of
+  /// Builds a RetraSyn engine from \p config and wraps it in a service whose
+  /// session re-issues a quitted stream's index once its quit round has left
+  /// the w-window (the engine retires the matching dense state by the same
+  /// rule). Returns InvalidArgument (via RetraSynConfig::Validate) instead of
   /// crashing on a nonsensical configuration. \p states must outlive the
   /// service.
   static Result<std::unique_ptr<TrajectoryService>> Create(
       const StateSpace& states, const RetraSynConfig& config);
 
   /// Wraps an externally constructed engine (ablation variants, LDP-IDS
-  /// baselines). The service takes ownership.
+  /// baselines). The service takes ownership. Its session assigns cumulative
+  /// stream indices: a custom engine need not tolerate index reuse. Pass a
+  /// RetraSynConfig to take its service fields.
   static Result<std::unique_ptr<TrajectoryService>> CreateWithEngine(
       const StateSpace& states, std::unique_ptr<StreamReleaseEngine> engine,
       const ServiceOptions& options = {});
@@ -190,9 +141,6 @@ class TrajectoryService {
   /// under kAsync.
   Status Drain();
 
-  /// Alias for Drain(), for callers that think in flush terms.
-  Status Flush() { return Drain(); }
-
   /// Non-destructive snapshot of the synthetic database over the rounds
   /// closed so far. The stream stays open; snapshot as often as needed.
   /// Fails with FailedPrecondition before the first closed round or when
@@ -237,11 +185,16 @@ class TrajectoryService {
   const RetraSynEngine* retrasyn_engine() const { return retrasyn_; }
 
  private:
+  /// \p window is the w-event window of an engine the service built from a
+  /// RetraSynConfig (Create/Recover): the session recycles stream indices by
+  /// it and checkpoint compaction keeps it behind each checkpoint. 0 for a
+  /// caller-built engine: cumulative indices, no window kept.
   /// \p defer_async_closer leaves the closer un-armed even under kAsync, so
   /// Recover can replay the journal inline before ArmCloser re-enables it.
   TrajectoryService(const StateSpace& states,
                     std::unique_ptr<StreamReleaseEngine> owned,
                     StreamReleaseEngine* engine, const ServiceOptions& options,
+                    int window,
                     std::vector<std::unique_ptr<JournalWriter>> journals,
                     bool defer_async_closer = false);
 
@@ -256,12 +209,20 @@ class TrajectoryService {
   /// open round.
   Status ReplayJournals(const std::vector<JournalScan>& scans,
                         int64_t resume_round, int64_t target_round);
+  /// Shared flow behind Create/CreateWithEngine/Attach: validation, fresh
+  /// checkpoint and journal directories, construction. \p config is the
+  /// config \p engine was built from (Create), null for a caller-built one.
+  static Result<std::unique_ptr<TrajectoryService>> CreateImpl(
+      const StateSpace& states, std::unique_ptr<StreamReleaseEngine> owned,
+      StreamReleaseEngine* engine, const ServiceOptions& options,
+      const RetraSynConfig* config);
   /// Shared recovery flow behind Recover/RecoverWithEngine/RecoverAttached:
   /// lock, fingerprint check, tail truncation, inline replay, re-arm.
+  /// \p config as for CreateImpl.
   static Result<std::unique_ptr<TrajectoryService>> RecoverImpl(
       const StateSpace& states, std::unique_ptr<StreamReleaseEngine> owned,
       StreamReleaseEngine* engine, const ServiceOptions& options,
-      uint64_t fingerprint);
+      const RetraSynConfig* config);
 
   /// The session's round handler: inline, runs the round to completion;
   /// async, submits it to the closer.

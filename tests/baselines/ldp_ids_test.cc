@@ -28,7 +28,7 @@ struct BaselineFixture {
     }
   }
 
-  Grid grid;
+  UniformGrid grid;
   StateSpace states;
   StreamDatabase db;
   std::unique_ptr<StreamFeeder> feeder;
@@ -49,7 +49,7 @@ TEST_P(LdpIdsMethodTest, RunsAndProducesSynthetic) {
   const BaselineFixture fx;
   LdpIdsEngine engine(fx.states, MakeConfig(GetParam()));
   fx.Run(engine);
-  const CellStreamSet syn = engine.Finish(fx.feeder->num_timestamps());
+  const CellStreamSet syn = engine.SnapshotRelease(fx.feeder->num_timestamps());
   EXPECT_GT(syn.streams().size(), 0u);
   EXPECT_GT(engine.num_publications(), 0);
   for (const CellStream& s : syn.streams()) {
@@ -64,7 +64,7 @@ TEST_P(LdpIdsMethodTest, FrozenPopulationNeverTerminates) {
   const BaselineFixture fx;
   LdpIdsEngine engine(fx.states, MakeConfig(GetParam()));
   fx.Run(engine);
-  const CellStreamSet syn = engine.Finish(fx.feeder->num_timestamps());
+  const CellStreamSet syn = engine.SnapshotRelease(fx.feeder->num_timestamps());
   ASSERT_GT(syn.streams().size(), 0u);
   const int64_t t0 = syn.streams()[0].enter_time;
   for (const CellStream& s : syn.streams()) {
@@ -133,7 +133,7 @@ TEST(LdpIdsTest, DeterministicGivenSeed) {
     for (int64_t t = 0; t < fx.feeder->num_timestamps(); ++t) {
       engine.Observe(fx.feeder->Batch(t));
     }
-    return engine.Finish(fx.feeder->num_timestamps());
+    return engine.SnapshotRelease(fx.feeder->num_timestamps());
   };
   const CellStreamSet a = run_once();
   const CellStreamSet b = run_once();

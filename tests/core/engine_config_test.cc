@@ -25,7 +25,7 @@ struct Fixture {
     db = GenerateRandomWalkStreams(config, rng);
     feeder = std::make_unique<StreamFeeder>(db, grid, states);
   }
-  Grid grid;
+  UniformGrid grid;
   StateSpace states;
   StreamDatabase db;
   std::unique_ptr<StreamFeeder> feeder;
@@ -51,7 +51,8 @@ TEST(EngineConfigTest, PostprocessModesAllRun) {
     for (int64_t t = 0; t < fx.feeder->num_timestamps(); ++t) {
       engine.Observe(fx.feeder->Batch(t));
     }
-    const CellStreamSet syn = engine.Finish(fx.feeder->num_timestamps());
+    const CellStreamSet syn =
+        engine.SnapshotRelease(fx.feeder->num_timestamps());
     EXPECT_GT(syn.TotalPoints(), 0u) << static_cast<int>(pp);
   }
 }
@@ -99,7 +100,7 @@ TEST(EngineConfigTest, ZeroMinPortionCanStarve) {
   for (int64_t t = 0; t < fx.feeder->num_timestamps(); ++t) {
     engine.Observe(fx.feeder->Batch(t));
   }
-  const CellStreamSet syn = engine.Finish(fx.feeder->num_timestamps());
+  const CellStreamSet syn = engine.SnapshotRelease(fx.feeder->num_timestamps());
   EXPECT_GT(syn.streams().size(), 0u);
   EXPECT_FALSE(engine.report_tracker().HasViolation());
 }
@@ -141,7 +142,7 @@ TEST(EngineConfigTest, BudgetAdaptiveSurvivesLargeWindowDepletion) {
   for (double f : engine.model().frequencies()) {
     EXPECT_TRUE(std::isfinite(f));
   }
-  const CellStreamSet syn = engine.Finish(fx.feeder->num_timestamps());
+  const CellStreamSet syn = engine.SnapshotRelease(fx.feeder->num_timestamps());
   EXPECT_GT(syn.TotalPoints(), 0u);
 }
 
@@ -154,7 +155,7 @@ TEST(EngineConfigTest, LambdaControlsSyntheticLengths) {
   data_config.mean_arrivals = 45.0;
   Rng rng(31);
   const StreamDatabase db = GenerateHotspotStreams(data_config, rng);
-  const Grid grid(db.box(), 4);
+  const UniformGrid grid(db.box(), 4);
   const StateSpace states(grid);
   const StreamFeeder feeder(db, grid, states);
 
@@ -165,7 +166,7 @@ TEST(EngineConfigTest, LambdaControlsSyntheticLengths) {
     for (int64_t t = 0; t < feeder.num_timestamps(); ++t) {
       engine.Observe(feeder.Batch(t));
     }
-    const CellStreamSet syn = engine.Finish(feeder.num_timestamps());
+    const CellStreamSet syn = engine.SnapshotRelease(feeder.num_timestamps());
     return static_cast<double>(syn.TotalPoints()) / syn.streams().size();
   };
   EXPECT_LT(mean_length(3.0), mean_length(60.0));

@@ -28,7 +28,7 @@ struct EngineFixture {
     }
   }
 
-  Grid grid;
+  UniformGrid grid;
   StateSpace states;
   StreamDatabase db;
   std::unique_ptr<StreamFeeder> feeder;
@@ -57,7 +57,7 @@ TEST_P(EngineStrategyTest, RunsAndProducesValidSynthetic) {
   RetraSynEngine engine(fx.states,
                         BaseConfig(GetParam().division, GetParam().allocation));
   fx.Run(engine);
-  const CellStreamSet syn = engine.Finish(fx.feeder->num_timestamps());
+  const CellStreamSet syn = engine.SnapshotRelease(fx.feeder->num_timestamps());
   EXPECT_GT(syn.streams().size(), 0u);
   for (const CellStream& s : syn.streams()) {
     EXPECT_GE(s.enter_time, 0);
@@ -89,7 +89,7 @@ TEST_P(EngineStrategyTest, SyntheticSizeTracksRealActiveCounts) {
   RetraSynEngine engine(fx.states,
                         BaseConfig(GetParam().division, GetParam().allocation));
   fx.Run(engine);
-  const CellStreamSet syn = engine.Finish(fx.feeder->num_timestamps());
+  const CellStreamSet syn = engine.SnapshotRelease(fx.feeder->num_timestamps());
   // With enter/quit modeling on, the active counts must match exactly from
   // the first collection onwards.
   for (int64_t t = 1; t < fx.feeder->num_timestamps(); ++t) {
@@ -142,7 +142,7 @@ TEST(EngineTest, NoEqVariantFreezesPopulationAndNeverTerminates) {
   config.use_eq = false;
   RetraSynEngine engine(fx.states, config);
   fx.Run(engine);
-  const CellStreamSet syn = engine.Finish(fx.feeder->num_timestamps());
+  const CellStreamSet syn = engine.SnapshotRelease(fx.feeder->num_timestamps());
   // All synthetic streams share one enter time and survive to the horizon.
   ASSERT_GT(syn.streams().size(), 0u);
   const int64_t t0 = syn.streams()[0].enter_time;
@@ -169,7 +169,7 @@ TEST(EngineTest, PerUserCollectionModeWorks) {
   config.collection_mode = CollectionMode::kPerUser;
   RetraSynEngine engine(fx.states, config);
   fx.Run(engine);
-  const CellStreamSet syn = engine.Finish(30);
+  const CellStreamSet syn = engine.SnapshotRelease(30);
   EXPECT_GT(syn.TotalPoints(), 0u);
   EXPECT_FALSE(engine.report_tracker().HasViolation());
 }
@@ -182,7 +182,7 @@ TEST(EngineTest, DeterministicGivenSeed) {
     for (int64_t t = 0; t < fx.feeder->num_timestamps(); ++t) {
       engine.Observe(fx.feeder->Batch(t));
     }
-    return engine.Finish(fx.feeder->num_timestamps());
+    return engine.SnapshotRelease(fx.feeder->num_timestamps());
   };
   const CellStreamSet a = run_once();
   const CellStreamSet b = run_once();
@@ -278,25 +278,6 @@ TEST(EngineTest, RetiresQuitIndexExactlyOneWindowAfterQuit) {
   engine.Observe(EnterBatch(fx.states, 5, 0, cell));
   EXPECT_EQ(engine.dense_user_slots(), 1u);
   EXPECT_FALSE(engine.report_tracker().HasViolation());
-}
-
-TEST(EngineTest, RecyclingOffKeepsQuittedSlotsForever) {
-  const EngineFixture fx(10, 20);
-  RetraSynConfig config =
-      BaseConfig(DivisionStrategy::kPopulation, AllocationKind::kAdaptive);
-  config.window = 3;
-  config.recycle_stream_indices = false;
-  RetraSynEngine engine(fx.states, config);
-  const CellId cell = fx.grid.Cell(1, 1);
-  engine.Observe(EnterBatch(fx.states, 0, 0, cell));
-  engine.Observe(QuitBatch(fx.states, 1, 0, cell));
-  for (int64_t t = 2; t < 8; ++t) {
-    TimestampBatch empty;
-    empty.t = t;
-    engine.Observe(empty);
-    EXPECT_TRUE(engine.retired_last_round().empty()) << "t=" << t;
-  }
-  EXPECT_EQ(engine.total_retired(), 0u);
 }
 
 TEST(EngineTest, CheckpointRestoreBoundsTheDenseReportTracker) {

@@ -19,7 +19,7 @@ class MobilityModelTest : public testing::Test {
     return std::vector<double>(states_.size(), 0.0);
   }
 
-  Grid grid_;
+  UniformGrid grid_;
   StateSpace states_;
 };
 

@@ -17,7 +17,7 @@ std::string TempPath(const std::string& name) {
 class ModelIoTest : public testing::Test {
  protected:
   ModelIoTest() : grid_(BoundingBox{0.0, 0.0, 1.0, 1.0}, 3), states_(grid_) {}
-  Grid grid_;
+  UniformGrid grid_;
   StateSpace states_;
 };
 
@@ -51,7 +51,7 @@ TEST_F(ModelIoTest, GeometryMismatchRejected) {
   const std::string path = TempPath("model_geom.txt");
   ASSERT_TRUE(SaveMobilityModel(model, path).ok());
 
-  const Grid other_grid(BoundingBox{0.0, 0.0, 1.0, 1.0}, 4);
+  const UniformGrid other_grid(BoundingBox{0.0, 0.0, 1.0, 1.0}, 4);
   const StateSpace other_states(other_grid);
   GlobalMobilityModel target(other_states);
   const Status st = LoadMobilityModel(path, &target);

@@ -3,11 +3,21 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/engine.h"
 #include "geo/grid.h"
 #include "stream/random_walk_generator.h"
 
 namespace retrasyn {
 namespace {
+
+/// The release a service would deliver for round \p t of a bare engine.
+RoundRelease ReleaseOf(const StreamReleaseEngine& engine, int64_t t) {
+  RoundRelease round;
+  round.t = t;
+  round.density = engine.LiveDensity();
+  for (uint32_t c : round.density) round.active += c;
+  return round;
+}
 
 struct ServerFixture {
   ServerFixture() : grid(BoundingBox{0.0, 0.0, 1000.0, 1000.0}, 4),
@@ -31,7 +41,7 @@ struct ServerFixture {
     return config;
   }
 
-  Grid grid;
+  UniformGrid grid;
   StateSpace states;
   StreamDatabase db;
   std::unique_ptr<StreamFeeder> feeder;
@@ -46,9 +56,10 @@ TEST(ReleaseServerTest, LiveAnswersMatchPostHocRelease) {
   ReleaseServer server(fx.grid);
   for (int64_t t = 0; t < fx.feeder->num_timestamps(); ++t) {
     engine.Observe(fx.feeder->Batch(t));
-    server.Ingest(engine);
+    ASSERT_TRUE(server.OnRound(ReleaseOf(engine, t)).ok());
   }
-  const CellStreamSet released = engine.Finish(fx.feeder->num_timestamps());
+  const CellStreamSet released =
+      engine.SnapshotRelease(fx.feeder->num_timestamps());
   const DensityIndex post_hoc(released, fx.grid);
 
   ASSERT_EQ(server.horizon(), fx.feeder->num_timestamps());
@@ -65,9 +76,10 @@ TEST(ReleaseServerTest, RangeCountsMatchPostHoc) {
   ReleaseServer server(fx.grid);
   for (int64_t t = 0; t < fx.feeder->num_timestamps(); ++t) {
     engine.Observe(fx.feeder->Batch(t));
-    server.Ingest(engine);
+    ASSERT_TRUE(server.OnRound(ReleaseOf(engine, t)).ok());
   }
-  const CellStreamSet released = engine.Finish(fx.feeder->num_timestamps());
+  const CellStreamSet released =
+      engine.SnapshotRelease(fx.feeder->num_timestamps());
   const DensityIndex post_hoc(released, fx.grid);
 
   Rng qrng(9);
@@ -84,9 +96,10 @@ TEST(ReleaseServerTest, TopHotspotsMatchAggregateDensity) {
   ReleaseServer server(fx.grid);
   for (int64_t t = 0; t < fx.feeder->num_timestamps(); ++t) {
     engine.Observe(fx.feeder->Batch(t));
-    server.Ingest(engine);
+    ASSERT_TRUE(server.OnRound(ReleaseOf(engine, t)).ok());
   }
-  const CellStreamSet released = engine.Finish(fx.feeder->num_timestamps());
+  const CellStreamSet released =
+      engine.SnapshotRelease(fx.feeder->num_timestamps());
   const DensityIndex post_hoc(released, fx.grid);
 
   const auto hotspots = server.TopHotspots(10, 30, 5);
@@ -108,7 +121,8 @@ TEST(ReleaseServerTest, PreInitializationTimestampsAreZero) {
   const ServerFixture fx;
   RetraSynEngine engine(fx.states, fx.EngineConfig());
   ReleaseServer server(fx.grid);
-  server.Ingest(engine);  // before any Observe
+  // before any Observe
+  ASSERT_TRUE(server.OnRound(ReleaseOf(engine, 0)).ok());
   EXPECT_EQ(server.ActiveAt(0), 0u);
   EXPECT_EQ(server.horizon(), 1);
 }
@@ -119,7 +133,7 @@ TEST(ReleaseServerTest, TrailingMeanActive) {
   ReleaseServer server(fx.grid);
   for (int64_t t = 0; t < 20; ++t) {
     engine.Observe(fx.feeder->Batch(t));
-    server.Ingest(engine);
+    ASSERT_TRUE(server.OnRound(ReleaseOf(engine, t)).ok());
   }
   const double mean5 = server.TrailingMeanActive(5);
   double expected = 0.0;
@@ -141,7 +155,7 @@ TEST(ReleaseServerTest, OutOfHorizonQueriesAnswerZero) {
   ReleaseServer server(fx.grid);
   for (int64_t t = 0; t < 10; ++t) {
     engine.Observe(fx.feeder->Batch(t));
-    server.Ingest(engine);
+    ASSERT_TRUE(server.OnRound(ReleaseOf(engine, t)).ok());
   }
   ASSERT_EQ(server.horizon(), 10);
   for (int64_t t : {int64_t{-1}, int64_t{-100}, int64_t{10}, int64_t{9999}}) {
@@ -160,7 +174,7 @@ TEST(ReleaseServerTest, RangeCountClampsWindowAndGrid) {
   ReleaseServer server(fx.grid);
   for (int64_t t = 0; t < 10; ++t) {
     engine.Observe(fx.feeder->Batch(t));
-    server.Ingest(engine);
+    ASSERT_TRUE(server.OnRound(ReleaseOf(engine, t)).ok());
   }
   // Full-grid query over the whole horizon.
   RangeQuery all;
@@ -207,17 +221,15 @@ TEST(ReleaseServerTest, TrailingMeanActiveHardened) {
   EXPECT_EQ(server.TrailingMeanActive(-3), 0.0);
 }
 
-TEST(ReleaseServerTest, MixedIngestAndOnRoundPathsStayAligned) {
-  // Regression: the legacy Ingest() path used to append rows with no
-  // timestamp accounting, so interleaving it with OnRound() silently
-  // misaligned "round t lands at index t". Both paths now share one
-  // next-expected-timestamp ledger.
+TEST(ReleaseServerTest, SkippedRoundsBackfillAsZerosAndStayAligned) {
+  // A consumer that skips ahead gets the missed rounds recorded as zeros,
+  // so "round t lands at index t" holds on both sides of the gap.
   const ServerFixture fx;
   RetraSynEngine engine(fx.states, fx.EngineConfig());
   ReleaseServer server(fx.grid);
 
   engine.Observe(fx.feeder->Batch(0));
-  server.Ingest(engine);  // records at t=0
+  ASSERT_TRUE(server.OnRound(ReleaseOf(engine, 0)).ok());
   EXPECT_EQ(server.horizon(), 1);
 
   RoundRelease round;
@@ -232,7 +244,7 @@ TEST(ReleaseServerTest, MixedIngestAndOnRoundPathsStayAligned) {
   EXPECT_EQ(server.DensityAt(3)[5], 7u);
 
   engine.Observe(fx.feeder->Batch(1));
-  server.Ingest(engine);  // continues at t=4, not on top of round 3
+  ASSERT_TRUE(server.OnRound(ReleaseOf(engine, 4)).ok());
   EXPECT_EQ(server.horizon(), 5);
   EXPECT_EQ(server.DensityAt(3)[5], 7u);  // round 3 is untouched
 }
@@ -261,7 +273,7 @@ TEST(ReleaseServerTest, OutOfOrderAndDuplicateRoundsRejected) {
   EXPECT_EQ(server.horizon(), 3);
 }
 
-RoundRelease MakeRound(const Grid& grid, int64_t t, uint32_t fill) {
+RoundRelease MakeRound(const UniformGrid& grid, int64_t t, uint32_t fill) {
   RoundRelease round;
   round.t = t;
   round.density.assign(grid.NumCells(), fill);
@@ -272,7 +284,7 @@ RoundRelease MakeRound(const Grid& grid, int64_t t, uint32_t fill) {
 TEST(ReleaseServerTest, RetentionEvictsOldRoundsAndTheyAnswerZero) {
   // Bounded retention: only the trailing retention_rounds stay queryable;
   // evicted timestamps answer zero/empty exactly like never-ingested ones.
-  const Grid grid(BoundingBox{0.0, 0.0, 100.0, 100.0}, 2);
+  const UniformGrid grid(BoundingBox{0.0, 0.0, 100.0, 100.0}, 2);
   ReleaseServer server(grid, /*retention_rounds=*/5);
   for (int64_t t = 0; t < 20; ++t) {
     ASSERT_TRUE(server.OnRound(MakeRound(grid, t, static_cast<uint32_t>(t + 1)))
@@ -295,7 +307,7 @@ TEST(ReleaseServerTest, RetentionEvictsOldRoundsAndTheyAnswerZero) {
 }
 
 TEST(ReleaseServerTest, RetentionClampsRangeQueriesAndTrailingMean) {
-  const Grid grid(BoundingBox{0.0, 0.0, 100.0, 100.0}, 2);
+  const UniformGrid grid(BoundingBox{0.0, 0.0, 100.0, 100.0}, 2);
   ReleaseServer server(grid, /*retention_rounds=*/4);
   for (int64_t t = 0; t < 10; ++t) {
     ASSERT_TRUE(server.OnRound(MakeRound(grid, t, 2)).ok());
@@ -324,7 +336,7 @@ TEST(ReleaseServerTest, RetentionClampsRangeQueriesAndTrailingMean) {
 TEST(ReleaseServerTest, RetentionFastForwardsLargeBackfillGaps) {
   // A server with retention subscribed mid-stream far past its horizon must
   // not materialize a zero row per missed round.
-  const Grid grid(BoundingBox{0.0, 0.0, 100.0, 100.0}, 2);
+  const UniformGrid grid(BoundingBox{0.0, 0.0, 100.0, 100.0}, 2);
   ReleaseServer server(grid, /*retention_rounds=*/8);
   ASSERT_TRUE(server.OnRound(MakeRound(grid, 0, 1)).ok());
   ASSERT_TRUE(server.OnRound(MakeRound(grid, 1000000, 3)).ok());
@@ -336,7 +348,7 @@ TEST(ReleaseServerTest, RetentionFastForwardsLargeBackfillGaps) {
 }
 
 TEST(ReleaseServerTest, UnlimitedRetentionKeepsLegacyBehavior) {
-  const Grid grid(BoundingBox{0.0, 0.0, 100.0, 100.0}, 2);
+  const UniformGrid grid(BoundingBox{0.0, 0.0, 100.0, 100.0}, 2);
   ReleaseServer server(grid);
   for (int64_t t = 0; t < 50; ++t) {
     ASSERT_TRUE(server.OnRound(MakeRound(grid, t, 1)).ok());

@@ -79,7 +79,7 @@ TEST_F(SynthesizerTest, GeneratedTransitionsRespectAdjacency) {
   Rng rng(3);
   syn.Initialize(model_, 40, 0, rng);
   for (int64_t t = 1; t < 30; ++t) syn.Step(model_, 40, t, rng);
-  const CellStreamSet out = syn.Finish(30);
+  const CellStreamSet out = syn.Snapshot(30);
   for (const CellStream& s : out.streams()) {
     for (size_t i = 1; i < s.cells.size(); ++i) {
       EXPECT_TRUE(grid_.AreNeighbors(s.cells[i - 1], s.cells[i]));
@@ -98,7 +98,7 @@ TEST_F(SynthesizerTest, StartCellsFollowEnterDistribution) {
   Synthesizer syn(states_, DefaultConfig());
   Rng rng(4);
   syn.Initialize(model_, 25, 0, rng);
-  const CellStreamSet out = syn.Finish(1);
+  const CellStreamSet out = syn.Snapshot(1);
   for (const CellStream& s : out.streams()) {
     EXPECT_EQ(s.cells.front(), 4u);
   }
@@ -140,7 +140,7 @@ TEST_F(SynthesizerTest, NoQuitConfigNeverTerminates) {
   syn.Initialize(model_, 20, 0, rng);
   for (int64_t t = 1; t < 50; ++t) syn.Step(model_, 3, t, rng);
   EXPECT_EQ(syn.num_live(), 20u);
-  const CellStreamSet out = syn.Finish(50);
+  const CellStreamSet out = syn.Snapshot(50);
   for (const CellStream& s : out.streams()) {
     EXPECT_EQ(s.length(), 50u);
   }
@@ -156,7 +156,7 @@ TEST_F(SynthesizerTest, RandomInitSpreadsStartCells) {
   Synthesizer syn(states_, config);
   Rng rng(7);
   syn.Initialize(model_, 500, 0, rng);
-  const CellStreamSet out = syn.Finish(1);
+  const CellStreamSet out = syn.Snapshot(1);
   std::vector<int> starts(grid_.NumCells(), 0);
   for (const CellStream& s : out.streams()) ++starts[s.cells.front()];
   int nonzero = 0;
@@ -174,26 +174,12 @@ TEST_F(SynthesizerTest, ZeroMassModelDwellsInPlace) {
   Rng rng(8);
   syn.Initialize(model_, 10, 0, rng);
   for (int64_t t = 1; t < 5; ++t) syn.Step(model_, 10, t, rng);
-  const CellStreamSet out = syn.Finish(5);
+  const CellStreamSet out = syn.Snapshot(5);
   for (const CellStream& s : out.streams()) {
     for (size_t i = 1; i < s.cells.size(); ++i) {
       EXPECT_EQ(s.cells[i], s.cells[0]);  // dwell fallback
     }
   }
-}
-
-TEST_F(SynthesizerTest, FinishClosesEverythingAndResets) {
-  FillUniformModel(0.0);
-  Synthesizer syn(states_, DefaultConfig());
-  Rng rng(9);
-  syn.Initialize(model_, 15, 0, rng);
-  syn.Step(model_, 10, 1, rng);  // 5 terminated, 10 live
-  const CellStreamSet out = syn.Finish(2);
-  EXPECT_EQ(out.streams().size(), 15u);
-  EXPECT_FALSE(syn.initialized());
-  EXPECT_EQ(syn.num_live(), 0u);
-  EXPECT_EQ(out.ActiveCount(0), 15u);
-  EXPECT_EQ(out.ActiveCount(1), 10u);
 }
 
 TEST_F(SynthesizerTest, SurplusTerminationPrefersQuitDistribution) {
@@ -219,7 +205,7 @@ TEST_F(SynthesizerTest, SurplusTerminationPrefersQuitDistribution) {
     syn.Initialize(model_, 400, 0, rng);
     syn.Step(model_, 250, 1, rng);
     EXPECT_EQ(syn.num_live(), 250u);
-    const CellStreamSet out = syn.Finish(2);
+    const CellStreamSet out = syn.Snapshot(2);
     size_t terminated_at_hot = 0, terminated_elsewhere = 0;
     for (const CellStream& s : out.streams()) {
       if (s.length() == 1) {  // terminated at t = 1
@@ -290,10 +276,8 @@ TEST_P(SynthesizerColumnTest, LiveDensityMatchesRecountThroughEveryReorder) {
     ExpectColumnMatchesStreams(restored, "restored step " + std::to_string(t));
     ++t;
   }
-  const CellStreamSet a = syn.Finish(t);
-  EXPECT_TRUE(syn.LiveDensity() ==
-              std::vector<uint32_t>(grid_.NumCells(), 0));
-  const CellStreamSet b = restored.Finish(t);
+  const CellStreamSet a = syn.Snapshot(t);
+  const CellStreamSet b = restored.Snapshot(t);
   ASSERT_EQ(a.streams().size(), b.streams().size());
   for (size_t i = 0; i < a.streams().size(); ++i) {
     ASSERT_EQ(a.streams()[i].enter_time, b.streams()[i].enter_time);

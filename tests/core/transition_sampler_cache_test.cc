@@ -31,6 +31,15 @@ std::vector<double> RandomFrequencies(const StateSpace& states,
   return f;
 }
 
+/// Wilson-Hilferty upper critical value of a chi-square with \p dof degrees
+/// of freedom, z standard deviations out. At z = 3.06 it reads 26.05 at
+/// dof 8, under the tabulated 99.9th percentile of 26.1, and less at lower
+/// dof.
+double ChiSquareCritical(int dof, double z) {
+  const double h = 2.0 / (9.0 * dof);
+  return dof * std::pow(1.0 - h + z * std::sqrt(h), 3);
+}
+
 /// Chi-square of cached next-cell draws out of \p from against the exact
 /// movement weights max(0, f_ij) the linear scan draws from, at the upper
 /// critical value z standard deviations out (3.06: about the 99.9th
@@ -69,11 +78,8 @@ void ExpectNextCellMatchesLinear(const StateSpace& states,
   }
   EXPECT_EQ(drawn, n) << "cell " << from << " drew a non-neighbor";
   if (dof < 1) return;
-  // Wilson-Hilferty critical value; at z = 3.06 it reads 26.05 at dof 8,
-  // under the tabulated 99.9th percentile of 26.1, and less at lower dof.
-  const double h = 2.0 / (9.0 * dof);
-  const double critical = dof * std::pow(1.0 - h + z * std::sqrt(h), 3);
-  EXPECT_LT(chi2, critical) << "cell " << from << " dof " << dof;
+  EXPECT_LT(chi2, ChiSquareCritical(dof, z)) << "cell " << from << " dof "
+                                             << dof;
 }
 
 class TransitionSamplerCacheTest : public testing::Test {
@@ -271,6 +277,55 @@ TEST_F(TransitionSamplerCacheTest, EnterSamplerMatchesEnterDistribution) {
   }
   // dof ~ 35; 99.9th percentile ~ 66.6.
   EXPECT_LT(chi2, 66.6);
+}
+
+TEST_F(TransitionSamplerCacheTest, MoveMarginalSamplerMatchesExactPmf) {
+  // The random-init (NoEQ, baselines) spawn path draws a start cell with
+  // probability proportional to its clamped outgoing movement mass,
+  // sum_j max(0, f_ij). Negative estimates count as zero, and a cell with no
+  // positive outgoing mass is never drawn.
+  std::vector<double> f = RandomFrequencies(31);
+  for (CellId c = 0; c < grid_.NumCells(); c += 3) {
+    f[states_.MoveOffset(c)] = -0.05;
+  }
+  const CellId empty = grid_.NumCells() - 1;
+  for (StateId s : states_.MoveStatesFrom(empty)) f[s] = -0.01;
+  model_.ReplaceAll(f);
+  TransitionSamplerCache cache(states_);
+  cache.Sync(model_);
+
+  std::vector<double> pmf(grid_.NumCells(), 0.0);
+  double total = 0.0;
+  for (CellId c = 0; c < grid_.NumCells(); ++c) {
+    for (StateId s : states_.MoveStatesFrom(c)) {
+      pmf[c] += std::max(0.0, model_.frequency(s));
+    }
+    total += pmf[c];
+  }
+  ASSERT_GT(total, 0.0);
+  ASSERT_EQ(pmf[empty], 0.0);
+
+  const int n = 200000;
+  Rng rng(37);
+  std::vector<int> counts(grid_.NumCells(), 0);
+  for (int i = 0; i < n; ++i) {
+    const CellId c = cache.SampleMoveMarginalCell(rng);
+    ASSERT_LT(c, grid_.NumCells());
+    ++counts[c];
+  }
+  double chi2 = 0.0;
+  int dof = -1;
+  for (CellId c = 0; c < grid_.NumCells(); ++c) {
+    const double expected = n * pmf[c] / total;
+    if (expected == 0.0) {
+      EXPECT_EQ(counts[c], 0) << "cell " << c << " has no movement mass";
+      continue;
+    }
+    chi2 += (counts[c] - expected) * (counts[c] - expected) / expected;
+    ++dof;
+  }
+  ASSERT_GE(dof, 1);
+  EXPECT_LT(chi2, ChiSquareCritical(dof, 3.06)) << "dof " << dof;
 }
 
 TEST_F(TransitionSamplerCacheTest, NoMassSentinelsMirrorDiscreteContract) {

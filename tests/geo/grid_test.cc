@@ -26,14 +26,14 @@ TEST(BoundingBoxTest, Extend) {
 }
 
 TEST(GridTest, LocateCenterOfEachCell) {
-  const Grid grid(UnitBox(), 4);
+  const UniformGrid grid(UnitBox(), 4);
   for (CellId c = 0; c < grid.NumCells(); ++c) {
     EXPECT_EQ(grid.Locate(grid.CellCenter(c)), c);
   }
 }
 
 TEST(GridTest, LocateBoundaryPoints) {
-  const Grid grid(UnitBox(), 4);
+  const UniformGrid grid(UnitBox(), 4);
   // The far corner folds into the last cell.
   EXPECT_EQ(grid.Locate(Point{1.0, 1.0}), grid.Cell(3, 3));
   EXPECT_EQ(grid.Locate(Point{0.0, 0.0}), grid.Cell(0, 0));
@@ -43,7 +43,7 @@ TEST(GridTest, LocateBoundaryPoints) {
 }
 
 TEST(GridTest, NeighborCountsByPosition) {
-  const Grid grid(UnitBox(), 5);
+  const UniformGrid grid(UnitBox(), 5);
   // Corners have 4 neighbors (incl. self), edges 6, interior 9.
   EXPECT_EQ(grid.Neighbors(grid.Cell(0, 0)).size(), 4u);
   EXPECT_EQ(grid.Neighbors(grid.Cell(0, 4)).size(), 4u);
@@ -55,7 +55,7 @@ TEST(GridTest, NeighborCountsByPosition) {
 }
 
 TEST(GridTest, NeighborsIncludeSelfAndAreSorted) {
-  const Grid grid(UnitBox(), 6);
+  const UniformGrid grid(UnitBox(), 6);
   for (CellId c = 0; c < grid.NumCells(); ++c) {
     const auto& nbrs = grid.Neighbors(c);
     bool has_self = false;
@@ -70,7 +70,7 @@ TEST(GridTest, NeighborsIncludeSelfAndAreSorted) {
 }
 
 TEST(GridTest, AreNeighborsMatchesNeighborLists) {
-  const Grid grid(UnitBox(), 5);
+  const UniformGrid grid(UnitBox(), 5);
   for (CellId a = 0; a < grid.NumCells(); ++a) {
     for (CellId b = 0; b < grid.NumCells(); ++b) {
       const auto& nbrs = grid.Neighbors(a);
@@ -83,7 +83,7 @@ TEST(GridTest, AreNeighborsMatchesNeighborLists) {
 }
 
 TEST(GridTest, CellBoundsTileTheBox) {
-  const Grid grid(BoundingBox{-2.0, 3.0, 6.0, 7.0}, 4);
+  const UniformGrid grid(BoundingBox{-2.0, 3.0, 6.0, 7.0}, 4);
   double area = 0.0;
   for (CellId c = 0; c < grid.NumCells(); ++c) {
     const BoundingBox b = grid.CellBounds(c);
@@ -94,14 +94,14 @@ TEST(GridTest, CellBoundsTileTheBox) {
 }
 
 TEST(GridTest, ChebyshevDistance) {
-  const Grid grid(UnitBox(), 8);
+  const UniformGrid grid(UnitBox(), 8);
   EXPECT_EQ(grid.ChebyshevDistance(grid.Cell(0, 0), grid.Cell(0, 0)), 0u);
   EXPECT_EQ(grid.ChebyshevDistance(grid.Cell(0, 0), grid.Cell(1, 1)), 1u);
   EXPECT_EQ(grid.ChebyshevDistance(grid.Cell(2, 3), grid.Cell(7, 1)), 5u);
 }
 
 TEST(GridTest, SingleCellGrid) {
-  const Grid grid(UnitBox(), 1);
+  const UniformGrid grid(UnitBox(), 1);
   EXPECT_EQ(grid.NumCells(), 1u);
   EXPECT_EQ(grid.Neighbors(0).size(), 1u);
   EXPECT_EQ(grid.Locate(Point{0.5, 0.5}), 0u);
@@ -111,7 +111,7 @@ class GridSweepTest : public testing::TestWithParam<uint32_t> {};
 
 TEST_P(GridSweepTest, RowColRoundTrip) {
   const uint32_t k = GetParam();
-  const Grid grid(UnitBox(), k);
+  const UniformGrid grid(UnitBox(), k);
   EXPECT_EQ(grid.NumCells(), k * k);
   for (CellId c = 0; c < grid.NumCells(); ++c) {
     EXPECT_EQ(grid.Cell(grid.Row(c), grid.Col(c)), c);
@@ -122,7 +122,7 @@ TEST_P(GridSweepTest, RowColRoundTrip) {
 
 TEST_P(GridSweepTest, TotalNeighborCountFormula) {
   const uint32_t k = GetParam();
-  const Grid grid(UnitBox(), k);
+  const UniformGrid grid(UnitBox(), k);
   size_t total = 0;
   for (CellId c = 0; c < grid.NumCells(); ++c) {
     total += grid.Neighbors(c).size();

@@ -9,7 +9,7 @@ namespace {
 BoundingBox UnitBox() { return BoundingBox{0.0, 0.0, 1.0, 1.0}; }
 
 TEST(StateSpaceTest, SizeDecomposition) {
-  const Grid grid(UnitBox(), 4);
+  const UniformGrid grid(UnitBox(), 4);
   const StateSpace states(grid);
   size_t moves = 0;
   for (CellId c = 0; c < grid.NumCells(); ++c) {
@@ -20,7 +20,7 @@ TEST(StateSpaceTest, SizeDecomposition) {
 }
 
 TEST(StateSpaceTest, MoveIndexValidOnlyForNeighbors) {
-  const Grid grid(UnitBox(), 4);
+  const UniformGrid grid(UnitBox(), 4);
   const StateSpace states(grid);
   for (CellId a = 0; a < grid.NumCells(); ++a) {
     for (CellId b = 0; b < grid.NumCells(); ++b) {
@@ -36,7 +36,7 @@ TEST(StateSpaceTest, MoveIndexValidOnlyForNeighbors) {
 }
 
 TEST(StateSpaceTest, KindPredicatesPartitionTheSpace) {
-  const Grid grid(UnitBox(), 3);
+  const UniformGrid grid(UnitBox(), 3);
   const StateSpace states(grid);
   for (StateId s = 0; s < states.size(); ++s) {
     const int kinds = (states.IsMove(s) ? 1 : 0) + (states.IsEnter(s) ? 1 : 0) +
@@ -46,7 +46,7 @@ TEST(StateSpaceTest, KindPredicatesPartitionTheSpace) {
 }
 
 TEST(StateSpaceTest, EnterQuitIndices) {
-  const Grid grid(UnitBox(), 3);
+  const UniformGrid grid(UnitBox(), 3);
   const StateSpace states(grid);
   for (CellId c = 0; c < grid.NumCells(); ++c) {
     const StateId e = states.EnterIndex(c);
@@ -60,7 +60,7 @@ TEST(StateSpaceTest, EnterQuitIndices) {
 }
 
 TEST(StateSpaceTest, ToStringFormats) {
-  const Grid grid(UnitBox(), 2);
+  const UniformGrid grid(UnitBox(), 2);
   const StateSpace states(grid);
   EXPECT_EQ(states.ToString(states.MoveIndex(0, 1)), "m(0->1)");
   EXPECT_EQ(states.ToString(states.EnterIndex(2)), "e(2)");
@@ -68,7 +68,7 @@ TEST(StateSpaceTest, ToStringFormats) {
 }
 
 TEST(StateSpaceTest, MoveStatesFromMatchesNeighbors) {
-  const Grid grid(UnitBox(), 4);
+  const UniformGrid grid(UnitBox(), 4);
   const StateSpace states(grid);
   for (CellId c = 0; c < grid.NumCells(); ++c) {
     const auto ids = states.MoveStatesFrom(c);
@@ -86,7 +86,7 @@ TEST(StateSpaceTest, MoveStatesFromMatchesNeighbors) {
 class StateSpaceSweepTest : public testing::TestWithParam<uint32_t> {};
 
 TEST_P(StateSpaceSweepTest, EncodeDecodeRoundTripForAllStates) {
-  const Grid grid(UnitBox(), GetParam());
+  const UniformGrid grid(UnitBox(), GetParam());
   const StateSpace states(grid);
   for (StateId s = 0; s < states.size(); ++s) {
     const TransitionState decoded = states.Decode(s);
@@ -96,7 +96,7 @@ TEST_P(StateSpaceSweepTest, EncodeDecodeRoundTripForAllStates) {
 
 TEST_P(StateSpaceSweepTest, StateCountIsO9C) {
   const uint32_t k = GetParam();
-  const Grid grid(UnitBox(), k);
+  const UniformGrid grid(UnitBox(), k);
   const StateSpace states(grid);
   // |S| <= 9|C| + 2|C| = 11|C| (paper SIV-B complexity bound).
   EXPECT_LE(states.size(), 11 * grid.NumCells());

@@ -107,7 +107,7 @@ TEST(StreamingServiceTest, PureEventDrivenReleaseMatchesLegacyBatchReplay) {
   ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
   const CellStreamSet& streamed = snapshot.value();
 
-  // --- Legacy path: materialize the database, replay batches, Finish. ----
+  // --- Batch path: materialize the database, replay batches, snapshot. ---
   StreamDatabase db(box, kHorizon);
   for (const DeviceTrace& trace : traces) {
     UserStream stream;
@@ -121,7 +121,7 @@ TEST(StreamingServiceTest, PureEventDrivenReleaseMatchesLegacyBatchReplay) {
   for (int64_t t = 0; t < feeder.num_timestamps(); ++t) {
     legacy.Observe(feeder.Batch(t));
   }
-  const CellStreamSet batch = legacy.Finish(kHorizon);
+  const CellStreamSet batch = legacy.SnapshotRelease(kHorizon);
 
   // --- Identical releases. ------------------------------------------------
   ASSERT_EQ(streamed.num_timestamps(), batch.num_timestamps());
@@ -194,7 +194,7 @@ TEST(StreamingServiceTest, PoolEnabledAtOneThreadKeepsByteExactEquivalence) {
   for (int64_t t = 0; t < feeder.num_timestamps(); ++t) {
     serial.Observe(feeder.Batch(t));
   }
-  const CellStreamSet batch = serial.Finish(kHorizon);
+  const CellStreamSet batch = serial.SnapshotRelease(kHorizon);
 
   ASSERT_EQ(streamed.streams().size(), batch.streams().size());
   ASSERT_EQ(streamed.TotalPoints(), batch.TotalPoints());

@@ -22,7 +22,7 @@ CellStream MakeStream(std::vector<CellId> cells, int64_t enter = 0) {
 }
 
 TEST(DiameterErrorTest, IdenticalSetsAreZero) {
-  const Grid grid(BoundingBox{0.0, 0.0, 1.0, 1.0}, 4);
+  const UniformGrid grid(BoundingBox{0.0, 0.0, 1.0, 1.0}, 4);
   CellStreamSet set(5);
   set.Add(MakeStream({0, 1, 2, 3})).CheckOK();
   set.Add(MakeStream({5, 5, 5})).CheckOK();
@@ -30,7 +30,7 @@ TEST(DiameterErrorTest, IdenticalSetsAreZero) {
 }
 
 TEST(DiameterErrorTest, StationaryVsCrossingIsMaximal) {
-  const Grid grid(BoundingBox{0.0, 0.0, 1.0, 1.0}, 4);
+  const UniformGrid grid(BoundingBox{0.0, 0.0, 1.0, 1.0}, 4);
   CellStreamSet stay(5), cross(5);
   for (int i = 0; i < 20; ++i) {
     stay.Add(MakeStream({5, 5, 5})).CheckOK();  // diameter 0
@@ -45,7 +45,7 @@ TEST(DiameterErrorTest, DiameterUsesMaxPairNotBoundingBoxCorners) {
   // A diamond-shaped visit set: the bbox diagonal would overestimate the
   // true max pairwise distance. Both sets have the same true diameter, so
   // the error must be 0.
-  const Grid grid(BoundingBox{0.0, 0.0, 1.0, 1.0}, 5);
+  const UniformGrid grid(BoundingBox{0.0, 0.0, 1.0, 1.0}, 5);
   CellStreamSet diamond(5), straight(5);
   for (int i = 0; i < 10; ++i) {
     diamond.Add(MakeStream({grid.Cell(0, 2), grid.Cell(2, 0), grid.Cell(2, 4),

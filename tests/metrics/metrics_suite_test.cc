@@ -52,7 +52,7 @@ class MetricsSuiteTest : public testing::Test {
     return config;
   }
 
-  Grid grid_;
+  UniformGrid grid_;
   StateSpace states_;
 };
 

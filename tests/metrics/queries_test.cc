@@ -22,7 +22,7 @@ CellStreamSet MakeSet(int64_t horizon,
 }
 
 TEST(DensityIndexTest, PerTimestampCounts) {
-  const Grid grid(BoundingBox{0.0, 0.0, 1.0, 1.0}, 2);
+  const UniformGrid grid(BoundingBox{0.0, 0.0, 1.0, 1.0}, 2);
   const CellStreamSet set =
       MakeSet(3, {{0, {0, 1, 1}}, {1, {1, 3}}, {2, {2}}});
   const DensityIndex index(set, grid);
@@ -34,7 +34,7 @@ TEST(DensityIndexTest, PerTimestampCounts) {
 }
 
 TEST(DensityIndexTest, AggregateDensitySumsRange) {
-  const Grid grid(BoundingBox{0.0, 0.0, 1.0, 1.0}, 2);
+  const UniformGrid grid(BoundingBox{0.0, 0.0, 1.0, 1.0}, 2);
   const CellStreamSet set = MakeSet(3, {{0, {0, 0, 0}}, {0, {1, 1, 1}}});
   const DensityIndex index(set, grid);
   const auto agg = index.AggregateDensity(0, 2);
@@ -45,7 +45,7 @@ TEST(DensityIndexTest, AggregateDensitySumsRange) {
 
 TEST(DensityIndexTest, CountMatchesBruteForce) {
   // Property check: prefix-sum rectangle counts equal the naive scan.
-  const Grid grid(BoundingBox{0.0, 0.0, 1.0, 1.0}, 6);
+  const UniformGrid grid(BoundingBox{0.0, 0.0, 1.0, 1.0}, 6);
   Rng rng(3);
   CellStreamSet set(20);
   for (int i = 0; i < 150; ++i) {
@@ -79,7 +79,7 @@ TEST(DensityIndexTest, CountMatchesBruteForce) {
 }
 
 TEST(DensityIndexTest, TotalPointsInRange) {
-  const Grid grid(BoundingBox{0.0, 0.0, 1.0, 1.0}, 2);
+  const UniformGrid grid(BoundingBox{0.0, 0.0, 1.0, 1.0}, 2);
   const CellStreamSet set = MakeSet(4, {{0, {0, 1}}, {2, {3, 3}}});
   const DensityIndex index(set, grid);
   EXPECT_EQ(index.TotalPointsIn(0, 4), 4u);
@@ -88,7 +88,7 @@ TEST(DensityIndexTest, TotalPointsInRange) {
 }
 
 TEST(QueryGenerationTest, BoundsRespected) {
-  const Grid grid(BoundingBox{0.0, 0.0, 1.0, 1.0}, 10);
+  const UniformGrid grid(BoundingBox{0.0, 0.0, 1.0, 1.0}, 10);
   Rng rng(5);
   const auto queries = GenerateRandomQueries(grid, 100, 10, 200, rng);
   ASSERT_EQ(queries.size(), 200u);
@@ -105,7 +105,7 @@ TEST(QueryGenerationTest, BoundsRespected) {
 }
 
 TEST(QueryGenerationTest, PhiLargerThanHorizonStillValid) {
-  const Grid grid(BoundingBox{0.0, 0.0, 1.0, 1.0}, 4);
+  const UniformGrid grid(BoundingBox{0.0, 0.0, 1.0, 1.0}, 4);
   Rng rng(6);
   const auto queries = GenerateRandomQueries(grid, 5, 50, 10, rng);
   for (const RangeQuery& q : queries) {
@@ -114,7 +114,7 @@ TEST(QueryGenerationTest, PhiLargerThanHorizonStillValid) {
 }
 
 TEST(QueryGenerationTest, DeterministicGivenSeed) {
-  const Grid grid(BoundingBox{0.0, 0.0, 1.0, 1.0}, 8);
+  const UniformGrid grid(BoundingBox{0.0, 0.0, 1.0, 1.0}, 8);
   Rng a(7), b(7);
   const auto qa = GenerateRandomQueries(grid, 50, 5, 20, a);
   const auto qb = GenerateRandomQueries(grid, 50, 5, 20, b);

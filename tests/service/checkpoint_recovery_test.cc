@@ -16,6 +16,7 @@
 
 #include "checkpoint/checkpoint_format.h"
 #include "common/file_io.h"
+#include "common/thread_pool.h"
 #include "geo/grid.h"
 #include "geo/grid_factory.h"
 #include "journal/journal_compaction.h"
@@ -369,8 +370,8 @@ TEST(CheckpointRecoveryTest, ValidForeignCheckpointIsRefusedLoudly) {
 }
 
 TEST(CheckpointRecoveryTest, ChangedDeploymentIsRefusedLoudly) {
-  // Changing the grid, an engine-config field, or the recycling flag between
-  // the crash and the recovery must refuse, not replay-and-diverge.
+  // Changing the grid or an engine-config field between the crash and the
+  // recovery must refuse, not replay-and-diverge.
   const BoundingBox box{0.0, 0.0, 400.0, 400.0};
   const auto grid_owner = MakeEnvGrid(box, 3);
   const SpatialGrid& grid = *grid_owner;
@@ -390,18 +391,51 @@ TEST(CheckpointRecoveryTest, ChangedDeploymentIsRefusedLoudly) {
   EXPECT_EQ(TrajectoryService::Recover(states, reseeded).status().code(),
             StatusCode::kFailedPrecondition);
 
-  RetraSynConfig no_recycling = config;
-  no_recycling.recycle_stream_indices = false;
-  EXPECT_EQ(TrajectoryService::Recover(states, no_recycling).status().code(),
+  RetraSynConfig alpha = config;
+  alpha.allocation.alpha = 2.0;
+  ASSERT_NE(alpha.allocation.alpha, config.allocation.alpha);
+  EXPECT_EQ(TrajectoryService::Recover(states, alpha).status().code(),
             StatusCode::kFailedPrecondition);
 
-  const Grid finer(box, 6);
+  const UniformGrid finer(box, 6);
   const StateSpace finer_states(finer);
   EXPECT_EQ(TrajectoryService::Recover(finer_states, config).status().code(),
             StatusCode::kFailedPrecondition);
 
   // The unchanged deployment still recovers.
   EXPECT_TRUE(TrajectoryService::Recover(states, config).ok());
+}
+
+TEST(CheckpointRecoveryTest, AutoThreadCountResolvedOnAnotherPoolIsRefused) {
+  // num_threads = 0 behind a checkpoint: the checkpointed engine state and
+  // the journal suffix were produced with the chunking of a 2-thread pool,
+  // so recovery on a 4-thread pool must refuse rather than continue with
+  // different chunks.
+  const BoundingBox box{0.0, 0.0, 400.0, 400.0};
+  const auto grid_owner = MakeEnvGrid(box, 4);
+  const SpatialGrid& grid = *grid_owner;
+  const StateSpace states(grid);
+  TempDir parent;
+
+  RetraSynConfig config = CheckpointedConfig(parent.path());
+  config.num_threads = 0;
+  config.thread_pool = std::make_shared<ThreadPool>(2);
+  {
+    auto service = TrajectoryService::Create(states, config);
+    ASSERT_TRUE(service.ok()) << service.status().ToString();
+    DriveChurnRounds(service.value()->session(), grid, 0, 12, 20, 4);
+    ASSERT_TRUE(service.value()->Drain().ok());
+    ASSERT_EQ(service.value()->checkpoint()->last_checkpoint_round(), 10);
+  }
+
+  RetraSynConfig wider = config;
+  wider.thread_pool = std::make_shared<ThreadPool>(4);
+  EXPECT_EQ(TrajectoryService::Recover(states, wider).status().code(),
+            StatusCode::kFailedPrecondition);
+
+  auto same = TrajectoryService::Recover(states, config);
+  ASSERT_TRUE(same.ok()) << same.status().ToString();
+  EXPECT_EQ(same.value()->checkpoint()->last_checkpoint_round(), 10);
 }
 
 TEST(CheckpointRecoveryTest, CheckpointDirDeletedMidRunPoisonsTicksOnly) {
@@ -566,7 +600,6 @@ class NullEngine : public StreamReleaseEngine {
     return CellStreamSet(n);
   }
   std::vector<uint32_t> LiveDensity() const override { return {0}; }
-  CellStreamSet Finish(int64_t n) override { return CellStreamSet(n); }
   std::string name() const override { return "null-engine"; }
 };
 

@@ -65,7 +65,7 @@ TEST(GoldenReleaseTest, InlinePipelineMatchesPreRefactorBytes) {
   const std::string want = LoadGoldenBytes();
   ASSERT_FALSE(want.empty());
 
-  const Grid grid(kBox, 4);
+  const UniformGrid grid(kBox, 4);
   const StateSpace states(grid);
   auto service = TrajectoryService::Create(states, GoldenConfig());
   ASSERT_TRUE(service.ok()) << service.status().ToString();
@@ -84,7 +84,7 @@ TEST(GoldenReleaseTest, AsyncPipelineMatchesPreRefactorBytes) {
   const std::string want = LoadGoldenBytes();
   ASSERT_FALSE(want.empty());
 
-  const Grid grid(kBox, 4);
+  const UniformGrid grid(kBox, 4);
   const StateSpace states(grid);
   RetraSynConfig config = GoldenConfig();
   config.sync_policy = SyncPolicy::kAsync;
@@ -107,7 +107,7 @@ TEST(GoldenReleaseTest, KillAndRecoverMatchesPreRefactorBytes) {
   const std::string want = LoadGoldenBytes();
   ASSERT_FALSE(want.empty());
 
-  const Grid grid(kBox, 4);
+  const UniformGrid grid(kBox, 4);
   const StateSpace states(grid);
   const auto traces = GoldenWorkload();
   TempDir dir;

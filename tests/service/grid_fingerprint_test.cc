@@ -81,7 +81,7 @@ DensitySnapshot CornerDensity(uint32_t ix, uint32_t iy) {
 }
 
 TEST(GridFingerprintTest, JournalRefusesRecoveryUnderADifferentBackend) {
-  const Grid uniform(kBox, 4);
+  const UniformGrid uniform(kBox, 4);
   const StateSpace uniform_states(uniform);
   auto quad = MakeSpatialGrid(kBox, 4, GridBackend::kQuadtree);
   ASSERT_TRUE(quad.ok()) << quad.status().ToString();
@@ -164,7 +164,7 @@ TEST(GridFingerprintTest, CheckpointGridDescriptionIsVerifiedVerbatim) {
   auto quad = MakeSpatialGrid(kBox, 4, GridBackend::kQuadtree);
   ASSERT_TRUE(quad.ok());
   const StateSpace quad_states(*quad.value());
-  const Grid uniform(kBox, 4);
+  const UniformGrid uniform(kBox, 4);
   const StateSpace uniform_states(uniform);
 
   TempDir quad_dir;

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <memory>
 #include <vector>
 
 #include "core/engine.h"
@@ -139,53 +140,57 @@ TEST(HorizonSoakTest, ChurnKeepsIndexSpaceAndDenseStateBounded) {
   }
 }
 
+/// A service whose session mints cumulative stream indices: a caller-built
+/// engine (CreateWithEngine) never gets its indices recycled.
+std::unique_ptr<TrajectoryService> CumulativeIndexService(
+    const StateSpace& states, const RetraSynConfig& config) {
+  auto service = TrajectoryService::CreateWithEngine(
+      states, std::make_unique<RetraSynEngine>(states, config), config);
+  EXPECT_TRUE(service.ok()) << service.status().ToString();
+  return service.ok() ? std::move(service).value() : nullptr;
+}
+
 TEST(HorizonSoakTest, LegacyModeGrowsLinearlyProvingTheLeakExisted) {
-  // Control experiment (short): with recycling off, the index high-water and
-  // the dense engine state grow with every stream ever started.
+  // Control experiment (short): with cumulative indices, the index
+  // high-water and the dense engine state grow with every stream ever
+  // started.
   constexpr int64_t kRounds = 400;
   const BoundingBox box{0.0, 0.0, 100.0, 100.0};
   const auto grid_owner = MakeEnvGrid(box, 2);
   const SpatialGrid& grid = *grid_owner;
   const StateSpace states(grid);
 
-  RetraSynConfig config = SoakConfig();
-  config.recycle_stream_indices = false;
-  auto service = TrajectoryService::Create(states, config);
-  ASSERT_TRUE(service.ok());
-  IngestSession& session = service.value()->session();
+  auto service = CumulativeIndexService(states, SoakConfig());
+  ASSERT_NE(service, nullptr);
+  IngestSession& session = service->session();
   for (int64_t t = 0; t < kRounds; ++t) {
     DriveChurnRound(session, grid, t);
     if (testing::Test::HasFatalFailure()) return;
   }
   EXPECT_EQ(session.index_high_water(),
             static_cast<uint32_t>(kChurn * kRounds));
-  EXPECT_GE(service.value()->retrasyn_engine()->dense_user_slots(),
+  EXPECT_GE(service->retrasyn_engine()->dense_user_slots(),
             static_cast<size_t>(kChurn * kRounds - kLive));
 }
 
 TEST(HorizonSoakTest, ChurnReleaseByteIdenticalWithRecyclingOnAndOff) {
-  // The A/B contract behind the default-on flag: recycled indices resolve to
-  // dense slots indistinguishable from fresh ones, so the released bytes
-  // must match the legacy cumulative assignment exactly.
+  // Recycled indices resolve to dense slots indistinguishable from fresh
+  // ones, so the released bytes must match a cumulative-index session over
+  // the same engine config exactly.
   constexpr int64_t kRounds = 400;
   const BoundingBox box{0.0, 0.0, 100.0, 100.0};
   const auto grid_owner = MakeEnvGrid(box, 2);
   const SpatialGrid& grid = *grid_owner;
   const StateSpace states(grid);
 
-  auto run = [&](bool recycle) {
-    RetraSynConfig config = SoakConfig();
-    config.recycle_stream_indices = recycle;
-    auto service = TrajectoryService::Create(states, config);
-    EXPECT_TRUE(service.ok());
-    for (int64_t t = 0; t < kRounds; ++t) {
-      DriveChurnRound(service.value()->session(), grid, t);
-    }
-    return std::move(service).value();
-  };
-  auto on = run(true);
-  auto off = run(false);
-  if (testing::Test::HasFatalFailure()) return;
+  auto on = TrajectoryService::Create(states, SoakConfig()).ValueOrDie();
+  auto off = CumulativeIndexService(states, SoakConfig());
+  ASSERT_NE(off, nullptr);
+  for (int64_t t = 0; t < kRounds; ++t) {
+    DriveChurnRound(on->session(), grid, t);
+    DriveChurnRound(off->session(), grid, t);
+    if (testing::Test::HasFatalFailure()) return;
+  }
   EXPECT_LT(on->session().index_high_water(),
             off->session().index_high_water() / 4);
   auto got = on->SnapshotRelease();

@@ -34,7 +34,7 @@ struct Fixture {
     return grid.CellCenter(grid.Cell(row, col));
   }
 
-  Grid grid;
+  UniformGrid grid;
   StateSpace states;
 };
 

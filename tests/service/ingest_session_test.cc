@@ -39,7 +39,7 @@ struct SessionFixture {
     return grid.CellCenter(grid.Cell(row, col));
   }
 
-  Grid grid;
+  UniformGrid grid;
   StateSpace states;
   std::vector<TimestampBatch> batches;
 };
@@ -355,7 +355,7 @@ TEST(IngestSessionTest, ReplayMatchesStreamFeederBatches) {
   config.mean_arrivals = 10.0;
   Rng rng(77);
   const StreamDatabase db = GenerateRandomWalkStreams(config, rng);
-  const Grid grid(db.box(), 4);
+  const UniformGrid grid(db.box(), 4);
   const StateSpace states(grid);
   const StreamFeeder feeder(db, grid, states);
 
@@ -790,7 +790,7 @@ TEST(IngestSessionTest, ReplayedEngineReleaseIsByteIdenticalToLegacyPath) {
   data_config.mean_arrivals = 25.0;
   Rng rng(5);
   const StreamDatabase db = GenerateHotspotStreams(data_config, rng);
-  const Grid grid(db.box(), 4);
+  const UniformGrid grid(db.box(), 4);
   const StateSpace states(grid);
 
   RetraSynConfig config;
@@ -806,7 +806,8 @@ TEST(IngestSessionTest, ReplayedEngineReleaseIsByteIdenticalToLegacyPath) {
   for (int64_t t = 0; t < feeder.num_timestamps(); ++t) {
     legacy.Observe(feeder.Batch(t));
   }
-  const CellStreamSet expected = legacy.Finish(feeder.num_timestamps());
+  const CellStreamSet expected =
+      legacy.SnapshotRelease(feeder.num_timestamps());
 
   // Service path.
   auto service = TrajectoryService::Create(states, config);

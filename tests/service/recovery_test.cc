@@ -13,6 +13,7 @@
 
 #include "common/file_io.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/release_server.h"
 #include "geo/grid.h"
 #include "geo/grid_factory.h"
@@ -640,12 +641,78 @@ TEST(RecoveryTest, RecoverUnderAChangedDeploymentIsRefused) {
   EXPECT_EQ(TrajectoryService::Recover(states, reseeded).status().code(),
             StatusCode::kFailedPrecondition);
 
-  const Grid finer(box, 6);
+  const UniformGrid finer(box, 6);
   const StateSpace finer_states(finer);
   EXPECT_EQ(TrajectoryService::Recover(finer_states, journaled).status().code(),
             StatusCode::kFailedPrecondition);
 
   // The unchanged deployment still recovers.
+  EXPECT_TRUE(TrajectoryService::Recover(states, journaled).ok());
+}
+
+TEST(RecoveryTest, ChangedAllocationAlphaOrKappaIsRefused) {
+  // The adaptive allocation's alpha and kappa steer every round's budget
+  // portion, so replay under either changed would silently diverge.
+  const BoundingBox box{0.0, 0.0, 400.0, 400.0};
+  const auto grid_owner = MakeEnvGrid(box, 3);
+  const SpatialGrid& grid = *grid_owner;
+  const StateSpace states(grid);
+  const auto traces = MakeWorkload(3, 10);
+  TempDir dir;
+
+  RetraSynConfig journaled = BaseConfig();
+  journaled.journal_dir = dir.path();
+  ASSERT_EQ(journaled.allocation.alpha, 8.0);
+  {
+    auto service = TrajectoryService::Create(states, journaled);
+    ASSERT_TRUE(service.ok());
+    DriveRounds(service.value()->session(), traces, 0, 4);
+  }
+
+  RetraSynConfig alpha = journaled;
+  alpha.allocation.alpha = 2.0;
+  EXPECT_EQ(TrajectoryService::Recover(states, alpha).status().code(),
+            StatusCode::kFailedPrecondition);
+  RetraSynConfig kappa = journaled;
+  kappa.allocation.kappa = journaled.allocation.kappa + 1;
+  EXPECT_EQ(TrajectoryService::Recover(states, kappa).status().code(),
+            StatusCode::kFailedPrecondition);
+
+  EXPECT_TRUE(TrajectoryService::Recover(states, journaled).ok());
+}
+
+TEST(RecoveryTest, AutoThreadCountResolvedOnAnotherPoolIsRefused) {
+  // num_threads = 0 resolves to the shared pool's size, and the resolved
+  // count sets the synthesis chunking. A journal written on a 2-thread pool
+  // must not replay on a 4-thread one.
+  const BoundingBox box{0.0, 0.0, 400.0, 400.0};
+  const auto grid_owner = MakeEnvGrid(box, 4);
+  const SpatialGrid& grid = *grid_owner;
+  const StateSpace states(grid);
+  const auto traces = MakeWorkload(5, 40);
+  TempDir dir;
+
+  RetraSynConfig journaled = BaseConfig();
+  journaled.journal_dir = dir.path();
+  journaled.num_threads = 0;
+  journaled.thread_pool = std::make_shared<ThreadPool>(2);
+  {
+    auto service = TrajectoryService::Create(states, journaled);
+    ASSERT_TRUE(service.ok()) << service.status().ToString();
+    DriveRounds(service.value()->session(), traces, 0, 6);
+  }
+
+  RetraSynConfig wider = journaled;
+  wider.thread_pool = std::make_shared<ThreadPool>(4);
+  EXPECT_EQ(TrajectoryService::Recover(states, wider).status().code(),
+            StatusCode::kFailedPrecondition);
+
+  // The same resolution still recovers, and so does the explicit count it
+  // resolved to.
+  RetraSynConfig explicit_two = journaled;
+  explicit_two.num_threads = 2;
+  explicit_two.thread_pool = nullptr;
+  EXPECT_TRUE(TrajectoryService::Recover(states, explicit_two).ok());
   EXPECT_TRUE(TrajectoryService::Recover(states, journaled).ok());
 }
 

@@ -60,10 +60,6 @@ class StubEngine : public StreamReleaseEngine {
     return density;
   }
 
-  CellStreamSet Finish(int64_t num_timestamps) override {
-    return SnapshotRelease(num_timestamps);
-  }
-
   std::string name() const override { return "stub"; }
 
   int64_t observed() const { return observed_; }

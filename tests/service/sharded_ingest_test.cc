@@ -276,39 +276,6 @@ TEST(ShardedIngestTest, ConcurrentProducersReleaseIdenticalBytes) {
   ExpectSameRelease(got.value(), want.value());
 }
 
-TEST(ShardedIngestTest, BufferReuseDisabledReleasesIdenticalBytes) {
-  // reuse_seal_buffers is a pure allocation knob: on or off, same bytes.
-  const BoundingBox box{0.0, 0.0, 400.0, 400.0};
-  const auto grid_owner = MakeEnvGrid(box, 4);
-  const SpatialGrid& grid = *grid_owner;
-  const StateSpace states(grid);
-  const auto traces = MakeWorkload(23, 60);
-
-  RetraSynConfig fresh_each_round = BaseConfig();
-  fresh_each_round.ingest_shards = 4;
-  fresh_each_round.reuse_seal_buffers = false;
-  auto a = TrajectoryService::Create(states, fresh_each_round);
-  ASSERT_TRUE(a.ok());
-  DriveRounds(a.value()->session(), traces, 0, kHorizon);
-
-  RetraSynConfig reusing = BaseConfig();
-  reusing.ingest_shards = 4;
-  auto b = TrajectoryService::Create(states, reusing);
-  ASSERT_TRUE(b.ok());
-  DriveRounds(b.value()->session(), traces, 0, kHorizon);
-
-  auto got = a.value()->SnapshotRelease();
-  auto want = b.value()->SnapshotRelease();
-  ASSERT_TRUE(got.ok());
-  ASSERT_TRUE(want.ok());
-  ExpectSameRelease(got.value(), want.value());
-
-  // The reusing run actually recycled observation buffers...
-  EXPECT_GT(b.value()->ingest_stats().obs_buffers_reused, 0u);
-  // ...and the non-reusing run never did.
-  EXPECT_EQ(a.value()->ingest_stats().obs_buffers_reused, 0u);
-}
-
 TEST(ShardedIngestTest, IngestStatsTrackQueueDepthsAndTimings) {
   const BoundingBox box{0.0, 0.0, 400.0, 400.0};
   const auto grid_owner = MakeEnvGrid(box, 4);
@@ -329,6 +296,8 @@ TEST(ShardedIngestTest, IngestStatsTrackQueueDepthsAndTimings) {
   EXPECT_GT(stats.seal_seconds, 0.0);
   EXPECT_GT(stats.merge_seconds, 0.0);
   EXPECT_GT(stats.commit_seconds, 0.0);
+  // Consumed batches come back to the seal pool and later rounds reuse them.
+  EXPECT_GT(stats.obs_buffers_reused, 0u);
 
   uint64_t accepted = 0, peak = 0, rejected = 0;
   for (const IngestShardStats& shard : stats.shards) {

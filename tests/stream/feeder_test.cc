@@ -17,7 +17,7 @@ class FeederTest : public testing::Test {
 
   Point CellPoint(CellId c) const { return grid_.CellCenter(c); }
 
-  Grid grid_;
+  UniformGrid grid_;
   StateSpace states_;
 };
 
@@ -104,7 +104,7 @@ TEST_F(FeederTest, CellStreamsMatchDiscretization) {
 TEST(FeederClampTest, NonAdjacentMovementsAreClamped) {
   // 5x5 grid; a jump from cell (0,0) to (0,4) violates adjacency and must be
   // clamped to a neighbor of the source.
-  const Grid grid(BoundingBox{0.0, 0.0, 1.0, 1.0}, 5);
+  const UniformGrid grid(BoundingBox{0.0, 0.0, 1.0, 1.0}, 5);
   const StateSpace states(grid);
   StreamDatabase db(grid.box(), 2);
   UserStream u;
@@ -128,7 +128,7 @@ TEST(FeederClampTest, NonAdjacentMovementsAreClamped) {
 }
 
 TEST(FeederStressTest, EveryObservationEncodable) {
-  const Grid grid(BoundingBox{0.0, 0.0, 1000.0, 1000.0}, 6);
+  const UniformGrid grid(BoundingBox{0.0, 0.0, 1000.0, 1000.0}, 6);
   const StateSpace states(grid);
   Rng rng(5);
   RandomWalkConfig config;

@@ -173,7 +173,7 @@ TEST(HotspotGeneratorTest, SpatialSkewExists) {
   config.initial_users = 500;
   config.mean_arrivals = 30.0;
   const StreamDatabase db = GenerateHotspotStreams(config, rng);
-  const Grid grid(config.box, 6);
+  const UniformGrid grid(config.box, 6);
   std::vector<uint64_t> counts(grid.NumCells(), 0);
   uint64_t total = 0;
   for (const auto& s : db.streams()) {

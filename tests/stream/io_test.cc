@@ -154,7 +154,7 @@ TEST(IoTest, WriteThenLoadRoundTrip) {
 }
 
 TEST(IoTest, WriteCellStreams) {
-  const Grid grid(BoundingBox{0.0, 0.0, 1.0, 1.0}, 2);
+  const UniformGrid grid(BoundingBox{0.0, 0.0, 1.0, 1.0}, 2);
   CellStreamSet set(3);
   CellStream s;
   s.enter_time = 0;

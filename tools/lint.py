@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific static lint gates, run by ctest and the CI static-analysis job.
 
-Three checks, all over src/ (tests and benches may use what they like):
+Four checks, all over src/ (tests and benches may use what they like):
 
   1. No naked synchronization primitives. Every mutex in src/ must be the
      annotated retrasyn::Mutex from common/mutex.h; a raw std::mutex is
@@ -14,6 +14,12 @@ Three checks, all over src/ (tests and benches may use what they like):
   3. No heap allocation in functions marked `// HOT PATH`. The marker is a
      reviewed claim that a function is allocation-free at steady state; this
      check keeps the claim true as the function evolves.
+  4. The deployment fingerprint covers the mechanism config. Every data
+     member declared directly in RetraSynConfig or AllocationConfig must
+     appear as `config.<field>` (`config.allocation.<field>`) inside
+     DeploymentFingerprint, or sit in FINGERPRINT_ALLOWLIST with a reason. A
+     field the hash misses lets Recover replay a journal or checkpoint under
+     a changed setting and silently diverge.
 
 Comments and string/char literals are stripped before matching, so prose like
 "time (rush hours)" or a banned token inside an error message never trips a
@@ -81,6 +87,29 @@ HOT_PATH_ALLOC = [
 
 HOT_PATH_MARKER = re.compile(r"//\s*HOT PATH")
 
+# Where the fingerprinted config structs and the fingerprint live.
+CONFIG_STRUCTS = [
+    # (header, struct name, how a field is spelled inside the fingerprint)
+    (os.path.join("src", "core", "engine.h"), "RetraSynConfig", "config."),
+    (os.path.join("src", "core", "allocation.h"), "AllocationConfig",
+     "config.allocation."),
+]
+FINGERPRINT_FILE = os.path.join("src", "service", "trajectory_service.cc")
+FINGERPRINT_SIGNATURE = re.compile(
+    r"DeploymentFingerprint\s*\([^)]*"
+    r"\bconst\s+RetraSynConfig\s*&\s*config\s*\)")
+
+# Fields the fingerprint covers some other way: struct.field -> (reason, a
+# pattern the fingerprint body must contain instead).
+FINGERPRINT_ALLOWLIST = {
+    "RetraSynConfig.num_threads": (
+        "hashed via the resolved count (0 = auto resolves from the pool or "
+        "the hardware)", r"\bResolveThreads\s*\(\s*config\s*\)"),
+    "RetraSynConfig.thread_pool": (
+        "only its size matters, and only for num_threads = 0: hashed via the "
+        "resolved count", r"\bResolveThreads\s*\(\s*config\s*\)"),
+}
+
 
 def strip_comments_and_strings(text):
     """Blanks comments and string/char literal *contents* with spaces. The
@@ -144,6 +173,83 @@ def hot_path_regions(original, stripped):
                     break
 
 
+def brace_body(stripped, open_brace):
+    """Offset just past the brace that closes the one at \p open_brace."""
+    depth = 0
+    for i in range(open_brace, len(stripped)):
+        if stripped[i] == "{":
+            depth += 1
+        elif stripped[i] == "}":
+            depth -= 1
+            if depth == 0:
+                return i + 1
+    return len(stripped)
+
+
+def struct_fields(stripped, name):
+    """Yields (field, offset) for the data members declared directly in
+    `struct name` (nested types, static members and functions skipped)."""
+    m = re.search(r"\bstruct\s+" + name + r"\b[^;{]*\{", stripped)
+    if m is None:
+        return
+    start = m.end()
+    end = brace_body(stripped, m.end() - 1) - 1
+    depth = 0
+    stmt_start = start
+    for i in range(start, end):
+        c = stripped[i]
+        if c == "{":
+            depth += 1
+        elif c == "}":
+            depth -= 1
+            if depth == 0:
+                stmt_start = i + 1  # end of a nested body / inline function
+        elif c == ";" and depth == 0:
+            raw = stripped[stmt_start:i]
+            stmt = raw.strip()
+            offset = stmt_start + len(raw) - len(raw.lstrip())
+            stmt_start = i + 1
+            declarator = re.split(r"=|\{", stmt, maxsplit=1)[0]
+            if (not stmt or "(" in declarator or
+                    re.match(r"(static|using|enum|struct|class|friend|"
+                             r"typedef)\b", stmt)):
+                continue
+            field = re.search(r"(\w+)\s*(\[[^\]]*\])?\s*$", declarator)
+            if field is not None:
+                yield field.group(1), offset
+
+
+def lint_fingerprint(root, findings):
+    with open(os.path.join(root, FINGERPRINT_FILE), encoding="utf-8") as f:
+        stripped = strip_comments_and_strings(f.read())
+    m = FINGERPRINT_SIGNATURE.search(stripped)
+    if m is None:
+        findings.append((FINGERPRINT_FILE, 1,
+                         "DeploymentFingerprint(states, RetraSynConfig) not "
+                         "found"))
+        return
+    open_brace = stripped.find("{", m.end())
+    body = stripped[open_brace:brace_body(stripped, open_brace)]
+    for header, struct, prefix in CONFIG_STRUCTS:
+        with open(os.path.join(root, header), encoding="utf-8") as f:
+            text = strip_comments_and_strings(f.read())
+        for field, offset in struct_fields(text, struct):
+            key = struct + "." + field
+            if key in FINGERPRINT_ALLOWLIST:
+                witness = FINGERPRINT_ALLOWLIST[key][1]
+                if re.search(witness, body):
+                    continue
+                message = ("%s is allowlisted as covered by /%s/, which "
+                           "DeploymentFingerprint lacks" % (key, witness))
+            elif re.search(re.escape(prefix + field) + r"\b", body):
+                continue
+            else:
+                message = ("%s is not hashed by DeploymentFingerprint (add "
+                           "%s%s there, or allowlist it with a reason in "
+                           "tools/lint.py)" % (key, prefix, field))
+            findings.append((header, line_of(text, offset), message))
+
+
 def lint_file(root, rel, findings):
     path = os.path.join(root, rel)
     with open(path, encoding="utf-8") as f:
@@ -180,6 +286,7 @@ def main():
             rel = os.path.relpath(os.path.join(dirpath, name), root)
             num_files += 1
             lint_file(root, rel, findings)
+    lint_fingerprint(root, findings)
     findings.sort()
     for rel, line, message in findings:
         print(f"{rel}:{line}: {message}")
