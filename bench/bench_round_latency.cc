@@ -12,10 +12,14 @@
 //   cached  — alias samplers, serial. The single-thread baseline.
 //   cached_telemetry
 //           — cached with a Telemetry attached to the synthesizer: measures
-//             what metric recording costs the hot path. --telemetry_budget
-//             (fraction, e.g. 0.03) makes the bench exit nonzero when the
-//             attached p50 exceeds the detached p50 by more than the budget
-//             at any sweep point — the CI overhead gate.
+//             what metric recording costs the hot path. The two modes run
+//             interleaved, round by round, alternating which one goes first,
+//             so drift on a shared host hits both alike; the overhead is the
+//             median over rounds of the per-pair ratio attached / detached,
+//             minus one. --telemetry_budget (fraction, e.g. 0.03) makes the
+//             bench exit nonzero when that overhead exceeds the budget at
+//             any sweep point — the CI overhead gate. It needs at least
+//             kMinGatePairs rounds.
 //   pooled  — alias samplers + persistent ThreadPool at --threads.
 //
 // The sweep also carries a grid-backend dimension (--backends, default
@@ -28,7 +32,8 @@
 // BENCH_synthesis.json) with one record per (backend, grid, population,
 // mode); see docs/performance.md for the schema and acceptance thresholds.
 //
-// Quick mode for CI smoke runs: --quick sweeps one point with few rounds.
+// Quick mode for CI smoke runs: --quick sweeps one point per backend, with
+// enough rounds for the overhead gate.
 
 #include <algorithm>
 #include <cinttypes>
@@ -73,6 +78,15 @@ struct SweepPoint {
   std::vector<ModeResult> modes;
 };
 
+/// The overhead gate's minimum number of interleaved round pairs.
+constexpr int kMinGatePairs = 15;
+
+/// Upper median of \p values (which must be non-empty).
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
 std::vector<double> RandomFrequencies(const StateSpace& states, Rng& rng) {
   std::vector<double> f(states.size());
   for (double& x : f) x = rng.UniformDouble() * 0.01;
@@ -96,57 +110,114 @@ void PerturbModel(GlobalMobilityModel& model, const StateSpace& states,
   model.UpdateStates(selected, fresh);
 }
 
+/// One mode's synthesizer, stepped one measured round at a time so that two
+/// modes can be interleaved.
+class ModeRun {
+ public:
+  ModeRun(const std::string& mode, const StateSpace& states,
+          uint32_t population, int threads, ThreadPool* pool, int warmup,
+          uint64_t seed)
+      : states_(states),
+        population_(population),
+        model_(states),
+        model_rng_(seed),
+        synthesizer_(states, MakeConfig(threads)),
+        rng_(seed + 1) {
+    model_.ReplaceAll(RandomFrequencies(states, model_rng_));
+    synthesizer_.SetThreadPool(pool);
+    result_.mode = mode;
+    result_.threads = threads;
+    result_.telemetry = mode == "cached_telemetry";
+    if (result_.telemetry) synthesizer_.AttachTelemetry(&telemetry_);
+    synthesizer_.Initialize(model_, population, 0, rng_);
+    for (int i = 0; i < warmup; ++i) {
+      PerturbModel(model_, states_, model_rng_);
+      synthesizer_.Step(model_, population_, t_++, rng_);
+    }
+  }
+
+  /// Runs one measured round and returns its wall time in ms.
+  double Step() {
+    PerturbModel(model_, states_, model_rng_);
+    const uint64_t before = synthesizer_.total_points();
+    Stopwatch watch;
+    synthesizer_.Step(model_, population_, t_++, rng_);
+    const double s = watch.ElapsedSeconds();
+    total_s_ += s;
+    points_ += synthesizer_.total_points() - before;
+    round_ms_.push_back(s * 1e3);
+    return s * 1e3;
+  }
+
+  ModeResult Result() const {
+    ModeResult result = result_;
+    result.rounds = static_cast<int>(round_ms_.size());
+    result.mean_round_ms = total_s_ / result.rounds * 1e3;
+    result.p50_round_ms = Median(round_ms_);
+    result.min_round_ms =
+        *std::min_element(round_ms_.begin(), round_ms_.end());
+    result.points_per_sec = total_s_ > 0.0 ? points_ / total_s_ : 0.0;
+    return result;
+  }
+
+ private:
+  static SynthesizerConfig MakeConfig(int threads) {
+    SynthesizerConfig config;
+    config.lambda = 50.0;
+    config.num_threads = threads;
+    return config;
+  }
+
+  const StateSpace& states_;
+  const uint32_t population_;
+  GlobalMobilityModel model_;
+  Rng model_rng_;
+  // Declared before the synthesizer: attached components keep raw metric
+  // pointers until they stop stepping.
+  Telemetry telemetry_;
+  Synthesizer synthesizer_;
+  Rng rng_;
+  int64_t t_ = 1;
+  ModeResult result_;
+  double total_s_ = 0.0;
+  uint64_t points_ = 0;
+  std::vector<double> round_ms_;
+};
+
 ModeResult RunMode(const std::string& mode, const StateSpace& states,
                    uint32_t population, int threads, ThreadPool* pool,
                    int warmup, int rounds, uint64_t seed) {
-  GlobalMobilityModel model(states);
-  Rng model_rng(seed);
-  model.ReplaceAll(RandomFrequencies(states, model_rng));
+  ModeRun run(mode, states, population, threads, pool, warmup, seed);
+  for (int i = 0; i < rounds; ++i) run.Step();
+  return run.Result();
+}
 
-  SynthesizerConfig config;
-  config.lambda = 50.0;
-  config.num_threads = threads;
-  // Declared before the synthesizer: attached components keep raw metric
-  // pointers until they stop stepping.
-  Telemetry telemetry;
-  Synthesizer synthesizer(states, config);
-  synthesizer.SetThreadPool(pool);
-  const bool with_telemetry = mode == "cached_telemetry";
-  if (with_telemetry) synthesizer.AttachTelemetry(&telemetry);
-  Rng rng(seed + 1);
-  synthesizer.Initialize(model, population, 0, rng);
-
-  ModeResult result;
-  result.mode = mode;
-  result.threads = threads;
-  result.rounds = rounds;
-  result.telemetry = with_telemetry;
-  result.min_round_ms = 1e300;
-  int64_t t = 1;
-  for (int i = 0; i < warmup; ++i) {
-    PerturbModel(model, states, model_rng);
-    synthesizer.Step(model, population, t++, rng);
-  }
-  double total_s = 0.0;
-  uint64_t points = 0;
-  std::vector<double> round_ms;
-  round_ms.reserve(static_cast<size_t>(rounds));
+/// Runs `cached` and `cached_telemetry` interleaved round by round,
+/// alternating which goes first, appends both results to \p modes and
+/// returns the telemetry overhead: the median per-round ratio minus one.
+double RunTelemetryPair(const StateSpace& states, uint32_t population,
+                        int warmup, int rounds, uint64_t seed,
+                        std::vector<ModeResult>* modes) {
+  ModeRun detached("cached", states, population, 1, nullptr, warmup, seed);
+  ModeRun attached("cached_telemetry", states, population, 1, nullptr, warmup,
+                   seed);
+  std::vector<double> ratios;
+  ratios.reserve(static_cast<size_t>(rounds));
   for (int i = 0; i < rounds; ++i) {
-    PerturbModel(model, states, model_rng);
-    const uint64_t before = synthesizer.total_points();
-    Stopwatch watch;
-    synthesizer.Step(model, population, t++, rng);
-    const double s = watch.ElapsedSeconds();
-    total_s += s;
-    points += synthesizer.total_points() - before;
-    round_ms.push_back(s * 1e3);
-    result.min_round_ms = std::min(result.min_round_ms, s * 1e3);
+    double detached_ms = 0.0;
+    double attached_ms = 0.0;
+    if (i % 2 == 0) {
+      detached_ms = detached.Step();
+      attached_ms = attached.Step();
+    } else {
+      attached_ms = attached.Step();
+      detached_ms = detached.Step();
+    }
+    ratios.push_back(attached_ms / detached_ms);
   }
-  result.mean_round_ms = total_s / rounds * 1e3;
-  std::sort(round_ms.begin(), round_ms.end());
-  result.p50_round_ms = round_ms[round_ms.size() / 2];
-  result.points_per_sec = total_s > 0.0 ? points / total_s : 0.0;
-  return result;
+  modes->push_back(detached.Result());
+  modes->push_back(attached.Result());
+  return Median(ratios) - 1.0;
 }
 
 bool WriteJson(const std::string& path, const std::vector<SweepPoint>& sweep) {
@@ -221,7 +292,8 @@ std::vector<uint32_t> ParseList(const std::string& csv) {
 int Main(int argc, char** argv) {
   const Flags flags = Flags::Parse(argc, argv);
   const bool quick = flags.GetBool("quick", false);
-  const int rounds = static_cast<int>(flags.GetInt("rounds", quick ? 3 : 20));
+  const int rounds =
+      static_cast<int>(flags.GetInt("rounds", quick ? 201 : 20));
   const int warmup = static_cast<int>(flags.GetInt("warmup", quick ? 1 : 3));
   const int threads = static_cast<int>(flags.GetInt("threads", 4));
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
@@ -233,9 +305,16 @@ int Main(int argc, char** argv) {
       flags.GetString("pops", quick ? "20000" : "10000,100000"));
   const std::vector<GridBackend> backends =
       ParseBackends(flags.GetString("backends", "uniform,quadtree"));
-  // Maximum tolerated fractional p50 overhead of cached_telemetry over
-  // cached (0 = don't enforce). CI runs with --telemetry_budget=0.03.
+  // Maximum tolerated fractional overhead of cached_telemetry over cached
+  // (0 = don't enforce). CI runs with --telemetry_budget=0.03.
   const double telemetry_budget = flags.GetDouble("telemetry_budget", 0.0);
+  // Fewer round pairs cannot resolve a few-percent overhead.
+  const int min_rounds = telemetry_budget > 0.0 ? kMinGatePairs : 1;
+  if (rounds < min_rounds) {
+    std::fprintf(stderr, "--rounds must be >= %d here (got %d)\n", min_rounds,
+                 rounds);
+    return 1;
+  }
 
   ThreadPool pool(threads);
   double worst_overhead = 0.0;
@@ -254,10 +333,8 @@ int Main(int argc, char** argv) {
         point.num_cells = grid->NumCells();
         point.num_states = states.size();
         point.population = pop;
-        point.modes.push_back(RunMode("cached", states, pop, 1, nullptr,
-                                      warmup, rounds, seed));
-        point.modes.push_back(RunMode("cached_telemetry", states, pop, 1,
-                                      nullptr, warmup, rounds, seed));
+        const double overhead = RunTelemetryPair(states, pop, warmup, rounds,
+                                                 seed, &point.modes);
         point.modes.push_back(RunMode("pooled", states, pop, threads, &pool,
                                       warmup, rounds, seed));
         for (const ModeResult& m : point.modes) {
@@ -269,15 +346,12 @@ int Main(int argc, char** argv) {
                        m.mode.c_str(), m.threads, m.mean_round_ms,
                        m.p50_round_ms, m.min_round_ms, m.points_per_sec);
         }
-        const double base_p50 = point.modes[0].p50_round_ms;
-        const double tel_p50 = point.modes[1].p50_round_ms;
-        const double overhead =
-            base_p50 > 0.0 ? tel_p50 / base_p50 - 1.0 : 0.0;
         worst_overhead = std::max(worst_overhead, overhead);
         std::fprintf(stderr,
-                     "%-8s grid=%2ux%-2u pop=%6u telemetry p50 overhead: "
-                     "%+.2f%%\n",
-                     point.grid_backend.c_str(), k, k, pop, overhead * 100.0);
+                     "%-8s grid=%2ux%-2u pop=%6u telemetry overhead (median "
+                     "of %d paired rounds): %+.2f%%\n",
+                     point.grid_backend.c_str(), k, k, pop, rounds,
+                     overhead * 100.0);
         sweep.push_back(std::move(point));
       }
     }
@@ -289,7 +363,7 @@ int Main(int argc, char** argv) {
   std::fprintf(stderr, "wrote %s\n", json_path.c_str());
   if (telemetry_budget > 0.0 && worst_overhead > telemetry_budget) {
     std::fprintf(stderr,
-                 "FAIL: telemetry p50 overhead %.2f%% exceeds budget %.2f%%\n",
+                 "FAIL: telemetry overhead %.2f%% exceeds budget %.2f%%\n",
                  worst_overhead * 100.0, telemetry_budget * 100.0);
     return 1;
   }

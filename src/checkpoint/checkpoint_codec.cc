@@ -3,49 +3,13 @@
 #include <utility>
 
 #include "checkpoint/checkpoint_format.h"
+#include "common/coding.h"
 #include "common/crc32c.h"
 #include "common/file_io.h"
-#include "journal/event_codec.h"
 
 namespace retrasyn {
 
 namespace {
-
-void PutFixed64(uint64_t value, std::string* out) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((value >> (8 * i)) & 0xff));
-  }
-}
-
-uint64_t GetFixed64(const char* data) {
-  uint64_t value = 0;
-  for (int i = 0; i < 8; ++i) {
-    value |= static_cast<uint64_t>(static_cast<unsigned char>(data[i]))
-             << (8 * i);
-  }
-  return value;
-}
-
-void PutFixed32(uint32_t value, std::string* out) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((value >> (8 * i)) & 0xff));
-  }
-}
-
-uint32_t GetFixed32(const char* data) {
-  uint32_t value = 0;
-  for (int i = 0; i < 4; ++i) {
-    value |= static_cast<uint32_t>(static_cast<unsigned char>(data[i]))
-             << (8 * i);
-  }
-  return value;
-}
-
-void PutDouble(double value, std::string* out) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(bits));
-  PutFixed64(bits, out);
-}
 
 void PutSigned(int64_t value, std::string* out) {
   PutVarint64(ZigzagEncode(value), out);
@@ -75,103 +39,47 @@ void PutBuckets(const std::deque<std::pair<int64_t, std::vector<uint32_t>>>&
   }
 }
 
-/// Bounds-checked reader over a decoded body. Every getter returns false on
-/// truncation or a value that cannot fit its destination; the caller folds
-/// any false into one kIOError.
-struct Cursor {
-  const char* data;
-  size_t size;
-  size_t offset = 0;
-
-  bool GetVarint(uint64_t* value) {
-    return GetVarint64(data, size, &offset, value);
-  }
-  bool GetSigned(int64_t* value) {
-    uint64_t raw = 0;
-    if (!GetVarint(&raw)) return false;
-    *value = ZigzagDecode(raw);
-    return true;
-  }
-  bool GetBool(bool* value) {
-    if (offset >= size) return false;
-    const unsigned char b = static_cast<unsigned char>(data[offset++]);
-    if (b > 1) return false;
-    *value = (b == 1);
-    return true;
-  }
-  bool GetByte(uint8_t* value) {
-    if (offset >= size) return false;
-    *value = static_cast<uint8_t>(data[offset++]);
-    return true;
-  }
-  bool GetDouble(double* value) {
-    if (size - offset < 8) return false;
-    const uint64_t bits = GetFixed64(data + offset);
-    offset += 8;
-    std::memcpy(value, &bits, sizeof(*value));
-    return true;
-  }
-  bool GetFixedU64(uint64_t* value) {
-    if (size - offset < 8) return false;
-    *value = GetFixed64(data + offset);
-    offset += 8;
-    return true;
-  }
-  /// A count that must leave at least `min_bytes_per_item` bytes each —
-  /// rejects absurd counts before any allocation can balloon.
-  bool GetCount(size_t min_bytes_per_item, uint64_t* count) {
-    if (!GetVarint(count)) return false;
-    return min_bytes_per_item == 0 ||
-           *count <= (size - offset) / min_bytes_per_item;
-  }
-  bool GetU32(uint32_t* value) {
-    uint64_t raw = 0;
-    if (!GetVarint(&raw) || raw > UINT32_MAX) return false;
-    *value = static_cast<uint32_t>(raw);
-    return true;
-  }
-
-  bool GetStreams(std::vector<CellStream>* streams) {
-    uint64_t n = 0;
-    if (!GetCount(2, &n)) return false;
-    streams->clear();
-    streams->reserve(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      CellStream s;
-      uint64_t len = 0;
-      if (!GetSigned(&s.enter_time) || !GetCount(1, &len)) return false;
-      s.cells.reserve(len);
-      for (uint64_t j = 0; j < len; ++j) {
-        uint32_t cell = 0;
-        if (!GetU32(&cell)) return false;
-        s.cells.push_back(cell);
-      }
-      streams->push_back(std::move(s));
+bool GetStreams(ByteReader& r, std::vector<CellStream>* streams) {
+  uint64_t n = 0;
+  if (!r.GetCount(2, &n)) return false;
+  streams->clear();
+  streams->reserve(n);
+  for (uint64_t i = 0; i < n; ++i) {
+    CellStream s;
+    uint64_t len = 0;
+    if (!r.GetSigned(&s.enter_time) || !r.GetCount(1, &len)) return false;
+    s.cells.reserve(len);
+    for (uint64_t j = 0; j < len; ++j) {
+      uint32_t cell = 0;
+      if (!r.GetU32(&cell)) return false;
+      s.cells.push_back(cell);
     }
-    return true;
+    streams->push_back(std::move(s));
   }
+  return true;
+}
 
-  bool GetBuckets(
-      std::deque<std::pair<int64_t, std::vector<uint32_t>>>* buckets) {
-    uint64_t n = 0;
-    if (!GetCount(2, &n)) return false;
-    buckets->clear();
-    for (uint64_t i = 0; i < n; ++i) {
-      int64_t round = 0;
-      uint64_t m = 0;
-      if (!GetSigned(&round) || !GetCount(1, &m)) return false;
-      std::vector<uint32_t> indices;
-      indices.reserve(m);
-      for (uint64_t j = 0; j < m; ++j) {
-        uint32_t index = 0;
-        if (!GetU32(&index)) return false;
-        indices.push_back(index);
-      }
-      buckets->emplace_back(round, std::move(indices));
+bool GetBuckets(ByteReader& r,
+                std::deque<std::pair<int64_t, std::vector<uint32_t>>>*
+                    buckets) {
+  uint64_t n = 0;
+  if (!r.GetCount(2, &n)) return false;
+  buckets->clear();
+  for (uint64_t i = 0; i < n; ++i) {
+    int64_t round = 0;
+    uint64_t m = 0;
+    if (!r.GetSigned(&round) || !r.GetCount(1, &m)) return false;
+    std::vector<uint32_t> indices;
+    indices.reserve(m);
+    for (uint64_t j = 0; j < m; ++j) {
+      uint32_t index = 0;
+      if (!r.GetU32(&index)) return false;
+      indices.push_back(index);
     }
-    return true;
+    buckets->emplace_back(round, std::move(indices));
   }
-};
+  return true;
+}
 
 }  // namespace
 
@@ -285,16 +193,14 @@ void EncodeCheckpointBody(const CheckpointState& state, std::string* out) {
 
 Status DecodeCheckpointBody(const char* data, size_t size,
                             CheckpointState* state) {
-  Cursor c{data, size};
+  ByteReader c(data, size);
   EngineCheckpointState& e = state->engine;
   SessionCheckpointState& s = state->session;
   uint64_t n = 0;
+  const char* bytes = nullptr;
   bool ok = c.GetSigned(&state->round);
-  ok = ok && c.GetCount(1, &n);
-  if (ok) {
-    state->grid_describe.assign(c.data + c.offset, n);
-    c.offset += n;
-  }
+  ok = ok && c.GetCount(1, &n) && c.GetBytes(n, &bytes);
+  if (ok) state->grid_describe.assign(bytes, n);
   for (int i = 0; ok && i < 4; ++i) ok = c.GetFixedU64(&e.rng_state[i]);
   ok = ok && c.GetBool(&e.collected_once) && c.GetVarint(&e.total_reports);
   ok = ok && c.GetCount(8, &n);
@@ -303,7 +209,7 @@ Status DecodeCheckpointBody(const char* data, size_t size,
     for (uint64_t i = 0; ok && i < n; ++i) ok = c.GetDouble(&e.model_freq[i]);
   }
   ok = ok && c.GetBool(&e.model_initialized);
-  ok = ok && c.GetStreams(&e.live) && c.GetStreams(&e.finished);
+  ok = ok && GetStreams(c, &e.live) && GetStreams(c, &e.finished);
   ok = ok && c.GetVarint(&e.total_points) && c.GetBool(&e.synth_initialized);
   ok = ok && c.GetSigned(&e.allocator_rounds_recorded);
   ok = ok && c.GetCount(1, &n);
@@ -352,19 +258,17 @@ Status DecodeCheckpointBody(const char* data, size_t size,
   }
   ok = ok && c.GetBool(&e.tracker_violation) &&
        c.GetSigned(&e.tracker_num_reports);
-  ok = ok && c.GetCount(1, &n);
+  ok = ok && c.GetCount(1, &n) && c.GetBytes(n, &bytes);
   if (ok) {
-    e.status.assign(
-        reinterpret_cast<const unsigned char*>(c.data + c.offset),
-        reinterpret_cast<const unsigned char*>(c.data + c.offset + n));
-    c.offset += n;
+    e.status.assign(reinterpret_cast<const unsigned char*>(bytes),
+                    reinterpret_cast<const unsigned char*>(bytes + n));
   }
   ok = ok && c.GetCount(1, &n);
   if (ok) {
     e.report_slot.resize(n);
     for (uint64_t i = 0; ok && i < n; ++i) ok = c.GetSigned(&e.report_slot[i]);
   }
-  ok = ok && c.GetBuckets(&e.reported_at) && c.GetBuckets(&e.quitted_at);
+  ok = ok && GetBuckets(c, &e.reported_at) && GetBuckets(c, &e.quitted_at);
   ok = ok && c.GetVarint(&e.total_retired);
 
   ok = ok && c.GetSigned(&s.open_round) && c.GetU32(&s.next_stream_index);
@@ -379,7 +283,7 @@ Status DecodeCheckpointBody(const char* data, size_t size,
       if (ok) s.active.push_back(a);
     }
   }
-  ok = ok && c.GetBuckets(&s.quitted_at);
+  ok = ok && GetBuckets(c, &s.quitted_at);
   ok = ok && c.GetCount(1, &n);
   if (ok) {
     s.free_indices.clear();
@@ -399,7 +303,7 @@ Status DecodeCheckpointBody(const char* data, size_t size,
       if (ok) state->spill_rounds.push_back(round);
     }
   }
-  if (!ok || c.offset != c.size) {
+  if (!ok || !c.done()) {
     return Status::IOError("checkpoint body is truncated or malformed");
   }
   return Status::OK();
@@ -412,8 +316,8 @@ void EncodeHistoryBody(const std::vector<CellStream>& streams,
 
 Status DecodeHistoryBody(const char* data, size_t size,
                          std::vector<CellStream>* streams) {
-  Cursor c{data, size};
-  if (!c.GetStreams(streams) || c.offset != c.size) {
+  ByteReader r(data, size);
+  if (!GetStreams(r, streams) || !r.done()) {
     return Status::IOError("history spill body is truncated or malformed");
   }
   return Status::OK();
@@ -431,18 +335,7 @@ Status WriteFramedFile(const std::string& dir, const std::string& name,
   framed.append(body);
   PutFixed32(Crc32c(body.data(), body.size()), &framed);
 
-  const std::string final_path = dir + "/" + name;
-  const std::string tmp_path = final_path + ".tmp";
-  {
-    auto file = AppendableFile::Open(tmp_path);
-    if (!file.ok()) return file.status();
-    AppendableFile tmp = std::move(file).value();
-    RETRASYN_RETURN_NOT_OK(tmp.Append(framed));
-    RETRASYN_RETURN_NOT_OK(tmp.Sync());
-    RETRASYN_RETURN_NOT_OK(tmp.Close());
-  }
-  RETRASYN_RETURN_NOT_OK(RenameFile(tmp_path, final_path));
-  return SyncDir(dir);
+  return WriteFileAtomically(dir, name, framed);
 }
 
 Result<std::string> ReadFramedFile(const std::string& path,

@@ -16,12 +16,13 @@
 //
 // A reader requires the file size to be exactly header + body_len + 4: a
 // torn write (crash mid-append of the tmp file) can never pass, and the
-// atomic tmp + rename + directory-fsync publication means a file under its
-// final name is either complete or absent. The fingerprint is the same
-// deployment hash the journal stamps into its segment headers — a checkpoint
-// is only loadable into the deployment that wrote it.
+// atomic tmp + rename + directory-fsync publication (WriteFileAtomically in
+// common/file_io.h) means a file under its final name is either complete or
+// absent. The fingerprint is the same deployment hash the journal stamps
+// into its segment headers — a checkpoint is only loadable into the
+// deployment that wrote it.
 //
-// Bodies encode through the journal codec's primitives: varints for counts
+// Bodies encode through common/coding.h, like the journal: varints for counts
 // and indices, zigzag varints for signed timestamps, and raw IEEE-754 bit
 // patterns for doubles — recovery must reinstate the *identical* double to
 // stay byte-identical with full replay.
@@ -91,9 +92,8 @@ Status DecodeHistoryBody(const char* data, size_t size,
 
 // --- framed file I/O --------------------------------------------------------
 
-/// \brief Atomically publishes `<dir>/<name>` with the framed layout above:
-/// writes `<dir>/<name>.tmp`, fsyncs it, renames over the final name, and
-/// fsyncs the directory.
+/// \brief Atomically publishes `<dir>/<name>` with the framed layout above
+/// (through WriteFileAtomically).
 Status WriteFramedFile(const std::string& dir, const std::string& name,
                        const char magic[8], uint64_t fingerprint,
                        const std::string& body);

@@ -13,13 +13,6 @@ namespace retrasyn {
 
 namespace {
 
-bool IsTempFileName(const std::string& name) {
-  constexpr char kSuffix[] = ".tmp";
-  constexpr size_t kSuffixLen = sizeof(kSuffix) - 1;
-  return name.size() >= kSuffixLen &&
-         name.compare(name.size() - kSuffixLen, kSuffixLen, kSuffix) == 0;
-}
-
 /// Lists \p dir, deletes orphaned tmp files, and splits the rest into
 /// checkpoint and history rounds (ascending). A missing directory yields
 /// empty lists.

@@ -11,11 +11,14 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 namespace retrasyn {
 
 namespace {
+
+constexpr char kTempSuffix[] = ".tmp";
 
 std::string ErrnoMessage(const std::string& action, const std::string& path) {
   return action + " " + path + ": " + std::strerror(errno);
@@ -137,11 +140,35 @@ Status RemoveFile(const std::string& path) {
   return Status::OK();
 }
 
-Status RenameFile(const std::string& from, const std::string& to) {
-  if (::rename(from.c_str(), to.c_str()) != 0) {
-    return Status::IOError(ErrnoMessage("rename", from + " -> " + to));
+Status WriteFileAtomically(const std::string& dir, const std::string& name,
+                           const std::string& bytes) {
+  const std::string final_path = dir + "/" + name;
+  const std::string tmp_path = final_path + kTempSuffix;
+  // The tmp file is opened for appending: a stale one from a crashed write
+  // must go first, or its bytes would prefix the new contents.
+  if (::unlink(tmp_path.c_str()) != 0 && errno != ENOENT) {
+    return Status::IOError(ErrnoMessage("unlink", tmp_path));
   }
-  return Status::OK();
+  {
+    auto file = AppendableFile::Open(tmp_path);
+    if (!file.ok()) return file.status();
+    AppendableFile tmp = std::move(file).value();
+    RETRASYN_RETURN_NOT_OK(tmp.Append(bytes));
+    RETRASYN_RETURN_NOT_OK(tmp.Sync());
+    RETRASYN_RETURN_NOT_OK(tmp.Close());
+  }
+  // rename alone only orders against other metadata; the directory fsync
+  // makes the new name survive a crash.
+  if (::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
+    return Status::IOError(ErrnoMessage("rename", tmp_path + " -> " + name));
+  }
+  return SyncDir(dir);
+}
+
+bool IsTempFileName(const std::string& name) {
+  const size_t len = sizeof(kTempSuffix) - 1;
+  return name.size() >= len &&
+         name.compare(name.size() - len, len, kTempSuffix) == 0;
 }
 
 Result<std::string> MakeTempDir(const std::string& prefix,

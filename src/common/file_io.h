@@ -1,8 +1,8 @@
 // Small POSIX file-system helpers for the durability layer: an appendable
-// file that can be flushed and fsync'd explicitly, plus directory listing,
-// sizing, whole-file reads, and truncation. Everything returns Status /
-// Result — a full disk or a vanished directory is an environmental failure,
-// never a crash.
+// file that can be flushed and fsync'd explicitly, the one atomic tmp +
+// rename write, plus directory listing, sizing, whole-file reads, and
+// truncation. Everything returns Status / Result — a full disk or a vanished
+// directory is an environmental failure, never a crash.
 
 #ifndef RETRASYN_COMMON_FILE_IO_H_
 #define RETRASYN_COMMON_FILE_IO_H_
@@ -43,10 +43,17 @@ Status TruncateFile(const std::string& path, int64_t size);
 /// \brief Removes the file at \p path.
 Status RemoveFile(const std::string& path);
 
-/// \brief Atomically renames \p from to \p to (same filesystem), replacing
-/// any existing \p to. The caller must SyncDir afterwards for the new name
-/// to survive a crash — rename alone only orders against other metadata.
-Status RenameFile(const std::string& from, const std::string& to);
+/// \brief Atomically publishes \p bytes as `<dir>/<name>`: writes them to
+/// `<dir>/<name>.tmp` (replacing any stale tmp file), fsyncs and closes it,
+/// renames it over the final name and fsyncs \p dir. A crash at any point
+/// leaves either the old file or the new one under \p name, plus at worst an
+/// orphaned tmp file that IsTempFileName recognises.
+Status WriteFileAtomically(const std::string& dir, const std::string& name,
+                           const std::string& bytes);
+
+/// \brief True for the tmp-file names WriteFileAtomically uses: an orphan
+/// left by a crash mid-write, which directory scans delete on sight.
+bool IsTempFileName(const std::string& name);
 
 /// \brief Creates a unique fresh directory `<prefix>XXXXXX` under
 /// \p base_dir — or under $TMPDIR (fallback /tmp) when \p base_dir is empty

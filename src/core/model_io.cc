@@ -5,6 +5,8 @@
 #include <sstream>
 #include <vector>
 
+#include "common/coding.h"
+
 namespace retrasyn {
 
 namespace {
@@ -13,12 +15,6 @@ constexpr char kMagic[] = "retrasyn-mobility-model";
 // grid's canonical Describe() bytes instead of assuming a uniform K — model
 // files are portable across SpatialGrid backends and refuse geometry drift.
 constexpr int kVersion = 2;
-
-uint64_t Fnv1a64(const std::string& bytes) {
-  uint64_t h = 14695981039346656037ull;
-  for (unsigned char c : bytes) h = (h ^ c) * 1099511628211ull;
-  return h;
-}
 }  // namespace
 
 Status SaveMobilityModel(const GlobalMobilityModel& model,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "common/coding.h"
 #include "common/logging.h"
 
 namespace retrasyn {
@@ -70,7 +71,7 @@ uint32_t UniformGrid::ChebyshevDistance(CellId a, CellId b) const {
 }
 
 void UniformGrid::DescribePayload(std::string* out) const {
-  DescribeAppendU32(k_, out);
+  PutFixed32(k_, out);
 }
 
 std::string UniformGrid::ToString() const {

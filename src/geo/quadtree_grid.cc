@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstddef>
 
+#include "common/coding.h"
 #include "common/logging.h"
 
 namespace retrasyn {
@@ -328,8 +329,8 @@ uint32_t QuadtreeGrid::LeafDepth(CellId c) const {
 void QuadtreeGrid::DescribePayload(std::string* out) const {
   // max_depth, leaf count, then the pre-order split structure as a bitstring
   // (1 = internal, 0 = leaf), which pins the CellId assignment exactly.
-  DescribeAppendU32(max_depth_, out);
-  DescribeAppendU32(num_cells_, out);
+  PutFixed32(max_depth_, out);
+  PutFixed32(num_cells_, out);
   std::vector<bool> bits;
   bits.reserve(nodes_.size());
   std::vector<size_t> stack{0};
@@ -344,7 +345,7 @@ void QuadtreeGrid::DescribePayload(std::string* out) const {
       }
     }
   }
-  DescribeAppendU32(static_cast<uint32_t>(bits.size()), out);
+  PutFixed32(static_cast<uint32_t>(bits.size()), out);
   uint8_t acc = 0;
   int filled = 0;
   for (bool b : bits) {

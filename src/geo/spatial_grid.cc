@@ -1,8 +1,8 @@
 #include "geo/spatial_grid.h"
 
 #include <algorithm>
-#include <cstring>
 
+#include "common/coding.h"
 #include "common/logging.h"
 
 namespace retrasyn {
@@ -43,26 +43,12 @@ CellId SpatialGrid::ClampToReachable(CellId from, CellId to) const {
 std::string SpatialGrid::Describe() const {
   std::string out;
   out.push_back(static_cast<char>(backend()));
-  DescribeAppendDouble(box_.min_x, &out);
-  DescribeAppendDouble(box_.min_y, &out);
-  DescribeAppendDouble(box_.max_x, &out);
-  DescribeAppendDouble(box_.max_y, &out);
+  PutDouble(box_.min_x, &out);
+  PutDouble(box_.min_y, &out);
+  PutDouble(box_.max_x, &out);
+  PutDouble(box_.max_y, &out);
   DescribePayload(&out);
   return out;
-}
-
-void DescribeAppendU32(uint32_t v, std::string* out) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void DescribeAppendDouble(double v, std::string* out) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((bits >> (8 * i)) & 0xFF));
-  }
 }
 
 }  // namespace retrasyn

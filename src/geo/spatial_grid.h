@@ -111,9 +111,10 @@ class SpatialGrid {
   CellId ClampToReachable(CellId from, CellId to) const;
 
   /// Canonical serialized identity: backend byte, bounding box (raw IEEE-754
-  /// little-endian), then the backend's structural payload. Stable across
-  /// processes and platforms; hashed into the deployment fingerprint and
-  /// round-tripped verbatim by the checkpoint codec.
+  /// little-endian), then the backend's structural payload, all encoded with
+  /// common/coding.h (integers as fixed32). Stable across processes and
+  /// platforms; hashed into the deployment fingerprint and round-tripped
+  /// verbatim by the checkpoint codec.
   std::string Describe() const;
 
   /// Human-readable one-liner for logs and error messages.
@@ -132,11 +133,6 @@ class SpatialGrid {
   /// (sorted ascending, deduped, self-inclusive).
   std::vector<std::vector<CellId>> neighbors_;
 };
-
-// --- Describe() primitives (shared by backends and tests) -------------------
-
-void DescribeAppendU32(uint32_t v, std::string* out);
-void DescribeAppendDouble(double v, std::string* out);
 
 }  // namespace retrasyn
 

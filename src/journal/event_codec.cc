@@ -12,45 +12,6 @@ namespace {
 // framed length beyond this is garbage, not a record to skip over.
 constexpr uint64_t kMaxPayloadBytes = 1 << 10;
 
-void PutFixed32(uint32_t value, std::string* out) {
-  char buf[4];
-  buf[0] = static_cast<char>(value & 0xFF);
-  buf[1] = static_cast<char>((value >> 8) & 0xFF);
-  buf[2] = static_cast<char>((value >> 16) & 0xFF);
-  buf[3] = static_cast<char>((value >> 24) & 0xFF);
-  out->append(buf, 4);
-}
-
-uint32_t GetFixed32(const char* p) {
-  return static_cast<uint32_t>(static_cast<uint8_t>(p[0])) |
-         (static_cast<uint32_t>(static_cast<uint8_t>(p[1])) << 8) |
-         (static_cast<uint32_t>(static_cast<uint8_t>(p[2])) << 16) |
-         (static_cast<uint32_t>(static_cast<uint8_t>(p[3])) << 24);
-}
-
-void PutDouble(double value, std::string* out) {
-  uint64_t bits;
-  std::memcpy(&bits, &value, sizeof(bits));
-  char buf[8];
-  for (int i = 0; i < 8; ++i) {
-    buf[i] = static_cast<char>((bits >> (8 * i)) & 0xFF);
-  }
-  out->append(buf, 8);
-}
-
-bool GetDouble(const char* data, size_t size, size_t* offset, double* value) {
-  if (size - *offset < 8) return false;
-  uint64_t bits = 0;
-  for (int i = 0; i < 8; ++i) {
-    bits |= static_cast<uint64_t>(
-                static_cast<uint8_t>(data[*offset + i]))
-            << (8 * i);
-  }
-  *offset += 8;
-  std::memcpy(value, &bits, sizeof(*value));
-  return true;
-}
-
 }  // namespace
 
 const char* JournalEventTypeName(JournalEventType type) {
@@ -72,11 +33,7 @@ const char* JournalEventTypeName(JournalEventType type) {
 void AppendSegmentHeader(uint64_t fingerprint, std::string* out) {
   out->append(kJournalMagic, sizeof(kJournalMagic));
   out->push_back(static_cast<char>(kJournalFormatVersion));
-  char buf[8];
-  for (int i = 0; i < 8; ++i) {
-    buf[i] = static_cast<char>((fingerprint >> (8 * i)) & 0xFF);
-  }
-  out->append(buf, 8);
+  PutFixed64(fingerprint, out);
 }
 
 Status CheckSegmentHeader(const char* data, size_t size, size_t* offset,
@@ -93,38 +50,9 @@ Status CheckSegmentHeader(const char* data, size_t size, size_t* offset,
     return Status::InvalidArgument("unsupported journal format version " +
                                    std::to_string(version));
   }
-  uint64_t fp = 0;
-  const char* p = data + *offset + sizeof(kJournalMagic) + 1;
-  for (int i = 0; i < 8; ++i) {
-    fp |= static_cast<uint64_t>(static_cast<uint8_t>(p[i])) << (8 * i);
-  }
-  *fingerprint = fp;
+  *fingerprint = GetFixed64(data + *offset + sizeof(kJournalMagic) + 1);
   *offset += kSegmentHeaderSize;
   return Status::OK();
-}
-
-void PutVarint64(uint64_t value, std::string* out) {
-  while (value >= 0x80) {
-    out->push_back(static_cast<char>((value & 0x7F) | 0x80));
-    value >>= 7;
-  }
-  out->push_back(static_cast<char>(value));
-}
-
-bool GetVarint64(const char* data, size_t size, size_t* offset,
-                 uint64_t* value) {
-  uint64_t result = 0;
-  for (int shift = 0; shift <= 63; shift += 7) {
-    if (*offset >= size) return false;
-    const uint8_t byte = static_cast<uint8_t>(data[(*offset)++]);
-    if (shift == 63 && byte > 1) return false;  // overflows 64 bits
-    result |= static_cast<uint64_t>(byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0) {
-      *value = result;
-      return true;
-    }
-  }
-  return false;
 }
 
 void EncodeRecord(const JournalEvent& event, std::string* out) {
@@ -173,43 +101,39 @@ Status DecodeRecord(const char* data, size_t size, size_t* offset,
   }
 
   // The frame is intact; anything wrong below is well-framed garbage.
-  size_t p = 0;
+  ByteReader r(payload, payload_len);
   JournalEvent out;
-  const uint8_t type_byte = static_cast<uint8_t>(payload[p++]);
+  uint8_t type_byte = 0;
+  r.GetByte(&type_byte);
   switch (static_cast<JournalEventType>(type_byte)) {
     case JournalEventType::kEnter:
-    case JournalEventType::kMove: {
+    case JournalEventType::kMove:
       out.type = static_cast<JournalEventType>(type_byte);
-      if (!GetVarint64(payload, payload_len, &p, &out.user) ||
-          !GetDouble(payload, payload_len, &p, &out.location.x) ||
-          !GetDouble(payload, payload_len, &p, &out.location.y)) {
+      if (!r.GetVarint(&out.user) || !r.GetDouble(&out.location.x) ||
+          !r.GetDouble(&out.location.y)) {
         return Status::InvalidArgument("short Enter/Move payload");
       }
       break;
-    }
     case JournalEventType::kQuit:
       out.type = JournalEventType::kQuit;
-      if (!GetVarint64(payload, payload_len, &p, &out.user)) {
+      if (!r.GetVarint(&out.user)) {
         return Status::InvalidArgument("short Quit payload");
       }
       break;
     case JournalEventType::kTick:
       out.type = JournalEventType::kTick;
       break;
-    case JournalEventType::kAdvanceTo: {
+    case JournalEventType::kAdvanceTo:
       out.type = JournalEventType::kAdvanceTo;
-      uint64_t zigzag = 0;
-      if (!GetVarint64(payload, payload_len, &p, &zigzag)) {
+      if (!r.GetSigned(&out.target_t)) {
         return Status::InvalidArgument("short AdvanceTo payload");
       }
-      out.target_t = ZigzagDecode(zigzag);
       break;
-    }
     default:
       return Status::InvalidArgument("unknown journal event type " +
                                      std::to_string(type_byte));
   }
-  if (p != payload_len) {
+  if (!r.done()) {
     return Status::InvalidArgument("trailing bytes in record payload");
   }
   *event = out;

@@ -36,14 +36,17 @@
 //   payload = type byte + type-specific fields. User ids are varints;
 //   coordinates are the raw IEEE-754 bit patterns (8 bytes little-endian),
 //   because replay must relocate the *identical* double to reproduce a
-//   byte-identical service. Timestamps are zigzag varints.
+//   byte-identical service. Timestamps are zigzag varints. Every field is
+//   encoded with common/coding.h.
 //
 // Decoding classifies failures so the reader can tell a torn tail from rot:
 //   kOutOfRange      — the buffer ends mid-record (clean truncation point)
 //   kIOError         — framing intact but the checksum does not match
 //   kInvalidArgument — well-framed garbage (unknown type, trailing bytes)
 // All three truncate the journal when they occur in the *last* segment; any
-// of them mid-journal is unrecoverable corruption.
+// of them mid-journal is unrecoverable corruption. The segment header is
+// stricter: only a header cut short (kOutOfRange) is a torn tail, while a
+// complete header with a bad magic or version fails the scan everywhere.
 
 #ifndef RETRASYN_JOURNAL_EVENT_CODEC_H_
 #define RETRASYN_JOURNAL_EVENT_CODEC_H_
@@ -52,6 +55,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/coding.h"
 #include "common/status.h"
 #include "geo/point.h"
 
@@ -129,22 +133,6 @@ void AppendSegmentHeader(uint64_t fingerprint, std::string* out);
 /// header (torn header), kInvalidArgument on a magic/version mismatch.
 Status CheckSegmentHeader(const char* data, size_t size, size_t* offset,
                           uint64_t* fingerprint);
-
-// --- varint primitives (LEB128; exposed for tests) -------------------------
-
-void PutVarint64(uint64_t value, std::string* out);
-/// False when the buffer ends mid-varint or the varint overflows 64 bits
-/// (the caller maps the two cases via the surrounding record frame).
-bool GetVarint64(const char* data, size_t size, size_t* offset,
-                 uint64_t* value);
-
-inline uint64_t ZigzagEncode(int64_t v) {
-  return (static_cast<uint64_t>(v) << 1) ^
-         static_cast<uint64_t>(v >> 63);
-}
-inline int64_t ZigzagDecode(uint64_t v) {
-  return static_cast<int64_t>(v >> 1) ^ -static_cast<int64_t>(v & 1);
-}
 
 // --- record framing ---------------------------------------------------------
 

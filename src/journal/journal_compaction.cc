@@ -1,47 +1,13 @@
 #include "journal/journal_compaction.h"
 
 #include <cstring>
-#include <utility>
 
+#include "common/coding.h"
 #include "common/crc32c.h"
 #include "common/file_io.h"
 #include "journal/journal_writer.h"
 
 namespace retrasyn {
-
-namespace {
-
-void PutFixed64(uint64_t value, std::string* out) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((value >> (8 * i)) & 0xff));
-  }
-}
-
-uint64_t GetFixed64(const char* data) {
-  uint64_t value = 0;
-  for (int i = 0; i < 8; ++i) {
-    value |= static_cast<uint64_t>(static_cast<unsigned char>(data[i]))
-             << (8 * i);
-  }
-  return value;
-}
-
-void PutFixed32(uint32_t value, std::string* out) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((value >> (8 * i)) & 0xff));
-  }
-}
-
-uint32_t GetFixed32(const char* data) {
-  uint32_t value = 0;
-  for (int i = 0; i < 4; ++i) {
-    value |= static_cast<uint32_t>(static_cast<unsigned char>(data[i]))
-             << (8 * i);
-  }
-  return value;
-}
-
-}  // namespace
 
 Status WriteJournalBase(const std::string& dir, const JournalBase& base) {
   std::string payload;
@@ -49,21 +15,8 @@ Status WriteJournalBase(const std::string& dir, const JournalBase& base) {
   payload.push_back(static_cast<char>(kJournalBaseFormatVersion));
   PutFixed64(base.first_surviving_index, &payload);
   PutFixed64(static_cast<uint64_t>(base.base_round), &payload);
-  const uint32_t crc = Crc32c(payload.data(), payload.size());
-  PutFixed32(crc, &payload);
-
-  const std::string final_path = dir + "/" + kJournalBaseFileName;
-  const std::string tmp_path = final_path + ".tmp";
-  {
-    auto file = AppendableFile::Open(tmp_path);
-    if (!file.ok()) return file.status();
-    AppendableFile tmp = std::move(file).value();
-    RETRASYN_RETURN_NOT_OK(tmp.Append(payload));
-    RETRASYN_RETURN_NOT_OK(tmp.Sync());
-    RETRASYN_RETURN_NOT_OK(tmp.Close());
-  }
-  RETRASYN_RETURN_NOT_OK(RenameFile(tmp_path, final_path));
-  return SyncDir(dir);
+  PutFixed32(Crc32c(payload.data(), payload.size()), &payload);
+  return WriteFileAtomically(dir, kJournalBaseFileName, payload);
 }
 
 Result<JournalBase> ReadJournalBase(const std::string& dir) {

@@ -14,7 +14,8 @@
 // `first_surviving_index` is the lowest segment index compaction kept;
 // `base_round` is the absolute number of closed rounds summarized by the
 // deleted prefix — replay of the surviving suffix starts counting rounds
-// from there. BASE is written atomically (tmp file + rename + directory
+// from there. Fields are encoded with common/coding.h. BASE is written
+// atomically by WriteFileAtomically (tmp file + rename + directory
 // fsync) *before* any segment is unlinked, so every crash point is safe:
 //
 //   * crash before the rename: an orphaned `*.tmp` the scanner removes;

@@ -9,17 +9,6 @@
 
 namespace retrasyn {
 
-namespace {
-
-bool IsTempFileName(const std::string& name) {
-  constexpr char kSuffix[] = ".tmp";
-  constexpr size_t kSuffixLen = sizeof(kSuffix) - 1;
-  return name.size() >= kSuffixLen &&
-         name.compare(name.size() - kSuffixLen, kSuffixLen, kSuffix) == 0;
-}
-
-}  // namespace
-
 Result<JournalScan> JournalReader::ScanDir(const std::string& dir) {
   JournalScan scan;
   auto names = ListDirectory(dir);
@@ -113,6 +102,13 @@ Result<JournalScan> JournalReader::ScanDir(const std::string& dir) {
     uint64_t fingerprint = 0;
     Status st =
         CheckSegmentHeader(data.data(), data.size(), &offset, &fingerprint);
+    if (!st.ok() && st.code() != StatusCode::kOutOfRange) {
+      // A complete header that does not read as one (bad magic, unknown
+      // version) is corruption, never a torn write — even in the final
+      // segment, where treating it as torn would truncate the whole file.
+      return Status::IOError("journal segment " + path +
+                             " has an unreadable header: " + st.message());
+    }
     if (st.ok()) {
       if (!scan.has_fingerprint) {
         scan.fingerprint = fingerprint;

@@ -11,7 +11,10 @@
 //  * In the LAST segment, the first incomplete record, checksum mismatch, or
 //    well-framed garbage marks the torn tail: events before it are kept, the
 //    scan reports the valid byte prefix (`valid_tail_size`) so the caller can
-//    physically truncate the file, and everything after is discarded.
+//    physically truncate the file, and everything after is discarded. A
+//    segment header cut short counts as torn too; a complete header with a
+//    bad magic or version does not, and fails the scan (kIOError) with the
+//    file left as it is.
 //
 // An empty or missing directory scans to zero events (a fresh deployment).
 

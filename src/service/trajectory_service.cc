@@ -1,11 +1,11 @@
 #include "service/trajectory_service.h"
 
 #include <algorithm>
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/coding.h"
 #include "common/file_io.h"
 #include "common/stopwatch.h"
 
@@ -13,62 +13,47 @@ namespace retrasyn {
 
 namespace {
 
-void HashMix(const void* data, size_t size, uint64_t* h) {
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  for (size_t i = 0; i < size; ++i) {  // FNV-1a 64
-    *h = (*h ^ p[i]) * 1099511628211ull;
-  }
-}
-
-void HashMixU64(uint64_t v, uint64_t* h) { HashMix(&v, sizeof(v), h); }
-
-void HashMixDouble(double v, uint64_t* h) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  HashMixU64(bits, h);
-}
-
 /// Hash of everything the replayed byte stream depends on: the discretized
 /// space (box + cell layout fix how raw points resolve to states) plus every
 /// engine-config field that steers collection/synthesis. Stamped into each
 /// segment header so Recover under a changed deployment fails loudly —
 /// replay would still *accept* most events, just resolve them differently.
+/// The fields are serialized as fixed64 (doubles as their bits) and hashed
+/// once with Fnv1a64, so the value does not depend on host byte order.
 /// tools/lint.py checks that every field declared in RetraSynConfig and
 /// AllocationConfig appears here (or carries an allowlisted reason).
 uint64_t DeploymentFingerprint(const StateSpace& states,
                                const RetraSynConfig& config) {
-  uint64_t h = 14695981039346656037ull;
   // The grid's canonical description covers backend kind, bounding box, and
   // the full structural parameters (for the quadtree, every split), so a
   // journal can never be replayed under a different discretization — not
   // even one with an identical cell count.
-  const std::string grid_id = states.grid().Describe();
-  HashMix(grid_id.data(), grid_id.size(), &h);
-  HashMixU64(states.size(), &h);
-  HashMixDouble(config.epsilon, &h);
-  HashMixU64(static_cast<uint64_t>(config.window), &h);
-  HashMixU64(static_cast<uint64_t>(config.division), &h);
-  HashMixU64(static_cast<uint64_t>(config.allocation.kind), &h);
-  HashMixDouble(config.allocation.alpha, &h);
-  HashMixU64(static_cast<uint64_t>(config.allocation.kappa), &h);
-  HashMixDouble(config.allocation.max_portion, &h);
-  HashMixDouble(config.allocation.min_portion, &h);
-  HashMixU64(config.use_dmu ? 1 : 0, &h);
-  HashMixU64(config.use_eq ? 1 : 0, &h);
-  HashMixDouble(config.lambda, &h);
-  HashMixU64(static_cast<uint64_t>(config.collection_mode), &h);
-  HashMixU64(static_cast<uint64_t>(config.oracle), &h);
-  HashMixU64(static_cast<uint64_t>(config.postprocess), &h);
-  HashMixU64(config.seed, &h);
+  std::string bytes = states.grid().Describe();
+  PutFixed64(states.size(), &bytes);
+  PutDouble(config.epsilon, &bytes);
+  PutFixed64(static_cast<uint64_t>(config.window), &bytes);
+  PutFixed64(static_cast<uint64_t>(config.division), &bytes);
+  PutFixed64(static_cast<uint64_t>(config.allocation.kind), &bytes);
+  PutDouble(config.allocation.alpha, &bytes);
+  PutFixed64(static_cast<uint64_t>(config.allocation.kappa), &bytes);
+  PutDouble(config.allocation.max_portion, &bytes);
+  PutDouble(config.allocation.min_portion, &bytes);
+  PutFixed64(config.use_dmu ? 1 : 0, &bytes);
+  PutFixed64(config.use_eq ? 1 : 0, &bytes);
+  PutDouble(config.lambda, &bytes);
+  PutFixed64(static_cast<uint64_t>(config.collection_mode), &bytes);
+  PutFixed64(static_cast<uint64_t>(config.oracle), &bytes);
+  PutFixed64(static_cast<uint64_t>(config.postprocess), &bytes);
+  PutFixed64(config.seed, &bytes);
   // The thread count sets the synthesis chunking, so the bytes depend on
   // the resolved value: num_threads = 0 resolves from the pool or the
   // hardware, and a restart on a different one must be refused.
-  HashMixU64(static_cast<uint64_t>(ResolveThreads(config)), &h);
+  PutFixed64(static_cast<uint64_t>(ResolveThreads(config)), &bytes);
   // The shard count fixes the journal layout (which shard stream holds
   // which user's events); replay under a different count would read the
   // wrong streams, so it is refused by fingerprint.
-  HashMixU64(static_cast<uint64_t>(config.ingest_shards), &h);
-  return h;
+  PutFixed64(static_cast<uint64_t>(config.ingest_shards), &bytes);
+  return Fnv1a64(bytes);
 }
 
 /// Custom engines (CreateWithEngine/Attach) have no RetraSynConfig; bind
@@ -77,13 +62,11 @@ uint64_t DeploymentFingerprint(const StateSpace& states,
 uint64_t DeploymentFingerprint(const StateSpace& states,
                                const std::string& engine_name,
                                int ingest_shards) {
-  uint64_t h = 14695981039346656037ull;
-  const std::string grid_id = states.grid().Describe();
-  HashMix(grid_id.data(), grid_id.size(), &h);
-  HashMixU64(states.size(), &h);
-  HashMix(engine_name.data(), engine_name.size(), &h);
-  HashMixU64(static_cast<uint64_t>(ingest_shards), &h);
-  return h;
+  std::string bytes = states.grid().Describe();
+  PutFixed64(states.size(), &bytes);
+  bytes.append(engine_name);
+  PutFixed64(static_cast<uint64_t>(ingest_shards), &bytes);
+  return Fnv1a64(bytes);
 }
 
 /// The fingerprint of a deployment: the config \p engine was built from

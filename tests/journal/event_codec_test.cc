@@ -36,51 +36,6 @@ TEST(Crc32cTest, MatchesTheStandardTestVector) {
   EXPECT_EQ(Crc32c("", 0), 0x00000000u);
 }
 
-TEST(VarintTest, RoundtripsBoundaryValues) {
-  const uint64_t values[] = {0,
-                             1,
-                             127,
-                             128,
-                             16383,
-                             16384,
-                             (1ull << 35) - 1,
-                             1ull << 35,
-                             std::numeric_limits<uint64_t>::max()};
-  for (uint64_t v : values) {
-    std::string buf;
-    PutVarint64(v, &buf);
-    size_t offset = 0;
-    uint64_t out = 0;
-    ASSERT_TRUE(GetVarint64(buf.data(), buf.size(), &offset, &out)) << v;
-    EXPECT_EQ(out, v);
-    EXPECT_EQ(offset, buf.size());
-  }
-}
-
-TEST(VarintTest, RejectsTruncatedAndOverlongInput) {
-  std::string buf;
-  PutVarint64(std::numeric_limits<uint64_t>::max(), &buf);
-  for (size_t cut = 0; cut < buf.size(); ++cut) {
-    size_t offset = 0;
-    uint64_t out = 0;
-    EXPECT_FALSE(GetVarint64(buf.data(), cut, &offset, &out)) << cut;
-  }
-  // 11 continuation bytes can never be a valid 64-bit varint.
-  const std::string overlong(11, '\x80');
-  size_t offset = 0;
-  uint64_t out = 0;
-  EXPECT_FALSE(GetVarint64(overlong.data(), overlong.size(), &offset, &out));
-}
-
-TEST(VarintTest, ZigzagRoundtripsNegatives) {
-  const int64_t values[] = {0, -1, 1, -2, 886,
-                            std::numeric_limits<int64_t>::min(),
-                            std::numeric_limits<int64_t>::max()};
-  for (int64_t v : values) {
-    EXPECT_EQ(ZigzagDecode(ZigzagEncode(v)), v);
-  }
-}
-
 TEST(EventCodecTest, RoundtripsEveryEventKind) {
   for (const JournalEvent& event : AllEventKinds()) {
     std::string buf;

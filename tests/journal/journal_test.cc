@@ -211,6 +211,36 @@ TEST(JournalTest, CorruptionBeforeFinalSegmentFailsTheScan) {
             StatusCode::kIOError);
 }
 
+TEST(JournalTest, UnreadableHeaderInFinalSegmentFailsTheScan) {
+  // Only a header cut short is a torn tail. A complete header with a bad
+  // magic or an unknown version is corruption even in the final segment:
+  // the scan must fail instead of offering the whole segment for truncation.
+  for (const size_t byte : {size_t{0}, sizeof(kJournalMagic)}) {
+    TempDir dir;
+    ASSERT_TRUE(WriteAll(dir.path(), JournalOptions(), SampleWorkload(4, 3))
+                    .ok());
+    const std::string segment =
+        dir.path() + "/" + JournalWriter::SegmentFileName(0);
+    auto contents = ReadFileToString(segment);
+    ASSERT_TRUE(contents.ok());
+    std::string data = contents.value();
+    data[byte] = static_cast<char>(99);
+    {
+      std::FILE* f = std::fopen(segment.c_str(), "wb");
+      ASSERT_NE(f, nullptr);
+      ASSERT_EQ(std::fwrite(data.data(), 1, data.size(), f), data.size());
+      std::fclose(f);
+    }
+    EXPECT_EQ(JournalReader::ScanDir(dir.path()).status().code(),
+              StatusCode::kIOError)
+        << "byte " << byte;
+    auto after = FileSize(segment);
+    ASSERT_TRUE(after.ok());
+    EXPECT_EQ(after.value(), static_cast<int64_t>(data.size()))
+        << "byte " << byte;
+  }
+}
+
 TEST(JournalTest, TornTailInFinalSegmentTruncatesAtEveryByteOffset) {
   // Write a small journal, then truncate the FINAL segment at every byte
   // offset inside its final record: the scan must always succeed, keep

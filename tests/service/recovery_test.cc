@@ -760,6 +760,43 @@ TEST(RecoveryTest, CorruptionBeforeTheFinalSegmentFailsRecovery) {
   EXPECT_EQ(recovered.status().code(), StatusCode::kIOError);
 }
 
+TEST(RecoveryTest, UnsupportedHeaderVersionInTheFinalSegmentFailsRecovery) {
+  // A final segment whose complete header names an unknown format version
+  // is not a torn tail: Recover must refuse it and leave its bytes alone
+  // rather than truncate the segment and come back with zero rounds.
+  const BoundingBox box{0.0, 0.0, 400.0, 400.0};
+  const auto grid_owner = MakeEnvGrid(box, 3);
+  const StateSpace states(*grid_owner);
+  const auto traces = MakeWorkload(13, 100);
+  TempDir dir;
+
+  RetraSynConfig journaled = BaseConfig();
+  journaled.journal_dir = dir.path();
+  {
+    auto service = TrajectoryService::Create(states, journaled);
+    ASSERT_TRUE(service.ok());
+    DriveRounds(service.value()->session(), traces, 0, 6);
+  }
+  const std::string segment =
+      dir.path() + "/" + JournalWriter::SegmentFileName(0);
+  auto contents = ReadFileToString(segment);
+  ASSERT_TRUE(contents.ok());
+  std::string data = contents.value();
+  ASSERT_GT(data.size(), kSegmentHeaderSize);
+  data[sizeof(kJournalMagic)] = static_cast<char>(99);
+  {
+    std::FILE* f = std::fopen(segment.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(data.data(), 1, data.size(), f), data.size());
+    std::fclose(f);
+  }
+  auto recovered = TrajectoryService::Recover(states, journaled);
+  EXPECT_EQ(recovered.status().code(), StatusCode::kIOError);
+  auto after = ReadFileToString(segment);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after.value(), data);
+}
+
 TEST(RecoveryTest, PoisonedJournalBlocksTheSessionWithoutCrashing) {
   // Force a real journal I/O failure by deleting the journal directory out
   // from under the writer: appends to the open segment still land in the

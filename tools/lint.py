@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific static lint gates, run by ctest and the CI static-analysis job.
 
-Four checks, all over src/ (tests and benches may use what they like):
+Five checks, all over src/ (tests and benches may use what they like):
 
   1. No naked synchronization primitives. Every mutex in src/ must be the
      annotated retrasyn::Mutex from common/mutex.h; a raw std::mutex is
@@ -20,10 +20,19 @@ Four checks, all over src/ (tests and benches may use what they like):
      DeploymentFingerprint, or sit in FINGERPRINT_ALLOWLIST with a reason. A
      field the hash misses lets Recover replay a journal or checkpoint under
      a changed setting and silently diverge.
+  5. One home for the on-disk byte format. Outside src/common/, no file may
+     declare or define its own PutFixed32/64, GetFixed32/64, PutDouble,
+     PutVarint64 or GetVarint64 (or hand-roll the `>> (8 * i)` byte loop
+     under another name), hold the FNV-1a 64 constants (a private hash
+     loop), call RenameFile or rename, or spell a ".tmp" literal. The shared
+     encoders and ByteReader live in common/coding.h, the tmp + fsync +
+     rename + dir-fsync write and the orphan predicate in common/file_io.h;
+     a second copy is how two formats drift apart in byte order or crash
+     safety.
 
 Comments and string/char literals are stripped before matching, so prose like
 "time (rush hours)" or a banned token inside an error message never trips a
-check. Exit status: 0 clean, 1 findings (one `path:line: message` per line).
+check (check 5 looks for its ".tmp" literal in the comment-stripped text). Exit status: 0 clean, 1 findings (one `path:line: message` per line).
 
 Usage: python3 tools/lint.py [repo_root]
 """
@@ -87,6 +96,26 @@ HOT_PATH_ALLOC = [
 
 HOT_PATH_MARKER = re.compile(r"//\s*HOT PATH")
 
+# Check 5: the byte format and the atomic write have one home.
+CODING_HOME = os.path.join("src", "common") + os.sep
+CODING_PRIMITIVES = ("PutFixed32", "PutFixed64", "GetFixed32", "GetFixed64",
+                     "PutDouble", "PutVarint64", "GetVarint64")
+BYTE_FORMAT = [
+    (re.compile(r"\b(?:void|bool|double|u?int(?:8|16|32|64)_t|auto)\s+(?:"
+                + "|".join(CODING_PRIMITIVES) + r")\s*\("),
+     "private copy of a common/coding.h primitive (include it instead)"),
+    (re.compile(r"(?:>>|<<)\s*\(\s*8\s*\*\s*\w+\s*\)"),
+     "hand-rolled little-endian byte loop (use common/coding.h)"),
+    (re.compile(r"\b(?:1099511628211|14695981039346656037|0x0*100000001b3|"
+                r"0xcbf29ce484222325)", re.IGNORECASE),
+     "FNV-1a constant outside common/ (use Fnv1a64 from common/coding.h)"),
+    (re.compile(r"\b(?:RenameFile|rename)\s*\("),
+     "rename outside common/ (use WriteFileAtomically from common/file_io.h)"),
+]
+TMP_LITERAL = re.compile(r'"[^"\n]*\.tmp[^"\n]*"')
+TMP_MESSAGE = ('".tmp" literal outside common/ (WriteFileAtomically and '
+               'IsTempFileName own the tmp-file name)')
+
 # Where the fingerprinted config structs and the fingerprint live.
 CONFIG_STRUCTS = [
     # (header, struct name, how a field is spelled inside the fingerprint)
@@ -111,10 +140,11 @@ FINGERPRINT_ALLOWLIST = {
 }
 
 
-def strip_comments_and_strings(text):
-    """Blanks comments and string/char literal *contents* with spaces. The
-    result is the same length as the input (newlines kept in place), so
-    offsets and line numbers in the stripped text map 1:1 to the original."""
+def strip_comments_and_strings(text, keep_strings=False):
+    """Blanks comments and (unless \p keep_strings) string/char literal
+    *contents* with spaces. The result is the same length as the input
+    (newlines kept in place), so offsets and line numbers in the stripped
+    text map 1:1 to the original."""
     out = []
     i = 0
     n = len(text)
@@ -141,7 +171,11 @@ def strip_comments_and_strings(text):
             while i < n and text[i] not in (quote, "\n"):
                 # \n: unterminated (raw string etc.) — bail at end of line
                 step = 2 if text[i] == "\\" and i + 1 < n else 1
-                blank(min(i + step, n))
+                if keep_strings:
+                    out.append(text[i:i + step])
+                    i += step
+                else:
+                    blank(min(i + step, n))
             if i < n and text[i] == quote:
                 out.append(quote)
                 i += 1
@@ -263,6 +297,13 @@ def lint_file(root, rel, findings):
     for pattern, message in NONDETERMINISM:
         for m in pattern.finditer(stripped):
             findings.append((rel, line_of(stripped, m.start()), message))
+    if not rel.startswith(CODING_HOME):
+        for pattern, message in BYTE_FORMAT:
+            for m in pattern.finditer(stripped):
+                findings.append((rel, line_of(stripped, m.start()), message))
+        code = strip_comments_and_strings(original, keep_strings=True)
+        for m in TMP_LITERAL.finditer(code):
+            findings.append((rel, line_of(code, m.start()), TMP_MESSAGE))
     for start, end in hot_path_regions(original, stripped):
         body = stripped[start:end]
         for pattern, token in HOT_PATH_ALLOC:
