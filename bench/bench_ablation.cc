@@ -24,9 +24,10 @@ namespace {
 RunResult RunConfigured(const NamedDataset& dataset,
                         const BenchOptions& options,
                         const RetraSynConfig& config) {
-  RetraSynEngine engine(dataset.prepared->states(), config);
-  return RunEngine(*dataset.prepared, engine, options.metrics,
-                   options.seed + 1000);
+  return RunEngine(*dataset.prepared,
+                   std::make_unique<RetraSynEngine>(dataset.prepared->states(),
+                                                    config),
+                   options.metrics, options.seed + 1000);
 }
 
 RetraSynConfig BaseConfig(const NamedDataset& dataset,
@@ -80,14 +81,12 @@ int Run(int argc, char** argv) {
     for (double floor : {-1.0, 0.0}) {
       RetraSynConfig config = BaseConfig(dataset, options);
       config.allocation.min_portion = floor;
-      RetraSynEngine engine(dataset.prepared->states(), config);
-      const RunResult r = RunEngine(*dataset.prepared, engine, options.metrics,
-                                    options.seed + 1000);
+      const RunResult r = RunConfigured(dataset, options, config);
       table.AddRow({floor < 0 ? "auto 1/(2w)" : "0 (paper literal)",
                     FormatDouble(r.metrics.density_error),
                     FormatDouble(r.metrics.transition_error),
                     FormatDouble(r.metrics.kendall_tau),
-                    std::to_string(engine.total_reports())});
+                    std::to_string(r.total_reports)});
     }
     table.Print();
   }

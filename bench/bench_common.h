@@ -145,7 +145,7 @@ inline RunResult RunMethod(MethodId id, const NamedDataset& dataset,
   auto engine = MakeEngine(id, dataset.prepared->states(), epsilon, window,
                            allocation, dataset.average_length,
                            options.seed + 100 + engine_seed_offset);
-  return RunEngine(*dataset.prepared, *engine, options.metrics,
+  return RunEngine(*dataset.prepared, std::move(engine), options.metrics,
                    options.seed + 1000);
 }
 

@@ -61,7 +61,8 @@ int Run(int argc, char** argv) {
                        AllocationKind::kAdaptive, db.AverageLength(),
                        options.seed + 100 + ki);
         const RunResult result =
-            RunEngine(dataset, *engine, options.metrics, options.seed + 1000);
+            RunEngine(dataset, std::move(engine), options.metrics,
+                      options.seed + 1000);
         table.AddRow({std::to_string(ks[ki]), MethodName(id),
                       FormatDouble(result.metrics.query_error),
                       FormatDouble(result.seconds_per_timestamp, 6)});

@@ -204,11 +204,21 @@ uint64_t ShardOf(uint64_t user, int shards) {
   return x % static_cast<uint64_t>(shards);
 }
 
+/// The total seconds recorded by the histogram \p name in \p telemetry.
+double HistogramSum(const TelemetrySnapshot& telemetry,
+                    const std::string& name) {
+  for (const MetricSample& sample : telemetry.metrics) {
+    if (sample.name == name) return sample.histogram.sum_seconds;
+  }
+  return 0.0;
+}
+
 ShardResult RunShardSweep(const StateSpace& states, const BoundingBox& box,
                           int shards, uint32_t users, int rounds,
                           bool dump_telemetry = false) {
   ServiceOptions options;
   options.ingest_shards = shards;
+  options.enable_telemetry = true;  // the Tick phase sums come from it
   auto service = TrajectoryService::CreateWithEngine(
       states, std::make_unique<NullEngine>(), options);
   service.status().CheckOK();
@@ -268,15 +278,14 @@ ShardResult RunShardSweep(const StateSpace& states, const BoundingBox& box,
                          *service.value());
   }
 
-  const IngestStats stats = service.value()->ingest_stats();
+  const TelemetrySnapshot telemetry = service.value()->telemetry();
+  result.seal_s = HistogramSum(telemetry, "retrasyn_ingest_seal_seconds");
+  result.merge_s = HistogramSum(telemetry, "retrasyn_ingest_merge_seconds");
+  result.commit_s = HistogramSum(telemetry, "retrasyn_ingest_commit_seconds");
   result.events_per_s =
       static_cast<double>(users) * static_cast<double>(rounds) / elapsed;
-  result.tick_mean_ms =
-      (stats.seal_seconds + stats.merge_seconds + stats.commit_seconds) /
-      static_cast<double>(rounds) * 1e3;
-  result.seal_s = stats.seal_seconds;
-  result.merge_s = stats.merge_seconds;
-  result.commit_s = stats.commit_seconds;
+  result.tick_mean_ms = (result.seal_s + result.merge_s + result.commit_s) /
+                        static_cast<double>(rounds) * 1e3;
   result.allocs_per_round =
       rounds > 2 ? static_cast<double>(steady_allocs) / (rounds - 2) : 0.0;
   result.alloc_bytes_per_round =

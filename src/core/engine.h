@@ -100,8 +100,10 @@ class StreamReleaseEngine {
 /// \brief The service-layer knobs: how a TrajectoryService closes rounds,
 /// shards ingestion, journals, checkpoints and observes itself. Each is
 /// declared here once. RetraSynConfig inherits them, so a RetraSyn
-/// deployment sets them on its config; services over custom engines
-/// (CreateWithEngine / Attach) take them alone. Bare engines ignore them.
+/// deployment sets them on its config; CreateWithEngine/RecoverWithEngine
+/// take them alone. What the engine decides (the w-window the session
+/// recycles stream indices by, the deployment fingerprint) is not among
+/// them. Bare engines ignore them.
 struct ServiceOptions {
   /// kAsync moves the round-closing work off the ingest thread onto a
   /// dedicated closer worker per service (the parallel synthesis inside still
@@ -332,8 +334,8 @@ class RetraSynEngine : public StreamReleaseEngine {
   /// under budget division, which keeps no per-user state. Retirement is a
   /// deterministic function of the batch sequence alone, so the released
   /// bytes are identical whether the caller re-issues retired indices (the
-  /// session of a Create/Recover-built service does) or keeps minting fresh
-  /// ones (StreamFeeder, custom-engine services). The service copies this
+  /// session of every service over a RetraSynEngine does) or keeps minting
+  /// fresh ones (StreamFeeder). The service copies this
   /// into the round's RoundRelease, so the retired flow rides the
   /// round-handler path: under
   /// SyncPolicy::kAsync it is produced and consumed on the closer worker,

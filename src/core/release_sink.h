@@ -22,9 +22,9 @@ struct RoundRelease {
   uint64_t active = 0;             ///< total live synthetic population
   /// Stream indices the engine retired at this round — their stream quit a
   /// full w-window ago, so the ingest session may have re-issued them from
-  /// this round on (a Create/Recover-built service recycles). Observability
-  /// only; empty when the engine keeps no per-index state (budget division,
-  /// custom engines).
+  /// this round on (every service over a RetraSynEngine recycles).
+  /// Observability only; empty when the engine keeps no per-index state
+  /// (budget division, other engines).
   std::vector<uint32_t> retired;
 };
 

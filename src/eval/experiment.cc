@@ -61,13 +61,14 @@ MetricsReport EvaluateMetrics(const PreparedDataset& dataset,
 }
 
 RunResult RunEngine(const PreparedDataset& dataset,
-                    StreamReleaseEngine& engine,
+                    std::unique_ptr<StreamReleaseEngine> engine,
                     const StreamingMetricsConfig& metrics_config,
                     uint64_t metrics_seed) {
   RunResult result;
-  result.engine_name = engine.name();
+  result.engine_name = engine->name();
 
-  auto service = TrajectoryService::Attach(dataset.states(), &engine);
+  auto service =
+      TrajectoryService::CreateWithEngine(dataset.states(), std::move(engine));
   service.status().CheckOK();
 
   Stopwatch watch;
@@ -83,11 +84,12 @@ RunResult RunEngine(const PreparedDataset& dataset,
   result.metrics =
       EvaluateMetrics(dataset, synthetic, metrics_config, metrics_seed);
 
-  if (auto* retra = dynamic_cast<RetraSynEngine*>(&engine)) {
+  const StreamReleaseEngine& ran = service.value()->engine();
+  if (const auto* retra = dynamic_cast<const RetraSynEngine*>(&ran)) {
     result.total_reports = retra->total_reports();
     result.max_window_budget = retra->budget_ledger().MaxWindowSpend();
     result.report_window_violation = retra->report_tracker().HasViolation();
-  } else if (auto* ids = dynamic_cast<LdpIdsEngine*>(&engine)) {
+  } else if (const auto* ids = dynamic_cast<const LdpIdsEngine*>(&ran)) {
     result.max_window_budget = ids->budget_ledger().MaxWindowSpend();
     result.report_window_violation = ids->report_tracker().HasViolation();
   }

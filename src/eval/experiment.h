@@ -79,11 +79,12 @@ struct RunResult {
 
 /// \brief Streams the dataset through \p engine via the streaming service
 /// layer (TrajectoryService + ReplayDatabase; bit-identical to the legacy
-/// precomputed-batch loop), then evaluates all metrics. The same
-/// \p metrics_seed must be reused across engines under comparison so they
-/// face identical random queries/ranges.
+/// precomputed-batch loop), then evaluates all metrics. The service owns
+/// the engine for the run; the privacy audits are read from it into the
+/// result. The same \p metrics_seed must be reused across engines under
+/// comparison so they face identical random queries/ranges.
 RunResult RunEngine(const PreparedDataset& dataset,
-                    StreamReleaseEngine& engine,
+                    std::unique_ptr<StreamReleaseEngine> engine,
                     const StreamingMetricsConfig& metrics_config,
                     uint64_t metrics_seed);
 

@@ -56,27 +56,33 @@ Status CheckSegmentHeader(const char* data, size_t size, size_t* offset,
 }
 
 void EncodeRecord(const JournalEvent& event, std::string* out) {
-  std::string payload;
-  payload.push_back(static_cast<char>(event.type));
+  // Every payload is under 128 bytes (type byte + at most one 10-byte varint
+  // and two doubles), so its length varint is the single byte reserved here
+  // and patched once the payload is encoded in place behind it: no
+  // temporary, so appending into a reserved buffer allocates nothing.
+  const size_t length_at = out->size();
+  out->push_back(0);
+  const size_t payload_at = out->size();
+  out->push_back(static_cast<char>(event.type));
   switch (event.type) {
     case JournalEventType::kEnter:
     case JournalEventType::kMove:
-      PutVarint64(event.user, &payload);
-      PutDouble(event.location.x, &payload);
-      PutDouble(event.location.y, &payload);
+      PutVarint64(event.user, out);
+      PutDouble(event.location.x, out);
+      PutDouble(event.location.y, out);
       break;
     case JournalEventType::kQuit:
-      PutVarint64(event.user, &payload);
+      PutVarint64(event.user, out);
       break;
     case JournalEventType::kTick:
       break;
     case JournalEventType::kAdvanceTo:
-      PutVarint64(ZigzagEncode(event.target_t), &payload);
+      PutVarint64(ZigzagEncode(event.target_t), out);
       break;
   }
-  PutVarint64(payload.size(), out);
-  out->append(payload);
-  PutFixed32(Crc32c(payload.data(), payload.size()), out);
+  const size_t payload_len = out->size() - payload_at;
+  (*out)[length_at] = static_cast<char>(payload_len);
+  PutFixed32(Crc32c(out->data() + payload_at, payload_len), out);
 }
 
 Status DecodeRecord(const char* data, size_t size, size_t* offset,

@@ -60,10 +60,8 @@ IngestSession::IngestSession(const StateSpace& states, RoundHandler handler,
       options_(options) {
   RETRASYN_CHECK(handler_ != nullptr);
   // Service-layer callers validate first (ServiceOptions::Validate) and
-  // surface a Status; reaching here with a window-less recycling config or a
-  // nonsensical shard count is a programming bug.
-  RETRASYN_CHECK_MSG(!options_.recycle_stream_indices || options_.window >= 1,
-                     "recycling requires a w-window of at least 1");
+  // surface a Status; reaching here with a nonsensical shard count is a
+  // programming bug.
   RETRASYN_CHECK_MSG(options_.num_shards >= 1,
                      "an ingest session needs at least one shard");
   shards_.reserve(static_cast<size_t>(options_.num_shards));
@@ -146,21 +144,13 @@ uint32_t IngestSession::ShardOf(uint64_t user, int num_shards) {
   return static_cast<uint32_t>(x % static_cast<uint64_t>(num_shards));
 }
 
-void IngestSession::AttachJournal(JournalWriter* journal) {
-  RETRASYN_CHECK_MSG(shards_.size() == 1,
-                     "AttachJournal is the single-shard entry point; sharded "
-                     "sessions attach one journal per shard (AttachJournals)");
-  // Attach normally happens before producers start, but nothing enforced
-  // that: the naked pointer write raced any concurrent producer reading
-  // shard->journal under its lock. Take the shard lock (setup-time cost only).
-  MutexLock l(shards_[0]->mu);
-  shards_[0]->journal = journal;
-}
-
 void IngestSession::AttachJournals(std::vector<JournalWriter*> journals) {
   if (journals.empty()) {
     for (auto& shard : shards_) {
-      MutexLock l(shard->mu);  // see AttachJournal
+      // Attach normally happens before producers start, but nothing enforces
+      // that: producers read shard->journal under the shard lock, so take it
+      // (setup-time cost only).
+      MutexLock l(shard->mu);
       shard->journal = nullptr;
     }
     return;
@@ -169,7 +159,7 @@ void IngestSession::AttachJournals(std::vector<JournalWriter*> journals) {
                      "a sharded session needs exactly one journal per shard");
   for (size_t i = 0; i < shards_.size(); ++i) {
     RETRASYN_CHECK(journals[i] != nullptr);
-    MutexLock l(shards_[i]->mu);  // see AttachJournal
+    MutexLock l(shards_[i]->mu);  // see above
     shards_[i]->journal = journals[i];
   }
 }
@@ -390,32 +380,6 @@ size_t IngestSession::num_pending_events() const {
   return n;
 }
 
-IngestStats IngestSession::stats() const {
-  // Pure registry view: every value reads back from the metrics the session
-  // registered at construction (no parallel counter system). The shard lock
-  // only pins pending/accepted to a consistent cut per shard.
-  IngestStats stats;
-  stats.shards.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    MutexLock l(shard->mu);
-    IngestShardStats s;
-    s.events_accepted = shard->accepted_metric->Value();
-    s.events_rejected = shard->rejected_metric->Value();
-    s.pending_events = static_cast<uint64_t>(shard->pending_metric->Value());
-    s.peak_pending_events =
-        static_cast<uint64_t>(shard->peak_pending_metric->Value());
-    s.active_streams = static_cast<uint64_t>(shard->active_metric->Value());
-    stats.shards.push_back(s);
-  }
-  stats.rounds_sealed = rounds_sealed_metric_->Value();
-  stats.entries_merged = entries_merged_metric_->Value();
-  stats.seal_seconds = seal_hist_->SumSeconds();
-  stats.merge_seconds = merge_hist_->SumSeconds();
-  stats.commit_seconds = commit_hist_->SumSeconds();
-  stats.obs_buffers_reused = obs_buffers_reused_metric_->Value();
-  return stats;
-}
-
 void IngestSession::RecycleBatch(TimestampBatch&& batch) {
   MutexLock l(obs_pool_mu_);
   if (obs_pool_.size() >= kMaxPooledObservationBuffers) return;
@@ -481,7 +445,7 @@ SessionCheckpointState IngestSession::SaveCheckpointState() const {
 
 Status IngestSession::RestoreCheckpointState(SessionCheckpointState state) {
   // Restore targets a fresh session, but "fresh" never implied "unobserved":
-  // a monitoring thread polling stats()/num_active_users() during recovery
+  // a monitoring thread polling num_active_users() during recovery
   // read shard->table while this wrote it. Hold every shard for the whole
   // restore, same index-order protocol as Tick().
   ShardLockSet locks(shards_);
@@ -503,7 +467,7 @@ Status IngestSession::RestoreCheckpointState(SessionCheckpointState state) {
         "corrupt checkpoint: stream-index high-water mark " +
         std::to_string(state.next_stream_index) + " exceeds the cap");
   }
-  if (!options_.recycle_stream_indices &&
+  if (options_.window < 1 &&
       (!state.quitted_at.empty() || !state.free_indices.empty())) {
     return Status::InvalidArgument(
         "checkpoint carries index-recycling state but recycling is disabled");
@@ -791,9 +755,7 @@ Status IngestSession::Tick() {
       obs.user_index = e.stream_index;
       obs.state = e.state;
       obs.is_quit = true;
-      if (options_.recycle_stream_indices) {
-        quit_indices.push_back(e.stream_index);
-      }
+      if (options_.window >= 1) quit_indices.push_back(e.stream_index);
     } else if (e.is_enter) {
       e.stream_index = next_stream();  // committed to the shard on success
       obs.user_index = e.stream_index;
@@ -854,7 +816,7 @@ Status IngestSession::Tick() {
   }
   Stopwatch commit_watch;
   next_stream_index_ = next_index;
-  if (options_.recycle_stream_indices) {
+  if (options_.window >= 1) {
     // Commit the index lifecycle exactly as the cursors consumed it: drop
     // the used prefix of the free list, retire the peeked buckets (their
     // unconsumed suffix joins the free list), and bucket this round's quits

@@ -42,7 +42,7 @@
 // Stream-index lifecycle: each new stream needs an engine-facing index, and
 // over an unbounded horizon a cumulative counter leaks — the engine's dense
 // per-index state grows with the highest index ever minted, even at constant
-// live population. With IngestSessionOptions::recycle_stream_indices the
+// live population. With a w-window (IngestSessionOptions::window >= 1) the
 // session instead retires an index once its stream's quit round has left the
 // w-window (the last round the stream could have reported in) and re-issues
 // retired indices, oldest first, before minting fresh ones. Retirement is a
@@ -77,17 +77,16 @@
 namespace retrasyn {
 
 /// \brief Index-lifecycle and sharding knobs for an IngestSession. The
-/// service layer fills these in: it recycles (with the config's window) when
-/// it built the RetraSynEngine itself (Create/Recover), and takes
-/// num_shards from ServiceOptions::ingest_shards. A session that recycles
-/// needs a consumer — the engine behind the round handler — that applies the
-/// same retirement rule to its dense per-index state (RetraSynEngine does;
-/// see RetraSynEngine::retired_last_round()).
+/// service layer fills these in: the window from its engine (a
+/// RetraSynEngine's config().window, 0 for any other engine) and num_shards
+/// from ServiceOptions::ingest_shards. A session that recycles needs a
+/// consumer — the engine behind the round handler — that applies the same
+/// retirement rule to its dense per-index state (RetraSynEngine does; see
+/// RetraSynEngine::retired_last_round()).
 struct IngestSessionOptions {
-  /// Re-issue the index of a quitted stream once its quit round has left the
-  /// w-window, instead of growing the cumulative counter forever.
-  bool recycle_stream_indices = false;
-  /// The w-event window governing retirement; must be >= 1 when recycling.
+  /// The w-event window governing retirement. >= 1: re-issue the index of a
+  /// quitted stream once its quit round has left the window; 0: grow the
+  /// cumulative counter (for engines that need not tolerate index reuse).
   int window = 0;
   /// User shards (>= 1). Events route to shard ShardOf(user, num_shards);
   /// each shard has its own mutex, state slice, and journal stream.
@@ -95,36 +94,9 @@ struct IngestSessionOptions {
   /// Service-owned telemetry bundle (not owned; may be null). When attached,
   /// ingest counters register in its registry, Tick() phases land in its
   /// RoundTrace, and boundary poisonings record a first-failure. When null
-  /// the session registers its counters in a private registry so stats()
-  /// stays a registry view either way — one source of truth.
+  /// the session registers its counters in a private registry, so the hot
+  /// path updates them unconditionally.
   Telemetry* telemetry = nullptr;
-};
-
-/// \brief Per-shard ingest counters (IngestStats::shards[i]).
-struct IngestShardStats {
-  uint64_t events_accepted = 0;   ///< events admitted into this shard
-  uint64_t events_rejected = 0;   ///< validation failures
-  uint64_t pending_events = 0;    ///< queue depth: events buffered now
-  uint64_t peak_pending_events = 0;  ///< high-water mark of pending_events
-  uint64_t active_streams = 0;    ///< live streams owned by this shard
-};
-
-/// \brief Lightweight ingest observability: per-shard queue depths plus the
-/// cumulative seal/merge/commit timings of Tick(), so scaling regressions
-/// are diagnosable without a profiler. Snapshot via IngestSession::stats()
-/// (or TrajectoryService::ingest_stats()); consistent when no producer is
-/// concurrently feeding — e.g. after Drain(). Since the telemetry subsystem
-/// landed this struct is a *view over the metrics registry* (the session's
-/// counters live in MetricsRegistry whether or not a service Telemetry is
-/// attached); there is no parallel counter system.
-struct IngestStats {
-  std::vector<IngestShardStats> shards;
-  uint64_t rounds_sealed = 0;      ///< successful Tick() count
-  uint64_t entries_merged = 0;     ///< observations across all sealed rounds
-  double seal_seconds = 0.0;       ///< parallel per-shard seal phase (wall)
-  double merge_seconds = 0.0;      ///< k-way merge + index assignment (wall)
-  double commit_seconds = 0.0;     ///< post-handler state commit (wall)
-  uint64_t obs_buffers_reused = 0;  ///< batches sealed into a recycled buffer
 };
 
 /// \brief Everything a checkpoint needs to reconstruct a session at a round
@@ -171,25 +143,20 @@ class IngestSession {
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
 
-  /// Journals every accepted event through \p journal (not owned; may be
-  /// null to detach). Single-shard sessions only; sharded sessions attach
-  /// one journal per shard via AttachJournals. Appends happen after
-  /// validation and *before* the session commits any state, extending
-  /// Tick()'s error-atomic contract to durability: an event the journal did
-  /// not accept is not buffered, and a round whose boundary record did not
-  /// reach the journal... is the one exception — the handler has already
-  /// consumed the batch by then, so the round commits in memory, the Tick
-  /// returns the journal error, and the failure poisons every later entry
-  /// point (the journal never silently diverges by more than that one
-  /// boundary record).
-  void AttachJournal(JournalWriter* journal);
-
-  /// Sharded counterpart: exactly one journal per shard (shard i's accepted
-  /// events and round boundaries append to \p journals[i]), or an empty
-  /// vector to detach. A boundary-append failure on ANY shard poisons the
-  /// whole session — otherwise healthy shards would keep journaling events
-  /// for rounds their sibling's journal never closed, and the shard streams
-  /// would diverge beyond the one-boundary contract.
+  /// Journals every accepted event through \p journals — exactly one per
+  /// shard (shard i's accepted events and round boundaries append to
+  /// \p journals[i]; not owned) — or detaches on an empty vector. Appends
+  /// happen after validation and *before* the session commits any state,
+  /// extending Tick()'s error-atomic contract to durability: an event the
+  /// journal did not accept is not buffered. A round whose boundary record
+  /// did not reach the journal is the one exception — the handler has
+  /// already consumed the batch by then, so the round commits in memory,
+  /// the Tick returns the journal error, and the failure poisons every
+  /// later entry point (the journal never silently diverges by more than
+  /// that one boundary record). A boundary-append failure on ANY shard
+  /// poisons the whole session — otherwise healthy shards would keep
+  /// journaling events for rounds their sibling's journal never closed, and
+  /// the shard streams would diverge beyond the one-boundary contract.
   void AttachJournals(std::vector<JournalWriter*> journals);
 
   /// Begins a new stream for \p user, reporting \p location this round.
@@ -230,9 +197,6 @@ class IngestSession {
 
   /// Events buffered for the open round.
   size_t num_pending_events() const;
-
-  /// Per-shard counters + cumulative Tick phase timings. See IngestStats.
-  IngestStats stats() const;
 
   /// Returns a consumed batch's observation buffer to the seal pool so the
   /// next round seals into it instead of allocating. Called by the service
@@ -316,7 +280,7 @@ class IngestSession {
     /// always under mu, so a plain compare replaces the gauge's CAS loop.
     size_t peak_pending GUARDED_BY(mu) = 0;
     /// Not owned; null = no journaling. The pointer itself is guarded (swapped
-    /// by AttachJournal(s), read by producers); the pointee synchronizes
+    /// by AttachJournals, read by producers); the pointee synchronizes
     /// internally where it is shared (TakeSealedSegments / presync).
     JournalWriter* journal GUARDED_BY(mu) = nullptr;
     /// Seal scratch: the round's entry run, sorted by (user, phase) each
@@ -327,7 +291,7 @@ class IngestSession {
     /// first seal.
     std::vector<SealedEntry> radix_scratch GUARDED_BY(mu);
     /// Registry-backed counters (stable pointers into registry_; set once in
-    /// the constructor). IngestStats reads these — one source of truth.
+    /// the constructor).
     Counter* accepted_metric = nullptr;
     Counter* rejected_metric = nullptr;
     Gauge* pending_metric = nullptr;
@@ -455,7 +419,7 @@ class IngestSession {
   /// phase. Only touched when trace_ is attached.
   std::atomic<int64_t> round_admit_start_ns_{0};
 
-  // Index lifecycle (recycle_stream_indices only; both containers stay empty
+  // Index lifecycle (window >= 1 only; both containers stay empty
   // otherwise). Global across shards — indices are assigned on the merged
   // batch sequence. An index lives in at most one place: a quitted_at_
   // bucket while its quit round is inside the w-window, then free_indices_

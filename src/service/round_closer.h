@@ -13,8 +13,8 @@
 // makes from the ingest thread — so for a fixed (seed, num_threads) the
 // release sequence is byte-identical to Inline.
 //
-// Stream-index retirement (IngestSessionOptions::recycle_stream_indices) rides
-// this pipeline: the engine retires quitted indices inside the close step —
+// Stream-index retirement (IngestSessionOptions::window >= 1) rides this
+// pipeline: the engine retires quitted indices inside the close step —
 // on the closer worker under kAsync — and the resulting RoundRelease carries
 // them to sinks in round order. The ingest thread never reads that state; it
 // derives the identical retirement independently from the batch sequence

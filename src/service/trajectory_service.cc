@@ -13,82 +13,6 @@ namespace retrasyn {
 
 namespace {
 
-/// Hash of everything the replayed byte stream depends on: the discretized
-/// space (box + cell layout fix how raw points resolve to states) plus every
-/// engine-config field that steers collection/synthesis. Stamped into each
-/// segment header so Recover under a changed deployment fails loudly —
-/// replay would still *accept* most events, just resolve them differently.
-/// The fields are serialized as fixed64 (doubles as their bits) and hashed
-/// once with Fnv1a64, so the value does not depend on host byte order.
-/// tools/lint.py checks that every field declared in RetraSynConfig and
-/// AllocationConfig appears here (or carries an allowlisted reason).
-uint64_t DeploymentFingerprint(const StateSpace& states,
-                               const RetraSynConfig& config) {
-  // The grid's canonical description covers backend kind, bounding box, and
-  // the full structural parameters (for the quadtree, every split), so a
-  // journal can never be replayed under a different discretization — not
-  // even one with an identical cell count.
-  std::string bytes = states.grid().Describe();
-  PutFixed64(states.size(), &bytes);
-  PutDouble(config.epsilon, &bytes);
-  PutFixed64(static_cast<uint64_t>(config.window), &bytes);
-  PutFixed64(static_cast<uint64_t>(config.division), &bytes);
-  PutFixed64(static_cast<uint64_t>(config.allocation.kind), &bytes);
-  PutDouble(config.allocation.alpha, &bytes);
-  PutFixed64(static_cast<uint64_t>(config.allocation.kappa), &bytes);
-  PutDouble(config.allocation.max_portion, &bytes);
-  PutDouble(config.allocation.min_portion, &bytes);
-  PutFixed64(config.use_dmu ? 1 : 0, &bytes);
-  PutFixed64(config.use_eq ? 1 : 0, &bytes);
-  PutDouble(config.lambda, &bytes);
-  PutFixed64(static_cast<uint64_t>(config.collection_mode), &bytes);
-  PutFixed64(static_cast<uint64_t>(config.oracle), &bytes);
-  PutFixed64(static_cast<uint64_t>(config.postprocess), &bytes);
-  PutFixed64(config.seed, &bytes);
-  // The thread count sets the synthesis chunking, so the bytes depend on
-  // the resolved value: num_threads = 0 resolves from the pool or the
-  // hardware, and a restart on a different one must be refused.
-  PutFixed64(static_cast<uint64_t>(ResolveThreads(config)), &bytes);
-  // The shard count fixes the journal layout (which shard stream holds
-  // which user's events); replay under a different count would read the
-  // wrong streams, so it is refused by fingerprint.
-  PutFixed64(static_cast<uint64_t>(config.ingest_shards), &bytes);
-  return Fnv1a64(bytes);
-}
-
-/// Custom engines (CreateWithEngine/Attach) have no RetraSynConfig; bind
-/// the journal to the state space, the engine's self-reported identity, and
-/// the shard layout.
-uint64_t DeploymentFingerprint(const StateSpace& states,
-                               const std::string& engine_name,
-                               int ingest_shards) {
-  std::string bytes = states.grid().Describe();
-  PutFixed64(states.size(), &bytes);
-  bytes.append(engine_name);
-  PutFixed64(static_cast<uint64_t>(ingest_shards), &bytes);
-  return Fnv1a64(bytes);
-}
-
-/// The fingerprint of a deployment: the config \p engine was built from
-/// (Create/Recover), or for a caller-built engine (\p config null) its
-/// self-reported name.
-uint64_t DeploymentFingerprint(const StateSpace& states,
-                               const RetraSynConfig* config,
-                               const StreamReleaseEngine& engine,
-                               int ingest_shards) {
-  return config != nullptr
-             ? DeploymentFingerprint(states, *config)
-             : DeploymentFingerprint(states, engine.name(), ingest_shards);
-}
-
-/// The w-event window a service keeps for a config-built engine: its
-/// session recycles stream indices by it and checkpoint compaction keeps it
-/// behind each checkpoint. 0 for a caller-built engine (\p config null):
-/// cumulative indices, since a custom engine need not tolerate reuse.
-int WindowOf(const RetraSynConfig* config) {
-  return config != nullptr ? config->window : 0;
-}
-
 /// The physical journal directories for \p options: the configured dir
 /// itself for a single shard, one shard-NNN subdirectory per shard
 /// otherwise. Empty when journaling is disabled.
@@ -223,9 +147,9 @@ Result<std::vector<std::unique_ptr<JournalWriter>>> MaybeOpenJournals(
 
 /// The checkpoint subsystem's options from the service's: the same
 /// fingerprint the journal stamps, retirement window = \p window (the
-/// w-event window of a config-built engine). The cadence/retention knobs are
-/// deliberately NOT fingerprinted — they may change across restarts without
-/// invalidating durable state.
+/// engine's w-event window; 0 for a custom engine). The cadence/retention
+/// knobs are deliberately NOT fingerprinted — they may change across
+/// restarts without invalidating durable state.
 CheckpointOptions CheckpointOptionsFor(const ServiceOptions& options,
                                        int window, uint64_t fingerprint,
                                        std::string grid_describe) {
@@ -242,11 +166,11 @@ CheckpointOptions CheckpointOptionsFor(const ServiceOptions& options,
 }
 
 /// Checkpointing serializes the engine's dense state, which only a
-/// RetraSynEngine can do; a custom engine must keep the full-replay model.
+/// RetraSynEngine can do (\p retrasyn null: any other engine); a custom
+/// engine must keep the full-replay model.
 Status CheckCheckpointable(const ServiceOptions& options,
-                           const StreamReleaseEngine* engine) {
-  if (options.checkpoint_every_rounds > 0 &&
-      dynamic_cast<const RetraSynEngine*>(engine) == nullptr) {
+                           const RetraSynEngine* retrasyn) {
+  if (options.checkpoint_every_rounds > 0 && retrasyn == nullptr) {
     return Status::InvalidArgument(
         "checkpointing requires a RetraSynEngine (custom engines have no "
         "serializable checkpoint state); leave checkpoint_every_rounds at 0");
@@ -273,16 +197,11 @@ Result<std::unique_ptr<CheckpointManager>> MaybeOpenCheckpoints(
 }  // namespace
 
 TrajectoryService::TrajectoryService(
-    const StateSpace& states, std::unique_ptr<StreamReleaseEngine> owned,
-    StreamReleaseEngine* engine, const ServiceOptions& options, int window,
-    std::vector<std::unique_ptr<JournalWriter>> journals,
-    bool defer_async_closer)
+    const StateSpace& states, std::unique_ptr<StreamReleaseEngine> engine,
+    const ServiceOptions& options)
     : states_(&states),
-      owned_engine_(std::move(owned)),
-      engine_(engine),
-      journals_(std::move(journals)) {
-  retrasyn_ = dynamic_cast<const RetraSynEngine*>(engine_);
-  retrasyn_mutable_ = dynamic_cast<RetraSynEngine*>(engine_);
+      engine_(std::move(engine)),
+      retrasyn_(dynamic_cast<RetraSynEngine*>(engine_.get())) {
   if (options.enable_telemetry) {
     telemetry_ = std::make_unique<Telemetry>();
     MetricsRegistry& registry = telemetry_->registry();
@@ -294,19 +213,14 @@ TrajectoryService::TrajectoryService(
         "Sink fan-out for one round's release");
     trace_ = &telemetry_->trace();
     engine_->AttachTelemetry(telemetry_.get());
-    for (std::unique_ptr<JournalWriter>& journal : journals_) {
-      journal->AttachTelemetry(telemetry_.get());
-    }
   }
   IngestSessionOptions session_options;
-  session_options.recycle_stream_indices = window > 0;
-  session_options.window = window;
+  session_options.window = window();
   session_options.num_shards = options.ingest_shards;
   session_options.telemetry = telemetry_.get();
   session_ = std::make_unique<IngestSession>(
       states, [this](TimestampBatch batch) { return OnRound(std::move(batch)); },
       session_options);
-  if (!journals_.empty()) session_->AttachJournals(RawJournals(journals_));
   if (options.checkpoint_every_rounds > 0) {
     // The session half of a due checkpoint, captured on the ingest thread the
     // moment the round boundary is durable in the journal (the hook only
@@ -320,9 +234,52 @@ TrajectoryService::TrajectoryService(
       }
     });
   }
-  if (options.sync_policy == SyncPolicy::kAsync && !defer_async_closer) {
-    ArmCloser(options);
+}
+
+uint64_t TrajectoryService::DeploymentFingerprint() const {
+  // The grid's canonical description covers backend kind, bounding box, and
+  // the full structural parameters (for the quadtree, every split), so a
+  // journal can never be replayed under a different discretization — not
+  // even one with an identical cell count. The fields are serialized as
+  // fixed64 (doubles as their bits) and hashed once with Fnv1a64, so the
+  // value does not depend on host byte order.
+  std::string bytes = states_->grid().Describe();
+  PutFixed64(states_->size(), &bytes);
+  if (retrasyn_ == nullptr) {
+    // Any other engine binds its self-reported identity.
+    bytes.append(engine_->name());
+  } else {
+    // Every engine-config field that steers collection/synthesis: replay
+    // under a changed one would still *accept* most events, just resolve
+    // them differently. tools/lint.py checks that every field declared in
+    // RetraSynConfig and AllocationConfig appears here (or carries an
+    // allowlisted reason).
+    const RetraSynConfig& config = retrasyn_->config();
+    PutDouble(config.epsilon, &bytes);
+    PutFixed64(static_cast<uint64_t>(config.window), &bytes);
+    PutFixed64(static_cast<uint64_t>(config.division), &bytes);
+    PutFixed64(static_cast<uint64_t>(config.allocation.kind), &bytes);
+    PutDouble(config.allocation.alpha, &bytes);
+    PutFixed64(static_cast<uint64_t>(config.allocation.kappa), &bytes);
+    PutDouble(config.allocation.max_portion, &bytes);
+    PutDouble(config.allocation.min_portion, &bytes);
+    PutFixed64(config.use_dmu ? 1 : 0, &bytes);
+    PutFixed64(config.use_eq ? 1 : 0, &bytes);
+    PutDouble(config.lambda, &bytes);
+    PutFixed64(static_cast<uint64_t>(config.collection_mode), &bytes);
+    PutFixed64(static_cast<uint64_t>(config.oracle), &bytes);
+    PutFixed64(static_cast<uint64_t>(config.postprocess), &bytes);
+    PutFixed64(config.seed, &bytes);
+    // The thread count sets the synthesis chunking, so the bytes depend on
+    // the resolved value: num_threads = 0 resolves from the pool or the
+    // hardware, and a restart on a different one must be refused.
+    PutFixed64(static_cast<uint64_t>(ResolveThreads(config)), &bytes);
   }
+  // The shard count fixes the journal layout (which shard stream holds
+  // which user's events); replay under a different count would read the
+  // wrong streams, so it is refused by fingerprint.
+  PutFixed64(static_cast<uint64_t>(session_->num_shards()), &bytes);
+  return Fnv1a64(bytes);
 }
 
 void TrajectoryService::ArmCloser(const ServiceOptions& options) {
@@ -338,6 +295,23 @@ void TrajectoryService::ArmCloser(const ServiceOptions& options) {
       closer_options,
       [this](const TimestampBatch& batch) { return CloseRound(batch); },
       [this](const RoundRelease& round) { return Deliver(round); });
+}
+
+void TrajectoryService::AttachJournals(
+    std::vector<std::unique_ptr<JournalWriter>> journals) {
+  journals_ = std::move(journals);
+  for (std::unique_ptr<JournalWriter>& journal : journals_) {
+    journal->AttachTelemetry(telemetry_.get());
+  }
+  session_->AttachJournals(RawJournals(journals_));
+}
+
+void TrajectoryService::AttachCheckpoint(
+    std::unique_ptr<CheckpointManager> checkpoint) {
+  checkpoint_ = std::move(checkpoint);
+  if (checkpoint_ == nullptr) return;
+  checkpoint_->AttachJournals(RawJournals(journals_));
+  checkpoint_->AttachTelemetry(telemetry_.get());
 }
 
 TrajectoryService::~TrajectoryService() {
@@ -383,78 +357,43 @@ Status ServiceOptions::Validate() const {
 Result<std::unique_ptr<TrajectoryService>> TrajectoryService::Create(
     const StateSpace& states, const RetraSynConfig& config) {
   RETRASYN_RETURN_NOT_OK(config.Validate());
-  auto engine = std::make_unique<RetraSynEngine>(states, config);
-  StreamReleaseEngine* raw = engine.get();
-  return CreateImpl(states, std::move(engine), raw, config, &config);
+  return CreateWithEngine(
+      states, std::make_unique<RetraSynEngine>(states, config), config);
 }
 
 Result<std::unique_ptr<TrajectoryService>> TrajectoryService::CreateWithEngine(
     const StateSpace& states, std::unique_ptr<StreamReleaseEngine> engine,
     const ServiceOptions& options) {
-  StreamReleaseEngine* raw = engine.get();
-  return CreateImpl(states, std::move(engine), raw, options, nullptr);
-}
-
-Result<std::unique_ptr<TrajectoryService>> TrajectoryService::Attach(
-    const StateSpace& states, StreamReleaseEngine* engine,
-    const ServiceOptions& options) {
-  return CreateImpl(states, nullptr, engine, options, nullptr);
-}
-
-Result<std::unique_ptr<TrajectoryService>> TrajectoryService::CreateImpl(
-    const StateSpace& states, std::unique_ptr<StreamReleaseEngine> owned,
-    StreamReleaseEngine* engine, const ServiceOptions& options,
-    const RetraSynConfig* config) {
   if (engine == nullptr) {
     return Status::InvalidArgument("engine must not be null");
   }
   RETRASYN_RETURN_NOT_OK(options.Validate());
-  RETRASYN_RETURN_NOT_OK(CheckCheckpointable(options, engine));
-  const int window = WindowOf(config);
-  const uint64_t fingerprint =
-      DeploymentFingerprint(states, config, *engine, options.ingest_shards);
-  auto checkpoint = MaybeOpenCheckpoints(options, window, states, fingerprint,
-                                         /*require_fresh=*/true);
+  std::unique_ptr<TrajectoryService> service(
+      new TrajectoryService(states, std::move(engine), options));
+  RETRASYN_RETURN_NOT_OK(CheckCheckpointable(options, service->retrasyn_));
+  const uint64_t fingerprint = service->DeploymentFingerprint();
+  auto checkpoint = MaybeOpenCheckpoints(options, service->window(), states,
+                                         fingerprint, /*require_fresh=*/true);
   if (!checkpoint.ok()) return checkpoint.status();
   auto journals =
       MaybeOpenJournals(options, /*require_fresh=*/true, fingerprint);
   if (!journals.ok()) return journals.status();
-  std::unique_ptr<TrajectoryService> service(
-      new TrajectoryService(states, std::move(owned), engine, options, window,
-                            std::move(journals).value()));
-  if (checkpoint.value() != nullptr) {
-    service->checkpoint_ = std::move(checkpoint).value();
-    service->checkpoint_->AttachJournals(RawJournals(service->journals_));
-    service->checkpoint_->AttachTelemetry(service->telemetry_.get());
-  }
+  service->AttachJournals(std::move(journals).value());
+  service->AttachCheckpoint(std::move(checkpoint).value());
+  if (options.sync_policy == SyncPolicy::kAsync) service->ArmCloser(options);
   return service;
 }
 
 Result<std::unique_ptr<TrajectoryService>> TrajectoryService::Recover(
     const StateSpace& states, const RetraSynConfig& config) {
   RETRASYN_RETURN_NOT_OK(config.Validate());
-  auto engine = std::make_unique<RetraSynEngine>(states, config);
-  StreamReleaseEngine* raw = engine.get();
-  return RecoverImpl(states, std::move(engine), raw, config, &config);
+  return RecoverWithEngine(
+      states, std::make_unique<RetraSynEngine>(states, config), config);
 }
 
 Result<std::unique_ptr<TrajectoryService>> TrajectoryService::RecoverWithEngine(
     const StateSpace& states, std::unique_ptr<StreamReleaseEngine> engine,
     const ServiceOptions& options) {
-  StreamReleaseEngine* raw = engine.get();
-  return RecoverImpl(states, std::move(engine), raw, options, nullptr);
-}
-
-Result<std::unique_ptr<TrajectoryService>> TrajectoryService::RecoverAttached(
-    const StateSpace& states, StreamReleaseEngine* engine,
-    const ServiceOptions& options) {
-  return RecoverImpl(states, nullptr, engine, options, nullptr);
-}
-
-Result<std::unique_ptr<TrajectoryService>> TrajectoryService::RecoverImpl(
-    const StateSpace& states, std::unique_ptr<StreamReleaseEngine> owned,
-    StreamReleaseEngine* engine, const ServiceOptions& options,
-    const RetraSynConfig* config) {
   if (engine == nullptr) {
     return Status::InvalidArgument("engine must not be null");
   }
@@ -462,9 +401,14 @@ Result<std::unique_ptr<TrajectoryService>> TrajectoryService::RecoverImpl(
     return Status::InvalidArgument("Recover requires a journal_dir");
   }
   RETRASYN_RETURN_NOT_OK(options.Validate());
-  const int window = WindowOf(config);
-  const uint64_t fingerprint =
-      DeploymentFingerprint(states, config, *engine, options.ingest_shards);
+  // The service is built here but stays un-journaled, un-checkpointed and
+  // (under kAsync) without its closer until the replay below is done:
+  // replayed events are not re-journaled and replay never rewrites
+  // checkpoints.
+  std::unique_ptr<TrajectoryService> service(
+      new TrajectoryService(states, std::move(engine), options));
+  RETRASYN_RETURN_NOT_OK(CheckCheckpointable(options, service->retrasyn_));
+  const uint64_t fingerprint = service->DeploymentFingerprint();
 
   // Refuse a layout that contradicts the configured shard count before a
   // single record is read.
@@ -577,7 +521,6 @@ Result<std::unique_ptr<TrajectoryService>> TrajectoryService::RecoverImpl(
   // Load the newest usable checkpoint (checkpointing configured only). A
   // structurally valid checkpoint under the wrong fingerprint fails loudly
   // here — never a silent fall-through to full replay.
-  RETRASYN_RETURN_NOT_OK(CheckCheckpointable(options, engine));
   CheckpointState ckpt;
   bool have_checkpoint = false;
   std::vector<int64_t> surviving;
@@ -624,30 +567,25 @@ Result<std::unique_ptr<TrajectoryService>> TrajectoryService::RecoverImpl(
         "); the rounds between them are unrecoverable");
   }
 
-  // Replay inline — the closer stays un-armed even under kAsync, and the
-  // journals stay detached so replayed events are not re-journaled. With a
-  // checkpoint, restore its state first and replay only the journal suffix
-  // behind its round.
-  std::unique_ptr<TrajectoryService> service(
-      new TrajectoryService(states, std::move(owned), engine, options, window,
-                            /*journals=*/{}, /*defer_async_closer=*/true));
+  // Replay inline: with a checkpoint, restore its state first and replay
+  // only the journal suffix behind its round.
   int64_t resume_round = max_base;
   if (have_checkpoint) {
     resume_round = ckpt.round;
-    RETRASYN_RETURN_NOT_OK(service->retrasyn_mutable_->RestoreCheckpointState(
-        std::move(ckpt.engine)));
+    RETRASYN_RETURN_NOT_OK(
+        service->retrasyn_->RestoreCheckpointState(std::move(ckpt.engine)));
     RETRASYN_RETURN_NOT_OK(
         service->session_->RestoreCheckpointState(std::move(ckpt.session)));
   }
   RETRASYN_RETURN_NOT_OK(
       service->ReplayJournals(scans, resume_round, min_closed));
 
-  // Re-arm: async closing per the config, then the journal writers, which
-  // adopt the held locks and continue in fresh segments after the replayed
-  // ones (their round accounting continues from the replayed total).
-  if (options.sync_policy == SyncPolicy::kAsync) service->ArmCloser(options);
+  // Re-arm the journal writers, which adopt the held locks and continue in
+  // fresh segments after the replayed ones (their round accounting
+  // continues from the replayed total).
   const JournalOptions journal_options =
       JournalOptionsFor(options, fingerprint);
+  std::vector<std::unique_ptr<JournalWriter>> writers;
   for (size_t s = 0; s < dirs.size(); ++s) {
     if (!existed[s]) {
       // Deferred until every validation passed: a refused Recover must not
@@ -662,10 +600,9 @@ Result<std::unique_ptr<TrajectoryService>> TrajectoryService::RecoverImpl(
                                             std::move(locks[s]));
     if (!writer.ok()) return writer.status();
     writer.value()->set_base_round(service->rounds_closed());
-    writer.value()->AttachTelemetry(service->telemetry_.get());
-    service->journals_.push_back(std::move(writer).value());
+    writers.push_back(std::move(writer).value());
   }
-  service->session_->AttachJournals(RawJournals(service->journals_));
+  service->AttachJournals(std::move(writers));
   if (service->telemetry_ != nullptr) {
     // The recovery fallback-ladder depth: how many corrupt checkpoints
     // LoadForRecovery deleted before finding a usable one (0 on a clean
@@ -677,16 +614,14 @@ Result<std::unique_ptr<TrajectoryService>> TrajectoryService::RecoverImpl(
         ->Set(corrupt_skipped);
   }
 
-  // Finally the checkpoint subsystem, seeded with the recovered manifest,
-  // the surviving checkpoints, and the scanned segments (its future
-  // retirement candidates, per shard journal).
+  // Then the checkpoint subsystem, seeded with the recovered manifest, the
+  // surviving checkpoints, and the scanned segments (its future retirement
+  // candidates, per shard journal).
   if (options.checkpoint_every_rounds > 0) {
-    auto manager = MaybeOpenCheckpoints(options, window, states, fingerprint,
-                                        /*require_fresh=*/false);
+    auto manager = MaybeOpenCheckpoints(options, service->window(), states,
+                                        fingerprint, /*require_fresh=*/false);
     if (!manager.ok()) return manager.status();
-    service->checkpoint_ = std::move(manager).value();
-    service->checkpoint_->AttachJournals(RawJournals(service->journals_));
-    service->checkpoint_->AttachTelemetry(service->telemetry_.get());
+    service->AttachCheckpoint(std::move(manager).value());
     std::vector<std::vector<ScannedSegment>> segments_per_journal;
     segments_per_journal.reserve(scans.size());
     for (const JournalScan& scan : scans) {
@@ -695,6 +630,8 @@ Result<std::unique_ptr<TrajectoryService>> TrajectoryService::RecoverImpl(
     RETRASYN_RETURN_NOT_OK(service->checkpoint_->SeedRecovered(
         ckpt, std::move(surviving), segments_per_journal));
   }
+  // Finally async closing per the config.
+  if (options.sync_policy == SyncPolicy::kAsync) service->ArmCloser(options);
   return service;
 }
 
@@ -845,10 +782,10 @@ Result<RoundRelease> TrajectoryService::CloseRound(const TimestampBatch& batch) 
     // stream the spill registry now owns.
     std::vector<CellStream> spilled;
     if (checkpoint_->options().spill_history) {
-      spilled = retrasyn_mutable_->TakeFinishedStreams();
+      spilled = retrasyn_->TakeFinishedStreams();
     }
     checkpoint_->OnRoundClosed(batch.t,
-                               retrasyn_mutable_->SaveCheckpointState(),
+                               retrasyn_->SaveCheckpointState(),
                                std::move(spilled));
   }
   bool have_sinks;

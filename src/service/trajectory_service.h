@@ -57,41 +57,38 @@ namespace retrasyn {
 
 class TrajectoryService {
  public:
-  /// Builds a RetraSyn engine from \p config and wraps it in a service whose
-  /// session re-issues a quitted stream's index once its quit round has left
-  /// the w-window (the engine retires the matching dense state by the same
-  /// rule). Returns InvalidArgument (via RetraSynConfig::Validate) instead of
-  /// crashing on a nonsensical configuration. \p states must outlive the
-  /// service.
+  /// Builds a RetraSyn engine from \p config and wraps it in a service:
+  /// CreateWithEngine over a new RetraSynEngine. Returns InvalidArgument (via
+  /// RetraSynConfig::Validate) instead of crashing on a nonsensical
+  /// configuration. \p states must outlive the service.
   static Result<std::unique_ptr<TrajectoryService>> Create(
       const StateSpace& states, const RetraSynConfig& config);
 
-  /// Wraps an externally constructed engine (ablation variants, LDP-IDS
-  /// baselines). The service takes ownership. Its session assigns cumulative
-  /// stream indices: a custom engine need not tolerate index reuse. Pass a
-  /// RetraSynConfig to take its service fields.
+  /// Wraps \p engine (a RetraSynEngine, an ablation variant, an LDP-IDS
+  /// baseline); the service takes ownership. The engine type decides the
+  /// rest: over a RetraSynEngine the session re-issues a quitted stream's
+  /// index once its quit round has left the engine's w-window (the engine
+  /// retires the matching dense state by the same rule) and the journal
+  /// fingerprint binds the engine's config; any other engine gets
+  /// cumulative stream indices (it need not tolerate reuse) and a
+  /// fingerprint over its self-reported name. Pass a RetraSynConfig as
+  /// \p options to take its service fields.
   static Result<std::unique_ptr<TrajectoryService>> CreateWithEngine(
       const StateSpace& states, std::unique_ptr<StreamReleaseEngine> engine,
       const ServiceOptions& options = {});
 
-  /// Wraps a caller-owned engine (must outlive the service). Used by the
-  /// evaluation harness, which inspects the engine after the run.
-  static Result<std::unique_ptr<TrajectoryService>> Attach(
-      const StateSpace& states, StreamReleaseEngine* engine,
-      const ServiceOptions& options = {});
-
   /// Rebuilds a crashed service from its event journal
-  /// (\p config.journal_dir): takes the journal's writer lock (so a live
-  /// writer can never be truncated underneath — FailedPrecondition if one
-  /// holds it), verifies the journal's deployment fingerprint against
-  /// \p states + \p config (FailedPrecondition on mismatch: replaying under
-  /// a changed deployment would silently diverge), scans the segments,
-  /// physically truncates a torn tail in the final segment (at the first
-  /// incomplete or checksum-failing record), replays every surviving event
-  /// through a fresh session *inline* — byte-identical state by the
-  /// Inline-vs-Async invariant — then re-arms the async closer (under
-  /// SyncPolicy::kAsync) and reopens the journal for appending in a new
-  /// segment. The recovered
+  /// (\p config.journal_dir): RecoverWithEngine over a new RetraSynEngine.
+  /// Recovery takes the journal's writer lock (so a live writer can never be
+  /// truncated underneath — FailedPrecondition if one holds it), verifies
+  /// the journal's deployment fingerprint against \p states + the engine
+  /// (FailedPrecondition on mismatch: replaying under a changed deployment
+  /// would silently diverge), scans the segments, physically truncates a
+  /// torn tail in the final segment (at the first incomplete or
+  /// checksum-failing record), replays every surviving event through a fresh
+  /// session *inline* — byte-identical state by the Inline-vs-Async
+  /// invariant — then re-arms the async closer (under SyncPolicy::kAsync)
+  /// and reopens the journal for appending in a new segment. The recovered
   /// service is byte-identical to the pre-crash one as of its last durable
   /// round boundary; events journaled after that boundary are re-buffered
   /// into the open round. A missing or empty journal recovers to a fresh
@@ -102,17 +99,16 @@ class TrajectoryService {
   static Result<std::unique_ptr<TrajectoryService>> Recover(
       const StateSpace& states, const RetraSynConfig& config);
 
-  /// Recover counterparts of CreateWithEngine/Attach, for journaled services
-  /// over custom engines: the caller reconstructs the engine exactly as it
-  /// did before the crash (the journal's fingerprint binds the state space
-  /// and the engine's self-reported name; config equality beyond that is the
-  /// caller's contract, exactly as byte-identical replay is). \p options
-  /// must name the journal via ServiceOptions::journal_dir.
+  /// The Recover counterpart of CreateWithEngine: the caller reconstructs
+  /// the engine exactly as it did before the crash. Because the fingerprint
+  /// follows the engine type, a journal written through either Create
+  /// factory recovers through either Recover factory over an identically
+  /// built engine. For a custom engine the fingerprint binds only the state
+  /// space, its self-reported name and the shard count; config equality
+  /// beyond that is the caller's contract, exactly as byte-identical replay
+  /// is. \p options must name the journal via ServiceOptions::journal_dir.
   static Result<std::unique_ptr<TrajectoryService>> RecoverWithEngine(
       const StateSpace& states, std::unique_ptr<StreamReleaseEngine> engine,
-      const ServiceOptions& options);
-  static Result<std::unique_ptr<TrajectoryService>> RecoverAttached(
-      const StateSpace& states, StreamReleaseEngine* engine,
       const ServiceOptions& options);
 
   /// Joins the async workers, discarding rounds still queued; Drain() first
@@ -153,10 +149,6 @@ class TrajectoryService {
 
   const StreamReleaseEngine& engine() const { return *engine_; }
 
-  /// Ingest-side counters (per-shard depths, seal/merge/commit timings);
-  /// see IngestStats. Snapshot-consistent only after Drain().
-  IngestStats ingest_stats() const { return session_->stats(); }
-
   /// Snapshot of the unified telemetry subsystem: every registered metric
   /// (counters, gauges, latency histograms across ingest, closing,
   /// synthesis, journal, and checkpoint), the recent per-round phase traces,
@@ -185,21 +177,32 @@ class TrajectoryService {
   const RetraSynEngine* retrasyn_engine() const { return retrasyn_; }
 
  private:
-  /// \p window is the w-event window of an engine the service built from a
-  /// RetraSynConfig (Create/Recover): the session recycles stream indices by
-  /// it and checkpoint compaction keeps it behind each checkpoint. 0 for a
-  /// caller-built engine: cumulative indices, no window kept.
-  /// \p defer_async_closer leaves the closer un-armed even under kAsync, so
-  /// Recover can replay the journal inline before ArmCloser re-enables it.
+  /// Wraps \p engine in an un-journaled service whose async closer (under
+  /// kAsync) is not armed yet: the factories attach the checkpoint and
+  /// journal subsystems, and Recover replays the journal inline, before
+  /// ArmCloser.
   TrajectoryService(const StateSpace& states,
-                    std::unique_ptr<StreamReleaseEngine> owned,
-                    StreamReleaseEngine* engine, const ServiceOptions& options,
-                    int window,
-                    std::vector<std::unique_ptr<JournalWriter>> journals,
-                    bool defer_async_closer = false);
+                    std::unique_ptr<StreamReleaseEngine> engine,
+                    const ServiceOptions& options);
+
+  /// The w-event window the engine keeps: a RetraSynEngine's
+  /// config().window, by which the session recycles stream indices and
+  /// checkpoint compaction retains journal behind each checkpoint; 0 for
+  /// any other engine (cumulative indices, no window kept).
+  int window() const {
+    return retrasyn_ != nullptr ? retrasyn_->config().window : 0;
+  }
+  /// Hash of everything the replayed byte stream depends on, stamped into
+  /// every journal segment header and checkpoint.
+  uint64_t DeploymentFingerprint() const;
 
   /// Builds the async round-closing pipeline (kAsync only).
   void ArmCloser(const ServiceOptions& options);
+  /// Adopts the per-shard journal writers (none = journaling disabled):
+  /// every accepted event and round boundary appends to them from now on.
+  void AttachJournals(std::vector<std::unique_ptr<JournalWriter>> journals);
+  /// Adopts the checkpoint subsystem (null = disabled).
+  void AttachCheckpoint(std::unique_ptr<CheckpointManager> checkpoint);
   /// Feeds recovered events through the (inline) session, round-locked
   /// across the shard journals: each scan's events are bucketed into rounds
   /// by its boundary records (numbered from its own base round), rounds
@@ -209,21 +212,6 @@ class TrajectoryService {
   /// open round.
   Status ReplayJournals(const std::vector<JournalScan>& scans,
                         int64_t resume_round, int64_t target_round);
-  /// Shared flow behind Create/CreateWithEngine/Attach: validation, fresh
-  /// checkpoint and journal directories, construction. \p config is the
-  /// config \p engine was built from (Create), null for a caller-built one.
-  static Result<std::unique_ptr<TrajectoryService>> CreateImpl(
-      const StateSpace& states, std::unique_ptr<StreamReleaseEngine> owned,
-      StreamReleaseEngine* engine, const ServiceOptions& options,
-      const RetraSynConfig* config);
-  /// Shared recovery flow behind Recover/RecoverWithEngine/RecoverAttached:
-  /// lock, fingerprint check, tail truncation, inline replay, re-arm.
-  /// \p config as for CreateImpl.
-  static Result<std::unique_ptr<TrajectoryService>> RecoverImpl(
-      const StateSpace& states, std::unique_ptr<StreamReleaseEngine> owned,
-      StreamReleaseEngine* engine, const ServiceOptions& options,
-      const RetraSynConfig* config);
-
   /// The session's round handler: inline, runs the round to completion;
   /// async, submits it to the closer.
   Status OnRound(TimestampBatch batch);
@@ -239,12 +227,11 @@ class TrajectoryService {
   std::unique_ptr<Telemetry> telemetry_;
 
   const StateSpace* states_;
-  std::unique_ptr<StreamReleaseEngine> owned_engine_;
-  StreamReleaseEngine* engine_;      ///< owned_engine_.get() or caller-owned
-  const RetraSynEngine* retrasyn_ = nullptr;
-  /// Mutable view of retrasyn_, for checkpoint capture/restore (state
-  /// save/take/restore are non-const). Null for custom engines.
-  RetraSynEngine* retrasyn_mutable_ = nullptr;
+  std::unique_ptr<StreamReleaseEngine> engine_;
+  /// engine_ when it is a RetraSynEngine, null otherwise: the one place the
+  /// service asks which engine it runs. Mutable for checkpoint
+  /// capture/restore (state save/take/restore are non-const).
+  RetraSynEngine* retrasyn_ = nullptr;
   std::unique_ptr<IngestSession> session_;
   /// One writer per ingest shard (a single one unsharded); empty =
   /// journaling disabled.

@@ -29,8 +29,8 @@ namespace retrasyn {
 /// allocate gigabytes) into an immediate, diagnosable failure while leaving
 /// ample headroom over paper-scale populations. IngestSession::Tick() refuses
 /// to mint an index at the cap with kResourceExhausted; with index recycling
-/// (IngestSessionOptions::recycle_stream_indices) the cap is only reachable at
-/// ~1.07B streams live or retained inside one w-window.
+/// (IngestSessionOptions::window >= 1) the cap is only reachable at ~1.07B
+/// streams live or retained inside one w-window.
 constexpr uint32_t kMaxStreamIndex = 1u << 30;
 
 struct UserObservation {

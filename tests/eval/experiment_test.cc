@@ -68,7 +68,8 @@ TEST_P(RunEngineTest, MetricsWithinTheoreticalBounds) {
   auto engine =
       MakeEngine(GetParam(), dataset.states(), 1.0, 10,
                  AllocationKind::kAdaptive, dataset.average_length(), 3);
-  const RunResult result = RunEngine(dataset, *engine, FastMetrics(), 99);
+  const RunResult result = RunEngine(dataset, std::move(engine),
+                                     FastMetrics(), 99);
   const MetricsReport& m = result.metrics;
   EXPECT_GE(m.density_error, 0.0);
   EXPECT_LE(m.density_error, kLn2 + 1e-9);
@@ -108,8 +109,8 @@ TEST(RunEngineTest, IdenticalMetricSeedsGiveComparableEvaluations) {
   };
   auto e1 = make();
   auto e2 = make();
-  const RunResult r1 = RunEngine(dataset, *e1, FastMetrics(), 123);
-  const RunResult r2 = RunEngine(dataset, *e2, FastMetrics(), 123);
+  const RunResult r1 = RunEngine(dataset, std::move(e1), FastMetrics(), 123);
+  const RunResult r2 = RunEngine(dataset, std::move(e2), FastMetrics(), 123);
   EXPECT_DOUBLE_EQ(r1.metrics.density_error, r2.metrics.density_error);
   EXPECT_DOUBLE_EQ(r1.metrics.query_error, r2.metrics.query_error);
   EXPECT_DOUBLE_EQ(r1.metrics.kendall_tau, r2.metrics.kendall_tau);
@@ -125,7 +126,8 @@ TEST(RunEngineTest, RetraSynBeatsWorstCaseOnStructuredData) {
   auto engine =
       MakeEngine(MethodId::kRetraSynP, dataset.states(), 1.0, 20,
                  AllocationKind::kAdaptive, dataset.average_length(), 3);
-  const RunResult result = RunEngine(dataset, *engine, FastMetrics(), 77);
+  const RunResult result = RunEngine(dataset, std::move(engine),
+                                     FastMetrics(), 77);
   EXPECT_LT(result.metrics.density_error, 0.45);
   EXPECT_GT(result.metrics.kendall_tau, 0.25);
   EXPECT_GT(result.metrics.hotspot_ndcg, 0.3);

@@ -1,11 +1,11 @@
 // Format pins for every byte the service writes to disk or hashes into an
 // identity: the journal segment header and records, the journal BASE file,
 // the framed checkpoint file, the history spill body, the grid Describe()
-// blobs, the model-file grid hash and the deployment fingerprint a service
-// stamps into its journal. Each expectation is a
-// hard-coded hex string, so a change of byte order, field order or width
-// fails here even when every encoder and decoder still round-trips with its
-// own counterpart. docs/durability.md describes the layouts.
+// blobs and the deployment fingerprint a service stamps into its journal.
+// Each expectation is a hard-coded hex string, so a change of byte order,
+// field order or width fails here even when every encoder and decoder still
+// round-trips with its own counterpart. docs/durability.md describes the
+// layouts.
 
 #include <gtest/gtest.h>
 
@@ -15,8 +15,6 @@
 
 #include "checkpoint/checkpoint_format.h"
 #include "common/file_io.h"
-#include "core/mobility_model.h"
-#include "core/model_io.h"
 #include "geo/grid.h"
 #include "geo/quadtree_grid.h"
 #include "geo/state_space.h"
@@ -159,20 +157,6 @@ TEST(DiskFormatTest, QuadtreeDescribe) {
             "07000000"            // leaves
             "09000000"            // split bits
             "0300");              // pre-order 1,1,0,0,0,0,0,0,0, LSB first
-}
-
-TEST(DiskFormatTest, ModelFileGridHash) {
-  const UniformGrid grid(kBox, 2);
-  const StateSpace states(grid);
-  GlobalMobilityModel model(states);
-  model.ReplaceAll(std::vector<double>(states.size(), 0.5));
-  TempDir dir;
-  const std::string path = dir.path() + "/model.txt";
-  ASSERT_TRUE(SaveMobilityModel(model, path).ok());
-  const std::string contents = ReadAll(path);
-  // Magic, version, |C|, |S|, then Fnv1a64 of the grid's Describe() bytes.
-  EXPECT_EQ(contents.substr(0, contents.find('\n')),
-            "retrasyn-mobility-model 2 4 24 93d03dc38289ad8d");
 }
 
 TEST(DiskFormatTest, DeploymentFingerprintInTheFirstSegmentHeader) {

@@ -53,7 +53,8 @@ TEST(EndToEndTest, PerUserProtocolFullRun) {
                            AllocationKind::kAdaptive,
                            dataset.average_length(), 7,
                            CollectionMode::kPerUser);
-  const RunResult result = RunEngine(dataset, *engine, FastMetrics(), 11);
+  const RunResult result = RunEngine(dataset, std::move(engine),
+                                     FastMetrics(), 11);
   EXPECT_GT(result.total_reports, 0u);
   EXPECT_FALSE(result.report_window_violation);
   EXPECT_LT(result.metrics.density_error, 0.6931);
@@ -70,8 +71,10 @@ TEST(EndToEndTest, EnterQuitModelingImprovesTrajectoryMetrics) {
   auto noeq = MakeEngine(MethodId::kNoEQP, dataset.states(), 1.0, 20,
                          AllocationKind::kAdaptive,
                          dataset.average_length(), 7);
-  const RunResult r_retra = RunEngine(dataset, *retra, FastMetrics(), 21);
-  const RunResult r_noeq = RunEngine(dataset, *noeq, FastMetrics(), 21);
+  const RunResult r_retra = RunEngine(dataset, std::move(retra),
+                                      FastMetrics(), 21);
+  const RunResult r_noeq = RunEngine(dataset, std::move(noeq),
+                                     FastMetrics(), 21);
   EXPECT_NEAR(r_noeq.metrics.length_error, 0.6931, 1e-3);
   EXPECT_LT(r_retra.metrics.length_error, 0.5);
   EXPECT_GT(r_retra.metrics.kendall_tau, r_noeq.metrics.kendall_tau);
@@ -86,7 +89,7 @@ TEST(EndToEndTest, RetraSynBeatsLdpIdsOnDensity) {
     auto engine = MakeEngine(id, dataset.states(), 1.0, 20,
                              AllocationKind::kAdaptive,
                              dataset.average_length(), 7);
-    return RunEngine(dataset, *engine, FastMetrics(), 31).metrics;
+    return RunEngine(dataset, std::move(engine), FastMetrics(), 31).metrics;
   };
   const MetricsReport retra = run(MethodId::kRetraSynP);
   for (MethodId id :
@@ -107,7 +110,7 @@ TEST(EndToEndTest, HigherEpsilonNotWorseForRetraSyn) {
     auto engine = MakeEngine(MethodId::kRetraSynP, dataset.states(), eps, 20,
                              AllocationKind::kAdaptive,
                              dataset.average_length(), 7);
-    return RunEngine(dataset, *engine, FastMetrics(), 41)
+    return RunEngine(dataset, std::move(engine), FastMetrics(), 41)
         .metrics.density_error;
   };
   const double low = density_at(0.5);
@@ -121,7 +124,7 @@ TEST(EndToEndTest, WholePipelineDeterministic) {
     const PreparedDataset dataset(db, 4);
     auto engine = MakeEngine(MethodId::kRetraSynP, dataset.states(), 1.0, 10,
                              AllocationKind::kAdaptive, 12.0, 9);
-    return RunEngine(dataset, *engine, FastMetrics(), 61);
+    return RunEngine(dataset, std::move(engine), FastMetrics(), 61);
   };
   const RunResult a = run_once();
   const RunResult b = run_once();

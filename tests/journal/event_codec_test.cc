@@ -2,13 +2,43 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
+#include <new>
 #include <string>
 #include <vector>
 
 #include "common/crc32c.h"
+
+/// Counts every heap allocation in this binary, so the encoder's
+/// allocation-free claim is a measured number rather than prose.
+std::atomic<uint64_t> g_allocations{0};
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  void* p = std::malloc(size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+void* operator new[](std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  void* p = std::malloc(size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+// Out of line, so the compiler never pairs an inlined free() with a
+// new-expression (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace retrasyn {
 namespace {
@@ -154,6 +184,30 @@ TEST(EventCodecTest, ImplausibleLengthIsInvalidArgument) {
   JournalEvent out;
   EXPECT_EQ(DecodeRecord(buf.data(), buf.size(), &offset, &out).code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(EventCodecTest, EncodingIntoAReservedBufferAllocatesNothing) {
+  // The journal encodes every accepted event on the append path. An
+  // Enter/Move payload is longer than the small-string buffer, so a
+  // per-record temporary would cost one heap allocation per event.
+  constexpr int kRecords = 1000;
+  const JournalEvent move =
+      JournalEvent::Move(std::numeric_limits<uint64_t>::max(),
+                         Point{-12.75, 9876.5});
+  std::string buf;
+  buf.reserve(static_cast<size_t>(kRecords) * 64);
+  const uint64_t before = g_allocations.load();
+  for (int i = 0; i < kRecords; ++i) EncodeRecord(move, &buf);
+  const uint64_t allocations = g_allocations.load() - before;
+  EXPECT_EQ(allocations, 0u);
+
+  size_t offset = 0;
+  for (int i = 0; i < kRecords; ++i) {
+    JournalEvent out;
+    ASSERT_TRUE(DecodeRecord(buf.data(), buf.size(), &offset, &out).ok());
+    EXPECT_EQ(out, move);
+  }
+  EXPECT_EQ(offset, buf.size());
 }
 
 TEST(EventCodecTest, SegmentHeaderRoundtripAndRejection) {

@@ -636,11 +636,6 @@ TEST(CheckpointRecoveryTest, GuardsRefuseUncheckpointableConfigurations) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
-  NullEngine attached;
-  EXPECT_EQ(TrajectoryService::Attach(states, &attached, options)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
 
   // A fresh Create must refuse a directory already holding checkpoints —
   // silently shadowing recoverable state is how deployments lose data.

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/engine.h"
@@ -140,14 +141,40 @@ TEST(HorizonSoakTest, ChurnKeepsIndexSpaceAndDenseStateBounded) {
   }
 }
 
-/// A service whose session mints cumulative stream indices: a caller-built
-/// engine (CreateWithEngine) never gets its indices recycled.
+/// Forwards every call to a wrapped RetraSynEngine without being one, so a
+/// service over it mints cumulative stream indices (only a RetraSynEngine
+/// gets its indices recycled). The released bytes are the wrapped engine's.
+class ForwardingEngine : public StreamReleaseEngine {
+ public:
+  ForwardingEngine(const StateSpace& states, const RetraSynConfig& config)
+      : inner_(states, config) {}
+  void Observe(const TimestampBatch& batch) override { inner_.Observe(batch); }
+  CellStreamSet SnapshotRelease(int64_t num_timestamps) const override {
+    return inner_.SnapshotRelease(num_timestamps);
+  }
+  std::vector<uint32_t> LiveDensity() const override {
+    return inner_.LiveDensity();
+  }
+  std::string name() const override { return inner_.name(); }
+  const RetraSynEngine& inner() const { return inner_; }
+
+ private:
+  RetraSynEngine inner_;
+};
+
+/// A service whose session mints cumulative stream indices: its engine is
+/// not a RetraSynEngine, so the session never recycles.
 std::unique_ptr<TrajectoryService> CumulativeIndexService(
     const StateSpace& states, const RetraSynConfig& config) {
   auto service = TrajectoryService::CreateWithEngine(
-      states, std::make_unique<RetraSynEngine>(states, config), config);
+      states, std::make_unique<ForwardingEngine>(states, config), config);
   EXPECT_TRUE(service.ok()) << service.status().ToString();
   return service.ok() ? std::move(service).value() : nullptr;
+}
+
+/// The RetraSynEngine behind a CumulativeIndexService.
+const RetraSynEngine& WrappedEngine(const TrajectoryService& service) {
+  return dynamic_cast<const ForwardingEngine&>(service.engine()).inner();
 }
 
 TEST(HorizonSoakTest, LegacyModeGrowsLinearlyProvingTheLeakExisted) {
@@ -169,8 +196,42 @@ TEST(HorizonSoakTest, LegacyModeGrowsLinearlyProvingTheLeakExisted) {
   }
   EXPECT_EQ(session.index_high_water(),
             static_cast<uint32_t>(kChurn * kRounds));
-  EXPECT_GE(service->retrasyn_engine()->dense_user_slots(),
+  EXPECT_GE(WrappedEngine(*service).dense_user_slots(),
             static_cast<size_t>(kChurn * kRounds - kLive));
+}
+
+TEST(HorizonSoakTest, CreateWithEngineOverRetraSynRecyclesLikeCreate) {
+  // Recycling follows the engine type, not the factory: a RetraSynEngine
+  // handed to CreateWithEngine keeps its index space bounded exactly as a
+  // Create-built service does.
+  constexpr int64_t kRounds = 400;
+  const BoundingBox box{0.0, 0.0, 100.0, 100.0};
+  const auto grid_owner = MakeEnvGrid(box, 2);
+  const SpatialGrid& grid = *grid_owner;
+  const StateSpace states(grid);
+
+  auto created = TrajectoryService::Create(states, SoakConfig()).ValueOrDie();
+  auto wrapped =
+      TrajectoryService::CreateWithEngine(
+          states, std::make_unique<RetraSynEngine>(states, SoakConfig()),
+          SoakConfig())
+          .ValueOrDie();
+  for (int64_t t = 0; t < kRounds; ++t) {
+    DriveChurnRound(created->session(), grid, t);
+    DriveChurnRound(wrapped->session(), grid, t);
+    if (testing::Test::HasFatalFailure()) return;
+  }
+  const int64_t occupancy = kLive + kChurn * (kWindow + 2);
+  EXPECT_LE(wrapped->session().index_high_water(),
+            static_cast<uint32_t>(2 * occupancy))
+      << "index high-water grew past the steady-state pool: leak";
+  EXPECT_EQ(wrapped->session().index_high_water(),
+            created->session().index_high_water());
+  auto got = wrapped->SnapshotRelease();
+  auto want = created->SnapshotRelease();
+  ASSERT_TRUE(got.ok());
+  ASSERT_TRUE(want.ok());
+  ExpectSameRelease(got.value(), want.value());
 }
 
 TEST(HorizonSoakTest, ChurnReleaseByteIdenticalWithRecyclingOnAndOff) {

@@ -4,14 +4,15 @@
 // -DRETRASYN_SANITIZE_THREAD=ON, where the pre-fix code reports a data race
 // and the fixed code runs clean:
 //
-//  1. AttachJournal / AttachJournals wrote shard->journal with no lock,
-//     relying on an unenforced "attach before producers start" convention.
-//     Producers read the pointer under the shard lock on every event, so any
-//     concurrent attach/detach was a race on the pointer itself.
+//  1. AttachJournals wrote shard->journal with no lock, relying on an
+//     unenforced "attach before producers start" convention. Producers read
+//     the pointer under the shard lock on every event, so any concurrent
+//     attach/detach was a race on the pointer itself.
 //  2. RestoreCheckpointState populated shard->active (and the active-streams
 //     gauge) with no locks, relying on "the session is fresh" — but fresh
-//     never meant unobserved: a monitoring thread polling stats() or
-//     num_active_users() during recovery read the same maps.
+//     never meant unobserved: a monitoring thread polling
+//     num_pending_events() or num_active_users() during recovery read the
+//     same maps.
 
 #include "service/ingest_session.h"
 
@@ -40,6 +41,7 @@ struct Fixture {
 
 TEST(IngestLockDisciplineTest, AttachJournalConcurrentWithProducers) {
   Fixture fx;
+  // One shard: the producer and every detach contend on the same lock.
   IngestSession session(fx.states,
                         [](const TimestampBatch&) { return Status::OK(); });
   std::atomic<bool> stop{false};
@@ -53,11 +55,12 @@ TEST(IngestLockDisciplineTest, AttachJournalConcurrentWithProducers) {
       ++user;
     }
   });
-  // Detach (a null attach) races the producer's pointer reads unless
-  // AttachJournal takes the shard lock. Attaching null keeps the journaling
-  // semantics trivial; the race was on the pointer, not the pointee.
+  // Detach (the empty-vector form) races the producer's pointer reads
+  // unless AttachJournals takes the shard lock. Detaching keeps the
+  // journaling semantics trivial; the race was on the pointer, not the
+  // pointee.
   for (int i = 0; i < 2000; ++i) {
-    session.AttachJournal(nullptr);
+    session.AttachJournals({});
   }
   stop.store(true, std::memory_order_relaxed);
   producer.join();
@@ -90,7 +93,7 @@ TEST(IngestLockDisciplineTest, AttachJournalsConcurrentWithShardedProducers) {
   for (std::thread& t : producers) t.join();
 }
 
-TEST(IngestLockDisciplineTest, RestoreConcurrentWithStatsReaders) {
+TEST(IngestLockDisciplineTest, RestoreConcurrentWithMonitoringReaders) {
   Fixture fx;
   IngestSessionOptions options;
   options.num_shards = 4;
@@ -114,7 +117,7 @@ TEST(IngestLockDisciplineTest, RestoreConcurrentWithStatsReaders) {
     // The monitoring pattern: poll liveness while recovery is in flight.
     while (!stop.load(std::memory_order_relaxed)) {
       (void)session.num_active_users();
-      (void)session.stats();
+      (void)session.num_pending_events();
     }
   });
   ASSERT_TRUE(session.RestoreCheckpointState(std::move(state)).ok());

@@ -248,14 +248,16 @@ TEST(IngestSessionTest, PeakPendingGaugeIsTheHighWaterMarkAcrossRounds) {
     return std::make_unique<IngestSession>(
         fx.states, [](TimestampBatch) { return Status::OK(); }, options);
   };
+  const Gauge* pending_gauge = telemetry.registry().GetGauge(
+      "retrasyn_ingest_pending_events", "", {{"shard", "0"}});
   const Gauge* peak_gauge = telemetry.registry().GetGauge(
       "retrasyn_ingest_pending_events_peak", "", {{"shard", "0"}});
   auto session = make_session();
-  // Exported gauge and IngestStats agree, and both hold the high-water mark.
+  // The exported pending gauge agrees with the session, and the peak gauge
+  // holds the high-water mark.
   auto expect_peak = [&](uint64_t pending, uint64_t peak) {
-    const IngestShardStats s = session->stats().shards[0];
-    EXPECT_EQ(s.pending_events, pending);
-    EXPECT_EQ(s.peak_pending_events, peak);
+    EXPECT_EQ(session->num_pending_events(), pending);
+    EXPECT_EQ(pending_gauge->Value(), static_cast<int64_t>(pending));
     EXPECT_EQ(peak_gauge->Value(), static_cast<int64_t>(peak));
   };
   expect_peak(0, 0);
@@ -572,7 +574,6 @@ TEST(IngestSessionTest, BatchInvariantUnderArrivalPermutations) {
 
 IngestSessionOptions Recycling(int window) {
   IngestSessionOptions options;
-  options.recycle_stream_indices = true;
   options.window = window;
   return options;
 }

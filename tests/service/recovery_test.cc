@@ -569,9 +569,9 @@ TEST(RecoveryTest, RecoverOnAMissingOrEmptyJournalIsAFreshService) {
 }
 
 TEST(RecoveryTest, CustomEngineServicesRecoverThroughRecoverWithEngine) {
-  // Journals written by CreateWithEngine/Attach deployments must be
-  // recoverable too — through the overloads that accept a caller-built
-  // engine (identically reconstructed, as byte-identity always required).
+  // Journals written by CreateWithEngine deployments must be recoverable
+  // too — through the overload that accepts a caller-built engine
+  // (identically reconstructed, as byte-identity always required).
   const BoundingBox box{0.0, 0.0, 400.0, 400.0};
   const auto grid_owner = MakeEnvGrid(box, 4);
   const SpatialGrid& grid = *grid_owner;
@@ -596,8 +596,8 @@ TEST(RecoveryTest, CustomEngineServicesRecoverThroughRecoverWithEngine) {
   ASSERT_EQ(recovered.value()->rounds_closed(), kCrashAt);
   DriveRounds(recovered.value()->session(), traces, kCrashAt, kHorizon);
 
-  RetraSynEngine reference_engine(states, BaseConfig());
-  auto reference = TrajectoryService::Attach(states, &reference_engine);
+  auto reference = TrajectoryService::CreateWithEngine(
+      states, std::make_unique<RetraSynEngine>(states, BaseConfig()));
   ASSERT_TRUE(reference.ok());
   DriveRounds(reference.value()->session(), traces, 0, kHorizon);
 
@@ -606,14 +606,47 @@ TEST(RecoveryTest, CustomEngineServicesRecoverThroughRecoverWithEngine) {
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   ASSERT_TRUE(want.ok());
   ExpectSameRelease(got.value(), want.value());
+}
 
-  // RecoverAttached drives the same path for caller-owned engines.
-  recovered.value().reset();
-  RetraSynEngine attached_engine(states, BaseConfig());
-  auto reattached =
-      TrajectoryService::RecoverAttached(states, &attached_engine, options);
-  ASSERT_TRUE(reattached.ok()) << reattached.status().ToString();
-  EXPECT_EQ(reattached.value()->rounds_closed(), kHorizon);
+TEST(RecoveryTest, RetraSynJournalRecoversAcrossFactories) {
+  // Index recycling and the journal fingerprint follow the engine type, not
+  // the factory: CreateWithEngine over a RetraSynEngine writes the journal
+  // Create writes, so Recover resumes it, and the release matches an
+  // uninterrupted Create run byte for byte.
+  const BoundingBox box{0.0, 0.0, 400.0, 400.0};
+  const auto grid_owner = MakeEnvGrid(box, 4);
+  const SpatialGrid& grid = *grid_owner;
+  const StateSpace states(grid);
+  const auto traces = MakeWorkload(23, 50);
+  TempDir dir;
+
+  RetraSynConfig journaled = BaseConfig();
+  journaled.journal_dir = dir.path();
+  constexpr int64_t kCrashAt = 13;
+  {
+    auto service = TrajectoryService::CreateWithEngine(
+        states, std::make_unique<RetraSynEngine>(states, journaled),
+        journaled);
+    ASSERT_TRUE(service.ok()) << service.status().ToString();
+    DriveRounds(service.value()->session(), traces, 0, kCrashAt);
+  }
+
+  auto recovered = TrajectoryService::Recover(states, journaled);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  ASSERT_EQ(recovered.value()->rounds_closed(), kCrashAt);
+  DriveRounds(recovered.value()->session(), traces, kCrashAt, kHorizon);
+
+  auto reference = TrajectoryService::Create(states, BaseConfig());
+  ASSERT_TRUE(reference.ok());
+  DriveRounds(reference.value()->session(), traces, 0, kHorizon);
+  EXPECT_EQ(recovered.value()->session().index_high_water(),
+            reference.value()->session().index_high_water());
+
+  auto got = recovered.value()->SnapshotRelease();
+  auto want = reference.value()->SnapshotRelease();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_TRUE(want.ok());
+  ExpectSameRelease(got.value(), want.value());
 }
 
 TEST(RecoveryTest, RecoverUnderAChangedDeploymentIsRefused) {

@@ -276,7 +276,27 @@ TEST(ShardedIngestTest, ConcurrentProducersReleaseIdenticalBytes) {
   ExpectSameRelease(got.value(), want.value());
 }
 
-TEST(ShardedIngestTest, IngestStatsTrackQueueDepthsAndTimings) {
+/// The unlabeled metric \p name in \p snap; fails the test when absent.
+MetricSample Metric(const TelemetrySnapshot& snap, const std::string& name) {
+  for (const MetricSample& sample : snap.metrics) {
+    if (sample.name == name && sample.labels.empty()) return sample;
+  }
+  ADD_FAILURE() << "no metric " << name;
+  return MetricSample();
+}
+
+/// The per-shard series of \p name in \p snap, indexed by shard.
+std::vector<double> PerShard(const TelemetrySnapshot& snap,
+                             const std::string& name, int shards) {
+  std::vector<double> values(static_cast<size_t>(shards), -1.0);
+  for (const MetricSample& sample : snap.metrics) {
+    if (sample.name != name || sample.labels.size() != 1) continue;
+    values.at(std::stoul(sample.labels[0].second)) = sample.value;
+  }
+  return values;
+}
+
+TEST(ShardedIngestTest, IngestTelemetryTracksQueueDepthsAndTimings) {
   const BoundingBox box{0.0, 0.0, 400.0, 400.0};
   const auto grid_owner = MakeEnvGrid(box, 4);
   const SpatialGrid& grid = *grid_owner;
@@ -289,23 +309,34 @@ TEST(ShardedIngestTest, IngestStatsTrackQueueDepthsAndTimings) {
   ASSERT_TRUE(service.ok());
   DriveRounds(service.value()->session(), traces, 0, kHorizon);
 
-  const IngestStats stats = service.value()->ingest_stats();
-  ASSERT_EQ(stats.shards.size(), 4u);
-  EXPECT_EQ(stats.rounds_sealed, static_cast<uint64_t>(kHorizon));
-  EXPECT_GT(stats.entries_merged, 0u);
-  EXPECT_GT(stats.seal_seconds, 0.0);
-  EXPECT_GT(stats.merge_seconds, 0.0);
-  EXPECT_GT(stats.commit_seconds, 0.0);
+  const TelemetrySnapshot snap = service.value()->telemetry();
+  EXPECT_EQ(Metric(snap, "retrasyn_ingest_rounds_sealed_total").value,
+            static_cast<double>(kHorizon));
+  EXPECT_GT(Metric(snap, "retrasyn_ingest_entries_merged_total").value, 0.0);
+  EXPECT_GT(Metric(snap, "retrasyn_ingest_seal_seconds").histogram.sum_seconds,
+            0.0);
+  EXPECT_GT(Metric(snap, "retrasyn_ingest_merge_seconds").histogram.sum_seconds,
+            0.0);
+  EXPECT_GT(
+      Metric(snap, "retrasyn_ingest_commit_seconds").histogram.sum_seconds,
+      0.0);
   // Consumed batches come back to the seal pool and later rounds reuse them.
-  EXPECT_GT(stats.obs_buffers_reused, 0u);
+  EXPECT_GT(Metric(snap, "retrasyn_ingest_obs_buffers_reused_total").value,
+            0.0);
 
-  uint64_t accepted = 0, peak = 0, rejected = 0;
-  for (const IngestShardStats& shard : stats.shards) {
-    accepted += shard.events_accepted;
-    rejected += shard.events_rejected;
-    peak = std::max(peak, shard.peak_pending_events);
-    // Round boundaries drain every queue.
-    EXPECT_EQ(shard.pending_events, 0u);
+  double accepted = 0, peak = 0, rejected = 0;
+  for (double v : PerShard(snap, "retrasyn_ingest_events_accepted_total", 4)) {
+    accepted += v;
+  }
+  for (double v : PerShard(snap, "retrasyn_ingest_events_rejected_total", 4)) {
+    rejected += v;
+  }
+  for (double v : PerShard(snap, "retrasyn_ingest_pending_events_peak", 4)) {
+    peak = std::max(peak, v);
+  }
+  // Round boundaries drain every queue.
+  for (double v : PerShard(snap, "retrasyn_ingest_pending_events", 4)) {
+    EXPECT_EQ(v, 0.0);
   }
   uint64_t total_events = 0;
   for (const DeviceTrace& trace : traces) {
@@ -314,17 +345,18 @@ TEST(ShardedIngestTest, IngestStatsTrackQueueDepthsAndTimings) {
         trace.enter_time + static_cast<int64_t>(trace.points.size());
     if (end < kHorizon) ++total_events;  // the quit
   }
-  EXPECT_EQ(accepted, total_events);
-  EXPECT_EQ(rejected, 0u);
-  EXPECT_GT(peak, 0u);
+  EXPECT_EQ(accepted, static_cast<double>(total_events));
+  EXPECT_EQ(rejected, 0.0);
+  EXPECT_GT(peak, 0.0);
 
   // Validation failures land in events_rejected without perturbing state.
   EXPECT_FALSE(service.value()->session().Move(1u << 20, Point{10, 10}).ok());
-  uint64_t rejected_after = 0;
-  for (const auto& shard : service.value()->ingest_stats().shards) {
-    rejected_after += shard.events_rejected;
+  double rejected_after = 0;
+  for (double v : PerShard(service.value()->telemetry(),
+                           "retrasyn_ingest_events_rejected_total", 4)) {
+    rejected_after += v;
   }
-  EXPECT_EQ(rejected_after, 1u);
+  EXPECT_EQ(rejected_after, 1.0);
 }
 
 TEST(ShardedIngestTest, KillAndRecoverShardedByteIdentical) {

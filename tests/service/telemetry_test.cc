@@ -1,9 +1,8 @@
 // Acceptance tests for the unified telemetry subsystem at the service layer:
 // telemetry is observation-only (released bytes are byte-identical attached
 // vs detached, under both sync policies), the snapshot reflects the actual
-// pipeline activity, disabling yields an empty snapshot while the legacy
-// ingest_stats() view keeps working, and sink failures land in the sticky
-// first-failure record.
+// pipeline activity, disabling yields an empty snapshot, and sink failures
+// land in the sticky first-failure record.
 
 #include <gtest/gtest.h>
 
@@ -213,7 +212,7 @@ TEST(ServiceTelemetryTest, SnapshotReflectsPipelineActivity) {
             std::string::npos);
 }
 
-TEST(ServiceTelemetryTest, DisabledSnapshotIsEmptyButStatsViewSurvives) {
+TEST(ServiceTelemetryTest, DisabledSnapshotIsEmpty) {
   const BoundingBox box{0.0, 0.0, 400.0, 400.0};
   const auto grid_owner = MakeEnvGrid(box, 4);
   const StateSpace states(*grid_owner);
@@ -232,17 +231,6 @@ TEST(ServiceTelemetryTest, DisabledSnapshotIsEmptyButStatsViewSurvives) {
   EXPECT_TRUE(snap.recent_rounds.empty());
   EXPECT_FALSE(snap.first_failure.failed);
   EXPECT_EQ(PrometheusText(snap), "");
-
-  // The legacy counters are a view over a session-private registry, so they
-  // keep working with service telemetry off.
-  const IngestStats stats = service.value()->ingest_stats();
-  EXPECT_EQ(stats.rounds_sealed, static_cast<uint64_t>(kHorizon));
-  ASSERT_EQ(stats.shards.size(), 2u);
-  uint64_t accepted = 0;
-  for (const IngestShardStats& shard : stats.shards) {
-    accepted += shard.events_accepted;
-  }
-  EXPECT_GT(accepted, 0u);
 }
 
 class FailingSink : public ReleaseSink {

@@ -17,7 +17,9 @@ Five checks, all over src/ (tests and benches may use what they like):
   4. The deployment fingerprint covers the mechanism config. Every data
      member declared directly in RetraSynConfig or AllocationConfig must
      appear as `config.<field>` (`config.allocation.<field>`) inside
-     DeploymentFingerprint, or sit in FINGERPRINT_ALLOWLIST with a reason. A
+     TrajectoryService::DeploymentFingerprint (where `config` is the
+     RetraSynEngine's config()), or sit in FINGERPRINT_ALLOWLIST with a
+     reason. A
      field the hash misses lets Recover replay a journal or checkpoint under
      a changed setting and silently diverge.
   5. One home for the on-disk byte format. Outside src/common/, no file may
@@ -125,8 +127,7 @@ CONFIG_STRUCTS = [
 ]
 FINGERPRINT_FILE = os.path.join("src", "service", "trajectory_service.cc")
 FINGERPRINT_SIGNATURE = re.compile(
-    r"DeploymentFingerprint\s*\([^)]*"
-    r"\bconst\s+RetraSynConfig\s*&\s*config\s*\)")
+    r"\bTrajectoryService::DeploymentFingerprint\s*\(\s*\)\s*const")
 
 # Fields the fingerprint covers some other way: struct.field -> (reason, a
 # pattern the fingerprint body must contain instead).
@@ -259,7 +260,7 @@ def lint_fingerprint(root, findings):
     m = FINGERPRINT_SIGNATURE.search(stripped)
     if m is None:
         findings.append((FINGERPRINT_FILE, 1,
-                         "DeploymentFingerprint(states, RetraSynConfig) not "
+                         "TrajectoryService::DeploymentFingerprint() not "
                          "found"))
         return
     open_brace = stripped.find("{", m.end())
