@@ -54,18 +54,25 @@ void BM_OueEstimate(benchmark::State& state) {
 }
 BENCHMARK(BM_OueEstimate)->Range(64, 4096);
 
+// The perfbench fine_quadtree shape: a 44k-state domain (4096 quadtree
+// leaves) with n reports spread uniformly over it, so nearly every state
+// draws the unreported Binomial(n, q).
 void BM_CollectAggregateSim(benchmark::State& state) {
-  const uint32_t domain = 1000;
+  const uint32_t domain = 44000;
   const size_t n = static_cast<size_t>(state.range(0));
   TransitionCollector collector(domain, CollectionMode::kAggregateSim);
   Rng rng(3);
   std::vector<StateId> states(n);
-  for (size_t i = 0; i < n; ++i) states[i] = i % domain;
+  for (StateId& s : states) s = static_cast<StateId>(rng.UniformInt(domain));
   for (auto _ : state) {
     benchmark::DoNotOptimize(collector.Collect(states, 1.0, rng));
   }
 }
-BENCHMARK(BM_CollectAggregateSim)->Range(100, 100000);
+BENCHMARK(BM_CollectAggregateSim)
+    ->Arg(1000)
+    ->Arg(5000)
+    ->Arg(20000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_CollectPerUser(benchmark::State& state) {
   const uint32_t domain = 1000;

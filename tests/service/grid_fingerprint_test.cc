@@ -209,6 +209,21 @@ TEST(GridFingerprintTest, CheckpointGridDescriptionIsVerifiedVerbatim) {
                               CheckpointFileName(10), kCheckpointMagic,
                               quad_fingerprint, uniform_body.value())
                   .ok());
+  // The history spill files that body references go along, so the forged
+  // checkpoint is complete and only its grid description can refuse it
+  // (which rounds spill depends on the synthesis draws).
+  CheckpointState uniform_state;
+  ASSERT_TRUE(DecodeCheckpointBody(uniform_body.value().data(),
+                                   uniform_body.value().size(), &uniform_state)
+                  .ok());
+  for (int64_t round : uniform_state.spill_rounds) {
+    auto history = ReadFileToString(uniform_config.checkpoint_dir + "/" +
+                                    HistoryFileName(round));
+    ASSERT_TRUE(history.ok()) << history.status().ToString();
+    ASSERT_TRUE(WriteFileAtomically(quad_config.checkpoint_dir,
+                                    HistoryFileName(round), history.value())
+                    .ok());
+  }
 
   auto refused = TrajectoryService::Recover(quad_states, quad_config);
   ASSERT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
