@@ -1,6 +1,7 @@
 #include "common/rng.h"
 
 #include <cmath>
+#include <random>
 
 #include "common/logging.h"
 
@@ -32,15 +33,6 @@ uint64_t Rng::Binomial(uint64_t n, double p) {
     return c;
   }
   std::binomial_distribution<uint64_t> dist(n, p);
-  return dist(*this);
-}
-
-uint64_t Rng::Binomial(const BinomialParam& param) {
-  const uint64_t n = param.t();
-  if (n <= 32 || param.p() <= 0.0 || param.p() >= 1.0) {
-    return Binomial(n, param.p());
-  }
-  std::binomial_distribution<uint64_t> dist(param);
   return dist(*this);
 }
 

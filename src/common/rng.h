@@ -11,7 +11,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <random>
 #include <vector>
 
 namespace retrasyn {
@@ -82,15 +81,6 @@ class Rng {
   /// standard-library rejection sampler for large n. Exact in distribution in
   /// both regimes.
   uint64_t Binomial(uint64_t n, double p);
-
-  /// Precomputed Binomial(n, p) constants, for many draws with one (n, p).
-  using BinomialParam = std::binomial_distribution<uint64_t>::param_type;
-
-  /// Binomial(param.t(), param.p()), draw-for-draw identical to the (n, p)
-  /// overload: the large-n sampler starts from \p param (copied, with a
-  /// fresh normal cache, exactly as a distribution built from (n, p) does)
-  /// instead of recomputing its constants on every call.
-  uint64_t Binomial(const BinomialParam& param);
 
   /// Standard normal via Box-Muller (no cached spare; callers in this codebase
   /// draw rarely enough that caching is not worth statefulness).

@@ -60,7 +60,8 @@ uint64_t BinomialHalf(uint64_t c, Rng& rng);
 class BinomialTable {
  public:
   /// Window half-width in standard deviations: the tail beyond 12 sigma
-  /// weighs about 1e-32, so its column is almost never drawn.
+  /// weighs under 1e-16 of the window (about 1e-32 when the pmf is near
+  /// symmetric), so its column is almost never drawn.
   static constexpr double kWindowSigmas = 12.0;
 
   /// Scratch for Build. Reusing one instance across builds keeps them

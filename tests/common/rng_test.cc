@@ -117,30 +117,6 @@ TEST(RngTest, BinomialDegenerate) {
   EXPECT_EQ(rng.Binomial(100, 1.0), 100u);
 }
 
-TEST(RngTest, BinomialCachedParamMatchesPerCallDrawForDraw) {
-  // The cached-param overload is a pure speed-up: the same values and the
-  // same final engine state as the (n, p) overload, in every regime — the
-  // n <= 32 Bernoulli sum, the small-mean inversion sampler (n p < 8), and
-  // the rejection sampler (n p >= 8), whose normal cache must start fresh.
-  const struct {
-    uint64_t n;
-    double p;
-  } cases[] = {{1, 0.3},     {32, 0.9},     {33, 0.1},    {1000, 0.004},
-               {44000, 1e-4}, {44000, 0.27}, {5000, 0.5},  {100000, 0.73},
-               {200, 0.0},   {200, 1.0}};
-  for (const auto& c : cases) {
-    Rng per_call(0x5eed + c.n);
-    Rng cached(0x5eed + c.n);
-    const Rng::BinomialParam param(c.n, c.p);
-    for (int i = 0; i < 2000; ++i) {
-      ASSERT_EQ(cached.Binomial(param), per_call.Binomial(c.n, c.p))
-          << "n=" << c.n << " p=" << c.p << " draw " << i;
-    }
-    EXPECT_EQ(cached.state(), per_call.state())
-        << "n=" << c.n << " p=" << c.p;
-  }
-}
-
 TEST(RngTest, GaussianMoments) {
   Rng rng(37);
   const int n = 100000;
