@@ -17,8 +17,9 @@
 // so steady-state RSS is flat in the horizon (rss_mid == rss_end) where
 // plain recycle_on still grows linearly with the closed-stream history.
 //
-// The spill mode runs first, so its reading is not inflated by allocator
-// pages the bigger run grew.
+// Each (backend, mode) run happens in a forked child process, so its RSS
+// readings start from the bare process and never include heap the runs
+// before it grew.
 //
 // The whole profile is repeated per grid backend (--backends, default
 // "uniform,quadtree", via MakeSpatialGrid at matched cell count): long-horizon
@@ -26,7 +27,9 @@
 // discretization it happened to be measured on.
 //
 // Output: a table on stderr and a JSON array (--json, default
-// BENCH_horizon.json); --quick shrinks the workload for CI smoke runs.
+// BENCH_horizon.json), one row per run with a host block (cores, compiler,
+// build type, and the --commit flag); --quick shrinks the workload for CI
+// smoke runs.
 
 #include <algorithm>
 #include <cstdio>
@@ -34,10 +37,15 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "common/file_io.h"
 #include "common/flags.h"
+#include "common/logging.h"
 #include "common/stopwatch.h"
 #include "core/engine.h"
 #include "geo/grid.h"
@@ -65,9 +73,9 @@ double RssMb() {
   return static_cast<double>(kb) / 1024.0;
 }
 
-struct ModeResult {
-  std::string grid_backend;
-  std::string mode;
+/// The numbers of one run: plain data, so a child process can hand them to
+/// the parent through a pipe.
+struct ModeNumbers {
   double tick_early_ms = 0.0;  ///< mean over rounds [100, 200)
   double tick_late_ms = 0.0;   ///< mean over the final 100 rounds
   double tick_p99_ms = 0.0;
@@ -82,6 +90,11 @@ struct ModeResult {
   double total_s = 0.0;
 };
 
+struct ModeResult : ModeNumbers {
+  std::string grid_backend;
+  std::string mode;
+};
+
 double MeanRange(const std::vector<double>& v, size_t lo, size_t hi) {
   lo = std::min(lo, v.size());
   hi = std::min(hi, v.size());
@@ -91,9 +104,9 @@ double MeanRange(const std::vector<double>& v, size_t lo, size_t hi) {
   return sum / static_cast<double>(hi - lo);
 }
 
-ModeResult RunMode(bool spill, const StateSpace& states,
-                   const SpatialGrid& grid, int64_t rounds, int64_t live,
-                   int64_t churn, int window, int64_t every, uint64_t seed) {
+ModeNumbers RunMode(bool spill, const StateSpace& states,
+                    const SpatialGrid& grid, int64_t rounds, int64_t live,
+                    int64_t churn, int window, int64_t every, uint64_t seed) {
   RetraSynConfig config;
   config.epsilon = 1.0;
   config.window = window;
@@ -111,9 +124,7 @@ ModeResult RunMode(bool spill, const StateSpace& states,
     config.checkpoint_every_rounds = every;
   }
 
-  ModeResult result;
-  result.grid_backend = GridBackendName(grid.backend());
-  result.mode = spill ? "recycle_on_spill" : "recycle_on";
+  ModeNumbers result;
   result.rss_start_mb = RssMb();
 
   auto service = TrajectoryService::Create(states, config);
@@ -176,9 +187,41 @@ ModeResult RunMode(bool spill, const StateSpace& states,
   return result;
 }
 
-bool WriteJson(const std::string& path, uint32_t grid_k, int64_t rounds,
-               int64_t live, int64_t churn, int window,
-               const std::vector<ModeResult>& results) {
+/// RunMode in a forked child; the parent only collects the numbers.
+ModeResult RunModeInChild(bool spill, const StateSpace& states,
+                          const SpatialGrid& grid, int64_t rounds,
+                          int64_t live, int64_t churn, int window,
+                          int64_t every, uint64_t seed) {
+  int fds[2];
+  RETRASYN_CHECK(pipe(fds) == 0);
+  std::fflush(nullptr);
+  const pid_t pid = fork();
+  RETRASYN_CHECK(pid >= 0);
+  if (pid == 0) {
+    close(fds[0]);
+    const ModeNumbers numbers = RunMode(spill, states, grid, rounds, live,
+                                        churn, window, every, seed);
+    const bool sent = write(fds[1], &numbers, sizeof(numbers)) ==
+                      static_cast<ssize_t>(sizeof(numbers));
+    _exit(sent ? 0 : 1);
+  }
+  close(fds[1]);
+  ModeResult result;
+  ModeNumbers& numbers = result;
+  const ssize_t got = read(fds[0], &numbers, sizeof(numbers));
+  close(fds[0]);
+  int status = 0;
+  RETRASYN_CHECK(waitpid(pid, &status, 0) == pid);
+  RETRASYN_CHECK(WIFEXITED(status) && WEXITSTATUS(status) == 0 &&
+                 got == static_cast<ssize_t>(sizeof(numbers)));
+  result.grid_backend = GridBackendName(grid.backend());
+  result.mode = spill ? "recycle_on_spill" : "recycle_on";
+  return result;
+}
+
+bool WriteJson(const std::string& path, const std::string& commit,
+               uint32_t grid_k, int64_t rounds, int64_t live, int64_t churn,
+               int window, const std::vector<ModeResult>& results) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
   std::fprintf(f, "[\n");
@@ -186,7 +229,9 @@ bool WriteJson(const std::string& path, uint32_t grid_k, int64_t rounds,
     const ModeResult& m = results[i];
     std::fprintf(
         f,
-        "  {\"bench\": \"horizon\", \"grid_backend\": \"%s\", "
+        "  {\"bench\": \"horizon\", \"host\": {\"nproc\": %u, "
+        "\"compiler\": \"%s\", \"build_type\": \"%s\", \"commit\": \"%s\"}, "
+        "\"grid_backend\": \"%s\", "
         "\"grid_k\": %u, \"rounds\": %lld, "
         "\"live\": %lld, \"churn\": %lld, \"window\": %d, \"mode\": \"%s\", "
         "\"tick_early_ms\": %.4f, \"tick_late_ms\": %.4f, "
@@ -195,8 +240,9 @@ bool WriteJson(const std::string& path, uint32_t grid_k, int64_t rounds,
         "\"total_retired\": %llu, \"streams_spilled\": %llu, "
         "\"rss_start_mb\": %.1f, \"rss_mid_mb\": %.1f, "
         "\"rss_end_mb\": %.1f, \"total_s\": %.3f}%s\n",
-        m.grid_backend.c_str(), grid_k, static_cast<long long>(rounds),
-        static_cast<long long>(live),
+        std::thread::hardware_concurrency(), RETRASYN_BENCH_COMPILER,
+        RETRASYN_BENCH_BUILD_TYPE, commit.c_str(), m.grid_backend.c_str(),
+        grid_k, static_cast<long long>(rounds), static_cast<long long>(live),
         static_cast<long long>(churn), window, m.mode.c_str(),
         m.tick_early_ms, m.tick_late_ms, m.tick_p99_ms, m.index_high_water,
         m.dense_user_slots, m.free_indices,
@@ -222,6 +268,7 @@ int Main(int argc, char** argv) {
   const int64_t every = flags.GetInt("every", 50);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   const std::string json_path = flags.GetString("json", "BENCH_horizon.json");
+  const std::string commit = flags.GetString("commit", "unknown");
   if (live % churn != 0) {
     std::fprintf(stderr, "live (%lld) must be a multiple of churn (%lld)\n",
                  static_cast<long long>(live), static_cast<long long>(churn));
@@ -258,8 +305,8 @@ int Main(int argc, char** argv) {
     const std::unique_ptr<SpatialGrid> grid = std::move(grid_or).value();
     const StateSpace states(*grid);
     for (bool spill : {true, false}) {
-      results.push_back(RunMode(spill, states, *grid, rounds, live, churn,
-                                window, every, seed));
+      results.push_back(RunModeInChild(spill, states, *grid, rounds, live,
+                                       churn, window, every, seed));
     }
   }
   for (const ModeResult& m : results) {
@@ -275,7 +322,8 @@ int Main(int argc, char** argv) {
         m.index_high_water, m.dense_user_slots, m.rss_start_mb, m.rss_mid_mb,
         m.rss_end_mb, m.total_s);
   }
-  if (!WriteJson(json_path, grid_k, rounds, live, churn, window, results)) {
+  if (!WriteJson(json_path, commit, grid_k, rounds, live, churn, window,
+                 results)) {
     std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
     return 1;
   }

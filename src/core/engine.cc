@@ -422,8 +422,7 @@ EngineCheckpointState RetraSynEngine::SaveCheckpointState() const {
   state.total_reports = total_reports_;
   state.model_freq = model_.frequencies();
   state.model_initialized = model_.initialized();
-  state.live = synthesizer_.live_streams();
-  state.finished = synthesizer_.finished_streams();
+  synthesizer_.SaveCheckpointState(&state.live, &state.finished);
   state.total_points = synthesizer_.total_points();
   state.synth_initialized = synthesizer_.initialized();
   state.allocator_rounds_recorded = allocator_.rounds_recorded();
@@ -519,7 +518,7 @@ Status RetraSynEngine::RestoreCheckpointState(EngineCheckpointState state) {
   collected_once_ = state.collected_once;
   total_reports_ = state.total_reports;
   model_.Restore(std::move(state.model_freq), state.model_initialized);
-  synthesizer_.Restore(std::move(state.live), std::move(state.finished),
+  synthesizer_.Restore(state.live, state.finished,
                        state.total_points, state.synth_initialized);
   allocator_.Restore(state.allocator_rounds_recorded,
                      std::move(state.allocator_freq_history),

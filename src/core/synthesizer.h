@@ -24,20 +24,33 @@
 // round): the quit decision and the Markov step are fused into a single
 // traversal of the live streams, each drawing from O(1) cached alias
 // samplers (TransitionSamplerCache) instead of re-deriving distributions
-// from raw model frequencies. Quit decisions and proposed next cells are
-// staged in reusable scratch buffers; points are only committed after the
-// size adjustment picks its victims, which preserves the phase ordering
-// above while halving the traversals.
+// from raw model frequencies. Proposed next cells are staged in a reusable
+// scratch column; points are only committed after the size adjustment picks
+// its victims, which preserves the phase ordering above.
 //
-// The round close touches dense arrays only. A live-cell column cur_,
-// parallel to live_, holds every live stream's current cell
-// (live_[i].cells.back()) between rounds. Spawn, the stable retire
-// compaction and Restore apply to cur_ what they do to live_; the
-// commit replaces cur_ with the survivors' proposals, so the victim
-// swap-erase before it leaves cur_ alone. The quit+move pass, the
-// size-adjustment race and LiveDensity() read the column and the streams'
-// vector headers, never a stream's heap cell buffer; only the commit writes
-// there, one append per survivor, prefetched a few streams ahead.
+// The synthetic stream store. Streams are not vectors: the live set is a
+// set of dense columns in live order -- cur_ (the current cell), len_,
+// enter_ and the head/tail block ids -- over a synthesizer-owned arena of
+// fixed kBlockCells-cell blocks, drawn from fixed-size pages through a free
+// list. A stream's cells are a chain of blocks linked head to tail. A
+// finished stream is a FinishedStream handle {enter_time, length, head}.
+// Only Snapshot, TakeFinished (which frees the taken blocks for reuse),
+// SaveCheckpointState and Restore convert to or from CellStream.
+//
+// One round touches dense columns plus one block slot per survivor:
+//  * the fused pass reads cur_ and len_ for Eq. 8, proposes the next cell,
+//    and compacts the survivors in stable order in the same sweep. Each
+//    chunk compacts its own range; the ranges then slide together in chunk
+//    order and the quitters' handles join finished_ in live order, so one
+//    path serves any chunk count;
+//  * the size-adjustment race reads cur_; victims are swap-erased from the
+//    columns;
+//  * the commit writes each proposal into its stream's tail block (taking
+//    a fresh block every kBlockCells points; a new page only when the free
+//    list is empty) and the proposals become cur_.
+// The RNG draw order and the live and finished orders are those of a
+// vector-per-stream store, so released and checkpoint bytes do not depend
+// on the layout.
 //
 // The ablation/baseline switches: use_quit=false + use_size_adjustment=false
 // + random_init=true reproduce the NoEQ variant of SV-D and the behaviour of
@@ -55,6 +68,7 @@
 #define RETRASYN_CORE_SYNTHESIZER_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -89,6 +103,9 @@ struct SynthesizerConfig {
 
 class Synthesizer {
  public:
+  /// Cells per arena block: 64 bytes, one cache line.
+  static constexpr uint32_t kBlockCells = 16;
+
   Synthesizer(const StateSpace& states, const SynthesizerConfig& config);
 
   /// Attaches a persistent worker pool (not owned; must outlive the
@@ -97,12 +114,16 @@ class Synthesizer {
   void SetThreadPool(ThreadPool* pool) { pool_ = pool; }
 
   bool initialized() const { return initialized_; }
-  uint32_t num_live() const { return static_cast<uint32_t>(live_.size()); }
+  uint32_t num_live() const { return static_cast<uint32_t>(cur_.size()); }
+  /// Streams that terminated and were not taken yet (TakeFinished).
+  size_t num_finished() const { return finished_.size(); }
   uint64_t total_points() const { return total_points_; }
 
-  /// The currently-live synthetic streams (the evolving T_syn); real-time
-  /// consumers can query this between timestamps without finishing the run.
-  const std::vector<CellStream>& live_streams() const { return live_; }
+  /// Blocks the stream store owns, in use or free. It grows a page at a
+  /// time and never shrinks; TakeFinished returns blocks to the free list.
+  size_t arena_blocks() const { return pages_.size() * kPageBlocks; }
+  /// Of arena_blocks(), those on the free list.
+  size_t arena_free_blocks() const { return free_blocks_; }
 
   /// Per-cell counts of the live streams' current locations — the real-time
   /// synthetic density snapshot.
@@ -139,45 +160,111 @@ class Synthesizer {
 
   // --- Checkpoint / history-spill hooks ------------------------------------
 
-  /// Streams that already terminated (the per-horizon history Snapshot
-  /// serves before the live set).
-  const std::vector<CellStream>& finished_streams() const { return finished_; }
+  /// Copies the live streams (in live order) and the finished streams not
+  /// yet taken (in termination order) out of the store.
+  void SaveCheckpointState(std::vector<CellStream>* live,
+                           std::vector<CellStream>* finished) const;
 
-  /// Moves the finished history out, leaving it empty; live streams and
-  /// counters are untouched. Snapshot() afterwards covers only the remainder,
-  /// so the caller owns re-prepending the extracted prefix (the checkpoint
-  /// manager serves it from spill files).
+  /// Moves the finished history out, leaving it empty and returning its
+  /// blocks to the free list; live streams and counters are untouched.
+  /// Snapshot() afterwards covers only the remainder, so the caller owns
+  /// re-prepending the extracted prefix (the checkpoint manager serves it
+  /// from spill files).
   std::vector<CellStream> TakeFinished();
 
-  /// Restores a checkpointed synthesizer verbatim. \p total_points counts
-  /// every point ever generated, including points in spilled (taken) history.
+  /// Restores a checkpointed synthesizer verbatim, replacing the whole
+  /// store. Every stream must be non-empty. \p total_points counts every
+  /// point ever generated, including points in spilled (taken) history.
   /// The sampler cache is left stale on purpose: restoring the model counts
   /// as a full invalidation, so the next Step rebuilds it deterministically.
-  void Restore(std::vector<CellStream> live, std::vector<CellStream> finished,
+  void Restore(const std::vector<CellStream>& live,
+               const std::vector<CellStream>& finished,
                uint64_t total_points, bool initialized);
 
  private:
-  /// Cells reserved for each spawned stream. glibc's smallest chunk already
-  /// holds 24 bytes, so 6 cells cost the same memory as 1 and skip the
-  /// 1 -> 2 -> 4 reallocations of a stream's first appends.
-  static constexpr size_t kSpawnReserve = 6;
+  /// A terminated stream: its cells are the first `length` cells of the
+  /// block chain starting at `head`.
+  struct FinishedStream {
+    int64_t enter_time;
+    uint32_t length;
+    uint32_t head;
+  };
+  /// Arena pages: kPageBlocks blocks and their chain links. Fixed size, so
+  /// growth never moves a block.
+  static constexpr uint32_t kPageShift = 12;
+  static constexpr uint32_t kPageBlocks = 1u << kPageShift;
+  static constexpr uint32_t kNoBlock = ~uint32_t{0};
+  struct Page {
+    alignas(64) CellId cells[kPageBlocks][kBlockCells];
+    uint32_t next[kPageBlocks];  ///< chain link, or free-list link
+  };
   /// How many streams ahead the commit loop prefetches the append slot.
   static constexpr size_t kCommitPrefetch = 16;
+
+  CellId* BlockCells(uint32_t block) const {
+    return pages_[block >> kPageShift]->cells[block & (kPageBlocks - 1)];
+  }
+  uint32_t& NextBlock(uint32_t block) const {
+    return pages_[block >> kPageShift]->next[block & (kPageBlocks - 1)];
+  }
+  /// Pops a block off the free list; its chain link is kNoBlock.
+  uint32_t AllocBlock() {
+    if (free_head_ == kNoBlock) AddPage();
+    const uint32_t block = free_head_;
+    free_head_ = NextBlock(block);
+    NextBlock(block) = kNoBlock;
+    --free_blocks_;
+    return block;
+  }
+  /// Appends one page and threads its blocks onto the free list. Out of
+  /// line: the only allocation the commit can reach.
+  void AddPage();
+  /// Returns the blocks holding a \p length -cell chain to the free list.
+  void FreeChain(uint32_t head, uint32_t length);
+  /// Copies \p length cells of the chain at \p head into a CellStream.
+  CellStream Materialize(int64_t enter_time, uint32_t length,
+                         uint32_t head) const;
+  /// Copies non-empty \p cells into a fresh chain; returns its head block
+  /// and sets \p tail to its last block.
+  uint32_t StoreChain(const std::vector<CellId>& cells, uint32_t* tail);
+  /// The live stream in slot \p i as a finished handle.
+  FinishedStream Handle(size_t i) const {
+    return FinishedStream{enter_[i], len_[i], head_[i]};
+  }
+  /// Copies live slot \p from over slot \p to (all columns but proposed_).
+  void MoveLive(size_t from, size_t to) {
+    cur_[to] = cur_[from];
+    len_[to] = len_[from];
+    enter_[to] = enter_[from];
+    head_[to] = head_[from];
+    tail_[to] = tail_[from];
+  }
+  /// Shrinks the live columns and proposed_ to \p n streams.
+  void TruncateLive(size_t n);
 
   /// Starts \p count streams at timestamp \p t, their first cells drawn from
   /// the cached entering (or, under random_init, move-marginal) sampler.
   void Spawn(uint32_t count, int64_t t, Rng& rng);
-  /// Fused Eq. 8 termination + Markov step: one (optionally parallel) pass
-  /// fills quit_flags_ and proposed_ for every live stream. Nothing is
-  /// committed: quitters move to finished_ and the size adjustment may still
-  /// drop survivors before their proposed point is appended.
+  /// Fused Eq. 8 termination + Markov step + stable retire compaction, one
+  /// (optionally parallel) pass. Survivors keep their live order and get a
+  /// proposed_ cell; quitters' handles join finished_ in live order. Nothing
+  /// is committed: the size adjustment may still drop survivors before their
+  /// proposed point is appended.
   void QuitAndGeneratePhase(Rng& rng);
+  /// One chunk of the fused pass over live slots [lo, hi): compacts the
+  /// survivors to [lo, lo + kept) and the quitters' handles to
+  /// quitters_[lo, hi - kept); returns kept.
+  size_t QuitMoveCompact(size_t lo, size_t hi, Rng& rng);
+  /// Appends each survivor's proposed cell to its chain; the proposals
+  /// become cur_.
+  void CommitProposals();
   /// Sizes the per-round scratch for the current live set and forks the
-  /// per-chunk RNGs when \p chunks > 1. Kept out of QuitAndGeneratePhase so
-  /// that pass stays allocation-free by construction.
+  /// per-chunk RNGs when \p chunks > 1. Kept out of the fused pass so that
+  /// pass stays allocation-free by construction.
   void PrepareRoundScratch(int chunks, Rng& rng);
-  /// True iff cur_ mirrors live_ (cur_[i] == live_[i].cells.back()).
-  bool ColumnMatchesLive() const;
+  /// True iff the live columns agree in size and cur_[i] is the last cell of
+  /// chain i.
+  bool ColumnsConsistent() const;
   /// Number of work chunks for \p work_items (1 = run serially on the main
   /// RNG; >1 = forked per-chunk RNGs). Depends only on the config and the
   /// work size, never on the machine.
@@ -191,15 +278,26 @@ class Synthesizer {
   SynthesizerConfig config_;
   TransitionSamplerCache cache_;
   ThreadPool* pool_ = nullptr;
-  std::vector<CellStream> live_;
-  std::vector<CellId> cur_;  ///< live-cell column: live_[i].cells.back()
-  std::vector<CellStream> finished_;
   uint64_t total_points_ = 0;
   bool initialized_ = false;
 
+  // The block arena.
+  std::vector<std::unique_ptr<Page>> pages_;
+  uint32_t free_head_ = kNoBlock;
+  size_t free_blocks_ = 0;
+
+  // Live columns, one slot per live stream in live order.
+  std::vector<CellId> cur_;     ///< current (last) cell
+  std::vector<uint32_t> len_;   ///< cells so far
+  std::vector<int64_t> enter_;  ///< enter timestamp
+  std::vector<uint32_t> head_;  ///< first block of the chain
+  std::vector<uint32_t> tail_;  ///< block holding the last cell
+  std::vector<FinishedStream> finished_;
+
   // Per-round scratch, reused so the steady state allocates nothing.
-  std::vector<uint8_t> quit_flags_;
   std::vector<CellId> proposed_;
+  std::vector<FinishedStream> quitters_;
+  std::vector<size_t> chunk_kept_;
   std::vector<Rng> chunk_rngs_;
 
   // Telemetry (all null when detached). Counters are fed deltas against the

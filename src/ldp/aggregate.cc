@@ -113,7 +113,7 @@ OracleKind TransitionCollector::EffectiveOracle(double epsilon) const {
 
 CollectionResult TransitionCollector::Collect(
     const std::vector<StateId>& states, double epsilon, Rng& rng,
-    CollectTimings* timings) const {
+    CollectTimings* timings) {
   CollectionResult result;
   result.epsilon = epsilon;
   if (states.empty() || !(epsilon > 0.0)) {  // also rejects NaN budgets
@@ -127,10 +127,15 @@ CollectionResult TransitionCollector::Collect(
 
 CollectionResult TransitionCollector::CollectOue(
     const std::vector<StateId>& states, double epsilon, Rng& rng,
-    CollectTimings* timings) const {
+    CollectTimings* timings) {
   CollectionResult result;
   result.epsilon = epsilon;
-  OueAggregator aggregator(epsilon, domain_size_);
+  if (oue_.has_value()) {
+    oue_->Reset(epsilon);
+  } else {
+    oue_.emplace(epsilon, domain_size_);
+  }
+  OueAggregator& aggregator = *oue_;
   Stopwatch watch;
   if (mode_ == CollectionMode::kPerUser) {
     OueClient client(epsilon, domain_size_);
@@ -142,7 +147,8 @@ CollectionResult TransitionCollector::CollectOue(
     // Exact-in-distribution aggregate simulation: the true count c of each
     // state, replaced in place by its one-count Binomial(c, 1/2) (surviving
     // 1-bits) + Binomial(n - c, q) (flipped 0-bits).
-    std::vector<uint64_t> counts(domain_size_, 0);
+    std::vector<uint64_t>& counts = counts_;
+    counts.assign(domain_size_, 0);
     for (StateId s : states) {
       RETRASYN_DCHECK(s < domain_size_);
       ++counts[s];

@@ -32,6 +32,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/alias_table.h"
@@ -162,13 +163,14 @@ class TransitionCollector {
   /// with empty frequency estimates (callers treat that as "no update").
   /// When \p timings is non-null, the user-side / curator-side wall-clock
   /// split is reported through it.
+  /// Not const: OUE rounds reuse the collector's count buffers.
   CollectionResult Collect(const std::vector<StateId>& states, double epsilon,
-                           Rng& rng, CollectTimings* timings = nullptr) const;
+                           Rng& rng, CollectTimings* timings = nullptr);
 
  private:
   CollectionResult CollectOue(const std::vector<StateId>& states,
                               double epsilon, Rng& rng,
-                              CollectTimings* timings) const;
+                              CollectTimings* timings);
   CollectionResult CollectGrr(const std::vector<StateId>& states,
                               double epsilon, Rng& rng,
                               CollectTimings* timings) const;
@@ -176,6 +178,10 @@ class TransitionCollector {
   uint32_t domain_size_;
   CollectionMode mode_;
   OracleKind oracle_;
+  // OUE round buffers, kept across rounds: the aggregate simulation's
+  // per-state counts and the aggregator's one-counts (built on first use).
+  std::vector<uint64_t> counts_;
+  std::optional<OueAggregator> oue_;
 };
 
 }  // namespace retrasyn

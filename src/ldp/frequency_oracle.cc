@@ -63,6 +63,13 @@ OueAggregator::OueAggregator(double epsilon, uint32_t domain_size) {
   one_counts_.assign(domain_size, 0);
 }
 
+void OueAggregator::Reset(double epsilon) {
+  RETRASYN_CHECK(epsilon > 0.0);
+  params_.epsilon = epsilon;
+  std::fill(one_counts_.begin(), one_counts_.end(), 0);
+  n_ = 0;
+}
+
 void OueAggregator::AddReport(const std::vector<uint8_t>& report) {
   RETRASYN_CHECK(report.size() == one_counts_.size());
   for (uint32_t i = 0; i < report.size(); ++i) {

@@ -59,6 +59,10 @@ class OueAggregator {
  public:
   OueAggregator(double epsilon, uint32_t domain_size);
 
+  /// Starts over at budget \p epsilon with no reports, reusing the count
+  /// buffer (a per-round collector keeps one aggregator across rounds).
+  void Reset(double epsilon);
+
   /// Adds one user's dense report (vector of 0/1 bytes of length domain_size).
   void AddReport(const std::vector<uint8_t>& report);
 

@@ -119,7 +119,9 @@ TEST(EngineConfigTest, LiveViewTracksActivePopulation) {
     EXPECT_EQ(total, engine.synthesizer().num_live());
     EXPECT_EQ(engine.synthesizer().num_live(), fx.db.ActiveCount(t));
     // Live streams end at the current timestamp.
-    for (const CellStream& s : engine.synthesizer().live_streams()) {
+    std::vector<CellStream> live, finished;
+    engine.synthesizer().SaveCheckpointState(&live, &finished);
+    for (const CellStream& s : live) {
       EXPECT_EQ(s.end_time(), t + 1);
     }
   }

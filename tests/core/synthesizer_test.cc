@@ -230,7 +230,9 @@ class SynthesizerColumnTest : public SynthesizerTest,
   void ExpectColumnMatchesStreams(const Synthesizer& syn,
                                   const std::string& where) {
     std::vector<uint32_t> recount(grid_.NumCells(), 0);
-    for (const CellStream& s : syn.live_streams()) ++recount[s.cells.back()];
+    std::vector<CellStream> live, finished;
+    syn.SaveCheckpointState(&live, &finished);
+    for (const CellStream& s : live) ++recount[s.cells.back()];
     EXPECT_EQ(syn.LiveDensity(), recount) << where;
   }
 };
@@ -251,12 +253,12 @@ TEST_P(SynthesizerColumnTest, LiveDensityMatchesRecountThroughEveryReorder) {
   // growing ones force deficit spawns after the commit.
   const uint32_t targets[] = {10000, 9000, 12000, 12000, 3000, 9000};
   int64_t t = 1;
-  size_t finished_before = syn.finished_streams().size();
+  size_t finished_before = syn.num_finished();
   for (uint32_t target : targets) {
     syn.Step(model_, target, t, rng);
     EXPECT_EQ(syn.num_live(), target);
-    EXPECT_GT(syn.finished_streams().size(), finished_before) << "t=" << t;
-    finished_before = syn.finished_streams().size();
+    EXPECT_GT(syn.num_finished(), finished_before) << "t=" << t;
+    finished_before = syn.num_finished();
     ExpectColumnMatchesStreams(syn, "after step " + std::to_string(t));
     ++t;
   }
@@ -265,8 +267,9 @@ TEST_P(SynthesizerColumnTest, LiveDensityMatchesRecountThroughEveryReorder) {
   // reports the same density and then draws exactly the same rounds.
   Synthesizer restored(states_, config);
   restored.SetThreadPool(&pool);
-  restored.Restore(syn.live_streams(), syn.finished_streams(),
-                   syn.total_points(), /*initialized=*/true);
+  std::vector<CellStream> live, finished;
+  syn.SaveCheckpointState(&live, &finished);
+  restored.Restore(live, finished, syn.total_points(), /*initialized=*/true);
   ExpectColumnMatchesStreams(restored, "after Restore");
   EXPECT_EQ(restored.LiveDensity(), syn.LiveDensity());
   Rng rng_restored = rng;
