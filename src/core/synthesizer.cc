@@ -217,7 +217,10 @@ void Synthesizer::PrepareRoundScratch(int chunks, Rng& rng) {
 
 // HOT PATH — the per-stream quit+move+retire body; reads the dense live
 // columns, never a stream's blocks.
-size_t Synthesizer::QuitMoveCompact(size_t lo, size_t hi, Rng& rng) {
+size_t Synthesizer::QuitMoveCompact(size_t lo, size_t hi, Rng& chunk_rng) {
+  // A local copy lets the RNG state live in registers: the column stores
+  // below (int64_t enter times) could otherwise alias its words.
+  Rng rng = chunk_rng;
   size_t kept = lo;
   size_t quit = lo;
   for (size_t i = lo; i < hi; ++i) {
@@ -235,6 +238,7 @@ size_t Synthesizer::QuitMoveCompact(size_t lo, size_t hi, Rng& rng) {
     if (kept != i) MoveLive(i, kept);
     proposed_[kept++] = next;
   }
+  chunk_rng = rng;
   return kept - lo;
 }
 
