@@ -11,8 +11,10 @@
 //
 // The same scripted random-walk event sequence drives both modes through a
 // real RetraSynEngine. Output: a table on stderr and a JSON array (--json,
-// default BENCH_ingest.json) with p50/p99/max Tick() latency per mode; see
-// docs/performance.md for the schema.
+// default BENCH_ingest.json) with p50/p99/max Tick() latency per mode and
+// one row per sharded-sweep point, each with a host block (nproc, compiler,
+// build type, and the --commit flag); see docs/performance.md for the
+// schema.
 //
 // Quick mode for CI smoke runs: --quick shrinks the workload.
 
@@ -30,7 +32,6 @@
 #include "common/flags.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "core/release_server.h"
 #include "geo/grid.h"
 #include "geo/state_space.h"
@@ -293,37 +294,44 @@ ShardResult RunShardSweep(const StateSpace& states, const BoundingBox& box,
   return result;
 }
 
-bool WriteJson(const std::string& path, uint32_t grid_k, uint32_t users,
-               int rounds, int threads, const std::vector<ModeResult>& results,
+bool WriteJson(const std::string& path, const std::string& commit,
+               uint32_t grid_k, uint32_t users, int rounds, int threads,
+               const std::vector<ModeResult>& results,
                const std::vector<ShardResult>& shard_results) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
+  char host[256];
+  std::snprintf(host, sizeof(host),
+                "{\"nproc\": %u, \"compiler\": \"%s\", \"build_type\": \"%s\", "
+                "\"commit\": \"%s\"}",
+                std::thread::hardware_concurrency(), RETRASYN_BENCH_COMPILER,
+                RETRASYN_BENCH_BUILD_TYPE, commit.c_str());
   std::fprintf(f, "[\n");
   for (size_t i = 0; i < results.size(); ++i) {
     const ModeResult& m = results[i];
     std::fprintf(
         f,
-        "  {\"bench\": \"ingest_latency\", \"grid_k\": %u, \"users\": %u, "
+        "  {\"bench\": \"ingest_latency\", \"host\": %s, \"grid_k\": %u, "
+        "\"users\": %u, "
         "\"rounds\": %d, \"queue_capacity\": %d, \"threads\": %d, "
         "\"mode\": \"%s\", \"journal\": \"%s\", \"tick_p50_ms\": %.4f, "
         "\"tick_p99_ms\": %.4f, \"tick_max_ms\": %.4f, "
         "\"tick_mean_ms\": %.4f, \"drain_ms\": %.2f, \"total_s\": %.3f}%s\n",
-        grid_k, users, rounds, m.queue_capacity, threads, m.mode.c_str(),
+        host, grid_k, users, rounds, m.queue_capacity, threads, m.mode.c_str(),
         m.journaled ? "every_round" : "off", m.p50_ms, m.p99_ms, m.max_ms,
         m.mean_ms, m.drain_ms, m.total_s,
         i + 1 < results.size() || !shard_results.empty() ? "," : "");
   }
-  const int cores = ThreadPool::DefaultConcurrency();
   for (size_t i = 0; i < shard_results.size(); ++i) {
     const ShardResult& r = shard_results[i];
     std::fprintf(
         f,
-        "  {\"bench\": \"ingest_sharded\", \"shards\": %d, \"users\": %u, "
-        "\"rounds\": %d, \"cores\": %d, "
+        "  {\"bench\": \"ingest_sharded\", \"host\": %s, \"shards\": %d, "
+        "\"users\": %u, \"rounds\": %d, "
         "\"events_per_s\": %.0f, \"tick_mean_ms\": %.3f, "
         "\"seal_s\": %.4f, \"merge_s\": %.4f, \"commit_s\": %.4f, "
         "\"allocs_per_round\": %.1f, \"alloc_bytes_per_round\": %.0f}%s\n",
-        r.shards, r.users, r.rounds, cores, r.events_per_s, r.tick_mean_ms,
+        host, r.shards, r.users, r.rounds, r.events_per_s, r.tick_mean_ms,
         r.seal_s, r.merge_s, r.commit_s, r.allocs_per_round,
         r.alloc_bytes_per_round, i + 1 < shard_results.size() ? "," : "");
   }
@@ -348,6 +356,7 @@ int Main(int argc, char** argv) {
   const int threads = static_cast<int>(flags.GetInt("threads", 1));
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   const std::string json_path = flags.GetString("json", "BENCH_ingest.json");
+  const std::string commit = flags.GetString("commit", "unknown");
   const bool dump_telemetry = bench::DumpTelemetryRequested(flags);
 
   const BoundingBox box{0.0, 0.0, 1000.0, 1000.0};
@@ -394,7 +403,7 @@ int Main(int argc, char** argv) {
 
   // Sharded ingest throughput sweep: shard count x live population, against
   // a no-op engine so the measurement isolates the ingest path. Expect
-  // near-linear scaling in min(shards, cores) — the "cores" JSON field
+  // near-linear scaling in min(shards, cores) — the host block's "nproc"
   // records what the host could actually exercise. allocs_per_round pins the
   // seal-buffer reuse: steady-state allocations per round stay O(1).
   std::vector<ShardResult> shard_results;
@@ -424,7 +433,7 @@ int Main(int argc, char** argv) {
     }
   }
 
-  if (!WriteJson(json_path, grid_k, users, rounds, threads, results,
+  if (!WriteJson(json_path, commit, grid_k, users, rounds, threads, results,
                  shard_results)) {
     std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
     return 1;

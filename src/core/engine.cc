@@ -283,6 +283,7 @@ void RetraSynEngine::Observe(const TimestampBatch& batch) {
   const int64_t t = batch.t;
 
   // --- Reporting set & per-report budget --------------------------------
+  Stopwatch select_watch;
   std::vector<StateId> report_states;
   double eps_round = 0.0;
   if (config_.division == DivisionStrategy::kPopulation) {
@@ -322,6 +323,9 @@ void RetraSynEngine::Observe(const TimestampBatch& batch) {
     }
     ledger_.Record(t, report_states.empty() ? 0.0 : eps_t);
     eps_round = eps_t;
+  }
+  if (select_hist_ != nullptr) {
+    select_hist_->Record(select_watch.ElapsedSeconds());
   }
 
   // --- LDP collection ----------------------------------------------------
@@ -386,6 +390,7 @@ void RetraSynEngine::AttachTelemetry(Telemetry* telemetry) {
   if (telemetry == nullptr) {
     rounds_metric_ = nullptr;
     reports_metric_ = nullptr;
+    select_hist_ = nullptr;
     user_side_hist_ = nullptr;
     model_hist_ = nullptr;
     dmu_hist_ = nullptr;
@@ -400,6 +405,10 @@ void RetraSynEngine::AttachTelemetry(Telemetry* telemetry) {
   reports_metric_ = registry.GetCounter(
       "retrasyn_engine_reports_total",
       "LDP reports collected across all rounds");
+  select_hist_ = registry.GetHistogram(
+      "retrasyn_engine_select_seconds",
+      "Per-round reporting-set selection and budget division time (before "
+      "LDP collection)");
   user_side_hist_ = registry.GetHistogram(
       "retrasyn_engine_user_side_seconds",
       "Per-round user-side LDP collection time (paper Table V)");

@@ -122,9 +122,10 @@ struct ServiceOptions {
   /// pending-event state, and — when journaling — its own journal segment
   /// stream under journal_dir/shard-NNN. Shards admit events concurrently
   /// (one producer thread per shard scales batch production across cores);
-  /// Tick() seals every shard in parallel and k-way-merges the sorted shard
-  /// batches into the same deterministic observation sequence a single shard
-  /// produces, so the released bytes are identical for every shard count.
+  /// Tick() seals every shard in parallel and merges the sorted shard runs
+  /// in parallel too (one user-id range per pool executor) into the same
+  /// deterministic observation sequence a single shard produces, so the
+  /// released bytes are identical for every shard count.
   /// The shard count is part of the deployment fingerprint: a journal
   /// written under N shards only replays under N. In [1, kMaxIngestShards].
   int ingest_shards = 1;
@@ -424,9 +425,10 @@ class RetraSynEngine : public StreamReleaseEngine {
   uint64_t total_reports_ = 0;
 
   // Telemetry (all null when detached; the Observe hot path pays one null
-  // check per already-timed phase).
+  // check per timed phase).
   Counter* rounds_metric_ = nullptr;
   Counter* reports_metric_ = nullptr;
+  LatencyHistogram* select_hist_ = nullptr;
   LatencyHistogram* user_side_hist_ = nullptr;
   LatencyHistogram* model_hist_ = nullptr;
   LatencyHistogram* dmu_hist_ = nullptr;

@@ -68,6 +68,7 @@ IngestSession::IngestSession(const StateSpace& states, RoundHandler handler,
   for (int i = 0; i < options_.num_shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
+  sealed_runs_.resize(shards_.size());
   if (options_.num_shards > 1) {
     seal_pool_ = std::make_unique<ThreadPool>(
         std::min(options_.num_shards, ThreadPool::DefaultConcurrency()));
@@ -97,7 +98,8 @@ void IngestSession::RegisterMetrics() {
       "Parallel per-shard seal phase of Tick() (wall)");
   merge_hist_ = registry_->GetHistogram(
       "retrasyn_ingest_merge_seconds",
-      "K-way merge + stream-index assignment phase of Tick() (wall)");
+      "Parallel k-way merge + stream-index assignment phase of Tick() "
+      "(wall)");
   commit_hist_ = registry_->GetHistogram(
       "retrasyn_ingest_commit_seconds",
       "Post-handler state-commit phase of Tick() (wall)");
@@ -383,7 +385,8 @@ size_t IngestSession::num_pending_events() const {
 void IngestSession::RecycleBatch(TimestampBatch&& batch) {
   MutexLock l(obs_pool_mu_);
   if (obs_pool_.size() >= kMaxPooledObservationBuffers) return;
-  batch.observations.clear();
+  // Kept at its size: the next merge resizes it and overwrites every slot,
+  // so only growth past this round's length is value-initialized.
   obs_pool_.push_back(std::move(batch.observations));
 }
 
@@ -543,6 +546,7 @@ void IngestSession::SealShard(Shard& shard) {
   SizeSealBuffers(shard);
   SealedEntry* const out = shard.entries.data();
   size_t n = 0;
+  size_t quits = 0;
   const UserTable& table = shard.table;
   for (size_t i = 0; i < table.capacity(); ++i) {
     if (!table.occupied(i)) continue;
@@ -556,6 +560,7 @@ void IngestSession::SealShard(Shard& shard) {
         (slot.live && !(pending & UserTable::kPendingLocation))) {
       out[n++] = SealedEntry{slot.user, slot_index, slot.stream_index,
                              states_->QuitIndex(slot.last_cell), 0, false};
+      ++quits;
     }
     if (pending & UserTable::kPendingLocation) {
       const bool is_enter = (pending & UserTable::kPendingEnter) != 0;
@@ -565,6 +570,7 @@ void IngestSession::SealShard(Shard& shard) {
     }
   }
   RETRASYN_DCHECK(n == shard.entries.size());
+  shard.num_sealed_quits = quits;
   // Stable on the user id alone: the pass above emits a user's quit before
   // its location, and (user, phase) is unique, so the result is exactly the
   // (user, phase) order the merge's byte contract needs.
@@ -632,7 +638,6 @@ Status IngestSession::Tick() {
     if (first_ns > 0) admit_s = (NowSteadyNanos() - first_ns) * 1e-9;
   }
 
-  size_t total_entries = 0;
   for (auto& shard : shards_) {
     shard->mu.AssertHeld();
     if (shard->journal != nullptr) {
@@ -642,7 +647,6 @@ Status IngestSession::Tick() {
       // aligned — no shard closes a round a sibling cannot.
       RETRASYN_RETURN_NOT_OK(shard->journal->status());
     }
-    total_entries += shard->table.size() + shard->num_pending_enters;
   }
   for (auto& shard : shards_) {
     shard->mu.AssertHeld();
@@ -688,89 +692,41 @@ Status IngestSession::Tick() {
   }
   const size_t reusable = free_indices_.size() + retiring_count;
 
-  // Cursor over the virtual concatenation [free_indices_ | retiring buckets
-  // | fresh counter], consumed in that (oldest-retired-first) order.
-  size_t free_cursor = 0;
-  size_t bucket = 0;
-  size_t bucket_pos = 0;
-  uint32_t next_index = next_stream_index_;
-  auto next_stream = [&]() -> uint32_t {
-    if (free_cursor < free_indices_.size()) return free_indices_[free_cursor++];
-    if (free_cursor < reusable) {
-      ++free_cursor;
-      while (bucket_pos >= quitted_at_[bucket].second.size()) {
-        ++bucket;
-        bucket_pos = 0;
-      }
-      return quitted_at_[bucket].second[bucket_pos++];
-    }
-    return next_index++;
-  };
-
-  // 2. K-way merge of the sorted shard runs into the global (user, phase)
-  //    order — O(n log k) worth of comparisons instead of the O(n log n)
-  //    global sort, and identical to it because shards partition the users.
-  //    For the same reason two cursors never hold the same user, so the
-  //    cursors compare users alone; a user's quit and location are adjacent
-  //    in one run and leave it in order.
-  //    Enters draw their stream index here, on the merged sequence, which is
-  //    what keeps the assignment a pure function of the batch sequence and
-  //    byte-identical to a single shard. Nothing mutates session state: a
-  //    failing handler must leave the round open with its events intact, and
-  //    a retried Tick() must reproduce the identical batch.
+  // 2. Merge the sorted shard runs into the global (user, phase) order, one
+  //    user-id range per seal-pool executor (a single range without a pool).
+  //    Identical to the single-shard global sort because shards partition the
+  //    users, and identical for every range count because each range's
+  //    output offset is fixed before it runs. Enters draw their stream index
+  //    afterwards in merged order, from [free_indices_ | retiring buckets |
+  //    fresh counter] (oldest retired first), which keeps the assignment a
+  //    pure function of the batch sequence and byte-identical to a single
+  //    shard. Nothing mutates session state: a failing handler must leave the
+  //    round open with its events intact, and a retried Tick() must
+  //    reproduce the identical batch. The pool workers read the runs under
+  //    the shard mutexes this thread holds (custody asserted here, where the
+  //    runs are taken; the ThreadPool job handoff orders the accesses).
   Stopwatch merge_watch;
   TimestampBatch batch;
   batch.t = open_round_;
   bool reused_buffer = false;
   batch.observations = AcquireObservationBuffer(&reused_buffer);
-  batch.observations.reserve(total_entries);
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    Shard& shard = *shards_[i];
+    shard.mu.AssertHeld();
+    sealed_runs_[i] = SealedRun{shard.entries.data(), shard.entries.size(),
+                                shard.num_sealed_quits,
+                                shard.num_pending_enters};
+  }
+  StreamIndexCursor cursor(free_indices_, quitted_at_, reusable,
+                           next_stream_index_);
   std::vector<uint32_t> quit_indices;
-  struct Cursor {
-    SealedEntry* it;
-    SealedEntry* end;
-  };
-  std::vector<Cursor> cursors;
-  cursors.reserve(shards_.size());
-  for (auto& shard : shards_) {
-    shard->mu.AssertHeld();
-    if (!shard->entries.empty()) {
-      cursors.push_back(Cursor{shard->entries.data(),
-                               shard->entries.data() + shard->entries.size()});
-    }
-  }
-  while (!cursors.empty()) {
-    size_t min = 0;
-    for (size_t c = 1; c < cursors.size(); ++c) {
-      const uint64_t user = cursors[c].it->user;
-      RETRASYN_DCHECK(user != cursors[min].it->user);
-      if (user < cursors[min].it->user) min = c;
-    }
-    SealedEntry& e = *cursors[min].it++;
-    if (cursors[min].it == cursors[min].end) {
-      cursors[min] = cursors.back();
-      cursors.pop_back();
-    }
-    UserObservation obs;
-    if (e.phase == 0) {
-      obs.user_index = e.stream_index;
-      obs.state = e.state;
-      obs.is_quit = true;
-      if (options_.window >= 1) quit_indices.push_back(e.stream_index);
-    } else if (e.is_enter) {
-      e.stream_index = next_stream();  // committed to the shard on success
-      obs.user_index = e.stream_index;
-      obs.state = e.state;
-      obs.is_enter = true;
-      ++batch.num_active;
-    } else {
-      obs.user_index = e.stream_index;
-      obs.state = e.state;
-      ++batch.num_active;
-    }
-    batch.observations.push_back(obs);
-  }
+  merger_.Merge(sealed_runs_,
+                seal_pool_ != nullptr ? seal_pool_->num_threads() : 1,
+                seal_pool_.get(), cursor, &batch,
+                options_.window >= 1 ? &quit_indices : nullptr);
   const double merge_s = merge_watch.ElapsedSeconds();
   const size_t merged = batch.observations.size();
+  const uint32_t next_index = cursor.next_fresh();
   if (next_index > kMaxStreamIndex) {
     // Refuse before the handler (and before the engine's dense bookkeeping
     // would CHECK-abort): the round stays open with its events intact. The
@@ -822,8 +778,9 @@ Status IngestSession::Tick() {
     // unconsumed suffix joins the free list), and bucket this round's quits
     // for retirement once the window passes them.
     const size_t consumed_free =
-        std::min(free_cursor, free_indices_.size());
-    const size_t consumed_retiring = free_cursor - consumed_free;
+        std::min(cursor.consumed_reusable(), free_indices_.size());
+    const size_t consumed_retiring =
+        cursor.consumed_reusable() - consumed_free;
     free_indices_.erase(free_indices_.begin(),
                         free_indices_.begin() +
                             static_cast<std::ptrdiff_t>(consumed_free));

@@ -31,13 +31,17 @@
 // the users of one shard (ShardOf), admit events with no shared lock on the
 // hot path. Tick() briefly holds every shard's mutex (producers block at the
 // round boundary; their events land in the next round), seals the shards in
-// parallel on an internal pool into sorted per-shard entry runs, and k-way
-// merges the runs into the global observation order. Because users are
-// disjoint across shards, the merged sequence is exactly the sequence a
-// single shard's global sort produces — so for a fixed shard count the
-// sealed batches, the stream-index assignment, and therefore the released
-// bytes are identical to num_shards = 1. Tick/AdvanceTo remain
-// single-caller: drive them from one thread (the producers may be many).
+// parallel on an internal pool into sorted per-shard entry runs, and merges
+// the runs into the global observation order on the same pool: the user-id
+// space is split into one range per pool executor, each range is k-way
+// merged into its own slice of the batch, and one serial pass in range order
+// assigns the enters' stream indices (see service/shard_merge.h). Because
+// users are disjoint across shards, the merged sequence is exactly the
+// sequence a single shard's global sort produces — so the sealed batches,
+// the stream-index assignment, and therefore the released bytes are
+// identical to num_shards = 1 for every shard count and pool size.
+// Tick/AdvanceTo remain single-caller: drive them from one thread (the
+// producers may be many).
 //
 // Stream-index lifecycle: each new stream needs an engine-facing index, and
 // over an unbounded horizon a cumulative counter leaks — the engine's dense
@@ -70,6 +74,7 @@
 #include "common/thread_pool.h"
 #include "geo/state_space.h"
 #include "journal/journal_writer.h"
+#include "service/shard_merge.h"
 #include "service/user_table.h"
 #include "stream/feeder.h"
 #include "telemetry/telemetry.h"
@@ -246,23 +251,6 @@ class IngestSession {
   }
 
  private:
-  /// One event of the sealed round, fully resolved during the parallel
-  /// per-shard seal (transition state and — for quits/moves — the stream
-  /// index are pure functions of shard state); only an enter's stream index
-  /// waits for the global merge, which assigns it on the merged sequence.
-  /// The commit writes the result straight into \p slot, the user's row in
-  /// the shard table (no slot moves between seal and commit).
-  struct SealedEntry {
-    uint64_t user = 0;
-    uint32_t slot = 0;          ///< the user's UserTable slot
-    uint32_t stream_index = 0;  ///< quits/moves: owner; enters: merge-assigned
-    /// Transition-state index of the observation: a location copies the
-    /// state its slot resolved at admission; a quit is q_{last_cell}.
-    uint32_t state = 0;
-    uint8_t phase = 0;          ///< 0 = quit, 1 = enter/move
-    bool is_enter = false;
-  };
-
   /// One user partition: its own mutex, user table, journal stream, seal
   /// scratch, and counters. Producers lock exactly one shard per event;
   /// Tick() locks them all.
@@ -275,6 +263,8 @@ class IngestSession {
     size_t num_pending_enters GUARDED_BY(mu) = 0;
     size_t num_pending_events GUARDED_BY(mu) = 0;
     size_t num_pending_quits GUARDED_BY(mu) = 0;
+    /// Quits (explicit or by lapse) in the last sealed run.
+    size_t num_sealed_quits GUARDED_BY(mu) = 0;
     /// High-water mark of num_pending_events, mirrored into
     /// peak_pending_metric when it rises. Only this shard writes that gauge,
     /// always under mu, so a plain compare replaces the gauge's CAS loop.
@@ -348,9 +338,10 @@ class IngestSession {
 
   /// Builds \p shard's sorted entry run for the round being sealed: one
   /// linear pass over its table copies each report's admission-resolved
-  /// state, then a radix sort on the user id orders the run. Pure per-shard
-  /// work (runs on the seal pool while the Tick thread holds every shard
-  /// mutex); mutates only the shard's scratch, never its committed state.
+  /// state and counts the quits, then a radix sort on the user id orders the
+  /// run. Pure per-shard work (runs on the seal pool while the Tick thread
+  /// holds every shard mutex); mutates only the shard's scratch, never its
+  /// committed state.
   void SealShard(Shard& shard) REQUIRES(shard.mu);
   /// Applies the sealed round to \p shard's table, in place through each
   /// entry's slot: quits erase the row, locations overwrite it (the new
@@ -373,9 +364,10 @@ class IngestSession {
   RoundHandler handler_;
   IngestSessionOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// Seal/commit executors for num_shards > 1 (null otherwise): sized
+  /// Seal/merge/commit executors for num_shards > 1 (null otherwise): sized
   /// min(num_shards, hardware). Pool size never affects bytes — per-shard
-  /// work is a pure function of the shard.
+  /// work is a pure function of the shard, and the merge runs one user-id
+  /// range per executor with every output offset fixed up front.
   std::unique_ptr<ThreadPool> seal_pool_;
   // Tick-thread lifecycle state (commit_hook_, open_round_,
   // next_stream_index_, and quitted_at_/free_indices_ below): written only by
@@ -387,6 +379,11 @@ class IngestSession {
   std::function<void(int64_t)> commit_hook_;
   int64_t open_round_ = 0;
   uint32_t next_stream_index_ = 0;
+  /// Merge inputs and scratch, kept across rounds: one run per shard
+  /// (pointing into the shard's entries while Tick holds its mutex) and the
+  /// merger's split and per-chunk regions.
+  std::vector<SealedRun> sealed_runs_;
+  SealedRunMerger merger_;
 
   /// Round-boundary journal poison: set once by Tick (single caller), read
   /// by concurrent producers. poison_status_ is written before the release

@@ -24,7 +24,7 @@ namespace retrasyn {
 enum class RoundPhase : int {
   kAdmit = 0,      // first event admitted -> round boundary (ingest dwell)
   kSeal,           // per-shard seal (parallel) at the boundary
-  kMerge,          // deterministic k-way merge of sealed shards
+  kMerge,          // k-way merge of sealed shards (parallel user-id ranges)
   kClose,          // engine Observe: LDP collection + DMU + synthesis
   kDeliver,        // release construction + sink fan-out
   kJournal,        // round-boundary journal append + fsync

@@ -416,7 +416,7 @@ TEST(IngestDifferentialTest, RandomizedRoundsMatchReferenceAtEveryShardCount) {
   for (uint64_t seed : {11u, 12u, 13u}) {
     Rng rng(seed);
     const std::vector<uint64_t> pool = UserPool(rng);
-    Lockstep lockstep(fx.states, {1, 2, 4});
+    Lockstep lockstep(fx.states, {1, 2, 4, 7});
     for (int round = 0; round < 60; ++round) {
       RandomRound(lockstep, fx, pool, rng);
       ASSERT_NO_FATAL_FAILURE(lockstep.Tick()) << "seed " << seed;
