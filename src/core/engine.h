@@ -123,7 +123,7 @@ struct ServiceOptions {
   /// stream under journal_dir/shard-NNN. Shards admit events concurrently
   /// (one producer thread per shard scales batch production across cores);
   /// Tick() seals every shard in parallel and merges the sorted shard runs
-  /// in parallel too (one user-id range per pool executor) into the same
+  /// in parallel too (in user-id ranges on the same pool) into the same
   /// deterministic observation sequence a single shard produces, so the
   /// released bytes are identical for every shard count.
   /// The shard count is part of the deployment fingerprint: a journal

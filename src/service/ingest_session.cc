@@ -692,8 +692,9 @@ Status IngestSession::Tick() {
   }
   const size_t reusable = free_indices_.size() + retiring_count;
 
-  // 2. Merge the sorted shard runs into the global (user, phase) order, one
-  //    user-id range per seal-pool executor (a single range without a pool).
+  // 2. Merge the sorted shard runs into the global (user, phase) order in
+  //    user-id ranges on the seal pool (SealedRunMerger::ChunkCount; a
+  //    single range without a pool).
   //    Identical to the single-shard global sort because shards partition the
   //    users, and identical for every range count because each range's
   //    output offset is fixed before it runs. Enters draw their stream index
@@ -710,18 +711,22 @@ Status IngestSession::Tick() {
   batch.t = open_round_;
   bool reused_buffer = false;
   batch.observations = AcquireObservationBuffer(&reused_buffer);
+  size_t sealed = 0;
   for (size_t i = 0; i < shards_.size(); ++i) {
     Shard& shard = *shards_[i];
     shard.mu.AssertHeld();
     sealed_runs_[i] = SealedRun{shard.entries.data(), shard.entries.size(),
                                 shard.num_sealed_quits,
                                 shard.num_pending_enters};
+    sealed += shard.entries.size();
   }
   StreamIndexCursor cursor(free_indices_, quitted_at_, reusable,
                            next_stream_index_);
   std::vector<uint32_t> quit_indices;
   merger_.Merge(sealed_runs_,
-                seal_pool_ != nullptr ? seal_pool_->num_threads() : 1,
+                SealedRunMerger::ChunkCount(
+                    sealed, seal_pool_ != nullptr ? seal_pool_->num_threads()
+                                                  : 0),
                 seal_pool_.get(), cursor, &batch,
                 options_.window >= 1 ? &quit_indices : nullptr);
   const double merge_s = merge_watch.ElapsedSeconds();

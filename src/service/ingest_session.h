@@ -33,7 +33,7 @@
 // round boundary; their events land in the next round), seals the shards in
 // parallel on an internal pool into sorted per-shard entry runs, and merges
 // the runs into the global observation order on the same pool: the user-id
-// space is split into one range per pool executor, each range is k-way
+// space is split into ranges the pool executors claim, each range is k-way
 // merged into its own slice of the batch, and one serial pass in range order
 // assigns the enters' stream indices (see service/shard_merge.h). Because
 // users are disjoint across shards, the merged sequence is exactly the
@@ -366,8 +366,8 @@ class IngestSession {
   std::vector<std::unique_ptr<Shard>> shards_;
   /// Seal/merge/commit executors for num_shards > 1 (null otherwise): sized
   /// min(num_shards, hardware). Pool size never affects bytes — per-shard
-  /// work is a pure function of the shard, and the merge runs one user-id
-  /// range per executor with every output offset fixed up front.
+  /// work is a pure function of the shard, and the merge's user-id ranges
+  /// have every output offset fixed before any of them runs.
   std::unique_ptr<ThreadPool> seal_pool_;
   // Tick-thread lifecycle state (commit_hook_, open_round_,
   // next_stream_index_, and quitted_at_/free_indices_ below): written only by

@@ -6,6 +6,13 @@
 
 namespace retrasyn {
 
+int SealedRunMerger::ChunkCount(size_t entries, int executors) {
+  if (executors <= 1) return 1;
+  const size_t by_size = std::max<size_t>(1, entries / kMinChunkEntries);
+  return static_cast<int>(std::min<size_t>(
+      by_size, static_cast<size_t>(executors) * kChunksPerExecutor));
+}
+
 void SealedRunMerger::Merge(const std::vector<SealedRun>& runs,
                             int num_chunks, ThreadPool* pool,
                             StreamIndexCursor& cursor, TimestampBatch* batch,
@@ -26,11 +33,12 @@ void SealedRunMerger::Merge(const std::vector<SealedRun>& runs,
   // indices and quits join the output list.
   size_t quits = 0;
   for (const Chunk& chunk : chunks_) {
-    const EnterRef* refs = enters_.data() + chunk.enter_begin;
+    SealedEntry* const* enters = enters_.data() + chunk.enter_begin;
     for (size_t i = 0; i < chunk.num_enters; ++i) {
-      const uint32_t index = cursor.Next();
-      refs[i].entry->stream_index = index;  // committed to the shard on success
-      out_[refs[i].position].user_index = index;
+      SealedEntry& e = *enters[i];
+      const uint32_t position = e.stream_index;  // parked by MergeChunk
+      e.stream_index = cursor.Next();  // committed to the shard on success
+      out_[position].user_index = e.stream_index;
     }
     quits += chunk.num_quits;
   }
@@ -108,6 +116,8 @@ size_t SealedRunMerger::Split(int num_chunks) {
       enter_slots += std::min(len, runs[r].num_enters);
     }
   }
+  // MergeChunk parks an enter's output position in its 32-bit stream_index.
+  RETRASYN_CHECK(out <= UINT32_MAX);
   quits_.resize(quit_slots);
   enters_.resize(enter_slots);
   return out;
@@ -131,7 +141,7 @@ void SealedRunMerger::MergeChunk(int c) {
     if (begin < end) cursors[live++] = Cursor{base + begin, base + end};
   }
   uint32_t* const quits = quits_.data() + chunk.quit_begin;
-  EnterRef* const enters = enters_.data() + chunk.enter_begin;
+  SealedEntry** const enters = enters_.data() + chunk.enter_begin;
   size_t num_quits = 0;
   size_t num_enters = 0;
   size_t pos = chunk.out_begin;
@@ -144,7 +154,7 @@ void SealedRunMerger::MergeChunk(int c) {
     SealedEntry& e = *cursors[min].it++;
     if (cursors[min].it == cursors[min].end) cursors[min] = cursors[--live];
     UserObservation& obs = out_[pos];
-    obs.user_index = e.stream_index;  // an enter's is filled in after the merge
+    obs.user_index = e.stream_index;  // an enter's is set by the serial pass
     obs.state = e.state;
     obs.is_quit = e.phase == 0;
     obs.is_enter = e.is_enter;
@@ -152,7 +162,8 @@ void SealedRunMerger::MergeChunk(int c) {
       if (collect_quits_) quits[num_quits] = e.stream_index;
       ++num_quits;
     } else if (e.is_enter) {
-      enters[num_enters++] = EnterRef{&e, pos};
+      e.stream_index = static_cast<uint32_t>(pos);  // until the serial pass
+      enters[num_enters++] = &e;
     }
     ++pos;
   }

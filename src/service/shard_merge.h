@@ -109,6 +109,13 @@ class StreamIndexCursor {
 /// collected (one exact reserve). Single caller.
 class SealedRunMerger {
  public:
+  /// The chunk count for \p entries merged on \p executors threads (0 when
+  /// there is no pool): one chunk without a pool, else four per executor
+  /// but none under kMinChunkEntries. Chunks are claimed dynamically, so
+  /// when pool workers wake late the calling thread takes a few small
+  /// chunks instead of running one per executor alone.
+  static int ChunkCount(size_t entries, int executors);
+
   /// Merges \p runs into batch->observations (resized to the total run
   /// length; any prior content is overwritten) and sets batch->num_active to
   /// the number of location entries. Each enter draws its stream index from
@@ -127,11 +134,8 @@ class SealedRunMerger {
     SealedEntry* end;
   };
   static constexpr size_t kCacheLine = 64;
-  /// An enter awaiting its stream index: where its observation landed.
-  struct EnterRef {
-    SealedEntry* entry;
-    size_t position;
-  };
+  static constexpr int kChunksPerExecutor = 4;
+  static constexpr size_t kMinChunkEntries = 4096;
   /// One user-id range: its output and scratch offsets (set by Split) and
   /// its quit and enter counts (set by the chunk).
   struct Chunk {
@@ -162,7 +166,9 @@ class SealedRunMerger {
   Cursor* cursor_base_ = nullptr;
   size_t cursor_stride_ = 0;
   std::vector<uint32_t> quits_;  ///< per-chunk regions of quit indices
-  std::vector<EnterRef> enters_;  ///< per-chunk regions of enters
+  /// Per-chunk regions of the enters awaiting a stream index; until the
+  /// serial pass, each one's stream_index holds its output position.
+  std::vector<SealedEntry*> enters_;
 };
 
 }  // namespace retrasyn

@@ -319,5 +319,14 @@ TEST(ShardMergeTest, OneMergerAcrossRoundsOfDifferentSizes) {
   }
 }
 
+TEST(ShardMergeTest, ChunkCountFollowsPoolAndSize) {
+  EXPECT_EQ(SealedRunMerger::ChunkCount(1 << 20, 0), 1);  // no pool
+  EXPECT_EQ(SealedRunMerger::ChunkCount(0, 4), 1);
+  EXPECT_EQ(SealedRunMerger::ChunkCount(5000, 4), 1);
+  EXPECT_EQ(SealedRunMerger::ChunkCount(20000, 2), 4);
+  EXPECT_EQ(SealedRunMerger::ChunkCount(107384, 4), 16);
+  EXPECT_EQ(SealedRunMerger::ChunkCount(1 << 20, 8), 32);
+}
+
 }  // namespace
 }  // namespace retrasyn
