@@ -312,10 +312,9 @@ bool WriteJson(const std::string& path, const std::string& commit,
     std::fprintf(
         f,
         "  {\"bench\": \"ingest_latency\", \"host\": %s, \"grid_k\": %u, "
-        "\"users\": %u, "
-        "\"rounds\": %d, \"queue_capacity\": %d, \"threads\": %d, "
-        "\"mode\": \"%s\", \"journal\": \"%s\", \"tick_p50_ms\": %.4f, "
-        "\"tick_p99_ms\": %.4f, \"tick_max_ms\": %.4f, "
+        "\"users\": %u, \"rounds\": %d, \"queue_capacity\": %d, "
+        "\"threads\": %d, \"mode\": \"%s\", \"journal\": \"%s\", "
+        "\"tick_p50_ms\": %.4f, \"tick_p99_ms\": %.4f, \"tick_max_ms\": %.4f, "
         "\"tick_mean_ms\": %.4f, \"drain_ms\": %.2f, \"total_s\": %.3f}%s\n",
         host, grid_k, users, rounds, m.queue_capacity, threads, m.mode.c_str(),
         m.journaled ? "every_round" : "off", m.p50_ms, m.p99_ms, m.max_ms,

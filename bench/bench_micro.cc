@@ -2,9 +2,13 @@
 // estimation kernels, the DMU selection, and the synthesis step, swept over
 // domain sizes / populations so the complexity claims of paper SIV-B are
 // visible (user-side O(|S|), curator aggregation O(n + |S|), DMU O(|S|),
-// synthesis O(|T_syn|)).
+// synthesis O(|T_syn|)), plus the ingest shard merge at 1, 4 and 16
+// chunks.
 
 #include <benchmark/benchmark.h>
+
+#include <deque>
+#include <vector>
 
 #include "common/alias_table.h"
 #include "common/rng.h"
@@ -18,6 +22,8 @@
 #include "ldp/aggregate.h"
 #include "ldp/frequency_oracle.h"
 #include "metrics/histogram.h"
+#include "service/ingest_session.h"
+#include "service/shard_merge.h"
 
 namespace retrasyn {
 namespace {
@@ -227,6 +233,49 @@ void BM_SynthesizerStepThreads(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SynthesizerStepThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+
+void BM_SealedRunMerge(benchmark::State& state) {
+  // Tick's shard merge at the dense_hotspot shape: 100k users hashed over 4
+  // shard runs, about 7% quits and 7% enters. Arg = chunk count; chunks > 1
+  // run on a 4-executor pool, so wall time (not the caller's CPU) is the
+  // figure.
+  const int chunks = static_cast<int>(state.range(0));
+  constexpr int kShards = 4;
+  std::vector<std::vector<SealedEntry>> runs(kShards);
+  Rng rng(10);
+  for (uint64_t user = 0; user < 100000; ++user) {
+    auto& run = runs[IngestSession::ShardOf(user, kShards)];
+    const double roll = rng.UniformDouble();
+    if (roll < 0.07) run.push_back(SealedEntry{user, 0, 5, 1, 0, false});
+    if (roll >= 0.035) {
+      const bool enter = roll < 0.105;
+      run.push_back(SealedEntry{user, 0, enter ? 0u : 7u, 2, 1, enter});
+    }
+  }
+  std::vector<SealedRun> sealed;
+  for (auto& run : runs) {
+    SealedRun s{run.data(), run.size(), 0, 0};
+    for (const SealedEntry& e : run) {
+      s.num_quits += e.phase == 0 ? 1 : 0;
+      s.num_enters += e.is_enter ? 1 : 0;
+    }
+    sealed.push_back(s);
+  }
+  ThreadPool pool(kShards);
+  SealedRunMerger merger;
+  const std::deque<uint32_t> free_indices;
+  const StreamIndexCursor::Buckets buckets;
+  TimestampBatch batch;
+  std::vector<uint32_t> quits;
+  for (auto _ : state) {
+    StreamIndexCursor cursor(free_indices, buckets, 0, 0);
+    merger.Merge(sealed, chunks, chunks > 1 ? &pool : nullptr, cursor, &batch,
+                 &quits);
+    benchmark::DoNotOptimize(batch.observations.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_SealedRunMerge)->Arg(1)->Arg(4)->Arg(16)->UseRealTime();
 
 void BM_GridLocate(benchmark::State& state) {
   const UniformGrid grid(BoundingBox{0.0, 0.0, 30000.0, 30000.0}, 18);

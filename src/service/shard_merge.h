@@ -111,9 +111,9 @@ class SealedRunMerger {
  public:
   /// The chunk count for \p entries merged on \p executors threads (0 when
   /// there is no pool): one chunk without a pool, else four per executor
-  /// but none under kMinChunkEntries. Chunks are claimed dynamically, so
-  /// when pool workers wake late the calling thread takes a few small
-  /// chunks instead of running one per executor alone.
+  /// but at most one per kMinChunkEntries entries. Chunks are claimed
+  /// dynamically, so when pool workers wake late the calling thread takes
+  /// a few small chunks instead of running one per executor alone.
   static int ChunkCount(size_t entries, int executors);
 
   /// Merges \p runs into batch->observations (resized to the total run
