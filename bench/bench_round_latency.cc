@@ -20,7 +20,10 @@
 //             bench exit nonzero when that overhead exceeds the budget at
 //             any sweep point — the CI overhead gate. It needs at least
 //             kMinGatePairs rounds.
-//   pooled  — alias samplers + persistent ThreadPool at --threads.
+//   pooled  — alias samplers + a persistent ThreadPool, once per pool size
+//             in --pools (default 1,2,4). The round splits into the same
+//             chunks at every pool size (one per 2048 live streams), so the
+//             rows differ only in how many executors run them.
 //
 // The sweep also carries a grid-backend dimension (--backends, default
 // "uniform,quadtree"): each grid size is built through MakeSpatialGrid at a
@@ -30,7 +33,9 @@
 //
 // Output: a human-readable table on stderr and a JSON array (--json, default
 // BENCH_synthesis.json) with one record per (backend, grid, population,
-// mode); see docs/performance.md for the schema and acceptance thresholds.
+// mode, pool size), each with a host block (cores, compiler, build type and
+// the --commit flag); see docs/performance.md for the schema and acceptance
+// thresholds.
 //
 // Quick mode for CI smoke runs: --quick sweeps one point per backend, with
 // enough rounds for the overhead gate.
@@ -41,6 +46,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/flags.h"
@@ -60,7 +66,7 @@ namespace {
 
 struct ModeResult {
   std::string mode;
-  int threads = 1;
+  int threads = 1;  ///< executors running the chunks: the pool size, or 1
   int rounds = 0;
   bool telemetry = false;
   double mean_round_ms = 0.0;
@@ -115,18 +121,17 @@ void PerturbModel(GlobalMobilityModel& model, const StateSpace& states,
 class ModeRun {
  public:
   ModeRun(const std::string& mode, const StateSpace& states,
-          uint32_t population, int threads, ThreadPool* pool, int warmup,
-          uint64_t seed)
+          uint32_t population, ThreadPool* pool, int warmup, uint64_t seed)
       : states_(states),
         population_(population),
         model_(states),
         model_rng_(seed),
-        synthesizer_(states, MakeConfig(threads)),
+        synthesizer_(states, MakeConfig()),
         rng_(seed + 1) {
     model_.ReplaceAll(RandomFrequencies(states, model_rng_));
     synthesizer_.SetThreadPool(pool);
     result_.mode = mode;
-    result_.threads = threads;
+    result_.threads = pool != nullptr ? pool->num_threads() : 1;
     result_.telemetry = mode == "cached_telemetry";
     if (result_.telemetry) synthesizer_.AttachTelemetry(&telemetry_);
     synthesizer_.Initialize(model_, population, 0, rng_);
@@ -161,10 +166,9 @@ class ModeRun {
   }
 
  private:
-  static SynthesizerConfig MakeConfig(int threads) {
+  static SynthesizerConfig MakeConfig() {
     SynthesizerConfig config;
     config.lambda = 50.0;
-    config.num_threads = threads;
     return config;
   }
 
@@ -185,9 +189,9 @@ class ModeRun {
 };
 
 ModeResult RunMode(const std::string& mode, const StateSpace& states,
-                   uint32_t population, int threads, ThreadPool* pool,
-                   int warmup, int rounds, uint64_t seed) {
-  ModeRun run(mode, states, population, threads, pool, warmup, seed);
+                   uint32_t population, ThreadPool* pool, int warmup,
+                   int rounds, uint64_t seed) {
+  ModeRun run(mode, states, population, pool, warmup, seed);
   for (int i = 0; i < rounds; ++i) run.Step();
   return run.Result();
 }
@@ -198,8 +202,8 @@ ModeResult RunMode(const std::string& mode, const StateSpace& states,
 double RunTelemetryPair(const StateSpace& states, uint32_t population,
                         int warmup, int rounds, uint64_t seed,
                         std::vector<ModeResult>* modes) {
-  ModeRun detached("cached", states, population, 1, nullptr, warmup, seed);
-  ModeRun attached("cached_telemetry", states, population, 1, nullptr, warmup,
+  ModeRun detached("cached", states, population, nullptr, warmup, seed);
+  ModeRun attached("cached_telemetry", states, population, nullptr, warmup,
                    seed);
   std::vector<double> ratios;
   ratios.reserve(static_cast<size_t>(rounds));
@@ -220,7 +224,8 @@ double RunTelemetryPair(const StateSpace& states, uint32_t population,
   return Median(ratios) - 1.0;
 }
 
-bool WriteJson(const std::string& path, const std::vector<SweepPoint>& sweep) {
+bool WriteJson(const std::string& path, const std::string& commit,
+               const std::vector<SweepPoint>& sweep) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
   std::fprintf(f, "[\n");
@@ -231,13 +236,17 @@ bool WriteJson(const std::string& path, const std::vector<SweepPoint>& sweep) {
       first = false;
       std::fprintf(
           f,
-          "  {\"bench\": \"round_latency\", \"grid_backend\": \"%s\", "
+          "  {\"bench\": \"round_latency\", \"host\": {\"nproc\": %u, "
+          "\"compiler\": \"%s\", \"build_type\": \"%s\", "
+          "\"commit\": \"%s\"}, \"grid_backend\": \"%s\", "
           "\"grid_k\": %u, \"cells\": %u, "
           "\"states\": %u, \"population\": %u, \"mode\": \"%s\", "
           "\"telemetry\": %s, "
           "\"threads\": %d, \"rounds\": %d, \"mean_round_ms\": %.4f, "
           "\"p50_round_ms\": %.4f, "
           "\"min_round_ms\": %.4f, \"points_per_sec\": %.0f}",
+          std::thread::hardware_concurrency(), RETRASYN_BENCH_COMPILER,
+          RETRASYN_BENCH_BUILD_TYPE, commit.c_str(),
           point.grid_backend.c_str(), point.grid_k, point.num_cells,
           point.num_states, point.population,
           m.mode.c_str(), m.telemetry ? "true" : "false",
@@ -295,8 +304,10 @@ int Main(int argc, char** argv) {
   const int rounds =
       static_cast<int>(flags.GetInt("rounds", quick ? 201 : 20));
   const int warmup = static_cast<int>(flags.GetInt("warmup", quick ? 1 : 3));
-  const int threads = static_cast<int>(flags.GetInt("threads", 4));
+  const std::vector<uint32_t> pool_sizes =
+      ParseList(flags.GetString("pools", "1,2,4"));
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+  const std::string commit = flags.GetString("commit", "unknown");
   const std::string json_path =
       flags.GetString("json", "BENCH_synthesis.json");
   const std::vector<uint32_t> grid_ks =
@@ -316,7 +327,14 @@ int Main(int argc, char** argv) {
     return 1;
   }
 
-  ThreadPool pool(threads);
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  for (uint32_t size : pool_sizes) {
+    if (size < 1) {
+      std::fprintf(stderr, "--pools sizes must be >= 1\n");
+      return 1;
+    }
+    pools.push_back(std::make_unique<ThreadPool>(static_cast<int>(size)));
+  }
   double worst_overhead = 0.0;
   std::vector<SweepPoint> sweep;
   for (GridBackend backend : backends) {
@@ -335,8 +353,10 @@ int Main(int argc, char** argv) {
         point.population = pop;
         const double overhead = RunTelemetryPair(states, pop, warmup, rounds,
                                                  seed, &point.modes);
-        point.modes.push_back(RunMode("pooled", states, pop, threads, &pool,
-                                      warmup, rounds, seed));
+        for (const auto& pool : pools) {
+          point.modes.push_back(RunMode("pooled", states, pop, pool.get(),
+                                        warmup, rounds, seed));
+        }
         for (const ModeResult& m : point.modes) {
           std::fprintf(stderr,
                        "%-8s grid=%2ux%-2u cells=%5u pop=%6u %-16s threads=%d  "
@@ -356,7 +376,7 @@ int Main(int argc, char** argv) {
       }
     }
   }
-  if (!WriteJson(json_path, sweep)) {
+  if (!WriteJson(json_path, commit, sweep)) {
     std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
     return 1;
   }

@@ -13,9 +13,11 @@
 // Determinism contract: ParallelFor hands out chunk *indices*; which thread
 // executes which chunk is scheduling-dependent, so callers must make the work
 // a pure function of the chunk index (disjoint output slots, per-chunk RNGs).
-// Under that discipline results are byte-identical for a fixed chunk count
-// regardless of pool size — including a pool of size 1 and no pool at all
-// (the synthesizer runs the same chunks inline when it has no pool).
+// Where the chunking itself shapes the result — the synthesizer's chunks each
+// draw from their own RNG — the chunk count must come from the work size,
+// never from the pool. Under that discipline results are byte-identical for
+// any pool size, including a pool of size 1 and no pool at all (the same
+// chunks then run inline).
 
 #ifndef RETRASYN_COMMON_THREAD_POOL_H_
 #define RETRASYN_COMMON_THREAD_POOL_H_

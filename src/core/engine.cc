@@ -63,12 +63,6 @@ Status RetraSynConfig::Validate() const {
   return Status::OK();
 }
 
-int ResolveThreads(const RetraSynConfig& config) {
-  if (config.num_threads > 0) return config.num_threads;
-  if (config.thread_pool != nullptr) return config.thread_pool->num_threads();
-  return std::max(1u, std::thread::hardware_concurrency());
-}
-
 namespace {
 
 SynthesizerConfig MakeSynthesizerConfig(const RetraSynConfig& config) {
@@ -77,7 +71,6 @@ SynthesizerConfig MakeSynthesizerConfig(const RetraSynConfig& config) {
   synth.use_quit = config.use_eq;
   synth.use_size_adjustment = config.use_eq;
   synth.random_init = !config.use_eq;
-  synth.num_threads = ResolveThreads(config);
   return synth;
 }
 
@@ -107,11 +100,13 @@ RetraSynEngine::RetraSynEngine(const StateSpace& states,
   // Programmatic construction aborts on a bad config (a programming bug);
   // service-layer callers validate first and surface the Status instead.
   config.Validate().CheckOK();
-  const int threads = ResolveThreads(config);
   if (config.thread_pool != nullptr) {
     pool_ = config.thread_pool;  // shared across engines (multi-tenant)
-  } else if (threads > 1) {
-    pool_ = std::make_shared<ThreadPool>(threads);
+  } else {
+    const int threads = config.num_threads > 0
+                            ? config.num_threads
+                            : ThreadPool::DefaultConcurrency();
+    if (threads > 1) pool_ = std::make_shared<ThreadPool>(threads);
   }
   synthesizer_.SetThreadPool(pool_.get());
 }

@@ -107,10 +107,10 @@ class StreamReleaseEngine {
 struct ServiceOptions {
   /// kAsync moves the round-closing work off the ingest thread onto a
   /// dedicated closer worker per service (the parallel synthesis inside still
-  /// uses thread_pool/num_threads). For a fixed (seed, num_threads) the
-  /// release sequence and snapshots are byte-identical to kInline; only the
-  /// thread that produces them changes. Requires TrajectoryService::Drain()
-  /// before SnapshotRelease().
+  /// uses thread_pool/num_threads). For a fixed seed the release sequence and
+  /// snapshots are byte-identical to kInline; only the thread that produces
+  /// them changes. Requires TrajectoryService::Drain() before
+  /// SnapshotRelease().
   SyncPolicy sync_policy = SyncPolicy::kInline;
   /// Bounded depth of the async round queue (sealed batches waiting for the
   /// closer); >= 1. Ignored under kInline.
@@ -204,21 +204,17 @@ struct RetraSynConfig : ServiceOptions {
   /// bench_ablation for the measured trade-off.
   Postprocess postprocess = Postprocess::kClip;
   uint64_t seed = 1;
-  /// Worker threads for the synthesis hot path. 1 = serial (default); 0 =
-  /// resolve to the shared pool's size (or the hardware concurrency) at
-  /// engine construction; see ResolveThreads. For n > 1 the synthetic output
-  /// is byte-identical for a fixed (seed, resolved thread count) on any
-  /// machine, but differs from the serial stream. The deployment fingerprint
-  /// hashes the resolved count, so recovery refuses a journal or checkpoint
-  /// written under a different one. Values above kMaxThreads are rejected by
-  /// Validate.
+  /// Size of the engine's private synthesis pool when thread_pool is null:
+  /// 1 = serial (default, no pool); 0 = the hardware concurrency. A
+  /// deployment resource only: synthesis chunks by work size
+  /// (Synthesizer::EffectiveChunks), so the released bytes are identical for
+  /// every value, and the deployment fingerprint does not hash it. Values
+  /// above kMaxThreads are rejected by Validate.
   int num_threads = 1;
   /// A pool shared across engines/services (multi-tenant deployments: one
-  /// pool, several sessions). When null and num_threads > 1 the engine owns
-  /// a private pool. For num_threads >= 1 the pool's size does not affect
-  /// results — only num_threads does; num_threads = 0 resolves the chunk
-  /// count from the pool size (or hardware), trading that reproducibility
-  /// away explicitly.
+  /// pool, several sessions); when set, num_threads is not used. Like
+  /// num_threads it only decides which thread runs which synthesis chunk:
+  /// a pool of any size releases the same bytes.
   std::shared_ptr<ThreadPool> thread_pool;
 
   /// Upper bound Validate accepts for num_threads.
@@ -230,11 +226,6 @@ struct RetraSynConfig : ServiceOptions {
   /// the engine constructor both route through this.
   Status Validate() const;
 };
-
-/// The synthesis thread count \p config runs with: num_threads, or for the
-/// 0 = auto setting the shared pool's size / the hardware concurrency. The
-/// engine sizes its chunking by it and the deployment fingerprint hashes it.
-int ResolveThreads(const RetraSynConfig& config);
 
 /// \brief The complete mutable state of a RetraSynEngine at a round boundary
 /// — everything a restored engine needs to continue the byte-identical

@@ -14,7 +14,6 @@ Synthesizer::Synthesizer(const StateSpace& states,
                          const SynthesizerConfig& config)
     : states_(&states), config_(config), cache_(states) {
   RETRASYN_CHECK(config.lambda > 0.0);
-  RETRASYN_CHECK(config.num_threads >= 1);
 }
 
 std::vector<uint32_t> Synthesizer::LiveDensity() const {
@@ -193,15 +192,9 @@ void Synthesizer::RecordStepTelemetry(double seconds,
   cache_reported_ = stats;
 }
 
-int Synthesizer::EffectiveChunks(size_t work_items) const {
-  if (config_.num_threads <= 1) return 1;
-  // Below this size, per-chunk overhead dominates any gain. The chunk count
-  // deliberately ignores the hardware concurrency: it must be a pure function
-  // of (config, work size) so a run is reproducible on any machine.
-  constexpr size_t kMinItemsPerChunk = 2048;
-  const int by_work =
-      static_cast<int>(std::max<size_t>(1, work_items / kMinItemsPerChunk));
-  return std::min(config_.num_threads, by_work);
+int Synthesizer::EffectiveChunks(size_t live_streams) {
+  return static_cast<int>(
+      std::max<size_t>(1, live_streams / kChunkStreams));
 }
 
 void Synthesizer::PrepareRoundScratch(int chunks, Rng& rng) {
@@ -217,12 +210,12 @@ void Synthesizer::PrepareRoundScratch(int chunks, Rng& rng) {
 
 // HOT PATH — the per-stream quit+move+retire body; reads the dense live
 // columns, never a stream's blocks.
-size_t Synthesizer::QuitMoveCompact(size_t lo, size_t hi, Rng& chunk_rng) {
+size_t Synthesizer::QuitMoveCompact(size_t lo, size_t hi, size_t kept,
+                                    size_t quit, Rng& chunk_rng) {
   // A local copy lets the RNG state live in registers: the column stores
   // below (int64_t enter times) could otherwise alias its words.
   Rng rng = chunk_rng;
-  size_t kept = lo;
-  size_t quit = lo;
+  const size_t kept_start = kept;
   for (size_t i = lo; i < hi; ++i) {
     const CellId at = cur_[i];
     if (config_.use_quit) {
@@ -239,7 +232,7 @@ size_t Synthesizer::QuitMoveCompact(size_t lo, size_t hi, Rng& chunk_rng) {
     proposed_[kept++] = next;
   }
   chunk_rng = rng;
-  return kept - lo;
+  return kept - kept_start;
 }
 
 void Synthesizer::QuitAndGeneratePhase(Rng& rng) {
@@ -247,40 +240,53 @@ void Synthesizer::QuitAndGeneratePhase(Rng& rng) {
   const int chunks = EffectiveChunks(n);
   PrepareRoundScratch(chunks, rng);
   const size_t chunk_size = (n + chunks - 1) / chunks;
-  auto run_chunk = [&](int c) {
-    const size_t lo = std::min(n, static_cast<size_t>(c) * chunk_size);
-    const size_t hi = std::min(n, lo + chunk_size);
-    chunk_kept_[c] =
-        QuitMoveCompact(lo, hi, chunks > 1 ? chunk_rngs_[c] : rng);
+  auto chunk_lo = [&](int c) {
+    return std::min(n, static_cast<size_t>(c) * chunk_size);
   };
-  if (chunks > 1 && pool_ != nullptr) {
-    pool_->ParallelFor(chunks, run_chunk);
+  auto chunk_hi = [&](int c) { return std::min(n, chunk_lo(c) + chunk_size); };
+  size_t kept = 0;
+  size_t quit = 0;
+  if (chunks == 1 || pool_ == nullptr || pool_->num_threads() == 1) {
+    // Serially, each chunk compacts straight to the running write cursors.
+    for (int c = 0; c < chunks; ++c) {
+      const size_t lo = chunk_lo(c);
+      const size_t hi = chunk_hi(c);
+      const size_t k = QuitMoveCompact(lo, hi, kept, quit,
+                                       chunks > 1 ? chunk_rngs_[c] : rng);
+      kept += k;
+      quit += hi - lo - k;
+    }
   } else {
-    // One chunk, or no pool attached: the same chunk schedule runs inline.
-    // Chunks touch disjoint slots from their own RNGs, so this is
-    // byte-identical to the pooled run.
-    for (int c = 0; c < chunks; ++c) run_chunk(c);
-  }
-  // Slide each chunk's survivors down to the end of the previous chunk's,
-  // and hand its quitters to finished_: both stay in live order.
-  size_t w = 0;
-  for (int c = 0; c < chunks; ++c) {
-    const size_t lo = std::min(n, static_cast<size_t>(c) * chunk_size);
-    const size_t hi = std::min(n, lo + chunk_size);
-    const size_t kept = chunk_kept_[c];
-    if (w != lo) {
-      for (size_t i = lo; i < lo + kept; ++i) {
-        MoveLive(i, w + (i - lo));
-        proposed_[w + (i - lo)] = proposed_[i];
+    // Chunks touch disjoint slots from their own RNGs, so which worker runs
+    // which chunk changes nothing.
+    pool_->ParallelFor(chunks, [&](int c) {
+      const size_t lo = chunk_lo(c);
+      chunk_kept_[c] =
+          QuitMoveCompact(lo, chunk_hi(c), lo, lo, chunk_rngs_[c]);
+    });
+    // Slide each chunk's survivors down to the end of the previous chunk's,
+    // and its quitters likewise: both stay in live order.
+    for (int c = 0; c < chunks; ++c) {
+      const size_t lo = chunk_lo(c);
+      const size_t k = chunk_kept_[c];
+      const size_t q = chunk_hi(c) - lo - k;
+      if (kept != lo) {
+        for (size_t i = lo; i < lo + k; ++i) {
+          MoveLive(i, kept + (i - lo));
+          proposed_[kept + (i - lo)] = proposed_[i];
+        }
       }
+      if (q > 0 && quit != lo) {
+        std::copy(quitters_.begin() + lo, quitters_.begin() + lo + q,
+                  quitters_.begin() + quit);
+      }
+      kept += k;
+      quit += q;
     }
-    if (kept < hi - lo) {
-      finished_.insert(finished_.end(), quitters_.begin() + lo,
-                       quitters_.begin() + lo + (hi - lo - kept));
-    }
-    w += kept;
   }
-  TruncateLive(w);
+  finished_.insert(finished_.end(), quitters_.begin(),
+                   quitters_.begin() + quit);
+  TruncateLive(kept);
 }
 
 // HOT PATH — the commit: one append per survivor into its tail block. A

@@ -39,10 +39,11 @@
 //
 // One round touches dense columns plus one block slot per survivor:
 //  * the fused pass reads cur_ and len_ for Eq. 8, proposes the next cell,
-//    and compacts the survivors in stable order in the same sweep. Each
-//    chunk compacts its own range; the ranges then slide together in chunk
-//    order and the quitters' handles join finished_ in live order, so one
-//    path serves any chunk count;
+//    and compacts the survivors in stable order in the same sweep. Run
+//    serially, each chunk compacts straight to a running write cursor; on a
+//    pool each chunk compacts its own range and the ranges then slide
+//    together in chunk order. Either way the quitters' handles join
+//    finished_ in live order;
 //  * the size-adjustment race reads cur_; victims are swap-erased from the
 //    columns;
 //  * the commit writes each proposal into its stream's tail block (taking
@@ -91,14 +92,6 @@ struct SynthesizerConfig {
   /// estimate of where users currently are), falling back to uniform cells
   /// when the model carries no movement mass yet.
   bool random_init = false;
-  /// Chunk parallelism for the fused quit+generate phase (the paper's stated
-  /// future work: "acceleration techniques (e.g., parallel computing)").
-  /// Streams are partitioned into at most this many fixed chunks, each driven
-  /// by a deterministically forked RNG, so output is byte-identical for a
-  /// given (seed, num_threads) — independent of the machine, of whether a
-  /// ThreadPool is attached, and of that pool's actual size. 1 = serial
-  /// (default).
-  int num_threads = 1;
 };
 
 class Synthesizer {
@@ -108,9 +101,22 @@ class Synthesizer {
 
   Synthesizer(const StateSpace& states, const SynthesizerConfig& config);
 
+  /// The fused pass runs one chunk per kChunkStreams live streams (the
+  /// paper's stated future work: "acceleration techniques (e.g., parallel
+  /// computing)").
+  static constexpr size_t kChunkStreams = 2048;
+
+  /// Chunks the fused pass splits \p live_streams into: live_streams /
+  /// kChunkStreams, at least 1. A pure function of the work size, so the
+  /// bytes never depend on the machine, the pool or a thread count. One
+  /// chunk draws from the round RNG itself; with more, chunk c draws from
+  /// the c-th fork of it.
+  static int EffectiveChunks(size_t live_streams);
+
   /// Attaches a persistent worker pool (not owned; must outlive the
-  /// synthesizer) for the parallel phase. Without a pool, chunked work runs
-  /// inline on the calling thread with byte-identical results.
+  /// synthesizer) that runs the chunks of the fused pass. It only decides
+  /// which thread runs which chunk: without a pool, or with a pool of any
+  /// size, the same chunks run with byte-identical results.
   void SetThreadPool(ThreadPool* pool) { pool_ = pool; }
 
   bool initialized() const { return initialized_; }
@@ -252,9 +258,10 @@ class Synthesizer {
   /// proposed point is appended.
   void QuitAndGeneratePhase(Rng& rng);
   /// One chunk of the fused pass over live slots [lo, hi): compacts the
-  /// survivors to [lo, lo + kept) and the quitters' handles to
-  /// quitters_[lo, hi - kept); returns kept.
-  size_t QuitMoveCompact(size_t lo, size_t hi, Rng& rng);
+  /// survivors to [kept, kept + k) and the quitters' handles to
+  /// quitters_[quit, quit + hi - lo - k); returns k. Requires kept <= lo.
+  size_t QuitMoveCompact(size_t lo, size_t hi, size_t kept, size_t quit,
+                         Rng& rng);
   /// Appends each survivor's proposed cell to its chain; the proposals
   /// become cur_.
   void CommitProposals();
@@ -265,11 +272,6 @@ class Synthesizer {
   /// True iff the live columns agree in size and cur_[i] is the last cell of
   /// chain i.
   bool ColumnsConsistent() const;
-  /// Number of work chunks for \p work_items (1 = run serially on the main
-  /// RNG; >1 = forked per-chunk RNGs). Depends only on the config and the
-  /// work size, never on the machine.
-  int EffectiveChunks(size_t work_items) const;
-
   /// Per-round telemetry epilogue: step latency, point/cache-stat deltas,
   /// finished-stream delta, live gauge. Only called when attached.
   void RecordStepTelemetry(double seconds, uint64_t finished_delta);

@@ -10,8 +10,8 @@
 //
 // Determinism: the closer invokes the close callback once per round, in
 // submission order, from one thread — the same call sequence Inline mode
-// makes from the ingest thread — so for a fixed (seed, num_threads) the
-// release sequence is byte-identical to Inline.
+// makes from the ingest thread — so for a fixed seed the release sequence
+// is byte-identical to Inline.
 //
 // Stream-index retirement (IngestSessionOptions::window >= 1) rides this
 // pipeline: the engine retires quitted indices inside the close step —

@@ -270,10 +270,6 @@ uint64_t TrajectoryService::DeploymentFingerprint() const {
     PutFixed64(static_cast<uint64_t>(config.oracle), &bytes);
     PutFixed64(static_cast<uint64_t>(config.postprocess), &bytes);
     PutFixed64(config.seed, &bytes);
-    // The thread count sets the synthesis chunking, so the bytes depend on
-    // the resolved value: num_threads = 0 resolves from the pool or the
-    // hardware, and a restart on a different one must be refused.
-    PutFixed64(static_cast<uint64_t>(ResolveThreads(config)), &bytes);
   }
   // The shard count fixes the journal layout (which shard stream holds
   // which user's events); replay under a different count would read the

@@ -25,7 +25,7 @@
 //     queue); a background closer runs the heavy step and sinks receive
 //     releases strictly in round order on a delivery worker. Call Drain()
 //     before SnapshotRelease(). Failures surface on the next Tick()/Drain().
-//     For a fixed (seed, num_threads) the released bytes equal kInline's.
+//     For a fixed seed the released bytes equal kInline's.
 //
 // Durability (optional, ServiceOptions::journal_dir): every accepted event
 // is appended to a segmented write-ahead journal before the session commits

@@ -1,15 +1,19 @@
-// Tests for the multi-threaded synthesis path (the paper's future-work
-// acceleration): correctness invariants must hold for any thread count, and
-// results must be reproducible for a fixed thread count. The grid comes
-// from RETRASYN_GRID_BACKEND, so the quadtree CI step covers it too.
+// Tests for the chunked synthesis pass (the paper's future-work
+// acceleration): the chunk count is a function of the live-stream count
+// alone, so the bytes are the same with no pool and with a pool of any size,
+// and the invariants hold on every path. The grid comes from
+// RETRASYN_GRID_BACKEND, so the quadtree CI step covers it too.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/synthesizer.h"
+#include "core/transition_sampler_cache.h"
 #include "geo/grid_factory.h"
 
 namespace retrasyn {
@@ -34,19 +38,74 @@ class ParallelSynthesizerTest : public testing::Test {
     model_.ReplaceAll(f);
   }
 
-  CellStreamSet Run(int num_threads, uint32_t population, int64_t horizon,
-                    ThreadPool* pool = nullptr) {
+  CellStreamSet Run(uint32_t population, int64_t horizon,
+                    ThreadPool* pool = nullptr, uint64_t seed = 5) {
     SynthesizerConfig config;
     config.lambda = 40.0;
-    config.num_threads = num_threads;
     Synthesizer synthesizer(states_, config);
     synthesizer.SetThreadPool(pool);
-    Rng rng(5);
+    Rng rng(seed);
     synthesizer.Initialize(model_, population, 0, rng);
     for (int64_t t = 1; t < horizon; ++t) {
       synthesizer.Step(model_, population, t, rng);
     }
     return synthesizer.Snapshot(horizon);
+  }
+
+  static void ExpectSameStreams(const CellStreamSet& want,
+                                const CellStreamSet& got) {
+    ASSERT_EQ(want.streams().size(), got.streams().size());
+    for (size_t i = 0; i < want.streams().size(); ++i) {
+      ASSERT_EQ(want.streams()[i].enter_time, got.streams()[i].enter_time)
+          << "stream " << i;
+      ASSERT_EQ(want.streams()[i].cells, got.streams()[i].cells)
+          << "stream " << i;
+    }
+  }
+
+  /// One Step with quits and size adjustment off draws exactly one next
+  /// cell per live stream. Checks that those draws come from the chunk rule:
+  /// one chunk draws from the round RNG itself, more chunks from the round
+  /// RNG's forks in chunk order; and that the round RNG ends where the rule
+  /// leaves it.
+  void ExpectStepFollowsChunkRule(uint32_t population, ThreadPool* pool) {
+    SynthesizerConfig config;
+    config.lambda = 40.0;
+    config.use_quit = false;
+    config.use_size_adjustment = false;
+    Synthesizer synthesizer(states_, config);
+    synthesizer.SetThreadPool(pool);
+    Rng rng(9);
+    synthesizer.Initialize(model_, population, 0, rng);
+    std::vector<CellStream> before, finished;
+    synthesizer.SaveCheckpointState(&before, &finished);
+
+    TransitionSamplerCache cache(states_);
+    cache.Sync(model_);
+    Rng ref_rng = rng;
+    const size_t n = before.size();
+    const int chunks =
+        static_cast<int>(std::max<size_t>(1, n / Synthesizer::kChunkStreams));
+    ASSERT_EQ(Synthesizer::EffectiveChunks(n), chunks);
+    std::vector<Rng> forks;
+    if (chunks > 1) {
+      for (int c = 0; c < chunks; ++c) forks.push_back(ref_rng.Fork());
+    }
+    const size_t chunk_size = (n + chunks - 1) / chunks;
+    std::vector<CellId> want(n);
+    for (size_t i = 0; i < n; ++i) {
+      Rng& r = chunks > 1 ? forks[i / chunk_size] : ref_rng;
+      want[i] = cache.SampleNextCell(before[i].cells.back(), r);
+    }
+
+    synthesizer.Step(model_, population, 1, rng);
+    std::vector<CellStream> after;
+    synthesizer.SaveCheckpointState(&after, &finished);
+    ASSERT_EQ(after.size(), n);
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(after[i].cells.back(), want[i]) << "stream " << i;
+    }
+    EXPECT_EQ(rng.state(), ref_rng.state());
   }
 
   std::unique_ptr<SpatialGrid> grid_owner_;
@@ -55,12 +114,25 @@ class ParallelSynthesizerTest : public testing::Test {
   GlobalMobilityModel model_;
 };
 
-class ThreadCountTest : public ParallelSynthesizerTest,
-                        public testing::WithParamInterface<int> {};
+TEST_F(ParallelSynthesizerTest, ChunkCountDependsOnTheWorkSizeAlone) {
+  EXPECT_EQ(Synthesizer::EffectiveChunks(0), 1);
+  EXPECT_EQ(Synthesizer::EffectiveChunks(1), 1);
+  EXPECT_EQ(Synthesizer::EffectiveChunks(2 * Synthesizer::kChunkStreams - 1),
+            1);
+  EXPECT_EQ(Synthesizer::EffectiveChunks(2 * Synthesizer::kChunkStreams), 2);
+  EXPECT_EQ(Synthesizer::EffectiveChunks(12000), 5);
+  EXPECT_EQ(Synthesizer::EffectiveChunks(100000), 48);
+}
 
-TEST_P(ThreadCountTest, InvariantsHoldForAnyThreadCount) {
-  // Population large enough to actually engage the parallel path.
-  const CellStreamSet out = Run(GetParam(), 12000, 10);
+class PoolSizeTest : public ParallelSynthesizerTest,
+                     public testing::WithParamInterface<int> {};
+
+TEST_P(PoolSizeTest, InvariantsHoldForAnyPoolSize) {
+  // 12000 streams: 5 chunks, so a pool really runs them in parallel.
+  const int pool_size = GetParam();
+  std::unique_ptr<ThreadPool> pool;
+  if (pool_size > 0) pool = std::make_unique<ThreadPool>(pool_size);
+  const CellStreamSet out = Run(12000, 10, pool.get());
   EXPECT_GT(out.streams().size(), 0u);
   for (const CellStream& s : out.streams()) {
     EXPECT_GE(s.enter_time, 0);
@@ -75,73 +147,66 @@ TEST_P(ThreadCountTest, InvariantsHoldForAnyThreadCount) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Threads, ThreadCountTest, testing::Values(1, 2, 4, 8));
-
-TEST_F(ParallelSynthesizerTest, DeterministicForFixedThreadCount) {
-  const CellStreamSet a = Run(4, 12000, 8);
-  const CellStreamSet b = Run(4, 12000, 8);
-  ASSERT_EQ(a.streams().size(), b.streams().size());
-  for (size_t i = 0; i < a.streams().size(); ++i) {
-    EXPECT_EQ(a.streams()[i].enter_time, b.streams()[i].enter_time);
-    EXPECT_EQ(a.streams()[i].cells, b.streams()[i].cells);
-  }
-}
+// 0 = no pool.
+INSTANTIATE_TEST_SUITE_P(Pools, PoolSizeTest, testing::Values(0, 1, 2, 4, 8));
 
 TEST_F(ParallelSynthesizerTest, PoolAndNoPoolAreByteIdentical) {
-  // The determinism contract of the chunked phase: the chunk schedule is a
-  // pure function of (seed, num_threads, work size), so executing the chunks
-  // on a persistent pool — of any size — must produce the same bytes as
-  // executing them inline with no pool at all.
-  const CellStreamSet inline_run = Run(4, 12000, 8, /*pool=*/nullptr);
-  for (int pool_size : {1, 2, 8}) {
+  // The chunk schedule is a pure function of (seed, work size), so running
+  // the chunks on a persistent pool of any size must produce the bytes of
+  // running them inline with no pool at all.
+  const CellStreamSet inline_run = Run(12000, 8, /*pool=*/nullptr);
+  for (int pool_size : {1, 2, 4, 8}) {
+    SCOPED_TRACE(pool_size);
     ThreadPool pool(pool_size);
-    const CellStreamSet pooled = Run(4, 12000, 8, &pool);
-    ASSERT_EQ(inline_run.streams().size(), pooled.streams().size())
-        << "pool size " << pool_size;
-    for (size_t i = 0; i < inline_run.streams().size(); ++i) {
-      ASSERT_EQ(inline_run.streams()[i].enter_time,
-                pooled.streams()[i].enter_time);
-      ASSERT_EQ(inline_run.streams()[i].cells, pooled.streams()[i].cells)
-          << "stream " << i << " pool size " << pool_size;
-    }
+    ExpectSameStreams(inline_run, Run(12000, 8, &pool));
   }
 }
 
 TEST_F(ParallelSynthesizerTest, PooledRunsDeterministicAcrossRepeats) {
-  // Multi-thread determinism pin: fixed seed + fixed num_threads on a live
-  // pool, run twice, byte-identical output.
+  // Fixed seed on a live pool, run twice: byte-identical output.
   ThreadPool pool(4);
-  const CellStreamSet a = Run(4, 12000, 8, &pool);
-  const CellStreamSet b = Run(4, 12000, 8, &pool);
-  ASSERT_EQ(a.streams().size(), b.streams().size());
-  for (size_t i = 0; i < a.streams().size(); ++i) {
-    EXPECT_EQ(a.streams()[i].enter_time, b.streams()[i].enter_time);
-    EXPECT_EQ(a.streams()[i].cells, b.streams()[i].cells);
-  }
+  ExpectSameStreams(Run(12000, 8, &pool), Run(12000, 8, &pool));
 }
 
 TEST_F(ParallelSynthesizerTest, SmallPopulationsStaySerial) {
-  // Below the per-thread work threshold the serial path is used even when
-  // threads are configured; outputs must match the single-threaded run
-  // exactly (identical RNG consumption).
-  const CellStreamSet serial = Run(1, 500, 10);
-  const CellStreamSet configured = Run(8, 500, 10);
-  ASSERT_EQ(serial.streams().size(), configured.streams().size());
-  for (size_t i = 0; i < serial.streams().size(); ++i) {
-    EXPECT_EQ(serial.streams()[i].cells, configured.streams()[i].cells);
+  // Below two chunks' worth of streams there is one chunk, and it draws from
+  // the round RNG itself, with no pool and on any pool.
+  for (int pool_size : {0, 1, 4}) {
+    SCOPED_TRACE(pool_size);
+    std::unique_ptr<ThreadPool> pool;
+    if (pool_size > 0) pool = std::make_unique<ThreadPool>(pool_size);
+    ExpectStepFollowsChunkRule(500, pool.get());
+    ExpectStepFollowsChunkRule(2 * Synthesizer::kChunkStreams - 1,
+                               pool.get());
   }
 }
 
-TEST_F(ParallelSynthesizerTest, ParallelPreservesPopulationStatistics) {
-  // The parallel path must sample from the same distributions: compare the
-  // aggregate cell-visit histograms of serial vs 4-thread runs.
-  const CellStreamSet serial = Run(1, 20000, 6);
-  const CellStreamSet parallel = Run(4, 20000, 6);
-  std::vector<double> h1(grid_.NumCells(), 0.0), h2(grid_.NumCells(), 0.0);
-  for (const CellStream& s : serial.streams()) {
-    for (CellId c : s.cells) ++h1[c];
+TEST_F(ParallelSynthesizerTest, LargePopulationsDrawFromChunkForks) {
+  // From two chunks on, chunk c draws from the c-th fork of the round RNG,
+  // with no pool and on any pool.
+  for (int pool_size : {0, 1, 4}) {
+    SCOPED_TRACE(pool_size);
+    std::unique_ptr<ThreadPool> pool;
+    if (pool_size > 0) pool = std::make_unique<ThreadPool>(pool_size);
+    ExpectStepFollowsChunkRule(2 * Synthesizer::kChunkStreams, pool.get());
+    ExpectStepFollowsChunkRule(9000, pool.get());
   }
-  for (const CellStream& s : parallel.streams()) {
+}
+
+TEST_F(ParallelSynthesizerTest, ChunkedRunsPreservePopulationStatistics) {
+  // The forked chunks must sample from the same distributions as one
+  // stream: compare the aggregate cell-visit histograms of one-chunk runs
+  // (ten seeds of 2000 streams) with a 9-chunk run of 20000 streams.
+  std::vector<double> h1(grid_.NumCells(), 0.0), h2(grid_.NumCells(), 0.0);
+  for (uint64_t seed = 100; seed < 110; ++seed) {
+    const CellStreamSet one_chunk = Run(2000, 6, nullptr, seed);
+    for (const CellStream& s : one_chunk.streams()) {
+      for (CellId c : s.cells) ++h1[c];
+    }
+  }
+  ThreadPool pool(4);
+  const CellStreamSet chunked = Run(20000, 6, &pool);
+  for (const CellStream& s : chunked.streams()) {
     for (CellId c : s.cells) ++h2[c];
   }
   double t1 = 0, t2 = 0;

@@ -3,8 +3,9 @@
 // algorithm (Eq. 8 quits, the exponential size-adjustment race, the commit
 // and deficit spawns) with the same RNG draws. Streams of length 1, B-1, B,
 // B+1 and 2B+1 (B = Synthesizer::kBlockCells) go through Step, Snapshot,
-// TakeFinished, SaveCheckpointState and Restore at 1 and 4 chunks. The grid
-// comes from RETRASYN_GRID_BACKEND.
+// TakeFinished, SaveCheckpointState and Restore at 1 and 4 chunks of the
+// fused pass, with the 4 chunks run on a pool. The grid comes from
+// RETRASYN_GRID_BACKEND.
 
 #include <gtest/gtest.h>
 
@@ -28,7 +29,9 @@ namespace {
 constexpr uint32_t kB = Synthesizer::kBlockCells;
 
 /// The round algorithm over one std::vector<CellStream> per set: the layout
-/// the block arena replaced. Chunking mirrors SynthesizerConfig::num_threads.
+/// the block arena replaced. Chunking mirrors Synthesizer::EffectiveChunks:
+/// one chunk per kChunkStreams live streams, drawing from forks of the round
+/// RNG when there are several.
 class VectorReference {
  public:
   VectorReference(const StateSpace& states, const SynthesizerConfig& config)
@@ -44,11 +47,8 @@ class VectorReference {
             Rng& rng) {
     cache_.Sync(model);
     const size_t n = live_.size();
-    int chunks = 1;
-    if (config_.num_threads > 1) {
-      chunks = std::min<int>(config_.num_threads,
-                             static_cast<int>(std::max<size_t>(1, n / 2048)));
-    }
+    const int chunks = static_cast<int>(
+        std::max<size_t>(1, n / Synthesizer::kChunkStreams));
     std::vector<Rng> chunk_rngs;
     if (chunks > 1) {
       for (int c = 0; c < chunks; ++c) chunk_rngs.push_back(rng.Fork());
@@ -175,9 +175,12 @@ class StreamStoreTest : public testing::TestWithParam<int> {
   SynthesizerConfig Config() const {
     SynthesizerConfig config;
     config.lambda = 12.0;
-    config.num_threads = GetParam();
     return config;
   }
+
+  /// Live streams for the parameter's chunk count: 1 chunk under 4096
+  /// streams, 4 chunks from 8192 to 10239.
+  size_t Streams() const { return GetParam() == 1 ? 3000 : 9000; }
 
   /// \p count streams whose lengths cycle through 1, B-1, B, B+1, 2B+1, all
   /// ending at timestamp \p end (exclusive).
@@ -229,11 +232,10 @@ TEST_P(StreamStoreTest, RoundTripsBoundaryLengthsVerbatim) {
 }
 
 TEST_P(StreamStoreTest, StepsMatchTheVectorReference) {
-  // 9000 streams: 4 threads really run 4 chunks of the fused pass.
-  constexpr size_t kStreams = 9000;
+  const size_t streams = Streams();
   constexpr int64_t kStart = 40;
   Rng data_rng(5);
-  const std::vector<CellStream> live = BoundaryStreams(kStreams, kStart,
+  const std::vector<CellStream> live = BoundaryStreams(streams, kStart,
                                                        data_rng);
   const std::vector<CellStream> finished = BoundaryStreams(100, 35, data_rng);
   ThreadPool pool(2);
@@ -245,11 +247,14 @@ TEST_P(StreamStoreTest, StepsMatchTheVectorReference) {
 
   Rng rng(11);
   Rng ref_rng = rng;
-  // Shrinking targets force size-adjustment victims, growing ones spawns.
-  const uint32_t targets[] = {9000, 8500, 9500, 9500, 8200, 9000, 9000, 8800};
+  // Shrinking targets force size-adjustment victims, growing ones spawns;
+  // every target keeps the parameter's chunk count.
+  const double scale[] = {1.0, 0.944, 1.055, 1.055, 0.911, 1.0, 1.0, 0.977};
   int64_t t = kStart;
   for (int round = 0; round < 40; ++round, ++t) {
-    const uint32_t target = targets[round % 8];
+    const uint32_t target =
+        static_cast<uint32_t>(static_cast<double>(streams) * scale[round % 8]);
+    ASSERT_EQ(Synthesizer::EffectiveChunks(target), GetParam());
     syn->Step(model_, target, t, rng);
     ref.Step(model_, target, t, ref_rng);
     const std::string where = "t=" + std::to_string(t);
@@ -283,10 +288,11 @@ TEST_P(StreamStoreTest, ArenaStaysFlatWhenHistoryIsTaken) {
   ThreadPool pool(2);
   syn.SetThreadPool(&pool);
   Rng rng(23);
-  syn.Initialize(model_, 10000, 0, rng);
+  const uint32_t streams = static_cast<uint32_t>(Streams());
+  syn.Initialize(model_, streams, 0, rng);
   size_t blocks_at_warm = 0;
   for (int64_t t = 1; t <= 200; ++t) {
-    syn.Step(model_, 10000, t, rng);
+    syn.Step(model_, streams, t, rng);
     if (t % 10 == 0) syn.TakeFinished();
     if (t == 50) blocks_at_warm = syn.arena_blocks();
   }

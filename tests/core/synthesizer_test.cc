@@ -239,10 +239,10 @@ class SynthesizerColumnTest : public SynthesizerTest,
 
 TEST_P(SynthesizerColumnTest, LiveDensityMatchesRecountThroughEveryReorder) {
   FillUniformModel(0.05);  // quit mass: Eq. 8 terminations every round
-  SynthesizerConfig config = DefaultConfig();
-  config.num_threads = GetParam();
-  // Large enough that 4 threads really run 4 chunks on a shared pool.
-  ThreadPool pool(2);
+  const SynthesizerConfig config = DefaultConfig();
+  // 3000 to 12000 streams run 1 to 5 chunks; the parameter sizes the pool
+  // that runs them.
+  ThreadPool pool(GetParam());
   Synthesizer syn(states_, config);
   syn.SetThreadPool(&pool);
   Rng rng(31);
@@ -288,7 +288,7 @@ TEST_P(SynthesizerColumnTest, LiveDensityMatchesRecountThroughEveryReorder) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Threads, SynthesizerColumnTest,
+INSTANTIATE_TEST_SUITE_P(Pools, SynthesizerColumnTest,
                          testing::Values(1, 4));
 
 }  // namespace

@@ -181,7 +181,7 @@ TEST(DiskFormatTest, DeploymentFingerprintInTheFirstSegmentHeader) {
   EXPECT_EQ(Hex(segment.substr(0, kSegmentHeaderSize)),
             "5253594e4a524e4c"    // magic
             "01"                  // version
-            "481998f8101452ee");  // DeploymentFingerprint(states, config)
+            "49406368c30f3a3c");  // DeploymentFingerprint(states, config)
 }
 
 }  // namespace

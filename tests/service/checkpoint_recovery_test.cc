@@ -17,6 +17,7 @@
 #include "checkpoint/checkpoint_format.h"
 #include "common/file_io.h"
 #include "common/thread_pool.h"
+#include "core/synthesizer.h"
 #include "geo/grid.h"
 #include "geo/grid_factory.h"
 #include "journal/journal_compaction.h"
@@ -406,16 +407,19 @@ TEST(CheckpointRecoveryTest, ChangedDeploymentIsRefusedLoudly) {
   EXPECT_TRUE(TrajectoryService::Recover(states, config).ok());
 }
 
-TEST(CheckpointRecoveryTest, AutoThreadCountResolvedOnAnotherPoolIsRefused) {
+TEST(CheckpointRecoveryTest,
+     AutoThreadCountResolvedOnAnotherPoolRecoversByteIdentically) {
   // num_threads = 0 behind a checkpoint: the checkpointed engine state and
-  // the journal suffix were produced with the chunking of a 2-thread pool,
-  // so recovery on a 4-thread pool must refuse rather than continue with
-  // different chunks.
+  // the journal suffix were produced on a 2-thread pool. The synthesis
+  // chunks follow the live-stream count alone, so recovery on a 4-thread
+  // pool continues exactly like an uninterrupted serial run. 9000 live
+  // streams run 4 chunks per round.
   const BoundingBox box{0.0, 0.0, 400.0, 400.0};
   const auto grid_owner = MakeEnvGrid(box, 4);
   const SpatialGrid& grid = *grid_owner;
   const StateSpace states(grid);
   TempDir parent;
+  constexpr int64_t kLive = 9000, kChurn = 900, kCrashAt = 12, kRounds = 15;
 
   RetraSynConfig config = CheckpointedConfig(parent.path());
   config.num_threads = 0;
@@ -423,19 +427,36 @@ TEST(CheckpointRecoveryTest, AutoThreadCountResolvedOnAnotherPoolIsRefused) {
   {
     auto service = TrajectoryService::Create(states, config);
     ASSERT_TRUE(service.ok()) << service.status().ToString();
-    DriveChurnRounds(service.value()->session(), grid, 0, 12, 20, 4);
+    DriveChurnRounds(service.value()->session(), grid, 0, kCrashAt, kLive,
+                     kChurn);
     ASSERT_TRUE(service.value()->Drain().ok());
     ASSERT_EQ(service.value()->checkpoint()->last_checkpoint_round(), 10);
   }
 
   RetraSynConfig wider = config;
   wider.thread_pool = std::make_shared<ThreadPool>(4);
-  EXPECT_EQ(TrajectoryService::Recover(states, wider).status().code(),
-            StatusCode::kFailedPrecondition);
+  auto recovered = TrajectoryService::Recover(states, wider);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered.value()->checkpoint()->last_checkpoint_round(), 10);
+  ASSERT_EQ(recovered.value()->rounds_closed(), kCrashAt);
+  DriveChurnRounds(recovered.value()->session(), grid, kCrashAt, kRounds,
+                   kLive, kChurn);
+  EXPECT_GE(Synthesizer::EffectiveChunks(recovered.value()
+                                             ->retrasyn_engine()
+                                             ->synthesizer()
+                                             .num_live()),
+            4);
 
-  auto same = TrajectoryService::Recover(states, config);
-  ASSERT_TRUE(same.ok()) << same.status().ToString();
-  EXPECT_EQ(same.value()->checkpoint()->last_checkpoint_round(), 10);
+  auto reference = TrajectoryService::Create(states, BaseConfig());
+  ASSERT_TRUE(reference.ok());
+  DriveChurnRounds(reference.value()->session(), grid, 0, kRounds, kLive,
+                   kChurn);
+
+  auto got = recovered.value()->SnapshotRelease();
+  auto want = reference.value()->SnapshotRelease();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_TRUE(want.ok());
+  ExpectSameRelease(got.value(), want.value());
 }
 
 TEST(CheckpointRecoveryTest, CheckpointDirDeletedMidRunPoisonsTicksOnly) {

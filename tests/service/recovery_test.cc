@@ -15,6 +15,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/release_server.h"
+#include "core/synthesizer.h"
 #include "geo/grid.h"
 #include "geo/grid_factory.h"
 #include "journal/journal_reader.h"
@@ -714,16 +715,17 @@ TEST(RecoveryTest, ChangedAllocationAlphaOrKappaIsRefused) {
   EXPECT_TRUE(TrajectoryService::Recover(states, journaled).ok());
 }
 
-TEST(RecoveryTest, AutoThreadCountResolvedOnAnotherPoolIsRefused) {
-  // num_threads = 0 resolves to the shared pool's size, and the resolved
-  // count sets the synthesis chunking. A journal written on a 2-thread pool
-  // must not replay on a 4-thread one.
+TEST(RecoveryTest, AutoThreadCountResolvedOnAnotherPoolRecoversByteIdentically) {
+  // The synthesis chunks follow the live-stream count alone, so a journal
+  // written with num_threads = 0 on a 2-thread pool recovers on a 4-thread
+  // pool and continues exactly like an uninterrupted serial run. 9000 live
+  // streams run 4 chunks per round.
   const BoundingBox box{0.0, 0.0, 400.0, 400.0};
   const auto grid_owner = MakeEnvGrid(box, 4);
   const SpatialGrid& grid = *grid_owner;
   const StateSpace states(grid);
-  const auto traces = MakeWorkload(5, 40);
   TempDir dir;
+  constexpr int64_t kLive = 9000, kChurn = 900, kCrashAt = 9, kRounds = 12;
 
   RetraSynConfig journaled = BaseConfig();
   journaled.journal_dir = dir.path();
@@ -732,21 +734,33 @@ TEST(RecoveryTest, AutoThreadCountResolvedOnAnotherPoolIsRefused) {
   {
     auto service = TrajectoryService::Create(states, journaled);
     ASSERT_TRUE(service.ok()) << service.status().ToString();
-    DriveRounds(service.value()->session(), traces, 0, 6);
+    DriveChurnRounds(service.value()->session(), grid, 0, kCrashAt, kLive,
+                     kChurn);
   }
 
   RetraSynConfig wider = journaled;
   wider.thread_pool = std::make_shared<ThreadPool>(4);
-  EXPECT_EQ(TrajectoryService::Recover(states, wider).status().code(),
-            StatusCode::kFailedPrecondition);
+  auto recovered = TrajectoryService::Recover(states, wider);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  ASSERT_EQ(recovered.value()->rounds_closed(), kCrashAt);
+  DriveChurnRounds(recovered.value()->session(), grid, kCrashAt, kRounds,
+                   kLive, kChurn);
+  EXPECT_GE(Synthesizer::EffectiveChunks(recovered.value()
+                                             ->retrasyn_engine()
+                                             ->synthesizer()
+                                             .num_live()),
+            4);
 
-  // The same resolution still recovers, and so does the explicit count it
-  // resolved to.
-  RetraSynConfig explicit_two = journaled;
-  explicit_two.num_threads = 2;
-  explicit_two.thread_pool = nullptr;
-  EXPECT_TRUE(TrajectoryService::Recover(states, explicit_two).ok());
-  EXPECT_TRUE(TrajectoryService::Recover(states, journaled).ok());
+  auto reference = TrajectoryService::Create(states, BaseConfig());
+  ASSERT_TRUE(reference.ok());
+  DriveChurnRounds(reference.value()->session(), grid, 0, kRounds, kLive,
+                   kChurn);
+
+  auto got = recovered.value()->SnapshotRelease();
+  auto want = reference.value()->SnapshotRelease();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_TRUE(want.ok());
+  ExpectSameRelease(got.value(), want.value());
 }
 
 TEST(RecoveryTest, RecoverRequiresAJournalDir) {

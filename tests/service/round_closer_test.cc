@@ -318,8 +318,8 @@ TEST(RoundCloserTest, InlineSinkFailureCommitsRoundAndSurfacesOnNextTick) {
 }
 
 TEST(RoundCloserTest, AsyncReleaseIsByteIdenticalToInline) {
-  // The determinism contract: for a fixed (seed, num_threads), Async mode
-  // produces the identical release sequence and snapshot as Inline mode.
+  // The determinism contract: for a fixed seed, Async mode produces the
+  // identical release sequence and snapshot as Inline mode.
   HotspotGeneratorConfig data_config;
   data_config.num_timestamps = 50;
   data_config.initial_users = 250;

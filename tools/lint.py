@@ -21,7 +21,10 @@ Five checks, all over src/ (tests and benches may use what they like):
      RetraSynEngine's config()), or sit in FINGERPRINT_ALLOWLIST with a
      reason. A
      field the hash misses lets Recover replay a journal or checkpoint under
-     a changed setting and silently diverge.
+     a changed setting and silently diverge. The allowlisted fields are the
+     thread resources the released bytes do not depend on; for them the
+     check is reversed: no thread term may appear in the fingerprint, or a
+     restart on other hardware would be refused for nothing.
   5. One home for the on-disk byte format. Outside src/common/, no file may
      declare or define its own PutFixed32/64, GetFixed32/64, PutDouble,
      PutVarint64 or GetVarint64 (or hand-roll the `>> (8 * i)` byte loop
@@ -129,15 +132,16 @@ FINGERPRINT_FILE = os.path.join("src", "service", "trajectory_service.cc")
 FINGERPRINT_SIGNATURE = re.compile(
     r"\bTrajectoryService::DeploymentFingerprint\s*\(\s*\)\s*const")
 
-# Fields the fingerprint covers some other way: struct.field -> (reason, a
-# pattern the fingerprint body must contain instead).
+# Fields the fingerprint must not hash: struct.field -> (reason, a pattern
+# the fingerprint body must not contain). Hashing a deployment resource would
+# refuse a restart on other hardware for no change in the bytes.
+THREAD_TERM = r"\b(?:ResolveThreads|num_threads|thread_pool|ThreadPool|" \
+              r"hardware_concurrency|DefaultConcurrency)\b"
 FINGERPRINT_ALLOWLIST = {
     "RetraSynConfig.num_threads": (
-        "hashed via the resolved count (0 = auto resolves from the pool or "
-        "the hardware)", r"\bResolveThreads\s*\(\s*config\s*\)"),
+        "deployment resource, bytes independent", THREAD_TERM),
     "RetraSynConfig.thread_pool": (
-        "only its size matters, and only for num_threads = 0: hashed via the "
-        "resolved count", r"\bResolveThreads\s*\(\s*config\s*\)"),
+        "deployment resource, bytes independent", THREAD_TERM),
 }
 
 
@@ -271,11 +275,13 @@ def lint_fingerprint(root, findings):
         for field, offset in struct_fields(text, struct):
             key = struct + "." + field
             if key in FINGERPRINT_ALLOWLIST:
-                witness = FINGERPRINT_ALLOWLIST[key][1]
-                if re.search(witness, body):
+                reason, forbidden = FINGERPRINT_ALLOWLIST[key]
+                m = re.search(forbidden, body)
+                if m is None:
                     continue
-                message = ("%s is allowlisted as covered by /%s/, which "
-                           "DeploymentFingerprint lacks" % (key, witness))
+                message = ("%s is allowlisted (%s), but DeploymentFingerprint "
+                           "hashes a thread term: %s" %
+                           (key, reason, m.group(0)))
             elif re.search(re.escape(prefix + field) + r"\b", body):
                 continue
             else:
