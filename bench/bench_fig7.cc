@@ -11,6 +11,7 @@
 
 #include "bench_common.h"
 #include "common/rng.h"
+#include "common/stopwatch.h"
 
 namespace retrasyn {
 namespace bench {

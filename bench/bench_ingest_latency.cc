@@ -219,7 +219,6 @@ ShardResult RunShardSweep(const StateSpace& states, const BoundingBox& box,
                           bool dump_telemetry = false) {
   ServiceOptions options;
   options.ingest_shards = shards;
-  options.enable_telemetry = true;  // the Tick phase sums come from it
   auto service = TrajectoryService::CreateWithEngine(
       states, std::make_unique<NullEngine>(), options);
   service.status().CheckOK();

@@ -52,7 +52,8 @@ AppendResult RunAppend(FsyncPolicy policy, uint32_t users, int rounds,
   const std::string dir = MakeTempDir("bench-journal-", ".").ValueOrDie();
   JournalOptions options;
   options.fsync = policy;
-  auto writer = JournalWriter::Open(dir, options);
+  Telemetry telemetry;
+  auto writer = JournalWriter::Open(dir, options, telemetry);
   writer.status().CheckOK();
 
   Rng rng(seed);

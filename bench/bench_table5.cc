@@ -10,6 +10,11 @@
 // Pass --per_user=true to time the real per-user OUE protocol instead of the
 // distribution-exact aggregate simulation (slower; closer to the paper's
 // user-side numbers).
+//
+// The times are the engine's own telemetry: each component is a
+// retrasyn_engine_*_seconds histogram (SumSeconds / Count), the same series
+// a deployed service exports. The bench exits 1 when a histogram did not
+// count every observed round, so the table cannot come from anywhere else.
 
 #include <cstdio>
 #include <vector>
@@ -19,6 +24,14 @@
 namespace retrasyn {
 namespace bench {
 namespace {
+
+/// The engine histograms behind the four Table V rows, in row order.
+constexpr const char* kComponentHistograms[] = {
+    "retrasyn_engine_user_side_seconds",
+    "retrasyn_engine_model_construction_seconds",
+    "retrasyn_engine_dmu_seconds",
+    "retrasyn_engine_synthesis_seconds",
+};
 
 int Run(int argc, char** argv) {
   const Flags flags = Flags::Parse(argc, argv);
@@ -49,13 +62,29 @@ int Run(int argc, char** argv) {
         per_user ? CollectionMode::kPerUser : CollectionMode::kAggregateSim;
     config.seed = options.seed + 7;
     RetraSynEngine engine(dataset.prepared->states(), config);
-    for (int64_t t = 0; t < dataset.prepared->horizon(); ++t) {
+    Telemetry telemetry;
+    engine.AttachTelemetry(&telemetry);
+    const int64_t rounds = dataset.prepared->horizon();
+    for (int64_t t = 0; t < rounds; ++t) {
       engine.Observe(dataset.prepared->feeder().Batch(t));
     }
-    const ComponentTimes& times = engine.component_times();
-    columns.push_back({times.user_side.Mean(), times.model_construction.Mean(),
-                       times.dmu.Mean(), times.synthesis.Mean(),
-                       times.TotalMeanPerTimestamp()});
+    std::vector<double> column;
+    double total = 0.0;
+    for (const char* name : kComponentHistograms) {
+      const LatencyHistogram* hist =
+          telemetry.registry().GetHistogram(name, "");
+      if (hist->Count() != static_cast<uint64_t>(rounds)) {
+        std::fprintf(stderr, "%s: %s counted %llu of %lld rounds\n",
+                     dataset.name.c_str(), name,
+                     static_cast<unsigned long long>(hist->Count()),
+                     static_cast<long long>(rounds));
+        return 1;
+      }
+      column.push_back(hist->SumSeconds() / static_cast<double>(rounds));
+      total += column.back();
+    }
+    column.push_back(total);
+    columns.push_back(column);
   }
 
   const char* rows[] = {"User-side Computation", "Mobility Model Construction",

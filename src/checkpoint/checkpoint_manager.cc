@@ -65,64 +65,14 @@ Status CheckpointOptions::Validate() const {
   return Status::OK();
 }
 
-CheckpointManager::CheckpointManager(CheckpointOptions options)
-    : options_(std::move(options)) {
+CheckpointManager::CheckpointManager(CheckpointOptions options,
+                                     Telemetry& telemetry)
+    : options_(std::move(options)), telemetry_(telemetry) {
   journals_.resize(options_.journal_dirs.size());
   for (size_t i = 0; i < journals_.size(); ++i) {
     journals_[i].dir = options_.journal_dirs[i];
   }
-}
-
-Result<std::unique_ptr<CheckpointManager>> CheckpointManager::Open(
-    const CheckpointOptions& options, bool require_fresh) {
-  RETRASYN_RETURN_NOT_OK(options.Validate());
-  RETRASYN_RETURN_NOT_OK(CreateDirIfMissing(options.dir));
-  std::vector<int64_t> checkpoints;
-  std::vector<int64_t> histories;
-  RETRASYN_RETURN_NOT_OK(
-      ScanCheckpointDir(options.dir, &checkpoints, &histories));
-  if (require_fresh && (!checkpoints.empty() || !histories.empty())) {
-    return Status::FailedPrecondition(
-        "checkpoint directory " + options.dir +
-        " already holds checkpoints; Recover the existing deployment or "
-        "point the new one elsewhere");
-  }
-  std::unique_ptr<CheckpointManager> manager(new CheckpointManager(options));
-  manager->retained_rounds_ = std::move(checkpoints);
-  if (!manager->retained_rounds_.empty()) {
-    // No concurrency yet (the worker starts below), but last_checkpoint_round_
-    // is guarded state; take the lock so the seeding is analysis-clean.
-    MutexLock l(manager->mu_);
-    manager->last_checkpoint_round_ = manager->retained_rounds_.back();
-  }
-  manager->worker_ = std::thread([m = manager.get()] { m->WorkerLoop(); });
-  return manager;
-}
-
-CheckpointManager::~CheckpointManager() {
-  {
-    MutexLock l(mu_);
-    stop_ = true;
-  }
-  cv_.NotifyAll();
-  if (worker_.joinable()) worker_.join();
-}
-
-void CheckpointManager::AttachTelemetry(Telemetry* telemetry) {
-  telemetry_ = telemetry;
-  if (telemetry_ == nullptr) {
-    writes_metric_ = nullptr;
-    bytes_metric_ = nullptr;
-    prunes_metric_ = nullptr;
-    segments_retired_metric_ = nullptr;
-    spills_metric_ = nullptr;
-    poisonings_metric_ = nullptr;
-    last_round_metric_ = nullptr;
-    write_hist_ = nullptr;
-    trace_ = nullptr;
-    return;
-  }
-  MetricsRegistry& registry = telemetry_->registry();
+  MetricsRegistry& registry = telemetry_.registry();
   writes_metric_ = registry.GetCounter(
       "retrasyn_checkpoint_writes_total",
       "Checkpoints made durable (tmp + fsync + rename)");
@@ -145,12 +95,48 @@ void CheckpointManager::AttachTelemetry(Telemetry* telemetry) {
       "retrasyn_checkpoint_last_round",
       "Closed-round count of the newest durable checkpoint (-1 before the "
       "first)");
-  last_round_metric_->Set(last_checkpoint_round());
   write_hist_ = registry.GetHistogram(
       "retrasyn_checkpoint_write_seconds",
       "Full checkpoint duration on the worker (spill + write + prune + "
       "retire)");
-  trace_ = &telemetry_->trace();
+}
+
+Result<std::unique_ptr<CheckpointManager>> CheckpointManager::Open(
+    const CheckpointOptions& options, bool require_fresh,
+    Telemetry& telemetry) {
+  RETRASYN_RETURN_NOT_OK(options.Validate());
+  RETRASYN_RETURN_NOT_OK(CreateDirIfMissing(options.dir));
+  std::vector<int64_t> checkpoints;
+  std::vector<int64_t> histories;
+  RETRASYN_RETURN_NOT_OK(
+      ScanCheckpointDir(options.dir, &checkpoints, &histories));
+  if (require_fresh && (!checkpoints.empty() || !histories.empty())) {
+    return Status::FailedPrecondition(
+        "checkpoint directory " + options.dir +
+        " already holds checkpoints; Recover the existing deployment or "
+        "point the new one elsewhere");
+  }
+  std::unique_ptr<CheckpointManager> manager(
+      new CheckpointManager(options, telemetry));
+  manager->retained_rounds_ = std::move(checkpoints);
+  if (!manager->retained_rounds_.empty()) {
+    // No concurrency yet (the worker starts below), but last_checkpoint_round_
+    // is guarded state; take the lock so the seeding is analysis-clean.
+    MutexLock l(manager->mu_);
+    manager->last_checkpoint_round_ = manager->retained_rounds_.back();
+  }
+  manager->last_round_metric_->Set(manager->last_checkpoint_round());
+  manager->worker_ = std::thread([m = manager.get()] { m->WorkerLoop(); });
+  return manager;
+}
+
+CheckpointManager::~CheckpointManager() {
+  {
+    MutexLock l(mu_);
+    stop_ = true;
+  }
+  cv_.NotifyAll();
+  if (worker_.joinable()) worker_.join();
 }
 
 void CheckpointManager::AttachJournals(std::vector<JournalWriter*> journals) {
@@ -219,7 +205,7 @@ void CheckpointManager::OnRoundClosed(int64_t sealed_round,
     entry.count = spilled.size();
     entry.streams = std::move(spilled);
     streams_spilled_ += entry.count;
-    if (spills_metric_ != nullptr) spills_metric_->Add(entry.count);
+    spills_metric_->Add(entry.count);
     spills_.push_back(std::move(entry));
   }
   MutexLock l(mu_);
@@ -267,10 +253,9 @@ void CheckpointManager::WorkerLoop() {
     Status st = WriteCheckpoint(round, std::move(capture.engine),
                                 std::move(capture.session));
     const double write_seconds = write_watch.ElapsedSeconds();
-    if (write_hist_ != nullptr) write_hist_->Record(write_seconds);
-    if (trace_ != nullptr) {
-      trace_->RecordPhase(round, RoundPhase::kCheckpoint, write_seconds);
-    }
+    write_hist_->Record(write_seconds);
+    telemetry_.trace().RecordPhase(round, RoundPhase::kCheckpoint,
+                                   write_seconds);
     mu_.Lock();
     busy_ = false;
     if (!st.ok() && error_.ok()) {
@@ -279,10 +264,8 @@ void CheckpointManager::WorkerLoop() {
       error_ = st;
       ready_.clear();
       pending_.clear();
-      if (poisonings_metric_ != nullptr) poisonings_metric_->Increment();
-      if (telemetry_ != nullptr) {
-        telemetry_->RecordFailure("checkpoint", st, round);
-      }
+      poisonings_metric_->Increment();
+      telemetry_.RecordFailure("checkpoint", st, round);
     }
     cv_.NotifyAll();
   }
@@ -316,7 +299,7 @@ Status CheckpointManager::WriteCheckpoint(int64_t sealed_round,
                                            HistoryFileName(round),
                                            kHistoryMagic, options_.fingerprint,
                                            body));
-    if (bytes_metric_ != nullptr) bytes_metric_->Add(body.size());
+    bytes_metric_->Add(body.size());
     MutexLock l(spill_mu_);
     for (SpillEntry& entry : spills_) {
       if (entry.round == round) {
@@ -347,15 +330,15 @@ Status CheckpointManager::WriteCheckpoint(int64_t sealed_round,
                                          CheckpointFileName(round),
                                          kCheckpointMagic,
                                          options_.fingerprint, body));
-  if (bytes_metric_ != nullptr) bytes_metric_->Add(body.size());
+  bytes_metric_->Add(body.size());
   retained_rounds_.push_back(round);
   {
     MutexLock l(mu_);
     ++checkpoints_written_;
     last_checkpoint_round_ = round;
   }
-  if (writes_metric_ != nullptr) writes_metric_->Increment();
-  if (last_round_metric_ != nullptr) last_round_metric_->Set(round);
+  writes_metric_->Increment();
+  last_round_metric_->Set(round);
 
   // 3. Retention, then journal compaction against the new oldest survivor.
   RETRASYN_RETURN_NOT_OK(PruneCheckpoints());
@@ -371,7 +354,7 @@ Status CheckpointManager::PruneCheckpoints() {
         options_.dir + "/" + CheckpointFileName(retained_rounds_.front())));
     retained_rounds_.erase(retained_rounds_.begin());
     removed = true;
-    if (prunes_metric_ != nullptr) prunes_metric_->Increment();
+    prunes_metric_->Increment();
   }
   return removed ? SyncDir(options_.dir) : Status::OK();
 }
@@ -421,9 +404,7 @@ Status CheckpointManager::RetireJournalPrefix() {
     retired_now += journal_retired;
   }
   if (retired_now == 0) return Status::OK();
-  if (segments_retired_metric_ != nullptr) {
-    segments_retired_metric_->Add(retired_now);
-  }
+  segments_retired_metric_->Add(retired_now);
   MutexLock l(mu_);
   segments_retired_ += retired_now;
   return Status::OK();

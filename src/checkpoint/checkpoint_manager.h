@@ -85,9 +85,13 @@ class CheckpointManager {
   /// Scans \p dir, removing orphaned `*.tmp` files, and opens a manager.
   /// With \p require_fresh (Service::Create), any existing checkpoint or
   /// history file fails with FailedPrecondition — a fresh service must never
-  /// silently shadow recoverable state.
+  /// silently shadow recoverable state. The manager records its metrics,
+  /// checkpoint trace phase and first failure in \p telemetry (not owned;
+  /// must outlive it). Observation-only: no effect on what is written,
+  /// pruned, or retired.
   static Result<std::unique_ptr<CheckpointManager>> Open(
-      const CheckpointOptions& options, bool require_fresh);
+      const CheckpointOptions& options, bool require_fresh,
+      Telemetry& telemetry);
 
   /// Loads the newest usable checkpoint for recovery: tries checkpoints
   /// newest-first, skipping (and deleting) corrupt ones — torn frame, CRC
@@ -151,12 +155,6 @@ class CheckpointManager {
       EXCLUDES(spill_mu_);
   bool has_spilled_history() const EXCLUDES(spill_mu_);
 
-  /// Registers this manager's metrics in \p telemetry (not owned; null
-  /// detaches). Call before the first captured round — the worker reads the
-  /// pointers without a lock. Observation-only: no effect on what is
-  /// written, pruned, or retired.
-  void AttachTelemetry(Telemetry* telemetry);
-
   /// Sticky first failure (OK while healthy).
   Status status() const EXCLUDES(mu_);
 
@@ -201,7 +199,7 @@ class CheckpointManager {
     int64_t retired_base_round = 0;  ///< rounds summarized by retired prefix
   };
 
-  explicit CheckpointManager(CheckpointOptions options);
+  CheckpointManager(CheckpointOptions options, Telemetry& telemetry);
 
   void WorkerLoop() EXCLUDES(mu_);
   /// One full checkpoint: spill file, checkpoint file, pruning, retirement.
@@ -250,9 +248,10 @@ class CheckpointManager {
   uint64_t segments_retired_ GUARDED_BY(mu_) = 0;
   int64_t last_checkpoint_round_ GUARDED_BY(mu_) = -1;
 
-  // Telemetry (all null when detached). Set once before the first capture;
-  // read by the worker and capture threads without a lock.
-  Telemetry* telemetry_ = nullptr;
+  // Telemetry, registered by the constructor before the worker starts (so
+  // the worker and capture threads read the pointers without a lock); never
+  // null.
+  Telemetry& telemetry_;
   Counter* writes_metric_ = nullptr;
   Counter* bytes_metric_ = nullptr;
   Counter* prunes_metric_ = nullptr;
@@ -261,7 +260,6 @@ class CheckpointManager {
   Counter* poisonings_metric_ = nullptr;
   Gauge* last_round_metric_ = nullptr;
   LatencyHistogram* write_hist_ = nullptr;
-  RoundTrace* trace_ = nullptr;
 };
 
 }  // namespace retrasyn

@@ -1,5 +1,6 @@
-// Monotonic wall-clock stopwatch used by the efficiency experiments
-// (Table V, Figures 6-7).
+// Monotonic wall-clock stopwatch: times the pipeline phases the telemetry
+// histograms record (Table V's four components among them) and the
+// efficiency experiments (Figures 6-7).
 
 #ifndef RETRASYN_COMMON_STOPWATCH_H_
 #define RETRASYN_COMMON_STOPWATCH_H_
@@ -22,27 +23,6 @@ class Stopwatch {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// \brief Accumulates per-component time across many timestamps; feeds the
-/// component-efficiency table.
-class TimeAccumulator {
- public:
-  void Add(double seconds) {
-    total_ += seconds;
-    ++count_;
-  }
-  double total() const { return total_; }
-  double Mean() const { return count_ == 0 ? 0.0 : total_ / count_; }
-  long count() const { return count_; }
-  void Reset() {
-    total_ = 0.0;
-    count_ = 0;
-  }
-
- private:
-  double total_ = 0.0;
-  long count_ = 0;
 };
 
 }  // namespace retrasyn

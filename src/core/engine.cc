@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "common/stopwatch.h"
 #include "core/dmu.h"
 
 namespace retrasyn {
@@ -327,7 +328,6 @@ void RetraSynEngine::Observe(const TimestampBatch& batch) {
   CollectTimings timings;
   CollectionResult result =
       collector_.Collect(report_states, eps_round, rng_, &timings);
-  times_.user_side.Add(timings.user_side_seconds);
   if (user_side_hist_ != nullptr) {
     user_side_hist_->Record(timings.user_side_seconds);
   }
@@ -336,7 +336,6 @@ void RetraSynEngine::Observe(const TimestampBatch& batch) {
     ApplyPostprocess(config_.postprocess, result.frequencies, 1.0);
     timings.aggregation_seconds += postprocess_watch.ElapsedSeconds();
   }
-  times_.model_construction.Add(timings.aggregation_seconds);
   if (model_hist_ != nullptr) model_hist_->Record(timings.aggregation_seconds);
   total_reports_ += result.num_reports;
   if (reports_metric_ != nullptr) reports_metric_->Add(result.num_reports);
@@ -359,7 +358,6 @@ void RetraSynEngine::Observe(const TimestampBatch& batch) {
     }
   }
   const double dmu_seconds = dmu_watch.ElapsedSeconds();
-  times_.dmu.Add(dmu_seconds);
   if (dmu_hist_ != nullptr) dmu_hist_->Record(dmu_seconds);
   if (config_.allocation.kind == AllocationKind::kAdaptive &&
       result.num_reports > 0) {
@@ -376,7 +374,6 @@ void RetraSynEngine::Observe(const TimestampBatch& batch) {
     }
   }
   const double synthesis_seconds = syn_watch.ElapsedSeconds();
-  times_.synthesis.Add(synthesis_seconds);
   if (synthesis_hist_ != nullptr) synthesis_hist_->Record(synthesis_seconds);
   if (rounds_metric_ != nullptr) rounds_metric_->Increment();
 }

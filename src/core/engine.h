@@ -31,7 +31,6 @@
 
 #include "common/rng.h"
 #include "common/status.h"
-#include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "core/allocation.h"
 #include "core/mobility_model.h"
@@ -159,12 +158,6 @@ struct ServiceOptions {
   /// checkpoint, keeping steady-state memory flat over unbounded horizons;
   /// SnapshotRelease reads them back on demand.
   bool checkpoint_spill_history = true;
-  /// Service-owned telemetry (metrics registry + round tracing; see
-  /// src/telemetry/), read via TrajectoryService::telemetry(). Observation-
-  /// only by contract — released bytes are byte-identical with it on or
-  /// off — and deliberately NOT part of the deployment fingerprint, so it
-  /// may be toggled across restarts of the same journaled deployment.
-  bool enable_telemetry = true;
 
   /// Upper bound Validate accepts for ingest_shards.
   static constexpr int kMaxIngestShards = 64;
@@ -231,7 +224,7 @@ struct RetraSynConfig : ServiceOptions {
 /// — everything a restored engine needs to continue the byte-identical
 /// sequence an uninterrupted run would produce. Purely derived state (the
 /// transition-sampler cache, which rebuilds deterministically from the
-/// restored model, and the wall-clock accumulators) is deliberately absent.
+/// restored model) is deliberately absent.
 /// Produced by SaveCheckpointState, persisted by the checkpoint subsystem
 /// (src/checkpoint/), consumed by RestoreCheckpointState.
 struct EngineCheckpointState {
@@ -278,19 +271,6 @@ struct EngineCheckpointState {
   uint64_t total_retired = 0;
 };
 
-/// \brief Per-component wall-clock accumulators (paper Table V).
-struct ComponentTimes {
-  TimeAccumulator user_side;
-  TimeAccumulator model_construction;
-  TimeAccumulator dmu;
-  TimeAccumulator synthesis;
-
-  double TotalMeanPerTimestamp() const {
-    return user_side.Mean() + model_construction.Mean() + dmu.Mean() +
-           synthesis.Mean();
-  }
-};
-
 class RetraSynEngine : public StreamReleaseEngine {
  public:
   RetraSynEngine(const StateSpace& states, const RetraSynConfig& config);
@@ -299,17 +279,19 @@ class RetraSynEngine : public StreamReleaseEngine {
   CellStreamSet SnapshotRelease(int64_t num_timestamps) const override;
   std::vector<uint32_t> LiveDensity() const override;
   std::string name() const override;
-  /// Rounds/reports counters plus the four per-component latency histograms
-  /// of ComponentTimes, recorded at the same points Observe() already times;
-  /// forwards to the synthesizer (step latency, points, live streams,
-  /// sampler-cache rebuilds).
+  /// Rounds/reports counters, the selection histogram and the four
+  /// per-component latency histograms of paper Table V
+  /// (retrasyn_engine_{user_side,model_construction,dmu,synthesis}_seconds,
+  /// one sample per Observe); forwards to the synthesizer (step latency,
+  /// points, live streams, sampler-cache rebuilds). Optional: a detached
+  /// engine records nothing (null detaches). Every TrajectoryService
+  /// attaches its own Telemetry.
   void AttachTelemetry(Telemetry* telemetry) override;
 
   const RetraSynConfig& config() const { return config_; }
   const GlobalMobilityModel& model() const { return model_; }
   /// Live view of the evolving synthetic database (real-time consumers).
   const Synthesizer& synthesizer() const { return synthesizer_; }
-  const ComponentTimes& component_times() const { return times_; }
   /// Budget accounting (budget division; records zeros under population
   /// division).
   const BudgetLedger& budget_ledger() const { return ledger_; }
@@ -327,11 +309,8 @@ class RetraSynEngine : public StreamReleaseEngine {
   /// deterministic function of the batch sequence alone, so the released
   /// bytes are identical whether the caller re-issues retired indices (the
   /// session of every service over a RetraSynEngine does) or keeps minting
-  /// fresh ones (StreamFeeder). The service copies this
-  /// into the round's RoundRelease, so the retired flow rides the
-  /// round-handler path: under
-  /// SyncPolicy::kAsync it is produced and consumed on the closer worker,
-  /// never racing the ingest thread.
+  /// fresh ones (StreamFeeder). Under SyncPolicy::kAsync it is written on
+  /// the closer worker; read it only after TrajectoryService::Drain().
   const std::vector<uint32_t>& retired_last_round() const {
     return retired_last_round_;
   }
@@ -397,7 +376,6 @@ class RetraSynEngine : public StreamReleaseEngine {
   PortionAllocator allocator_;
   BudgetLedger ledger_;
   ReportWindowTracker tracker_;
-  ComponentTimes times_;
   bool collected_once_ = false;
 
   // Population-division bookkeeping, dense over the contiguous user indices

@@ -69,7 +69,8 @@ struct RunResult {
   MetricsReport metrics;
   /// Total wall-clock of the streaming run: the engine's Observe work plus
   /// the ingestion-session overhead of the service replay (the deployed
-  /// path). Per-component engine times remain in engine.component_times().
+  /// path). Per-component engine times (paper Table V) are the service's
+  /// retrasyn_engine_*_seconds histograms (TrajectoryService::telemetry()).
   double engine_seconds = 0.0;
   double seconds_per_timestamp = 0.0;
   uint64_t total_reports = 0;

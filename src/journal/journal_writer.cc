@@ -90,15 +90,17 @@ bool ParseShardJournalDirName(const std::string& name, int* shard) {
 }
 
 Result<std::unique_ptr<JournalWriter>> JournalWriter::Open(
-    const std::string& dir, const JournalOptions& options) {
+    const std::string& dir, const JournalOptions& options,
+    Telemetry& telemetry) {
   RETRASYN_RETURN_NOT_OK(CreateDirIfMissing(dir));
   auto lock = FileLock::Acquire(dir + "/" + kLockFileName);
   if (!lock.ok()) return lock.status();
-  return OpenLocked(dir, options, std::move(lock).value());
+  return OpenLocked(dir, options, std::move(lock).value(), telemetry);
 }
 
 Result<std::unique_ptr<JournalWriter>> JournalWriter::OpenLocked(
-    const std::string& dir, const JournalOptions& options, FileLock lock) {
+    const std::string& dir, const JournalOptions& options, FileLock lock,
+    Telemetry& telemetry) {
   RETRASYN_RETURN_NOT_OK(options.Validate());
   if (!lock.held()) {
     return Status::InvalidArgument("OpenLocked requires a held journal lock");
@@ -114,25 +116,19 @@ Result<std::unique_ptr<JournalWriter>> JournalWriter::OpenLocked(
     }
   }
   std::unique_ptr<JournalWriter> writer(
-      new JournalWriter(dir, options, next_index));
+      new JournalWriter(dir, options, next_index, telemetry));
   writer->lock_ = std::move(lock);
   RETRASYN_RETURN_NOT_OK(writer->RotateSegment());
   return writer;
 }
 
-void JournalWriter::AttachTelemetry(Telemetry* telemetry) {
-  telemetry_ = telemetry;
-  if (telemetry_ == nullptr) {
-    records_metric_ = nullptr;
-    rounds_metric_ = nullptr;
-    bytes_metric_ = nullptr;
-    segments_metric_ = nullptr;
-    fsyncs_metric_ = nullptr;
-    poisonings_metric_ = nullptr;
-    fsync_hist_ = nullptr;
-    return;
-  }
-  MetricsRegistry& registry = telemetry_->registry();
+JournalWriter::JournalWriter(std::string dir, const JournalOptions& options,
+                             uint64_t next_segment_index, Telemetry& telemetry)
+    : dir_(std::move(dir)),
+      options_(options),
+      next_segment_index_(next_segment_index),
+      telemetry_(telemetry) {
+  MetricsRegistry& registry = telemetry_.registry();
   records_metric_ = registry.GetCounter(
       "retrasyn_journal_records_appended_total",
       "Framed records appended across all shard journals");
@@ -157,7 +153,6 @@ void JournalWriter::AttachTelemetry(Telemetry* telemetry) {
 }
 
 Status JournalWriter::SyncDataTimed() {
-  if (fsync_hist_ == nullptr) return segment_.SyncData();
   Stopwatch watch;
   Status st = segment_.SyncData();
   fsync_hist_->Record(watch.ElapsedSeconds());
@@ -166,10 +161,10 @@ Status JournalWriter::SyncDataTimed() {
 }
 
 void JournalWriter::NotePoison(const Status& st) {
-  if (telemetry_ == nullptr || st.ok()) return;
+  if (st.ok()) return;
   poisonings_metric_->Increment();
-  telemetry_->RecordFailure("journal", st,
-                            base_round_ + static_cast<int64_t>(rounds_appended_));
+  telemetry_.RecordFailure(
+      "journal", st, base_round_ + static_cast<int64_t>(rounds_appended_));
 }
 
 JournalWriter::~JournalWriter() {
@@ -194,10 +189,8 @@ void JournalWriter::PresyncLoop() {
     Stopwatch watch;
     const int rc = ::fdatasync(fd);
     const int err = errno;
-    if (fsync_hist_ != nullptr) {
-      fsync_hist_->Record(watch.ElapsedSeconds());
-      fsyncs_metric_->Increment();
-    }
+    fsync_hist_->Record(watch.ElapsedSeconds());
+    fsyncs_metric_->Increment();
     presync_mu_.Lock();
     if (rc != 0 && presync_error_.ok()) {
       presync_error_ =
@@ -261,7 +254,7 @@ Status JournalWriter::RotateSegment() {
   segment_ = std::move(file).value();
   ++next_segment_index_;
   ++segments_created_;
-  if (segments_metric_ != nullptr) segments_metric_->Increment();
+  segments_metric_->Increment();
   segment_size_ = 0;
   scratch_.clear();
   AppendSegmentHeader(options_.fingerprint, &scratch_);
@@ -299,7 +292,7 @@ Status JournalWriter::Append(const JournalEvent& event) {
     if (options_.fsync == FsyncPolicy::kEveryRound) st = SyncDataTimed();
     if (st.ok()) {
       ++rounds_appended_;
-      if (rounds_metric_ != nullptr) rounds_metric_->Increment();
+      rounds_metric_->Increment();
       // Rotate only at a durable round boundary: every finished segment ends
       // on a closed round, so a torn tail can only live in the last one.
       if (segment_size_ >= options_.segment_bytes) {
@@ -320,10 +313,8 @@ Status JournalWriter::Append(const JournalEvent& event) {
   }
   ++records_appended_;
   bytes_appended_ += record_bytes;
-  if (records_metric_ != nullptr) {
-    records_metric_->Increment();
-    bytes_metric_->Add(record_bytes);
-  }
+  records_metric_->Increment();
+  bytes_metric_->Add(record_bytes);
   return Status::OK();
 }
 
@@ -342,10 +333,8 @@ Status JournalWriter::Sync() {
   RETRASYN_RETURN_NOT_OK(WaitForPresync());
   Stopwatch watch;
   Status st = segment_.Sync();
-  if (fsync_hist_ != nullptr) {
-    fsync_hist_->Record(watch.ElapsedSeconds());
-    fsyncs_metric_->Increment();
-  }
+  fsync_hist_->Record(watch.ElapsedSeconds());
+  fsyncs_metric_->Increment();
   if (!st.ok()) {
     error_ = st;
     NotePoison(st);

@@ -26,6 +26,10 @@
 // the same segment. The first I/O failure poisons the writer: every later
 // Append/Sync returns the same sticky error, mirroring the service layer's
 // poisoned-pipeline semantics.
+//
+// Every writer records into the Telemetry passed to Open/OpenLocked
+// (appends, round boundaries, bytes, segments, fsync latency, poisonings and
+// the first-failure record), from its first segment on.
 
 #ifndef RETRASYN_JOURNAL_JOURNAL_WRITER_H_
 #define RETRASYN_JOURNAL_JOURNAL_WRITER_H_
@@ -58,15 +62,22 @@ class JournalWriter {
  public:
   /// Creates \p dir if missing, takes the exclusive `<dir>/LOCK`, and opens
   /// a fresh segment numbered after the highest existing one. Fails with
-  /// FailedPrecondition while another writer holds the lock.
+  /// FailedPrecondition while another writer holds the lock. The writer
+  /// records its metrics in \p telemetry (not owned; must outlive it) from
+  /// the first segment on. Sharded sessions open every shard's writer over
+  /// the same bundle: the counters are shared by (name, labels) identity, so
+  /// journal metrics aggregate across shards. Observation-only — no effect
+  /// on bytes.
   static Result<std::unique_ptr<JournalWriter>> Open(
-      const std::string& dir, const JournalOptions& options);
+      const std::string& dir, const JournalOptions& options,
+      Telemetry& telemetry);
 
   /// Like Open, but adopts a `<dir>/LOCK` the caller already holds — for
   /// recovery, which must take the lock *before* its destructive scan and
   /// tail truncation, not merely before appending.
   static Result<std::unique_ptr<JournalWriter>> OpenLocked(
-      const std::string& dir, const JournalOptions& options, FileLock lock);
+      const std::string& dir, const JournalOptions& options, FileLock lock,
+      Telemetry& telemetry);
 
   /// The lock-file name; never parsed as a segment.
   static constexpr char kLockFileName[] = "LOCK";
@@ -98,13 +109,6 @@ class JournalWriter {
   /// before doing work the failure would strand.
   Status status() const { return error_; }
 
-  /// Registers this writer's metrics in \p telemetry (not owned; null
-  /// detaches). Sharded sessions attach every shard's writer to the same
-  /// bundle: the counters are shared by (name, labels) identity, so journal
-  /// metrics aggregate across shards. Call right after Open/OpenLocked,
-  /// before the first Append. Observation-only — no effect on bytes.
-  void AttachTelemetry(Telemetry* telemetry);
-
   /// Seeds the absolute closed-round count this writer's rounds continue
   /// from: recovery passes the number of rounds already in the journal, a
   /// fresh deployment passes 0 (the default). Call right after
@@ -131,10 +135,7 @@ class JournalWriter {
 
  private:
   JournalWriter(std::string dir, const JournalOptions& options,
-                uint64_t next_segment_index)
-      : dir_(std::move(dir)),
-        options_(options),
-        next_segment_index_(next_segment_index) {}
+                uint64_t next_segment_index, Telemetry& telemetry);
 
   /// Closes the current segment (if any) and starts the next one.
   Status RotateSegment();
@@ -175,9 +176,9 @@ class JournalWriter {
   Status error_;  ///< first I/O failure; sticky
   bool closed_ = false;
 
-  // Telemetry (null when detached). The metric objects live in the service's
-  // registry and are shared across shard writers.
-  Telemetry* telemetry_ = nullptr;
+  // Telemetry, registered by the constructor; never null. The metric objects
+  // live in the service's registry and are shared across shard writers.
+  Telemetry& telemetry_;
   Counter* records_metric_ = nullptr;
   Counter* rounds_metric_ = nullptr;
   Counter* bytes_metric_ = nullptr;

@@ -53,11 +53,13 @@ int64_t NowSteadyNanos() {
 }  // namespace
 
 IngestSession::IngestSession(const StateSpace& states, RoundHandler handler,
+                             Telemetry& telemetry,
                              IngestSessionOptions options)
     : states_(&states),
       grid_(&states.grid()),
       handler_(std::move(handler)),
-      options_(options) {
+      options_(options),
+      telemetry_(telemetry) {
   RETRASYN_CHECK(handler_ != nullptr);
   // Service-layer callers validate first (ServiceOptions::Validate) and
   // surface a Status; reaching here with a nonsensical shard count is a
@@ -73,52 +75,45 @@ IngestSession::IngestSession(const StateSpace& states, RoundHandler handler,
     seal_pool_ = std::make_unique<ThreadPool>(
         std::min(options_.num_shards, ThreadPool::DefaultConcurrency()));
   }
-  if (options_.telemetry != nullptr) {
-    telemetry_ = options_.telemetry;
-    registry_ = &telemetry_->registry();
-    trace_ = &telemetry_->trace();
-  } else {
-    owned_registry_ = std::make_unique<MetricsRegistry>();
-    registry_ = owned_registry_.get();
-  }
   RegisterMetrics();
 }
 
 void IngestSession::RegisterMetrics() {
-  rounds_sealed_metric_ = registry_->GetCounter(
+  MetricsRegistry& registry = telemetry_.registry();
+  rounds_sealed_metric_ = registry.GetCounter(
       "retrasyn_ingest_rounds_sealed_total", "Successful Tick() round closes");
-  entries_merged_metric_ = registry_->GetCounter(
+  entries_merged_metric_ = registry.GetCounter(
       "retrasyn_ingest_entries_merged_total",
       "Observations across all sealed rounds");
-  obs_buffers_reused_metric_ = registry_->GetCounter(
+  obs_buffers_reused_metric_ = registry.GetCounter(
       "retrasyn_ingest_obs_buffers_reused_total",
       "Rounds sealed into a recycled observation buffer");
-  seal_hist_ = registry_->GetHistogram(
+  seal_hist_ = registry.GetHistogram(
       "retrasyn_ingest_seal_seconds",
       "Parallel per-shard seal phase of Tick() (wall)");
-  merge_hist_ = registry_->GetHistogram(
+  merge_hist_ = registry.GetHistogram(
       "retrasyn_ingest_merge_seconds",
       "Parallel k-way merge + stream-index assignment phase of Tick() "
       "(wall)");
-  commit_hist_ = registry_->GetHistogram(
+  commit_hist_ = registry.GetHistogram(
       "retrasyn_ingest_commit_seconds",
       "Post-handler state-commit phase of Tick() (wall)");
   for (size_t i = 0; i < shards_.size(); ++i) {
     const MetricsRegistry::Labels labels = {{"shard", std::to_string(i)}};
     Shard& shard = *shards_[i];
-    shard.accepted_metric = registry_->GetCounter(
+    shard.accepted_metric = registry.GetCounter(
         "retrasyn_ingest_events_accepted_total",
         "Events admitted into this shard", labels);
-    shard.rejected_metric = registry_->GetCounter(
+    shard.rejected_metric = registry.GetCounter(
         "retrasyn_ingest_events_rejected_total",
         "Events failing validation in this shard", labels);
-    shard.pending_metric = registry_->GetGauge(
+    shard.pending_metric = registry.GetGauge(
         "retrasyn_ingest_pending_events",
         "Events buffered for the open round in this shard", labels);
-    shard.peak_pending_metric = registry_->GetGauge(
+    shard.peak_pending_metric = registry.GetGauge(
         "retrasyn_ingest_pending_events_peak",
         "High-water mark of pending events in this shard", labels);
-    shard.active_metric = registry_->GetGauge(
+    shard.active_metric = registry.GetGauge(
         "retrasyn_ingest_active_streams",
         "Live streams owned by this shard", labels);
     // A registry shared with an earlier session may already hold a peak;
@@ -183,7 +178,7 @@ Status IngestSession::Enter(uint64_t user, const Point& location) {
   Status st = EnterLocked(shard, user, location);
   if (st.ok()) {
     shard.accepted_metric->Increment();
-    if (trace_ != nullptr) NoteAdmission();
+    NoteAdmission();
   } else if (st.code() == StatusCode::kFailedPrecondition ||
              st.code() == StatusCode::kInvalidArgument) {
     shard.rejected_metric->Increment();
@@ -235,7 +230,7 @@ Status IngestSession::Move(uint64_t user, const Point& location) {
   Status st = MoveLocked(shard, user, location);
   if (st.ok()) {
     shard.accepted_metric->Increment();
-    if (trace_ != nullptr) NoteAdmission();
+    NoteAdmission();
   } else if (st.code() == StatusCode::kFailedPrecondition ||
              st.code() == StatusCode::kInvalidArgument) {
     shard.rejected_metric->Increment();
@@ -295,7 +290,7 @@ Status IngestSession::Quit(uint64_t user) {
   Status st = QuitLocked(shard, user);
   if (st.ok()) {
     shard.accepted_metric->Increment();
-    if (trace_ != nullptr) NoteAdmission();
+    NoteAdmission();
   } else if (st.code() == StatusCode::kFailedPrecondition ||
              st.code() == StatusCode::kInvalidArgument) {
     shard.rejected_metric->Increment();
@@ -632,11 +627,9 @@ Status IngestSession::Tick() {
   // Admit dwell: first admitted event -> this round boundary. Read, not
   // cleared — a failed Tick leaves the round (and its dwell clock) open.
   double admit_s = 0.0;
-  if (trace_ != nullptr) {
-    const int64_t first_ns =
-        round_admit_start_ns_.load(std::memory_order_relaxed);
-    if (first_ns > 0) admit_s = (NowSteadyNanos() - first_ns) * 1e-9;
-  }
+  const int64_t first_ns =
+      round_admit_start_ns_.load(std::memory_order_relaxed);
+  if (first_ns > 0) admit_s = (NowSteadyNanos() - first_ns) * 1e-9;
 
   for (auto& shard : shards_) {
     shard->mu.AssertHeld();
@@ -771,9 +764,7 @@ Status IngestSession::Tick() {
   if (!journaled.ok()) {
     poison_status_ = journaled;
     boundary_poisoned_.store(true, std::memory_order_release);
-    if (telemetry_ != nullptr) {
-      telemetry_->RecordFailure("ingest_boundary", journaled, open_round_);
-    }
+    telemetry_.RecordFailure("ingest_boundary", journaled, open_round_);
   }
   Stopwatch commit_watch;
   next_stream_index_ = next_index;
@@ -825,14 +816,13 @@ Status IngestSession::Tick() {
   if (reused_buffer) obs_buffers_reused_metric_->Increment();
   const int64_t sealed_round = open_round_;
   ++open_round_;
-  if (trace_ != nullptr) {
-    round_admit_start_ns_.store(0, std::memory_order_relaxed);
-    trace_->RecordPhase(sealed_round, RoundPhase::kAdmit, admit_s);
-    trace_->RecordPhase(sealed_round, RoundPhase::kSeal, seal_s);
-    trace_->RecordPhase(sealed_round, RoundPhase::kMerge, merge_s);
-    trace_->RecordPhase(sealed_round, RoundPhase::kJournal, journal_s);
-    trace_->RecordPhase(sealed_round, RoundPhase::kCommit, commit_s);
-  }
+  round_admit_start_ns_.store(0, std::memory_order_relaxed);
+  RoundTrace& trace = telemetry_.trace();
+  trace.RecordPhase(sealed_round, RoundPhase::kAdmit, admit_s);
+  trace.RecordPhase(sealed_round, RoundPhase::kSeal, seal_s);
+  trace.RecordPhase(sealed_round, RoundPhase::kMerge, merge_s);
+  trace.RecordPhase(sealed_round, RoundPhase::kJournal, journal_s);
+  trace.RecordPhase(sealed_round, RoundPhase::kCommit, commit_s);
   // Fire the commit hook only when the boundary record reached every shard's
   // journal: a checkpoint captured here must never describe a round the
   // journal does not hold, or recovery could not bridge from checkpoint to

@@ -57,6 +57,11 @@
 // capped at kMaxStreamIndex; Tick() fails with kResourceExhausted (round
 // intact, retryable) instead of overflowing into the engine.
 //
+// Telemetry: the session records into the Telemetry it is built with (a
+// service passes its own) — per-shard event counters and gauges on every
+// admission, the seal/merge/commit histograms and RoundTrace phases on every
+// Tick. There is no detached mode.
+//
 // All entry points validate and return retrasyn::Status instead of crashing.
 
 #ifndef RETRASYN_SERVICE_INGEST_SESSION_H_
@@ -96,12 +101,6 @@ struct IngestSessionOptions {
   /// User shards (>= 1). Events route to shard ShardOf(user, num_shards);
   /// each shard has its own mutex, state slice, and journal stream.
   int num_shards = 1;
-  /// Service-owned telemetry bundle (not owned; may be null). When attached,
-  /// ingest counters register in its registry, Tick() phases land in its
-  /// RoundTrace, and boundary poisonings record a first-failure. When null
-  /// the session registers its counters in a private registry, so the hot
-  /// path updates them unconditionally.
-  Telemetry* telemetry = nullptr;
 };
 
 /// \brief Everything a checkpoint needs to reconstruct a session at a round
@@ -138,8 +137,12 @@ class IngestSession {
   /// passed by value so an asynchronous handler can take ownership.
   using RoundHandler = std::function<Status(TimestampBatch batch)>;
 
+  /// \p telemetry (not owned; must outlive the session) receives the
+  /// per-shard event counters and gauges, the Tick() phase histograms and
+  /// RoundTrace phases, and the first-failure record of a boundary
+  /// poisoning. A TrajectoryService passes its own.
   IngestSession(const StateSpace& states, RoundHandler handler,
-                IngestSessionOptions options = {});
+                Telemetry& telemetry, IngestSessionOptions options = {});
 
   /// The shard \p user's events route to under \p num_shards shards — a
   /// mixed hash, so sequential user ids spread evenly. Producer threads that
@@ -280,8 +283,8 @@ class IngestSession {
     /// two swap when the sorted run lands here. Grown with entries at the
     /// first seal.
     std::vector<SealedEntry> radix_scratch GUARDED_BY(mu);
-    /// Registry-backed counters (stable pointers into registry_; set once in
-    /// the constructor).
+    /// Registry-backed counters (stable pointers into the telemetry
+    /// registry; set once in the constructor, never null).
     Counter* accepted_metric = nullptr;
     Counter* rejected_metric = nullptr;
     Gauge* pending_metric = nullptr;
@@ -356,7 +359,7 @@ class IngestSession {
   /// Registers the session's metrics (called once from the constructor).
   void RegisterMetrics();
   /// Stamps the wall of the first event admitted into the open round, for
-  /// the RoundTrace admit phase. Only called when a trace is attached.
+  /// the RoundTrace admit phase.
   void NoteAdmission();
 
   const StateSpace* states_;
@@ -397,14 +400,9 @@ class IngestSession {
   mutable Mutex obs_pool_mu_;
   std::vector<std::vector<UserObservation>> obs_pool_ GUARDED_BY(obs_pool_mu_);
 
-  // Telemetry plumbing. registry_ always points at a live registry — the
-  // service's (options_.telemetry) or the session-private owned_registry_ —
-  // so the Tick-phase aggregates and shard counters have exactly one home.
-  // trace_/telemetry_ stay null when detached; those paths are skipped.
-  Telemetry* telemetry_ = nullptr;
-  std::unique_ptr<MetricsRegistry> owned_registry_;
-  MetricsRegistry* registry_ = nullptr;
-  RoundTrace* trace_ = nullptr;
+  // Telemetry plumbing: the metric pointers below are registered in
+  // telemetry_ by the constructor and never null.
+  Telemetry& telemetry_;
   Counter* rounds_sealed_metric_ = nullptr;
   Counter* entries_merged_metric_ = nullptr;
   Counter* obs_buffers_reused_metric_ = nullptr;
@@ -413,7 +411,7 @@ class IngestSession {
   LatencyHistogram* commit_hist_ = nullptr;
   /// Steady-clock stamp of the first event admitted into the open round
   /// (0 = none yet); CAS-set by producers, consumed by Tick for the admit
-  /// phase. Only touched when trace_ is attached.
+  /// phase.
   std::atomic<int64_t> round_admit_start_ns_{0};
 
   // Index lifecycle (window >= 1 only; both containers stay empty

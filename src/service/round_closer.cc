@@ -7,31 +7,29 @@
 
 namespace retrasyn {
 
-RoundCloser::RoundCloser(Options options, CloseFn close, DeliverFn deliver)
+RoundCloser::RoundCloser(Options options, Telemetry& telemetry, CloseFn close,
+                         DeliverFn deliver)
     : options_(options), close_(std::move(close)),
-      deliver_(std::move(deliver)) {
+      deliver_(std::move(deliver)), telemetry_(telemetry) {
   RETRASYN_CHECK(options_.queue_capacity >= 1);
   RETRASYN_CHECK(close_ != nullptr);
   RETRASYN_CHECK(deliver_ != nullptr);
-  if (options_.telemetry != nullptr) {
-    telemetry_ = options_.telemetry;
-    MetricsRegistry& registry = telemetry_->registry();
-    queue_depth_metric_ = registry.GetGauge(
-        "retrasyn_closer_queue_depth",
-        "Sealed rounds waiting for the async closer worker");
-    queue_wait_hist_ = registry.GetHistogram(
-        "retrasyn_closer_queue_wait_seconds",
-        "Time a sealed round waited in the closer queue");
-    close_hist_ = registry.GetHistogram(
-        "retrasyn_closer_close_seconds",
-        "Close-callback duration on the closer worker (Observe + release)");
-    backpressure_blocks_metric_ = registry.GetCounter(
-        "retrasyn_closer_backpressure_blocks_total",
-        "Submit() calls that blocked on a full queue (kBlock policy)");
-    poisonings_metric_ = registry.GetCounter(
-        "retrasyn_closer_poisonings_total",
-        "Pipeline poisonings (close or delivery failures)");
-  }
+  MetricsRegistry& registry = telemetry_.registry();
+  queue_depth_metric_ = registry.GetGauge(
+      "retrasyn_closer_queue_depth",
+      "Sealed rounds waiting for the async closer worker");
+  queue_wait_hist_ = registry.GetHistogram(
+      "retrasyn_closer_queue_wait_seconds",
+      "Time a sealed round waited in the closer queue");
+  close_hist_ = registry.GetHistogram(
+      "retrasyn_closer_close_seconds",
+      "Close-callback duration on the closer worker (Observe + release)");
+  backpressure_blocks_metric_ = registry.GetCounter(
+      "retrasyn_closer_backpressure_blocks_total",
+      "Submit() calls that blocked on a full queue (kBlock policy)");
+  poisonings_metric_ = registry.GetCounter(
+      "retrasyn_closer_poisonings_total",
+      "Pipeline poisonings (close or delivery failures)");
   closer_ = std::thread([this] { CloserLoop(); });
   delivery_ = std::thread([this] { DeliveryLoop(); });
 }
@@ -51,9 +49,9 @@ void RoundCloser::PoisonLocked(const Status& error) {
   finished_ += rounds_.size() + releases_.size();
   rounds_.clear();
   releases_.clear();
-  if (poisonings_metric_ != nullptr) poisonings_metric_->Increment();
-  if (queue_depth_metric_ != nullptr) queue_depth_metric_->Set(0);
-  if (telemetry_ != nullptr) telemetry_->RecordFailure("closer", error);
+  poisonings_metric_->Increment();
+  queue_depth_metric_->Set(0);
+  telemetry_.RecordFailure("closer", error);
 }
 
 Status RoundCloser::Submit(TimestampBatch batch) {
@@ -66,9 +64,7 @@ Status RoundCloser::Submit(TimestampBatch batch) {
           " sealed batches); the closer has fallen behind — retry the Tick "
           "later or use BackpressurePolicy::kBlock");
     }
-    if (backpressure_blocks_metric_ != nullptr) {
-      backpressure_blocks_metric_->Increment();
-    }
+    backpressure_blocks_metric_->Increment();
     while (!stop_ && error_.ok() &&
            rounds_.size() >= options_.queue_capacity) {
       cv_.Wait(mu_);
@@ -79,9 +75,7 @@ Status RoundCloser::Submit(TimestampBatch batch) {
   rounds_.push_back(QueuedRound{std::move(batch),
                                 std::chrono::steady_clock::now()});
   ++submitted_;
-  if (queue_depth_metric_ != nullptr) {
-    queue_depth_metric_->Set(static_cast<int64_t>(rounds_.size()));
-  }
+  queue_depth_metric_->Set(static_cast<int64_t>(rounds_.size()));
   cv_.NotifyAll();
   return Status::OK();
 }
@@ -116,21 +110,17 @@ void RoundCloser::CloserLoop() {
     if (stop_) break;
     QueuedRound queued = std::move(rounds_.front());
     rounds_.pop_front();
-    if (queue_depth_metric_ != nullptr) {
-      queue_depth_metric_->Set(static_cast<int64_t>(rounds_.size()));
-    }
+    queue_depth_metric_->Set(static_cast<int64_t>(rounds_.size()));
     cv_.NotifyAll();  // a queue slot freed for a blocked Submit
     mu_.Unlock();
-    if (queue_wait_hist_ != nullptr) {
-      queue_wait_hist_->Record(std::chrono::duration<double>(
-                                   std::chrono::steady_clock::now() -
-                                   queued.enqueued)
-                                   .count());
-    }
+    queue_wait_hist_->Record(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      queued.enqueued)
+            .count());
     TimestampBatch batch = std::move(queued.batch);
     Stopwatch close_watch;
     Result<RoundRelease> release = close_(batch);
-    if (close_hist_ != nullptr) close_hist_->Record(close_watch.ElapsedSeconds());
+    close_hist_->Record(close_watch.ElapsedSeconds());
     if (options_.recycle) options_.recycle(std::move(batch));
     mu_.Lock();
     if (!release.ok()) {

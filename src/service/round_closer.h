@@ -13,13 +13,16 @@
 // makes from the ingest thread — so for a fixed seed the release sequence
 // is byte-identical to Inline.
 //
-// Stream-index retirement (IngestSessionOptions::window >= 1) rides this
-// pipeline: the engine retires quitted indices inside the close step —
-// on the closer worker under kAsync — and the resulting RoundRelease carries
-// them to sinks in round order. The ingest thread never reads that state; it
-// derives the identical retirement independently from the batch sequence
-// (IngestSession), which is what keeps Inline and Async assignments
+// Stream-index retirement (IngestSessionOptions::window >= 1) never crosses
+// this pipeline: the engine retires quitted indices inside the close step —
+// on the closer worker under kAsync — while the ingest thread derives the
+// identical retirement independently from the batch sequence
+// (IngestSession). That is what keeps Inline and Async assignments
 // byte-identical even though the closer lags the ingest thread.
+//
+// Telemetry: the closer registers its queue-depth gauge, queue-wait and
+// close histograms, backpressure and poisoning counters in the Telemetry
+// it is built with, and records the first failure there.
 //
 // Failure: the first non-OK status from either callback poisons the
 // pipeline. Queued rounds are dropped, and the error is returned (sticky)
@@ -66,13 +69,11 @@ class RoundCloser {
     /// observation vector can return to the session's reuse pool instead of
     /// being freed. Optional.
     std::function<void(TimestampBatch&&)> recycle;
-    /// Service-owned telemetry (not owned; may be null): queue depth gauge,
-    /// queue-wait + close latency histograms, backpressure blocks, and the
-    /// sticky-error poisoning counter + first-failure record.
-    Telemetry* telemetry = nullptr;
   };
 
-  RoundCloser(Options options, CloseFn close, DeliverFn deliver);
+  /// \p telemetry is the service's (not owned; must outlive the closer).
+  RoundCloser(Options options, Telemetry& telemetry, CloseFn close,
+              DeliverFn deliver);
   ~RoundCloser();
 
   RoundCloser(const RoundCloser&) = delete;
@@ -115,8 +116,8 @@ class RoundCloser {
     std::chrono::steady_clock::time_point enqueued;
   };
 
-  // Telemetry (all null when detached; hot path is a null check).
-  Telemetry* telemetry_ = nullptr;
+  // Telemetry, registered by the constructor; never null.
+  Telemetry& telemetry_;
   Gauge* queue_depth_metric_ = nullptr;
   LatencyHistogram* queue_wait_hist_ = nullptr;
   LatencyHistogram* close_hist_ = nullptr;

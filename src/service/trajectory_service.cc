@@ -101,7 +101,8 @@ JournalOptions JournalOptionsFor(const ServiceOptions& options,
 /// flat or sharded (the Create factories must not append to a journal they
 /// did not replay — Recover owns that path).
 Result<std::vector<std::unique_ptr<JournalWriter>>> MaybeOpenJournals(
-    const ServiceOptions& options, bool require_fresh, uint64_t fingerprint) {
+    const ServiceOptions& options, bool require_fresh, uint64_t fingerprint,
+    Telemetry& telemetry) {
   std::vector<std::unique_ptr<JournalWriter>> journals;
   if (options.journal_dir.empty()) {
     return journals;
@@ -138,7 +139,7 @@ Result<std::vector<std::unique_ptr<JournalWriter>>> MaybeOpenJournals(
   RETRASYN_RETURN_NOT_OK(CreateDirIfMissing(options.journal_dir));
   const JournalOptions journal = JournalOptionsFor(options, fingerprint);
   for (const std::string& dir : JournalDirsFor(options)) {
-    auto writer = JournalWriter::Open(dir, journal);
+    auto writer = JournalWriter::Open(dir, journal, telemetry);
     if (!writer.ok()) return writer.status();
     journals.push_back(std::move(writer).value());
   }
@@ -184,14 +185,14 @@ Status CheckCheckpointable(const ServiceOptions& options,
 /// behind.
 Result<std::unique_ptr<CheckpointManager>> MaybeOpenCheckpoints(
     const ServiceOptions& options, int window, const StateSpace& states,
-    uint64_t fingerprint, bool require_fresh) {
+    uint64_t fingerprint, bool require_fresh, Telemetry& telemetry) {
   if (options.checkpoint_every_rounds <= 0) {
     return std::unique_ptr<CheckpointManager>();
   }
   return CheckpointManager::Open(
       CheckpointOptionsFor(options, window, fingerprint,
                            states.grid().Describe()),
-      require_fresh);
+      require_fresh, telemetry);
 }
 
 }  // namespace
@@ -202,25 +203,20 @@ TrajectoryService::TrajectoryService(
     : states_(&states),
       engine_(std::move(engine)),
       retrasyn_(dynamic_cast<RetraSynEngine*>(engine_.get())) {
-  if (options.enable_telemetry) {
-    telemetry_ = std::make_unique<Telemetry>();
-    MetricsRegistry& registry = telemetry_->registry();
-    close_hist_ = registry.GetHistogram(
-        "retrasyn_service_close_seconds",
-        "Round close step (engine Observe + release construction)");
-    deliver_hist_ = registry.GetHistogram(
-        "retrasyn_service_delivery_seconds",
-        "Sink fan-out for one round's release");
-    trace_ = &telemetry_->trace();
-    engine_->AttachTelemetry(telemetry_.get());
-  }
+  MetricsRegistry& registry = telemetry_.registry();
+  close_hist_ = registry.GetHistogram(
+      "retrasyn_service_close_seconds",
+      "Round close step (engine Observe + release construction)");
+  deliver_hist_ = registry.GetHistogram(
+      "retrasyn_service_delivery_seconds",
+      "Sink fan-out for one round's release");
+  engine_->AttachTelemetry(&telemetry_);
   IngestSessionOptions session_options;
   session_options.window = window();
   session_options.num_shards = options.ingest_shards;
-  session_options.telemetry = telemetry_.get();
   session_ = std::make_unique<IngestSession>(
       states, [this](TimestampBatch batch) { return OnRound(std::move(batch)); },
-      session_options);
+      telemetry_, session_options);
   if (options.checkpoint_every_rounds > 0) {
     // The session half of a due checkpoint, captured on the ingest thread the
     // moment the round boundary is durable in the journal (the hook only
@@ -286,9 +282,8 @@ void TrajectoryService::ArmCloser(const ServiceOptions& options) {
   closer_options.recycle = [this](TimestampBatch&& batch) {
     session_->RecycleBatch(std::move(batch));
   };
-  closer_options.telemetry = telemetry_.get();
   closer_ = std::make_unique<RoundCloser>(
-      closer_options,
+      closer_options, telemetry_,
       [this](const TimestampBatch& batch) { return CloseRound(batch); },
       [this](const RoundRelease& round) { return Deliver(round); });
 }
@@ -296,9 +291,6 @@ void TrajectoryService::ArmCloser(const ServiceOptions& options) {
 void TrajectoryService::AttachJournals(
     std::vector<std::unique_ptr<JournalWriter>> journals) {
   journals_ = std::move(journals);
-  for (std::unique_ptr<JournalWriter>& journal : journals_) {
-    journal->AttachTelemetry(telemetry_.get());
-  }
   session_->AttachJournals(RawJournals(journals_));
 }
 
@@ -307,7 +299,6 @@ void TrajectoryService::AttachCheckpoint(
   checkpoint_ = std::move(checkpoint);
   if (checkpoint_ == nullptr) return;
   checkpoint_->AttachJournals(RawJournals(journals_));
-  checkpoint_->AttachTelemetry(telemetry_.get());
 }
 
 TrajectoryService::~TrajectoryService() {
@@ -368,11 +359,12 @@ Result<std::unique_ptr<TrajectoryService>> TrajectoryService::CreateWithEngine(
       new TrajectoryService(states, std::move(engine), options));
   RETRASYN_RETURN_NOT_OK(CheckCheckpointable(options, service->retrasyn_));
   const uint64_t fingerprint = service->DeploymentFingerprint();
-  auto checkpoint = MaybeOpenCheckpoints(options, service->window(), states,
-                                         fingerprint, /*require_fresh=*/true);
+  auto checkpoint =
+      MaybeOpenCheckpoints(options, service->window(), states, fingerprint,
+                           /*require_fresh=*/true, service->telemetry_);
   if (!checkpoint.ok()) return checkpoint.status();
-  auto journals =
-      MaybeOpenJournals(options, /*require_fresh=*/true, fingerprint);
+  auto journals = MaybeOpenJournals(options, /*require_fresh=*/true,
+                                    fingerprint, service->telemetry_);
   if (!journals.ok()) return journals.status();
   service->AttachJournals(std::move(journals).value());
   service->AttachCheckpoint(std::move(checkpoint).value());
@@ -592,30 +584,29 @@ Result<std::unique_ptr<TrajectoryService>> TrajectoryService::RecoverWithEngine(
       if (!lock.ok()) return lock.status();
       locks[s] = std::move(lock).value();
     }
-    auto writer = JournalWriter::OpenLocked(dirs[s], journal_options,
-                                            std::move(locks[s]));
+    auto writer = JournalWriter::OpenLocked(
+        dirs[s], journal_options, std::move(locks[s]), service->telemetry_);
     if (!writer.ok()) return writer.status();
     writer.value()->set_base_round(service->rounds_closed());
     writers.push_back(std::move(writer).value());
   }
   service->AttachJournals(std::move(writers));
-  if (service->telemetry_ != nullptr) {
-    // The recovery fallback-ladder depth: how many corrupt checkpoints
-    // LoadForRecovery deleted before finding a usable one (0 on a clean
-    // recovery or when checkpointing is off).
-    service->telemetry_->registry()
-        .GetGauge("retrasyn_recovery_corrupt_checkpoints_skipped",
-                  "Corrupt checkpoints deleted by the last recovery's "
-                  "newest-first fallback ladder")
-        ->Set(corrupt_skipped);
-  }
+  // The recovery fallback-ladder depth: how many corrupt checkpoints
+  // LoadForRecovery deleted before finding a usable one (0 on a clean
+  // recovery or when checkpointing is off).
+  service->telemetry_.registry()
+      .GetGauge("retrasyn_recovery_corrupt_checkpoints_skipped",
+                "Corrupt checkpoints deleted by the last recovery's "
+                "newest-first fallback ladder")
+      ->Set(corrupt_skipped);
 
   // Then the checkpoint subsystem, seeded with the recovered manifest, the
   // surviving checkpoints, and the scanned segments (its future retirement
   // candidates, per shard journal).
   if (options.checkpoint_every_rounds > 0) {
-    auto manager = MaybeOpenCheckpoints(options, service->window(), states,
-                                        fingerprint, /*require_fresh=*/false);
+    auto manager =
+        MaybeOpenCheckpoints(options, service->window(), states, fingerprint,
+                             /*require_fresh=*/false, service->telemetry_);
     if (!manager.ok()) return manager.status();
     service->AttachCheckpoint(std::move(manager).value());
     std::vector<std::vector<ScannedSegment>> segments_per_journal;
@@ -753,10 +744,7 @@ Status TrajectoryService::OnRound(TimestampBatch batch) {
   Status delivered = Deliver(release.value());
   if (!delivered.ok()) {
     inline_error_ = delivered;
-    if (telemetry_ != nullptr) {
-      telemetry_->RecordFailure("inline_delivery", delivered,
-                                release.value().t);
-    }
+    telemetry_.RecordFailure("inline_delivery", delivered, release.value().t);
   }
   return Status::OK();
 }
@@ -766,11 +754,6 @@ Result<RoundRelease> TrajectoryService::CloseRound(const TimestampBatch& batch) 
   engine_->Observe(batch);
   RoundRelease round;
   round.t = batch.t;
-  // Surface the engine's retired-index set on the round-handler path. Under
-  // SyncPolicy::kAsync both the retire (inside Observe) and this copy happen
-  // on the closer worker — the ingest thread's own, independently derived
-  // retirement never races it.
-  if (retrasyn_ != nullptr) round.retired = retrasyn_->retired_last_round();
   if (checkpoint_ != nullptr && checkpoint_->DueAt(batch.t)) {
     // Engine half of the due checkpoint, captured right after Observe on the
     // round-closing thread. Spilling first keeps the dense state and the
@@ -797,11 +780,9 @@ Result<RoundRelease> TrajectoryService::CloseRound(const TimestampBatch& batch) 
     round.density = engine_->LiveDensity();
     for (uint32_t c : round.density) round.active += c;
   }
-  if (close_hist_ != nullptr) {
-    const double close_seconds = close_watch.ElapsedSeconds();
-    close_hist_->Record(close_seconds);
-    trace_->RecordPhase(batch.t, RoundPhase::kClose, close_seconds);
-  }
+  const double close_seconds = close_watch.ElapsedSeconds();
+  close_hist_->Record(close_seconds);
+  telemetry_.trace().RecordPhase(batch.t, RoundPhase::kClose, close_seconds);
   return round;
 }
 
@@ -815,17 +796,11 @@ Status TrajectoryService::Deliver(const RoundRelease& round) {
   for (ReleaseSink* sink : sinks) {
     RETRASYN_RETURN_NOT_OK(sink->OnRound(round));
   }
-  if (deliver_hist_ != nullptr) {
-    const double deliver_seconds = deliver_watch.ElapsedSeconds();
-    deliver_hist_->Record(deliver_seconds);
-    trace_->RecordPhase(round.t, RoundPhase::kDeliver, deliver_seconds);
-  }
+  const double deliver_seconds = deliver_watch.ElapsedSeconds();
+  deliver_hist_->Record(deliver_seconds);
+  telemetry_.trace().RecordPhase(round.t, RoundPhase::kDeliver,
+                                 deliver_seconds);
   return Status::OK();
-}
-
-TelemetrySnapshot TrajectoryService::telemetry() const {
-  if (telemetry_ == nullptr) return TelemetrySnapshot();
-  return telemetry_->Snapshot();
 }
 
 Status TrajectoryService::Drain() {

@@ -149,13 +149,12 @@ class TrajectoryService {
 
   const StreamReleaseEngine& engine() const { return *engine_; }
 
-  /// Snapshot of the unified telemetry subsystem: every registered metric
-  /// (counters, gauges, latency histograms across ingest, closing,
-  /// synthesis, journal, and checkpoint), the recent per-round phase traces,
-  /// and the first sticky failure. `enabled` is false — and everything else
-  /// empty — when ServiceOptions::enable_telemetry is off. Render with
+  /// Snapshot of the service's telemetry, which every service records:
+  /// every registered metric (counters, gauges, latency histograms across
+  /// ingest, closing, synthesis, journal, and checkpoint), the recent
+  /// per-round phase traces, and the first sticky failure. Render with
   /// PrometheusText() (telemetry/prometheus_writer.h) for scraping.
-  TelemetrySnapshot telemetry() const;
+  TelemetrySnapshot telemetry() const { return telemetry_.Snapshot(); }
 
   /// The attached event journal — shard 0's under sharded ingestion;
   /// nullptr when journaling is disabled.
@@ -221,10 +220,10 @@ class TrajectoryService {
   /// Fans \p round out to the subscribed sinks, stopping at the first error.
   Status Deliver(const RoundRelease& round);
 
-  /// Declared first so it is destroyed LAST: every component below holds raw
-  /// pointers into its registry/trace until its own destructor runs. Null
-  /// when telemetry is disabled.
-  std::unique_ptr<Telemetry> telemetry_;
+  /// Declared first so it is destroyed LAST: every component below holds a
+  /// reference to it or raw pointers into its registry/trace until its own
+  /// destructor runs.
+  Telemetry telemetry_;
 
   const StateSpace* states_;
   std::unique_ptr<StreamReleaseEngine> engine_;
@@ -249,12 +248,12 @@ class TrajectoryService {
   /// there), so unguarded by design.
   Status inline_error_;
 
-  // Service-level round timing (null when telemetry is off): the close and
-  // delivery phases as the service sees them, on whichever thread runs them
-  // (ingest under kInline, the closer/delivery workers under kAsync).
+  // Service-level round timing (registered by the constructor, never null):
+  // the close and delivery phases as the service sees them, on whichever
+  // thread runs them (ingest under kInline, the closer/delivery workers
+  // under kAsync).
   LatencyHistogram* close_hist_ = nullptr;
   LatencyHistogram* deliver_hist_ = nullptr;
-  RoundTrace* trace_ = nullptr;
 };
 
 }  // namespace retrasyn

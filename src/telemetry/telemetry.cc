@@ -29,7 +29,6 @@ FirstFailure Telemetry::first_failure() const {
 
 TelemetrySnapshot Telemetry::Snapshot() const {
   TelemetrySnapshot snap;
-  snap.enabled = true;
   snap.metrics = registry_.Collect();
   snap.recent_rounds = trace_.Snapshot();
   snap.first_failure = first_failure();

@@ -1,12 +1,15 @@
 // The per-service telemetry bundle: one MetricsRegistry + one RoundTrace +
-// the sticky first-failure record. A TrajectoryService owns exactly one
-// Telemetry (when enabled) and hands raw pointers to every layer at attach
-// time; components treat a null Telemetry* as "detached" and skip all
-// recording, which is how the telemetry-off configuration stays zero-cost.
+// the sticky first-failure record. A TrajectoryService always owns exactly
+// one Telemetry and hands it by reference to every layer it builds (ingest
+// session, round closer, journal writers, checkpoint manager), which
+// register their metrics at construction and record unconditionally. Only
+// a bare engine (RetraSynEngine / Synthesizer, the batch pipeline) has a
+// detached mode: its AttachTelemetry is optional, and the CI gate
+// `bench_round_latency --telemetry_budget` measures what attaching costs.
 //
-// Everything here is observation-only. Attaching or detaching telemetry
-// never changes released bytes -- the same invariant class as
-// Inline-vs-Async (tested in tests/service/telemetry_test.cc).
+// Everything here is observation-only. Attaching telemetry never changes
+// released bytes (EngineTest.TelemetryIsObservationOnly in
+// tests/core/engine_test.cc).
 
 #ifndef RETRASYN_TELEMETRY_TELEMETRY_H_
 #define RETRASYN_TELEMETRY_TELEMETRY_H_
@@ -38,7 +41,6 @@ struct FirstFailure {
 /// Consistent point-in-time view of the whole subsystem, returned by
 /// TrajectoryService::telemetry() and consumed by the Prometheus writer.
 struct TelemetrySnapshot {
-  bool enabled = false;
   std::vector<MetricSample> metrics;
   std::vector<RoundSpanSnapshot> recent_rounds;
   FirstFailure first_failure;

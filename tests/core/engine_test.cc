@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/synthesizer.h"
 #include "geo/grid.h"
 #include "stream/random_walk_generator.h"
+#include "telemetry/telemetry.h"
 
 namespace retrasyn {
 namespace {
@@ -194,13 +196,62 @@ TEST(EngineTest, DeterministicGivenSeed) {
 }
 
 TEST(EngineTest, ComponentTimesAccumulate) {
+  // The four Table V components are timed into the engine's histograms,
+  // one sample per observed round each.
   const EngineFixture fx(30, 60);
   RetraSynEngine engine(fx.states, BaseConfig(DivisionStrategy::kPopulation,
                                               AllocationKind::kAdaptive));
+  Telemetry telemetry;
+  engine.AttachTelemetry(&telemetry);
   fx.Run(engine);
-  const ComponentTimes& times = engine.component_times();
-  EXPECT_EQ(times.synthesis.count(), 30);
-  EXPECT_GE(times.TotalMeanPerTimestamp(), 0.0);
+  for (const char* name : {"retrasyn_engine_user_side_seconds",
+                           "retrasyn_engine_model_construction_seconds",
+                           "retrasyn_engine_dmu_seconds",
+                           "retrasyn_engine_synthesis_seconds"}) {
+    const LatencyHistogram* hist = telemetry.registry().GetHistogram(name, "");
+    EXPECT_EQ(hist->Count(), 30u) << name;
+  }
+  EXPECT_GT(telemetry.registry()
+                .GetHistogram("retrasyn_engine_synthesis_seconds", "")
+                ->SumSeconds(),
+            0.0);
+}
+
+TEST(EngineTest, TelemetryIsObservationOnly) {
+  // A bare engine is the one layer with a detached mode. Attached or
+  // detached, it must release the same bytes, also when the rounds split
+  // into several synthesis chunks that draw from forked RNGs.
+  constexpr int64_t kHorizon = 8;
+  const EngineFixture fx(kHorizon, 12000);
+  const RetraSynConfig config =
+      BaseConfig(DivisionStrategy::kPopulation, AllocationKind::kAdaptive);
+  RetraSynEngine attached(fx.states, config);
+  RetraSynEngine detached(fx.states, config);
+  Telemetry telemetry;
+  attached.AttachTelemetry(&telemetry);
+  int last_round_chunks = 0;
+  for (int64_t t = 0; t < kHorizon; ++t) {
+    // The live count entering a round is that round's work size.
+    last_round_chunks =
+        Synthesizer::EffectiveChunks(attached.synthesizer().num_live());
+    const TimestampBatch batch = fx.feeder->Batch(t);
+    attached.Observe(batch);
+    detached.Observe(batch);
+    ASSERT_EQ(attached.LiveDensity(), detached.LiveDensity()) << "t=" << t;
+  }
+  ASSERT_GE(last_round_chunks, 4);
+  EXPECT_EQ(telemetry.registry()
+                .GetCounter("retrasyn_engine_rounds_observed_total", "")
+                ->Value(),
+            static_cast<uint64_t>(kHorizon));
+
+  const CellStreamSet a = attached.SnapshotRelease(kHorizon);
+  const CellStreamSet b = detached.SnapshotRelease(kHorizon);
+  ASSERT_EQ(a.streams().size(), b.streams().size());
+  for (size_t i = 0; i < a.streams().size(); ++i) {
+    ASSERT_EQ(a.streams()[i].enter_time, b.streams()[i].enter_time) << i;
+    ASSERT_EQ(a.streams()[i].cells, b.streams()[i].cells) << i;
+  }
 }
 
 TEST(EngineTest, ReportsNeverExceedOnePerUserPerWindow) {

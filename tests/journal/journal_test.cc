@@ -48,7 +48,8 @@ std::vector<JournalEvent> SampleWorkload(int rounds, int users) {
 
 Status WriteAll(const std::string& dir, const JournalOptions& options,
                 const std::vector<JournalEvent>& events) {
-  auto writer = JournalWriter::Open(dir, options);
+  Telemetry telemetry;
+  auto writer = JournalWriter::Open(dir, options, telemetry);
   RETRASYN_RETURN_NOT_OK(writer.status());
   for (const JournalEvent& e : events) {
     RETRASYN_RETURN_NOT_OK(writer.value()->Append(e));
@@ -100,7 +101,8 @@ TEST(JournalTest, RotatesAtRoundBoundariesOnly) {
   options.segment_bytes = JournalOptions::kMinSegmentBytes;  // rotate often
   const std::vector<JournalEvent> events = SampleWorkload(40, 20);
   {
-    auto writer = JournalWriter::Open(dir.path(), options);
+    Telemetry telemetry;
+    auto writer = JournalWriter::Open(dir.path(), options, telemetry);
     ASSERT_TRUE(writer.ok());
     for (const JournalEvent& e : events) {
       ASSERT_TRUE(writer.value()->Append(e).ok());
@@ -309,19 +311,21 @@ TEST(JournalWriterTest, SecondWriterOnTheSameDirIsRefused) {
   // supervisor restarting a service whose old process is still dying) into
   // a fast FailedPrecondition.
   TempDir dir;
-  auto first = JournalWriter::Open(dir.path(), JournalOptions());
+  Telemetry telemetry;
+  auto first = JournalWriter::Open(dir.path(), JournalOptions(), telemetry);
   ASSERT_TRUE(first.ok());
-  auto second = JournalWriter::Open(dir.path(), JournalOptions());
+  auto second = JournalWriter::Open(dir.path(), JournalOptions(), telemetry);
   EXPECT_EQ(second.status().code(), StatusCode::kFailedPrecondition);
   // Releasing the first writer (Close or destruction) frees the lock.
   ASSERT_TRUE(first.value()->Close().ok());
-  auto third = JournalWriter::Open(dir.path(), JournalOptions());
+  auto third = JournalWriter::Open(dir.path(), JournalOptions(), telemetry);
   EXPECT_TRUE(third.ok()) << third.status().ToString();
 }
 
 TEST(JournalWriterTest, AppendAfterCloseIsSticky) {
   TempDir dir;
-  auto writer = JournalWriter::Open(dir.path(), JournalOptions());
+  Telemetry telemetry;
+  auto writer = JournalWriter::Open(dir.path(), JournalOptions(), telemetry);
   ASSERT_TRUE(writer.ok());
   ASSERT_TRUE(writer.value()->Append(JournalEvent::Tick()).ok());
   ASSERT_TRUE(writer.value()->Close().ok());

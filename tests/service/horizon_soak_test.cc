@@ -264,8 +264,8 @@ TEST(HorizonSoakTest, ChurnReleaseByteIdenticalWithRecyclingOnAndOff) {
 TEST(HorizonSoakTest, ChurnInlineVsAsyncByteIdenticalWithRecycling) {
   // Retirement must be a function of the batch sequence alone: the async
   // closer lags the ingest thread, so any dependence on close timing would
-  // fork the index assignments. Releases, retired-index flow, and session
-  // accounting must all match Inline exactly.
+  // fork the index assignments. Releases, the engine's retirement count,
+  // and session accounting must all match Inline exactly.
   constexpr int64_t kRounds = 300;
   const BoundingBox box{0.0, 0.0, 100.0, 100.0};
   const auto grid_owner = MakeEnvGrid(box, 2);
@@ -296,24 +296,18 @@ TEST(HorizonSoakTest, ChurnInlineVsAsyncByteIdenticalWithRecycling) {
             async_service->session().num_free_indices());
 
   ASSERT_EQ(inline_sink.rounds().size(), async_sink.rounds().size());
-  uint64_t total_retired = 0;
   for (size_t i = 0; i < inline_sink.rounds().size(); ++i) {
     const RoundRelease& a = inline_sink.rounds()[i];
     const RoundRelease& b = async_sink.rounds()[i];
     EXPECT_EQ(a.t, b.t);
     EXPECT_EQ(a.density, b.density) << "t=" << a.t;
     EXPECT_EQ(a.active, b.active) << "t=" << a.t;
-    EXPECT_EQ(a.retired, b.retired) << "t=" << a.t;
-    total_retired += a.retired.size();
-    for (uint32_t index : a.retired) {
-      EXPECT_LT(index, inline_service->session().index_high_water());
-    }
   }
-  // The engine's retired flow agrees with the session's bookkeeping: every
-  // retired index was re-issuable, and the steady churn retired almost every
-  // started stream.
-  EXPECT_EQ(total_retired,
-            inline_service->retrasyn_engine()->total_retired());
+  // The engine retired as many indices on the closer worker as inline, and
+  // the steady churn retired almost every started stream.
+  const uint64_t total_retired =
+      inline_service->retrasyn_engine()->total_retired();
+  EXPECT_EQ(async_service->retrasyn_engine()->total_retired(), total_retired);
   EXPECT_GT(total_retired, static_cast<uint64_t>(kChurn * (kRounds / 2)));
 
   auto got = async_service->SnapshotRelease();

@@ -238,8 +238,10 @@ struct SessionUnderTest {
           batches.push_back(std::move(batch));
           return Status::OK();
         },
+        telemetry,
         options);
   }
+  Telemetry telemetry;  ///< declared first: outlives the session
   std::unique_ptr<IngestSession> session;
   std::vector<TimestampBatch> batches;
 };

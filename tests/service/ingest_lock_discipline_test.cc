@@ -37,13 +37,15 @@ struct Fixture {
 
   UniformGrid grid;
   StateSpace states;
+  Telemetry telemetry;
 };
 
 TEST(IngestLockDisciplineTest, AttachJournalConcurrentWithProducers) {
   Fixture fx;
   // One shard: the producer and every detach contend on the same lock.
-  IngestSession session(fx.states,
-                        [](const TimestampBatch&) { return Status::OK(); });
+  IngestSession session(
+      fx.states, [](const TimestampBatch&) { return Status::OK(); },
+      fx.telemetry);
   std::atomic<bool> stop{false};
   std::thread producer([&]() {
     uint64_t user = 0;
@@ -71,7 +73,8 @@ TEST(IngestLockDisciplineTest, AttachJournalsConcurrentWithShardedProducers) {
   IngestSessionOptions options;
   options.num_shards = 4;
   IngestSession session(
-      fx.states, [](const TimestampBatch&) { return Status::OK(); }, options);
+      fx.states, [](const TimestampBatch&) { return Status::OK(); },
+      fx.telemetry, options);
   std::atomic<bool> stop{false};
   std::vector<std::thread> producers;
   producers.reserve(2);
@@ -98,7 +101,8 @@ TEST(IngestLockDisciplineTest, RestoreConcurrentWithMonitoringReaders) {
   IngestSessionOptions options;
   options.num_shards = 4;
   IngestSession session(
-      fx.states, [](const TimestampBatch&) { return Status::OK(); }, options);
+      fx.states, [](const TimestampBatch&) { return Status::OK(); },
+      fx.telemetry, options);
 
   // A sizeable checkpoint keeps the restore busy long enough for the readers
   // to overlap it.

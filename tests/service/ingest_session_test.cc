@@ -29,10 +29,13 @@ struct SessionFixture {
 
   /// A session that records the closed batches.
   IngestSession MakeSession() {
-    return IngestSession(states, [this](const TimestampBatch& batch) {
-      batches.push_back(batch);
-      return Status::OK();
-    });
+    return IngestSession(
+        states,
+        [this](const TimestampBatch& batch) {
+          batches.push_back(batch);
+          return Status::OK();
+        },
+        telemetry);
   }
 
   Point CellPoint(uint32_t row, uint32_t col) const {
@@ -41,6 +44,7 @@ struct SessionFixture {
 
   UniformGrid grid;
   StateSpace states;
+  Telemetry telemetry;
   std::vector<TimestampBatch> batches;
 };
 
@@ -242,11 +246,9 @@ TEST(IngestSessionTest, NonAdjacentMoveClampedLikeFeeder) {
 TEST(IngestSessionTest, PeakPendingGaugeIsTheHighWaterMarkAcrossRounds) {
   SessionFixture fx;
   Telemetry telemetry;
-  IngestSessionOptions options;
-  options.telemetry = &telemetry;
   auto make_session = [&] {
     return std::make_unique<IngestSession>(
-        fx.states, [](TimestampBatch) { return Status::OK(); }, options);
+        fx.states, [](TimestampBatch) { return Status::OK(); }, telemetry);
   };
   const Gauge* pending_gauge = telemetry.registry().GetGauge(
       "retrasyn_ingest_pending_events", "", {{"shard", "0"}});
@@ -316,7 +318,7 @@ TEST(IngestSessionTest, BatchesIndependentOfArrivalOrder) {
     IngestSession session(fx.states, [&batches](const TimestampBatch& batch) {
       batches.push_back(batch);
       return Status::OK();
-    });
+    }, fx.telemetry);
     std::vector<uint64_t> users{1, 2, 3, 4, 5};
     if (reversed) std::reverse(users.begin(), users.end());
     for (uint64_t u : users) {
@@ -362,10 +364,11 @@ TEST(IngestSessionTest, ReplayMatchesStreamFeederBatches) {
   const StreamFeeder feeder(db, grid, states);
 
   std::vector<TimestampBatch> batches;
+  Telemetry telemetry;
   IngestSession session(states, [&batches](const TimestampBatch& batch) {
     batches.push_back(batch);
     return Status::OK();
-  });
+  }, telemetry);
   // Replay manually (stream indices as user ids), mirroring ReplayDatabase.
   for (int64_t t = 0; t < db.num_timestamps(); ++t) {
     for (uint32_t idx = 0; idx < db.streams().size(); ++idx) {
@@ -451,7 +454,7 @@ TEST(IngestSessionTest, FailedHandlerRetryIsByteIdentical) {
     IngestSession session(fx.states, [&clean](TimestampBatch batch) {
       clean.push_back(std::move(batch));
       return Status::OK();
-    });
+    }, fx.telemetry);
     for (int64_t t = 0; t < 4; ++t) {
       script(session, t);
       ASSERT_TRUE(session.Tick().ok());
@@ -470,7 +473,7 @@ TEST(IngestSessionTest, FailedHandlerRetryIsByteIdentical) {
                           }
                           flaky.push_back(std::move(batch));
                           return Status::OK();
-                        });
+                        }, fx.telemetry);
   for (int64_t t = 0; t < 4; ++t) {
     script(session, t);
     if (t == 2) {
@@ -536,7 +539,7 @@ TEST(IngestSessionTest, BatchInvariantUnderArrivalPermutations) {
     IngestSession session(fx.states, [&batches](TimestampBatch batch) {
       batches.push_back(std::move(batch));
       return Status::OK();
-    });
+    }, fx.telemetry);
     std::mt19937 shuffle_rng(shuffle_seed);
     for (int t = 0; t < kRounds; ++t) {
       std::vector<Event> events = rounds[t];
@@ -587,6 +590,7 @@ TEST(IngestSessionTest, RecyclesQuitIndexOncePastWindow) {
         batches.push_back(std::move(batch));
         return Status::OK();
       },
+      fx.telemetry,
       Recycling(/*window=*/2));
 
   // t=0: A (idx 0) and B (idx 1) enter.
@@ -634,6 +638,7 @@ TEST(IngestSessionTest, RecycledIndicesReusedOldestFirst) {
         batches.push_back(std::move(batch));
         return Status::OK();
       },
+      fx.telemetry,
       Recycling(/*window=*/1));
 
   // Three streams enter; they quit in rounds 1 (idx 1), 2 (idx 0 and 2).
@@ -670,7 +675,7 @@ TEST(IngestSessionTest, RecyclingOffKeepsCumulativeIndices) {
   IngestSession session(fx.states, [&batches](TimestampBatch batch) {
     batches.push_back(std::move(batch));
     return Status::OK();
-  });
+  }, fx.telemetry);
   ASSERT_TRUE(session.Enter(1, fx.CellPoint(0, 0)).ok());
   ASSERT_TRUE(session.Tick().ok());
   ASSERT_TRUE(session.Quit(1).ok());
@@ -702,6 +707,7 @@ TEST(IngestSessionTest, FailedHandlerRetryDoesNotConsumeRecycledIndices) {
         batches.push_back(std::move(batch));
         return Status::OK();
       },
+      fx.telemetry,
       Recycling(/*window=*/1));
 
   ASSERT_TRUE(session.Enter(1, fx.CellPoint(0, 0)).ok());
@@ -726,7 +732,7 @@ TEST(IngestSessionTest, StreamIndexCapReturnsResourceExhausted) {
   IngestSession session(fx.states, [&batches](TimestampBatch batch) {
     batches.push_back(std::move(batch));
     return Status::OK();
-  });
+  }, fx.telemetry);
   session.set_next_stream_index_for_testing(kMaxStreamIndex - 1);
 
   // Two fresh enters need indices {cap-1, cap}; the second overflows, so the
@@ -764,6 +770,7 @@ TEST(IngestSessionTest, StreamIndexCapReachableWithRecyclingOn) {
         batches.push_back(std::move(batch));
         return Status::OK();
       },
+      fx.telemetry,
       Recycling(/*window=*/1));
   session.set_next_stream_index_for_testing(kMaxStreamIndex - 1);
 

@@ -1,8 +1,8 @@
 // Acceptance tests for the unified telemetry subsystem at the service layer:
-// telemetry is observation-only (released bytes are byte-identical attached
-// vs detached, under both sync policies), the snapshot reflects the actual
-// pipeline activity, disabling yields an empty snapshot, and sink failures
-// land in the sticky first-failure record.
+// every service records, the snapshot reflects the actual pipeline activity,
+// and sink failures land in the sticky first-failure record. That telemetry
+// is observation-only is pinned at the engine, the one layer with a
+// detached mode (EngineTest.TelemetryIsObservationOnly).
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/file_io.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "geo/grid.h"
@@ -21,6 +22,20 @@
 
 namespace retrasyn {
 namespace {
+
+class TempDir {
+ public:
+  TempDir() {
+    auto dir = MakeTempDir("retrasyn-telemetry-");
+    EXPECT_TRUE(dir.ok()) << dir.status().ToString();
+    path_ = std::move(dir).value();
+  }
+  ~TempDir() { RemoveDirTree(path_).CheckOK(); }
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 struct DeviceTrace {
   int64_t enter_time = 0;
@@ -81,80 +96,12 @@ void DriveRounds(IngestSession& session, const std::vector<DeviceTrace>& traces,
   }
 }
 
-void ExpectSameRelease(const CellStreamSet& a, const CellStreamSet& b) {
-  ASSERT_EQ(a.num_timestamps(), b.num_timestamps());
-  ASSERT_EQ(a.streams().size(), b.streams().size());
-  ASSERT_EQ(a.TotalPoints(), b.TotalPoints());
-  for (size_t i = 0; i < a.streams().size(); ++i) {
-    EXPECT_EQ(a.streams()[i].enter_time, b.streams()[i].enter_time)
-        << "stream " << i;
-    EXPECT_EQ(a.streams()[i].cells, b.streams()[i].cells) << "stream " << i;
-  }
-}
-
 const MetricSample* FindMetric(const TelemetrySnapshot& snap,
                                const std::string& name) {
   for (const MetricSample& sample : snap.metrics) {
     if (sample.name == name && sample.labels.empty()) return &sample;
   }
   return nullptr;
-}
-
-TEST(ServiceTelemetryTest, OnOffReleasesIdenticalBytesInline) {
-  // The tentpole invariant: telemetry is pure observation. Attached or
-  // detached, the released bytes are identical — same invariant class as
-  // Inline-vs-Async and sharded-vs-unsharded.
-  const BoundingBox box{0.0, 0.0, 400.0, 400.0};
-  const auto grid_owner = MakeEnvGrid(box, 4);
-  const StateSpace states(*grid_owner);
-  const auto traces = MakeWorkload(51, 80);
-
-  RetraSynConfig with = BaseConfig();
-  with.enable_telemetry = true;
-  RetraSynConfig without = BaseConfig();
-  without.enable_telemetry = false;
-
-  auto a = TrajectoryService::Create(states, with);
-  auto b = TrajectoryService::Create(states, without);
-  ASSERT_TRUE(a.ok()) << a.status().ToString();
-  ASSERT_TRUE(b.ok()) << b.status().ToString();
-  DriveRounds(a.value()->session(), traces, 0, kHorizon);
-  DriveRounds(b.value()->session(), traces, 0, kHorizon);
-
-  auto got = a.value()->SnapshotRelease();
-  auto want = b.value()->SnapshotRelease();
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  ASSERT_TRUE(want.ok()) << want.status().ToString();
-  ExpectSameRelease(got.value(), want.value());
-}
-
-TEST(ServiceTelemetryTest, OnOffReleasesIdenticalBytesAsync) {
-  const BoundingBox box{0.0, 0.0, 400.0, 400.0};
-  const auto grid_owner = MakeEnvGrid(box, 4);
-  const StateSpace states(*grid_owner);
-  const auto traces = MakeWorkload(53, 60);
-
-  RetraSynConfig with = BaseConfig();
-  with.sync_policy = SyncPolicy::kAsync;
-  with.ingest_shards = 2;
-  with.enable_telemetry = true;
-  RetraSynConfig without = with;
-  without.enable_telemetry = false;
-
-  auto a = TrajectoryService::Create(states, with);
-  auto b = TrajectoryService::Create(states, without);
-  ASSERT_TRUE(a.ok()) << a.status().ToString();
-  ASSERT_TRUE(b.ok()) << b.status().ToString();
-  DriveRounds(a.value()->session(), traces, 0, kHorizon);
-  DriveRounds(b.value()->session(), traces, 0, kHorizon);
-  ASSERT_TRUE(a.value()->Drain().ok());
-  ASSERT_TRUE(b.value()->Drain().ok());
-
-  auto got = a.value()->SnapshotRelease();
-  auto want = b.value()->SnapshotRelease();
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  ASSERT_TRUE(want.ok()) << want.status().ToString();
-  ExpectSameRelease(got.value(), want.value());
 }
 
 TEST(ServiceTelemetryTest, SnapshotReflectsPipelineActivity) {
@@ -168,7 +115,6 @@ TEST(ServiceTelemetryTest, SnapshotReflectsPipelineActivity) {
   DriveRounds(service.value()->session(), traces, 0, kHorizon);
 
   const TelemetrySnapshot snap = service.value()->telemetry();
-  EXPECT_TRUE(snap.enabled);
   EXPECT_FALSE(snap.first_failure.failed);
 
   const MetricSample* sealed =
@@ -212,25 +158,71 @@ TEST(ServiceTelemetryTest, SnapshotReflectsPipelineActivity) {
             std::string::npos);
 }
 
-TEST(ServiceTelemetryTest, DisabledSnapshotIsEmpty) {
+TEST(ServiceTelemetryTest, JournaledAsyncShardedServiceRecordsEveryLayer) {
+  // Every layer the service builds records into the service's Telemetry:
+  // the closer, each shard's journal writer (from its first segment on) and
+  // the checkpoint manager, whose worker traces the checkpoint phase.
   const BoundingBox box{0.0, 0.0, 400.0, 400.0};
   const auto grid_owner = MakeEnvGrid(box, 4);
   const StateSpace states(*grid_owner);
-  const auto traces = MakeWorkload(59, 40);
+  const auto traces = MakeWorkload(53, 60);
+  TempDir dir;
 
   RetraSynConfig config = BaseConfig();
-  config.enable_telemetry = false;
+  config.sync_policy = SyncPolicy::kAsync;
   config.ingest_shards = 2;
+  config.journal_dir = dir.path() + "/journal";
+  config.journal_fsync = FsyncPolicy::kNever;
+  config.checkpoint_every_rounds = 5;
+  config.checkpoint_dir = dir.path() + "/checkpoints";
   auto service = TrajectoryService::Create(states, config);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
   DriveRounds(service.value()->session(), traces, 0, kHorizon);
+  ASSERT_TRUE(service.value()->Drain().ok());
 
-  const TelemetrySnapshot snap = service.value()->telemetry();
-  EXPECT_FALSE(snap.enabled);
-  EXPECT_TRUE(snap.metrics.empty());
-  EXPECT_TRUE(snap.recent_rounds.empty());
+  const TrajectoryService& svc = *service.value();
+  const TelemetrySnapshot snap = svc.telemetry();
   EXPECT_FALSE(snap.first_failure.failed);
-  EXPECT_EQ(PrometheusText(snap), "");
+  auto value = [&snap](const std::string& name) {
+    const MetricSample* sample = FindMetric(snap, name);
+    EXPECT_NE(sample, nullptr) << name;
+    if (sample == nullptr) return -1.0;
+    return sample->kind == MetricKind::kHistogram
+               ? static_cast<double>(sample->histogram.count)
+               : sample->value;
+  };
+
+  EXPECT_EQ(value("retrasyn_closer_close_seconds"),
+            static_cast<double>(kHorizon));
+  ASSERT_EQ(svc.num_journals(), 2u);
+  uint64_t segments = 0;
+  uint64_t records = 0;
+  for (size_t shard = 0; shard < svc.num_journals(); ++shard) {
+    segments += svc.journal(shard)->segments_created();
+    records += svc.journal(shard)->records_appended();
+  }
+  EXPECT_EQ(value("retrasyn_journal_segments_created_total"),
+            static_cast<double>(segments));
+  EXPECT_EQ(value("retrasyn_journal_records_appended_total"),
+            static_cast<double>(records));
+  EXPECT_EQ(value("retrasyn_journal_rounds_appended_total"),
+            static_cast<double>(2 * kHorizon));
+  ASSERT_NE(svc.checkpoint(), nullptr);
+  EXPECT_EQ(svc.checkpoint()->checkpoints_written(),
+            static_cast<uint64_t>(kHorizon / 5));
+  EXPECT_EQ(value("retrasyn_checkpoint_writes_total"),
+            static_cast<double>(kHorizon / 5));
+  EXPECT_EQ(value("retrasyn_checkpoint_last_round"),
+            static_cast<double>(kHorizon));
+  for (const RoundSpanSnapshot& round : snap.recent_rounds) {
+    const double checkpoint =
+        round.phase_seconds[static_cast<size_t>(RoundPhase::kCheckpoint)];
+    if ((round.round + 1) % 5 == 0) {
+      EXPECT_GT(checkpoint, 0.0) << "round " << round.round;
+    } else {
+      EXPECT_EQ(checkpoint, 0.0) << "round " << round.round;
+    }
+  }
 }
 
 class FailingSink : public ReleaseSink {

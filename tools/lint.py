@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific static lint gates, run by ctest and the CI static-analysis job.
 
-Five checks, all over src/ (tests and benches may use what they like):
+Six checks, all over src/ (tests and benches may use what they like):
 
   1. No naked synchronization primitives. Every mutex in src/ must be the
      annotated retrasyn::Mutex from common/mutex.h; a raw std::mutex is
@@ -34,6 +34,13 @@ Five checks, all over src/ (tests and benches may use what they like):
      rename + dir-fsync write and the orphan predicate in common/file_io.h;
      a second copy is how two formats drift apart in byte order or crash
      safety.
+  6. The service layers always record. Under src/service, src/journal and
+     src/checkpoint no telemetry, registry, metric, histogram or trace
+     pointer may be tested with `== nullptr` / `!= nullptr`: those layers
+     take a Telemetry& where they are built and register every metric up
+     front, so such a test is dead code or a detach path coming back. Only
+     the engine (src/core) keeps an optional AttachTelemetry, for the bare
+     batch pipeline.
 
 Comments and string/char literals are stripped before matching, so prose like
 "time (rush hours)" or a banned token inside an error message never trips a
@@ -120,6 +127,20 @@ BYTE_FORMAT = [
 TMP_LITERAL = re.compile(r'"[^"\n]*\.tmp[^"\n]*"')
 TMP_MESSAGE = ('".tmp" literal outside common/ (WriteFileAtomically and '
                'IsTempFileName own the tmp-file name)')
+
+# Check 6: no null test of a telemetry pointer in the always-recording layers.
+ALWAYS_RECORDING_DIRS = tuple(
+    os.path.join("src", d) + os.sep for d in ("service", "journal",
+                                              "checkpoint"))
+NULL_TEST = re.compile(
+    r"([A-Za-z_][\w.]*(?:->[\w.]+)*)\s*[!=]=\s*nullptr\b"
+    r"|\bnullptr\s*[!=]=\s*([A-Za-z_][\w.]*(?:->[\w.]+)*)")
+TELEMETRY_NAME = re.compile(
+    r"(?:^|_)(?:telemetry|registry|metric|hist|histogram|trace)_?$",
+    re.IGNORECASE)
+NULL_TEST_MESSAGE = ("null test of telemetry pointer `%s` (the service layers "
+                     "take a Telemetry& and always record; see docs/"
+                     "observability.md)")
 
 # Where the fingerprinted config structs and the fingerprint live.
 CONFIG_STRUCTS = [
@@ -311,6 +332,13 @@ def lint_file(root, rel, findings):
         code = strip_comments_and_strings(original, keep_strings=True)
         for m in TMP_LITERAL.finditer(code):
             findings.append((rel, line_of(code, m.start()), TMP_MESSAGE))
+    if rel.startswith(ALWAYS_RECORDING_DIRS):
+        for m in NULL_TEST.finditer(stripped):
+            operand = m.group(1) or m.group(2)
+            name = re.split(r"\.|->", operand)[-1]
+            if TELEMETRY_NAME.search(name):
+                findings.append((rel, line_of(stripped, m.start()),
+                                 NULL_TEST_MESSAGE % operand))
     for start, end in hot_path_regions(original, stripped):
         body = stripped[start:end]
         for pattern, token in HOT_PATH_ALLOC:
