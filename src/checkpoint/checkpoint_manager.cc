@@ -11,41 +11,6 @@
 
 namespace retrasyn {
 
-namespace {
-
-/// Lists \p dir, deletes orphaned tmp files, and splits the rest into
-/// checkpoint and history rounds (ascending). A missing directory yields
-/// empty lists.
-Status ScanCheckpointDir(const std::string& dir,
-                         std::vector<int64_t>* checkpoints,
-                         std::vector<int64_t>* histories) {
-  auto names = ListDirectory(dir);
-  if (!names.ok()) {
-    if (names.status().code() == StatusCode::kNotFound) return Status::OK();
-    return names.status();
-  }
-  bool cleaned = false;
-  for (const std::string& name : names.value()) {
-    if (IsTempFileName(name)) {
-      RETRASYN_RETURN_NOT_OK(RemoveFile(dir + "/" + name));
-      cleaned = true;
-      continue;
-    }
-    int64_t round = 0;
-    if (ParseCheckpointFileName(name, &round)) {
-      checkpoints->push_back(round);
-    } else if (ParseHistoryFileName(name, &round)) {
-      histories->push_back(round);
-    }
-  }
-  if (cleaned) RETRASYN_RETURN_NOT_OK(SyncDir(dir));
-  std::sort(checkpoints->begin(), checkpoints->end());
-  std::sort(histories->begin(), histories->end());
-  return Status::OK();
-}
-
-}  // namespace
-
 Status CheckpointOptions::Validate() const {
   if (every_rounds < 0) {
     return Status::InvalidArgument("checkpoint every_rounds must be >= 0");
@@ -101,31 +66,75 @@ CheckpointManager::CheckpointManager(CheckpointOptions options,
       "retire)");
 }
 
-Result<std::unique_ptr<CheckpointManager>> CheckpointManager::Open(
-    const CheckpointOptions& options, bool require_fresh,
-    Telemetry& telemetry) {
-  RETRASYN_RETURN_NOT_OK(options.Validate());
-  RETRASYN_RETURN_NOT_OK(CreateDirIfMissing(options.dir));
-  std::vector<int64_t> checkpoints;
-  std::vector<int64_t> histories;
-  RETRASYN_RETURN_NOT_OK(
-      ScanCheckpointDir(options.dir, &checkpoints, &histories));
-  if (require_fresh && (!checkpoints.empty() || !histories.empty())) {
-    return Status::FailedPrecondition(
-        "checkpoint directory " + options.dir +
-        " already holds checkpoints; Recover the existing deployment or "
-        "point the new one elsewhere");
+Result<CheckpointManager::DirContents> CheckpointManager::ListDir(
+    const std::string& dir) {
+  DirContents contents;
+  auto names = ListDirectory(dir);
+  if (!names.ok()) {
+    if (names.status().code() == StatusCode::kNotFound) return contents;
+    return names.status();
   }
+  for (const std::string& name : names.value()) {
+    int64_t round = 0;
+    if (IsTempFileName(name)) {
+      contents.temp_files.push_back(name);
+    } else if (ParseCheckpointFileName(name, &round)) {
+      contents.checkpoints.push_back(round);
+    } else if (ParseHistoryFileName(name, &round)) {
+      contents.histories.push_back(round);
+    }
+  }
+  std::sort(contents.checkpoints.begin(), contents.checkpoints.end());
+  std::sort(contents.histories.begin(), contents.histories.end());
+  return contents;
+}
+
+Result<std::unique_ptr<CheckpointManager>> CheckpointManager::Open(
+    const CheckpointOptions& options, std::vector<JournalWriter*> journals,
+    const std::vector<JournalScan>& scans, std::vector<int64_t> spill_rounds,
+    std::vector<int64_t> retained_rounds, Telemetry& telemetry) {
+  RETRASYN_RETURN_NOT_OK(options.Validate());
+  if (journals.size() != options.journal_dirs.size() ||
+      scans.size() != options.journal_dirs.size()) {
+    return Status::InvalidArgument(
+        "CheckpointManager::Open needs one journal writer and one scan per "
+        "journal_dirs entry");
+  }
+  RETRASYN_RETURN_NOT_OK(CreateDirIfMissing(options.dir));
   std::unique_ptr<CheckpointManager> manager(
       new CheckpointManager(options, telemetry));
-  manager->retained_rounds_ = std::move(checkpoints);
-  if (!manager->retained_rounds_.empty()) {
-    // No concurrency yet (the worker starts below), but last_checkpoint_round_
-    // is guarded state; take the lock so the seeding is analysis-clean.
-    MutexLock l(manager->mu_);
-    manager->last_checkpoint_round_ = manager->retained_rounds_.back();
+  for (size_t i = 0; i < journals.size(); ++i) {
+    JournalRetireState& j = manager->journals_[i];
+    j.writer = journals[i];
+    for (const ScannedSegment& segment : scans[i].segments) {
+      j.candidates.push_back(SealedSegment{segment.index, segment.end_round});
+    }
+    if (!j.candidates.empty()) {
+      j.first_live = j.candidates.front().index;
+      j.first_live_known = true;
+    }
   }
-  manager->last_round_metric_->Set(manager->last_checkpoint_round());
+  manager->retained_rounds_ = std::move(retained_rounds);
+  const int64_t last_round = manager->retained_rounds_.empty()
+                                 ? -1
+                                 : manager->retained_rounds_.back();
+  // No concurrency yet (the worker starts below), but the spill registry and
+  // last_checkpoint_round_ are guarded state; take the locks so the seeding
+  // is analysis-clean.
+  {
+    MutexLock l(manager->spill_mu_);
+    for (int64_t round : spill_rounds) {
+      SpillEntry entry;
+      entry.round = round;
+      entry.file_backed = true;
+      manager->spills_.push_back(std::move(entry));
+    }
+  }
+  {
+    MutexLock l(manager->mu_);
+    manager->last_checkpoint_round_ = last_round;
+  }
+  manager->last_round_metric_->Set(last_round);
   manager->worker_ = std::thread([m = manager.get()] { m->WorkerLoop(); });
   return manager;
 }
@@ -137,58 +146,6 @@ CheckpointManager::~CheckpointManager() {
   }
   cv_.NotifyAll();
   if (worker_.joinable()) worker_.join();
-}
-
-void CheckpointManager::AttachJournals(std::vector<JournalWriter*> journals) {
-  MutexLock l(mu_);
-  if (journals.empty()) {
-    for (JournalRetireState& j : journals_) j.writer = nullptr;
-    return;
-  }
-  RETRASYN_CHECK_MSG(journals.size() == journals_.size(),
-                     "AttachJournals needs one writer per journal_dirs entry");
-  for (size_t i = 0; i < journals_.size(); ++i) {
-    journals_[i].writer = journals[i];
-  }
-}
-
-Status CheckpointManager::SeedRecovered(
-    const CheckpointState& state, std::vector<int64_t> surviving_rounds,
-    const std::vector<std::vector<ScannedSegment>>& segments_per_journal) {
-  MutexLock l(mu_);
-  if (busy_ || !ready_.empty() || !pending_.empty()) {
-    return Status::FailedPrecondition(
-        "SeedRecovered must run before the first captured round");
-  }
-  if (segments_per_journal.size() != journals_.size()) {
-    return Status::InvalidArgument(
-        "SeedRecovered needs one segment list per journal_dirs entry");
-  }
-  MutexLock sl(spill_mu_);  // mu_ -> spill_mu_, the documented order
-  spills_.clear();
-  for (int64_t round : state.spill_rounds) {
-    SpillEntry entry;
-    entry.round = round;
-    entry.file_backed = true;
-    spills_.push_back(std::move(entry));
-  }
-  retained_rounds_ = std::move(surviving_rounds);
-  std::sort(retained_rounds_.begin(), retained_rounds_.end());
-  if (!retained_rounds_.empty()) {
-    last_checkpoint_round_ = retained_rounds_.back();
-  }
-  for (size_t i = 0; i < journals_.size(); ++i) {
-    JournalRetireState& j = journals_[i];
-    j.candidates.clear();
-    for (const ScannedSegment& segment : segments_per_journal[i]) {
-      j.candidates.push_back(SealedSegment{segment.index, segment.end_round});
-    }
-    if (!j.candidates.empty()) {
-      j.first_live = j.candidates.front().index;
-      j.first_live_known = true;
-    }
-  }
-  return Status::OK();
 }
 
 void CheckpointManager::OnRoundClosed(int64_t sealed_round,
@@ -372,13 +329,8 @@ Status CheckpointManager::RetireJournalPrefix() {
       retained_rounds_.front() - static_cast<int64_t>(options_.window);
   uint64_t retired_now = 0;
   for (JournalRetireState& j : journals_) {
-    {
-      MutexLock l(mu_);
-      if (j.writer != nullptr) {
-        for (SealedSegment segment : j.writer->TakeSealedSegments()) {
-          j.candidates.push_back(segment);
-        }
-      }
+    for (SealedSegment segment : j.writer->TakeSealedSegments()) {
+      j.candidates.push_back(segment);
     }
     std::sort(j.candidates.begin(), j.candidates.end(),
               [](const SealedSegment& a, const SealedSegment& b) {
@@ -476,17 +428,20 @@ int64_t CheckpointManager::last_checkpoint_round() const {
 }
 
 Result<CheckpointState> CheckpointManager::LoadForRecovery(
-    const std::string& dir, uint64_t fingerprint,
+    const std::string& dir, DirContents contents, uint64_t fingerprint,
     std::vector<int64_t>* surviving_rounds, int* corrupt_skipped) {
   surviving_rounds->clear();
   if (corrupt_skipped != nullptr) *corrupt_skipped = 0;
-  std::vector<int64_t> checkpoints;
-  std::vector<int64_t> histories;
-  RETRASYN_RETURN_NOT_OK(ScanCheckpointDir(dir, &checkpoints, &histories));
+  bool removed = false;
+  for (const std::string& name : contents.temp_files) {
+    RETRASYN_RETURN_NOT_OK(RemoveFile(dir + "/" + name));
+    removed = true;
+  }
+  std::vector<int64_t>& checkpoints = contents.checkpoints;
+  const std::vector<int64_t>& histories = contents.histories;
 
   CheckpointState chosen;
   bool found = false;
-  bool removed = false;
   // Newest first; a structurally damaged checkpoint is deleted and the next
   // older one tried. A *valid* checkpoint from a different deployment fails
   // loudly instead — see the header contract.

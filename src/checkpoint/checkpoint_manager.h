@@ -82,22 +82,41 @@ struct CheckpointOptions {
 
 class CheckpointManager {
  public:
-  /// Scans \p dir, removing orphaned `*.tmp` files, and opens a manager.
-  /// With \p require_fresh (Service::Create), any existing checkpoint or
-  /// history file fails with FailedPrecondition — a fresh service must never
-  /// silently shadow recoverable state. The manager records its metrics,
-  /// checkpoint trace phase and first failure in \p telemetry (not owned;
-  /// must outlive it). Observation-only: no effect on what is written,
-  /// pruned, or retired.
-  static Result<std::unique_ptr<CheckpointManager>> Open(
-      const CheckpointOptions& options, bool require_fresh,
-      Telemetry& telemetry);
+  /// What a checkpoint directory holds, read by one listing that changes
+  /// nothing: the rounds of its checkpoint and history spill files
+  /// (ascending) and the orphaned `*.tmp` files of atomic writes that never
+  /// renamed.
+  struct DirContents {
+    std::vector<int64_t> checkpoints;
+    std::vector<int64_t> histories;
+    std::vector<std::string> temp_files;
+  };
 
-  /// Loads the newest usable checkpoint for recovery: tries checkpoints
-  /// newest-first, skipping (and deleting) corrupt ones — torn frame, CRC
-  /// failure, malformed body, missing referenced spill file — and returns
-  /// the first that loads. A checkpoint that is structurally VALID but
-  /// carries a different deployment fingerprint fails loudly with
+  /// Lists \p dir; a missing directory holds nothing.
+  static Result<DirContents> ListDir(const std::string& dir);
+
+  /// Opens the manager over options.dir (created if missing), seeded with
+  /// what recovery found: \p spill_rounds, the spill manifest of the
+  /// restored checkpoint (served file-backed from day one); \p
+  /// retained_rounds, the surviving checkpoint rounds in ascending order
+  /// (retention); and, per entry of options.journal_dirs in the same order,
+  /// the journal writer whose sealed segments retirement may delete (not
+  /// owned) and the scan whose segments become retirement candidates that
+  /// the writer continues. A fresh deployment passes empty lists and scans.
+  /// The manager records its metrics, checkpoint trace phase and first
+  /// failure in \p telemetry (not owned; must outlive it).
+  /// Observation-only: no effect on what is written, pruned, or retired.
+  static Result<std::unique_ptr<CheckpointManager>> Open(
+      const CheckpointOptions& options, std::vector<JournalWriter*> journals,
+      const std::vector<JournalScan>& scans, std::vector<int64_t> spill_rounds,
+      std::vector<int64_t> retained_rounds, Telemetry& telemetry);
+
+  /// Loads the newest usable checkpoint of \p dir, whose ListDir result is
+  /// \p contents, for recovery: deletes the orphaned tmp files, then tries
+  /// checkpoints newest-first, skipping (and deleting) corrupt ones — torn
+  /// frame, CRC failure, malformed body, missing referenced spill file — and
+  /// returns the first that loads. A checkpoint that is structurally VALID
+  /// but carries a different deployment fingerprint fails loudly with
   /// FailedPrecondition instead of falling back: silently replaying the full
   /// journal under a changed deployment is exactly the divergence the
   /// fingerprint exists to prevent. kNotFound when no checkpoint exists.
@@ -107,28 +126,13 @@ class CheckpointManager {
   /// newest-first ladder deleted before finding a usable one — the
   /// recovery fallback depth surfaced in telemetry.
   static Result<CheckpointState> LoadForRecovery(
-      const std::string& dir, uint64_t fingerprint,
+      const std::string& dir, DirContents contents, uint64_t fingerprint,
       std::vector<int64_t>* surviving_rounds,
       int* corrupt_skipped = nullptr);
 
   CheckpointManager(const CheckpointManager&) = delete;
   CheckpointManager& operator=(const CheckpointManager&) = delete;
   ~CheckpointManager();
-
-  /// The journals whose sealed segments retirement may delete (not owned),
-  /// one per entry of options.journal_dirs, in the same order; an empty
-  /// vector detaches — retirement then only considers recovery-seeded
-  /// segments.
-  void AttachJournals(std::vector<JournalWriter*> journals);
-
-  /// Seeds post-recovery bookkeeping: the recovered checkpoint's spill
-  /// manifest (served file-backed from day one), the surviving checkpoint
-  /// rounds (retention), and the scanned journal segments — one vector per
-  /// entry of options.journal_dirs — as retirement candidates whose suffix
-  /// the new writers continue.
-  Status SeedRecovered(
-      const CheckpointState& state, std::vector<int64_t> surviving_rounds,
-      const std::vector<std::vector<ScannedSegment>>& segments_per_journal);
 
   /// True when a checkpoint is due at the round boundary that sealed round
   /// \p t — i.e. every `every_rounds` closed rounds.
@@ -191,7 +195,7 @@ class CheckpointManager {
   /// Per-journal retirement bookkeeping, one per options.journal_dirs entry.
   struct JournalRetireState {
     std::string dir;
-    JournalWriter* writer = nullptr;  ///< not owned; null = detached
+    JournalWriter* writer = nullptr;  ///< not owned; set once by Open
     // Worker-only once the worker owns it.
     std::vector<SealedSegment> candidates;  ///< sorted by index
     uint64_t first_live = 0;   ///< lowest journal index not retired
@@ -225,20 +229,17 @@ class CheckpointManager {
   /// Fully captured rounds.
   std::deque<int64_t> ready_ GUARDED_BY(mu_);
 
-  // Handoff-owned retirement state, deliberately NOT mutex-guarded: after
-  // Open (pre-worker) and SeedRecovered (which verifies the worker is idle
-  // under mu_ — no busy_, no ready_, no pending_ — before touching it),
-  // journals_' candidates/first_live/retired_base_round and retained_rounds_
-  // are owned exclusively by the worker thread, which mutates them with file
-  // I/O interleaved and must not hold mu_ across that. The one exception is
-  // each JournalRetireState::writer pointer, which AttachJournals swaps and
-  // the worker reads — both under mu_ (GUARDED_BY cannot name the outer
-  // class's mu_ from a nested struct; see docs/concurrency.md).
+  // Handoff-owned retirement state, deliberately NOT mutex-guarded: Open
+  // seeds journals_ and retained_rounds_ before the worker starts, and from
+  // then on the worker thread owns them exclusively, mutating them with file
+  // I/O interleaved (it must not hold mu_ across that). Each
+  // JournalRetireState::writer is fixed by Open and only read after; the
+  // writer's TakeSealedSegments is itself thread-safe.
   std::vector<JournalRetireState> journals_;
   std::vector<int64_t> retained_rounds_;       ///< on-disk checkpoints, asc
 
-  /// Leaf lock, ordered after mu_ (SeedRecovered nests mu_ -> spill_mu_;
-  /// never the reverse).
+  /// Leaf lock, ordered after mu_ (nothing nests them today; anything that
+  /// must takes mu_ first, never the reverse).
   mutable Mutex spill_mu_ ACQUIRED_AFTER(mu_);
   /// Ascending by round.
   std::vector<SpillEntry> spills_ GUARDED_BY(spill_mu_);

@@ -49,43 +49,36 @@ Status SyncDir(const std::string& dir) {
   return Status::OK();
 }
 
-Result<std::vector<std::string>> ListDirectory(const std::string& dir) {
+Status ListDirectoryEntries(const std::string& dir,
+                            std::vector<std::string>* files,
+                            std::vector<std::string>* subdirs) {
   DIR* d = ::opendir(dir.c_str());
   if (d == nullptr) {
     if (errno == ENOENT) return Status::NotFound("no such directory: " + dir);
     return Status::IOError(ErrnoMessage("opendir", dir));
   }
-  std::vector<std::string> names;
+  files->clear();
+  if (subdirs != nullptr) subdirs->clear();
   while (struct dirent* entry = ::readdir(d)) {
     const std::string name = entry->d_name;
     if (name == "." || name == "..") continue;
     struct stat st;
-    if (::stat((dir + "/" + name).c_str(), &st) == 0 && S_ISREG(st.st_mode)) {
-      names.push_back(name);
+    if (::stat((dir + "/" + name).c_str(), &st) != 0) continue;
+    if (S_ISREG(st.st_mode)) {
+      files->push_back(name);
+    } else if (S_ISDIR(st.st_mode) && subdirs != nullptr) {
+      subdirs->push_back(name);
     }
   }
   ::closedir(d);
-  std::sort(names.begin(), names.end());
-  return names;
+  std::sort(files->begin(), files->end());
+  if (subdirs != nullptr) std::sort(subdirs->begin(), subdirs->end());
+  return Status::OK();
 }
 
-Result<std::vector<std::string>> ListSubdirectories(const std::string& dir) {
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) {
-    if (errno == ENOENT) return Status::NotFound("no such directory: " + dir);
-    return Status::IOError(ErrnoMessage("opendir", dir));
-  }
+Result<std::vector<std::string>> ListDirectory(const std::string& dir) {
   std::vector<std::string> names;
-  while (struct dirent* entry = ::readdir(d)) {
-    const std::string name = entry->d_name;
-    if (name == "." || name == "..") continue;
-    struct stat st;
-    if (::stat((dir + "/" + name).c_str(), &st) == 0 && S_ISDIR(st.st_mode)) {
-      names.push_back(name);
-    }
-  }
-  ::closedir(d);
-  std::sort(names.begin(), names.end());
+  RETRASYN_RETURN_NOT_OK(ListDirectoryEntries(dir, &names, nullptr));
   return names;
 }
 

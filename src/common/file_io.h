@@ -26,9 +26,13 @@ Status SyncDir(const std::string& dir);
 /// \brief Names (not paths) of the regular files in \p dir, sorted.
 Result<std::vector<std::string>> ListDirectory(const std::string& dir);
 
-/// \brief Names (not paths) of the subdirectories of \p dir, sorted
-/// ("." and ".." excluded). NotFound when \p dir itself does not exist.
-Result<std::vector<std::string>> ListSubdirectories(const std::string& dir);
+/// \brief Sets \p files to the names (not paths) of the regular files in
+/// \p dir and, unless \p subdirs is null, \p subdirs to those of its
+/// subdirectories ("." and ".." excluded), each sorted, from one pass over
+/// the directory. NotFound when \p dir itself does not exist.
+Status ListDirectoryEntries(const std::string& dir,
+                            std::vector<std::string>* files,
+                            std::vector<std::string>* subdirs);
 
 /// \brief Size of the file at \p path in bytes.
 Result<int64_t> FileSize(const std::string& path);

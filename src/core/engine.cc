@@ -147,7 +147,6 @@ void RetraSynEngine::EnsureUser(uint32_t user) {
 }
 
 void RetraSynEngine::RetireQuitted(int64_t t) {
-  retired_last_round_.clear();
   // A quitted stream's last possible report was its quit round (the quit
   // transition itself), so once that round leaves the w-window the index's
   // whole contribution has left it too — Alg. 1's recycle boundary, applied
@@ -163,7 +162,6 @@ void RetraSynEngine::RetireQuitted(int64_t t) {
       if (config_.allocation.kind == AllocationKind::kRandom) {
         report_slot_[user] = kNoSlot;
       }
-      retired_last_round_.push_back(user);
     }
     total_retired_ += quitted_at_.front().second.size();
     quitted_at_.pop_front();
@@ -536,7 +534,6 @@ Status RetraSynEngine::RestoreCheckpointState(EngineCheckpointState state) {
   report_slot_ = std::move(state.report_slot);
   reported_at_ = std::move(state.reported_at);
   quitted_at_ = std::move(state.quitted_at);
-  retired_last_round_.clear();
   total_retired_ = state.total_retired;
   return Status::OK();
 }

@@ -302,19 +302,16 @@ class RetraSynEngine : public StreamReleaseEngine {
   /// when the engine runs serially.
   const ThreadPool* thread_pool() const { return pool_.get(); }
 
-  /// Stream indices retired at the start of the last Observe(): their stream
-  /// quit >= window rounds before that batch, so the dense slots were reset
-  /// and the index may carry a new stream from that batch on. Always empty
-  /// under budget division, which keeps no per-user state. Retirement is a
-  /// deterministic function of the batch sequence alone, so the released
-  /// bytes are identical whether the caller re-issues retired indices (the
-  /// session of every service over a RetraSynEngine does) or keeps minting
-  /// fresh ones (StreamFeeder). Under SyncPolicy::kAsync it is written on
-  /// the closer worker; read it only after TrajectoryService::Drain().
-  const std::vector<uint32_t>& retired_last_round() const {
-    return retired_last_round_;
-  }
-  /// Total indices retired over the engine's lifetime.
+  /// Total stream indices retired over the engine's lifetime. A stream that
+  /// quit at round q retires at the start of the batch for q + window: its
+  /// dense slots reset and the index may carry a new stream from that batch
+  /// on. Always 0 under budget division, which keeps no per-user state.
+  /// Retirement is a deterministic function of the batch sequence alone, so
+  /// the released bytes are identical whether the caller re-issues retired
+  /// indices (the session of every service over a RetraSynEngine does) or
+  /// keeps minting fresh ones (StreamFeeder). Under SyncPolicy::kAsync it is
+  /// written on the closer worker; read it only after
+  /// TrajectoryService::Drain().
   uint64_t total_retired() const { return total_retired_; }
   /// Current size of the dense per-user bookkeeping — bounded by the index
   /// high-water mark, which recycling keeps at O(peak live + window churn).
@@ -388,7 +385,6 @@ class RetraSynEngine : public StreamReleaseEngine {
   /// it can only quit again after being re-issued, which happens strictly
   /// after its previous bucket retired.
   std::deque<std::pair<int64_t, std::vector<uint32_t>>> quitted_at_;
-  std::vector<uint32_t> retired_last_round_;
   uint64_t total_retired_ = 0;
 
   uint64_t total_reports_ = 0;

@@ -92,7 +92,7 @@ namespace retrasyn {
 /// from ServiceOptions::ingest_shards. A session that recycles needs a
 /// consumer — the engine behind the round handler — that applies the same
 /// retirement rule to its dense per-index state (RetraSynEngine does; see
-/// RetraSynEngine::retired_last_round()).
+/// RetraSynEngine::total_retired()).
 struct IngestSessionOptions {
   /// The w-event window governing retirement. >= 1: re-issue the index of a
   /// quitted stream once its quit round has left the window; 0: grow the

@@ -30,31 +30,38 @@ std::vector<std::string> JournalDirsFor(const ServiceOptions& options) {
   return dirs;
 }
 
-std::vector<JournalWriter*> RawJournals(
-    const std::vector<std::unique_ptr<JournalWriter>>& journals) {
-  std::vector<JournalWriter*> raw;
-  raw.reserve(journals.size());
-  for (const auto& j : journals) raw.push_back(j.get());
-  return raw;
-}
-
-/// Refuses a journal whose on-disk layout contradicts the configured shard
-/// count — an unsharded journal under ingest_shards > 1, shard
-/// subdirectories under ingest_shards == 1, or a shard subdirectory beyond
-/// the configured count. A wrong-layout scan would find zero segments and
-/// silently recover an empty service; this fails loudly instead (the
-/// fingerprint also records the shard count, but it cannot protect a scan
-/// that never reads a segment header).
-Status CheckJournalLayout(const std::string& root, int ingest_shards) {
-  auto files = ListDirectory(root);
-  if (!files.ok()) {
-    if (files.status().code() == StatusCode::kNotFound) return Status::OK();
-    return files.status();
-  }
-  for (const std::string& name : files.value()) {
+/// Reads the journal root of \p options in one listing, before a single file
+/// is created, locked, truncated or deleted, and returns which of the
+/// journal directories of JournalDirsFor already exist. A \p fresh
+/// deployment refuses any journal there, flat or sharded: Create must not
+/// append to a journal it did not replay. Recovery refuses a layout that
+/// contradicts the configured shard count — an unsharded journal under
+/// ingest_shards > 1, shard subdirectories under ingest_shards == 1, or a
+/// shard subdirectory beyond the configured count. A wrong-layout scan would
+/// find zero segments and silently recover an empty service; this fails
+/// loudly instead (the fingerprint also records the shard count, but it
+/// cannot protect a scan that never reads a segment header).
+Result<std::vector<bool>> ReadJournalRoot(const ServiceOptions& options,
+                                          bool fresh) {
+  const std::string& root = options.journal_dir;
+  const int ingest_shards = options.ingest_shards;
+  std::vector<bool> existed(JournalDirsFor(options).size(), false);
+  if (root.empty()) return existed;
+  std::vector<std::string> files;
+  std::vector<std::string> subdirs;
+  const Status listed = ListDirectoryEntries(root, &files, &subdirs);
+  if (listed.code() == StatusCode::kNotFound) return existed;
+  RETRASYN_RETURN_NOT_OK(listed);
+  auto already_holds = [&root](const std::string& name) {
+    return Status::FailedPrecondition(
+        "journal dir " + root + " already holds a journal (" + name +
+        "); use TrajectoryService::Recover to resume it");
+  };
+  for (const std::string& name : files) {
     uint64_t segment = 0;
-    if (ingest_shards > 1 &&
-        JournalWriter::ParseSegmentFileName(name, &segment)) {
+    if (!JournalWriter::ParseSegmentFileName(name, &segment)) continue;
+    if (fresh) return already_holds(name);
+    if (ingest_shards > 1) {
       return Status::FailedPrecondition(
           "journal dir " + root + " holds an unsharded journal (" + name +
           ") but the service is configured with ingest_shards = " +
@@ -62,11 +69,11 @@ Status CheckJournalLayout(const std::string& root, int ingest_shards) {
           "; recover under the shard count that wrote it");
     }
   }
-  auto dirs = ListSubdirectories(root);
-  if (!dirs.ok()) return dirs.status();
-  for (const std::string& name : dirs.value()) {
+  if (ingest_shards == 1) existed[0] = true;  // the root is the journal
+  for (const std::string& name : subdirs) {
     int shard = 0;
     if (!ParseShardJournalDirName(name, &shard)) continue;
+    if (fresh) return already_holds(name);
     if (ingest_shards == 1) {
       return Status::FailedPrecondition(
           "journal dir " + root + " holds a sharded journal (" + name +
@@ -80,8 +87,9 @@ Status CheckJournalLayout(const std::string& root, int ingest_shards) {
           std::to_string(ingest_shards) +
           "; recover under the shard count that wrote it");
     }
+    existed[static_cast<size_t>(shard)] = true;
   }
-  return Status::OK();
+  return existed;
 }
 
 /// The journal writers' options: the flat ServiceOptions fields plus the
@@ -93,57 +101,6 @@ JournalOptions JournalOptionsFor(const ServiceOptions& options,
   journal.segment_bytes = options.journal_segment_bytes;
   journal.fingerprint = fingerprint;
   return journal;
-}
-
-/// Opens the journal writers for \p options when journaling is enabled —
-/// one per ingest shard; an empty vector (OK) when it is not.
-/// \p require_fresh rejects a directory that already holds any journal,
-/// flat or sharded (the Create factories must not append to a journal they
-/// did not replay — Recover owns that path).
-Result<std::vector<std::unique_ptr<JournalWriter>>> MaybeOpenJournals(
-    const ServiceOptions& options, bool require_fresh, uint64_t fingerprint,
-    Telemetry& telemetry) {
-  std::vector<std::unique_ptr<JournalWriter>> journals;
-  if (options.journal_dir.empty()) {
-    return journals;
-  }
-  if (require_fresh) {
-    auto names = ListDirectory(options.journal_dir);
-    if (names.ok()) {
-      for (const std::string& name : names.value()) {
-        uint64_t index = 0;
-        if (JournalWriter::ParseSegmentFileName(name, &index)) {
-          return Status::FailedPrecondition(
-              "journal dir " + options.journal_dir +
-              " already holds a journal (" + name +
-              "); use TrajectoryService::Recover to resume it");
-        }
-      }
-      auto dirs = ListSubdirectories(options.journal_dir);
-      if (!dirs.ok()) return dirs.status();
-      for (const std::string& name : dirs.value()) {
-        int shard = 0;
-        if (ParseShardJournalDirName(name, &shard)) {
-          return Status::FailedPrecondition(
-              "journal dir " + options.journal_dir +
-              " already holds a journal (" + name +
-              "); use TrajectoryService::Recover to resume it");
-        }
-      }
-    } else if (names.status().code() != StatusCode::kNotFound) {
-      return names.status();
-    }
-  }
-  // A sharded layout nests one journal directory per shard under the root;
-  // the root itself must exist before the per-shard opens create theirs.
-  RETRASYN_RETURN_NOT_OK(CreateDirIfMissing(options.journal_dir));
-  const JournalOptions journal = JournalOptionsFor(options, fingerprint);
-  for (const std::string& dir : JournalDirsFor(options)) {
-    auto writer = JournalWriter::Open(dir, journal, telemetry);
-    if (!writer.ok()) return writer.status();
-    journals.push_back(std::move(writer).value());
-  }
-  return journals;
 }
 
 /// The checkpoint subsystem's options from the service's: the same
@@ -177,22 +134,6 @@ Status CheckCheckpointable(const ServiceOptions& options,
         "serializable checkpoint state); leave checkpoint_every_rounds at 0");
   }
   return Status::OK();
-}
-
-/// Opens the checkpoint manager when checkpointing is enabled; nullptr (OK)
-/// when it is not. Runs BEFORE the journal writer opens so a stale
-/// checkpoint directory is refused without leaving a fresh journal segment
-/// behind.
-Result<std::unique_ptr<CheckpointManager>> MaybeOpenCheckpoints(
-    const ServiceOptions& options, int window, const StateSpace& states,
-    uint64_t fingerprint, bool require_fresh, Telemetry& telemetry) {
-  if (options.checkpoint_every_rounds <= 0) {
-    return std::unique_ptr<CheckpointManager>();
-  }
-  return CheckpointManager::Open(
-      CheckpointOptionsFor(options, window, fingerprint,
-                           states.grid().Describe()),
-      require_fresh, telemetry);
 }
 
 }  // namespace
@@ -288,19 +229,6 @@ void TrajectoryService::ArmCloser(const ServiceOptions& options) {
       [this](const RoundRelease& round) { return Deliver(round); });
 }
 
-void TrajectoryService::AttachJournals(
-    std::vector<std::unique_ptr<JournalWriter>> journals) {
-  journals_ = std::move(journals);
-  session_->AttachJournals(RawJournals(journals_));
-}
-
-void TrajectoryService::AttachCheckpoint(
-    std::unique_ptr<CheckpointManager> checkpoint) {
-  checkpoint_ = std::move(checkpoint);
-  if (checkpoint_ == nullptr) return;
-  checkpoint_->AttachJournals(RawJournals(journals_));
-}
-
 TrajectoryService::~TrajectoryService() {
   // Stop the async workers before the engine and session they close over;
   // the closer first (it hands the checkpoint manager engine halves), then
@@ -351,25 +279,7 @@ Result<std::unique_ptr<TrajectoryService>> TrajectoryService::Create(
 Result<std::unique_ptr<TrajectoryService>> TrajectoryService::CreateWithEngine(
     const StateSpace& states, std::unique_ptr<StreamReleaseEngine> engine,
     const ServiceOptions& options) {
-  if (engine == nullptr) {
-    return Status::InvalidArgument("engine must not be null");
-  }
-  RETRASYN_RETURN_NOT_OK(options.Validate());
-  std::unique_ptr<TrajectoryService> service(
-      new TrajectoryService(states, std::move(engine), options));
-  RETRASYN_RETURN_NOT_OK(CheckCheckpointable(options, service->retrasyn_));
-  const uint64_t fingerprint = service->DeploymentFingerprint();
-  auto checkpoint =
-      MaybeOpenCheckpoints(options, service->window(), states, fingerprint,
-                           /*require_fresh=*/true, service->telemetry_);
-  if (!checkpoint.ok()) return checkpoint.status();
-  auto journals = MaybeOpenJournals(options, /*require_fresh=*/true,
-                                    fingerprint, service->telemetry_);
-  if (!journals.ok()) return journals.status();
-  service->AttachJournals(std::move(journals).value());
-  service->AttachCheckpoint(std::move(checkpoint).value());
-  if (options.sync_policy == SyncPolicy::kAsync) service->ArmCloser(options);
-  return service;
+  return Open(states, std::move(engine), options, /*fresh=*/true);
 }
 
 Result<std::unique_ptr<TrajectoryService>> TrajectoryService::Recover(
@@ -382,10 +292,16 @@ Result<std::unique_ptr<TrajectoryService>> TrajectoryService::Recover(
 Result<std::unique_ptr<TrajectoryService>> TrajectoryService::RecoverWithEngine(
     const StateSpace& states, std::unique_ptr<StreamReleaseEngine> engine,
     const ServiceOptions& options) {
+  return Open(states, std::move(engine), options, /*fresh=*/false);
+}
+
+Result<std::unique_ptr<TrajectoryService>> TrajectoryService::Open(
+    const StateSpace& states, std::unique_ptr<StreamReleaseEngine> engine,
+    const ServiceOptions& options, bool fresh) {
   if (engine == nullptr) {
     return Status::InvalidArgument("engine must not be null");
   }
-  if (options.journal_dir.empty()) {
+  if (!fresh && options.journal_dir.empty()) {
     return Status::InvalidArgument("Recover requires a journal_dir");
   }
   RETRASYN_RETURN_NOT_OK(options.Validate());
@@ -398,11 +314,15 @@ Result<std::unique_ptr<TrajectoryService>> TrajectoryService::RecoverWithEngine(
   RETRASYN_RETURN_NOT_OK(CheckCheckpointable(options, service->retrasyn_));
   const uint64_t fingerprint = service->DeploymentFingerprint();
 
-  // Refuse a layout that contradicts the configured shard count before a
-  // single record is read.
-  RETRASYN_RETURN_NOT_OK(CreateDirIfMissing(options.journal_dir));
-  RETRASYN_RETURN_NOT_OK(
-      CheckJournalLayout(options.journal_dir, options.ingest_shards));
+  // Boot and recovery are one path: a fresh deployment is the recovery of
+  // directories that hold nothing, and `fresh` only adds the refusals
+  // below, each of which runs before any file is truncated or deleted.
+  // First the journal root, read before anything is created or locked: a
+  // layout that contradicts the configured shard count is refused, and so
+  // is any journal under a fresh deployment.
+  auto root = ReadJournalRoot(options, fresh);
+  if (!root.ok()) return root.status();
+  const std::vector<bool> existed = std::move(root).value();
   const std::vector<std::string> dirs = JournalDirsFor(options);
 
   // Take every existing shard's writer lock BEFORE the destructive
@@ -410,21 +330,36 @@ Result<std::unique_ptr<TrajectoryService>> TrajectoryService::RecoverWithEngine(
   // appending (a supervisor restart race), reading its segments mid-write
   // would misdiagnose a torn tail and truncate away durably acknowledged
   // records. Directories that do not exist yet are NOT created here — a
-  // Recover that is about to be refused (wrong fingerprint, wrong layout)
-  // must leave the directory tree exactly as it found it.
+  // refused Recover or Create (wrong fingerprint, wrong layout, existing
+  // state) must leave the directory tree as it found it.
   std::vector<FileLock> locks(dirs.size());
-  std::vector<bool> existed(dirs.size(), false);
-  std::vector<JournalScan> scans(dirs.size());
   for (size_t s = 0; s < dirs.size(); ++s) {
-    auto probe = ListDirectory(dirs[s]);
-    if (!probe.ok()) {
-      if (probe.status().code() == StatusCode::kNotFound) continue;
-      return probe.status();
-    }
-    existed[s] = true;
+    if (!existed[s]) continue;
     auto lock = FileLock::Acquire(dirs[s] + "/" + JournalWriter::kLockFileName);
     if (!lock.ok()) return lock.status();
     locks[s] = std::move(lock).value();
+  }
+
+  // The checkpoint directory, listed under the journal locks (they cover it
+  // too) and before anything in it or in the journal is deleted: a fresh
+  // deployment must never silently shadow recoverable state.
+  CheckpointManager::DirContents checkpoint_files;
+  if (options.checkpoint_every_rounds > 0) {
+    auto listed = CheckpointManager::ListDir(options.checkpoint_dir);
+    if (!listed.ok()) return listed.status();
+    checkpoint_files = std::move(listed).value();
+    if (fresh && (!checkpoint_files.checkpoints.empty() ||
+                  !checkpoint_files.histories.empty())) {
+      return Status::FailedPrecondition(
+          "checkpoint directory " + options.checkpoint_dir +
+          " already holds checkpoints; Recover the existing deployment or "
+          "point the new one elsewhere");
+    }
+  }
+
+  std::vector<JournalScan> scans(dirs.size());
+  for (size_t s = 0; s < dirs.size(); ++s) {
+    if (!existed[s]) continue;
     auto scan_result = JournalReader::ScanDir(dirs[s]);
     if (!scan_result.ok()) return scan_result.status();
     JournalScan scan = std::move(scan_result).value();
@@ -465,7 +400,7 @@ Result<std::unique_ptr<TrajectoryService>> TrajectoryService::RecoverWithEngine(
   // the header-only segment a rotation may have opened right after it),
   // restoring the all-journals-agree invariant before the new writers
   // append a byte. Anything else is real inter-journal corruption.
-  int64_t min_closed = closed_rounds(scans.front());
+  int64_t min_closed = scans.empty() ? 0 : closed_rounds(scans.front());
   for (const JournalScan& scan : scans) {
     min_closed = std::min(min_closed, closed_rounds(scan));
   }
@@ -514,9 +449,9 @@ Result<std::unique_ptr<TrajectoryService>> TrajectoryService::RecoverWithEngine(
   std::vector<int64_t> surviving;
   int corrupt_skipped = 0;
   if (options.checkpoint_every_rounds > 0) {
-    auto loaded = CheckpointManager::LoadForRecovery(options.checkpoint_dir,
-                                                     fingerprint, &surviving,
-                                                     &corrupt_skipped);
+    auto loaded = CheckpointManager::LoadForRecovery(
+        options.checkpoint_dir, std::move(checkpoint_files), fingerprint,
+        &surviving, &corrupt_skipped);
     if (loaded.ok()) {
       ckpt = std::move(loaded).value();
       // The fingerprint gate above already hashes the grid description;
@@ -568,12 +503,15 @@ Result<std::unique_ptr<TrajectoryService>> TrajectoryService::RecoverWithEngine(
   RETRASYN_RETURN_NOT_OK(
       service->ReplayJournals(scans, resume_round, min_closed));
 
-  // Re-arm the journal writers, which adopt the held locks and continue in
+  // Open the journal writers, which adopt the held locks and continue in
   // fresh segments after the replayed ones (their round accounting
   // continues from the replayed total).
+  if (!options.journal_dir.empty()) {
+    RETRASYN_RETURN_NOT_OK(CreateDirIfMissing(options.journal_dir));
+  }
   const JournalOptions journal_options =
       JournalOptionsFor(options, fingerprint);
-  std::vector<std::unique_ptr<JournalWriter>> writers;
+  std::vector<JournalWriter*> journals;
   for (size_t s = 0; s < dirs.size(); ++s) {
     if (!existed[s]) {
       // Deferred until every validation passed: a refused Recover must not
@@ -588,34 +526,30 @@ Result<std::unique_ptr<TrajectoryService>> TrajectoryService::RecoverWithEngine(
         dirs[s], journal_options, std::move(locks[s]), service->telemetry_);
     if (!writer.ok()) return writer.status();
     writer.value()->set_base_round(service->rounds_closed());
-    writers.push_back(std::move(writer).value());
+    journals.push_back(writer.value().get());
+    service->journals_.push_back(std::move(writer).value());
   }
-  service->AttachJournals(std::move(writers));
+  service->session_->AttachJournals(journals);
   // The recovery fallback-ladder depth: how many corrupt checkpoints
   // LoadForRecovery deleted before finding a usable one (0 on a clean
-  // recovery or when checkpointing is off).
+  // recovery, on a fresh boot, or when checkpointing is off).
   service->telemetry_.registry()
       .GetGauge("retrasyn_recovery_corrupt_checkpoints_skipped",
                 "Corrupt checkpoints deleted by the last recovery's "
                 "newest-first fallback ladder")
       ->Set(corrupt_skipped);
 
-  // Then the checkpoint subsystem, seeded with the recovered manifest, the
-  // surviving checkpoints, and the scanned segments (its future retirement
-  // candidates, per shard journal).
+  // Then the checkpoint subsystem, seeded with the restored checkpoint's
+  // spill manifest, the surviving checkpoints, and the scanned segments
+  // (its future retirement candidates, per shard journal).
   if (options.checkpoint_every_rounds > 0) {
-    auto manager =
-        MaybeOpenCheckpoints(options, service->window(), states, fingerprint,
-                             /*require_fresh=*/false, service->telemetry_);
+    auto manager = CheckpointManager::Open(
+        CheckpointOptionsFor(options, service->window(), fingerprint,
+                             states.grid().Describe()),
+        journals, scans, std::move(ckpt.spill_rounds), std::move(surviving),
+        service->telemetry_);
     if (!manager.ok()) return manager.status();
-    service->AttachCheckpoint(std::move(manager).value());
-    std::vector<std::vector<ScannedSegment>> segments_per_journal;
-    segments_per_journal.reserve(scans.size());
-    for (const JournalScan& scan : scans) {
-      segments_per_journal.push_back(scan.segments);
-    }
-    RETRASYN_RETURN_NOT_OK(service->checkpoint_->SeedRecovered(
-        ckpt, std::move(surviving), segments_per_journal));
+    service->checkpoint_ = std::move(manager).value();
   }
   // Finally async closing per the config.
   if (options.sync_policy == SyncPolicy::kAsync) service->ArmCloser(options);

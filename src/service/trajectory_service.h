@@ -61,6 +61,12 @@ class TrajectoryService {
   /// CreateWithEngine over a new RetraSynEngine. Returns InvalidArgument (via
   /// RetraSynConfig::Validate) instead of crashing on a nonsensical
   /// configuration. \p states must outlive the service.
+  ///
+  /// The four factories are four names over one path: Create is Recover
+  /// over directories that must hold nothing. A journal segment, a shard
+  /// journal directory, a checkpoint or a history spill file already in the
+  /// configured directories fails Create with FailedPrecondition before any
+  /// file is truncated or deleted — resume such state through Recover.
   static Result<std::unique_ptr<TrajectoryService>> Create(
       const StateSpace& states, const RetraSynConfig& config);
 
@@ -72,7 +78,8 @@ class TrajectoryService {
   /// fingerprint binds the engine's config; any other engine gets
   /// cumulative stream indices (it need not tolerate reuse) and a
   /// fingerprint over its self-reported name. Pass a RetraSynConfig as
-  /// \p options to take its service fields.
+  /// \p options to take its service fields. Refuses existing durable state
+  /// exactly as Create does.
   static Result<std::unique_ptr<TrajectoryService>> CreateWithEngine(
       const StateSpace& states, std::unique_ptr<StreamReleaseEngine> engine,
       const ServiceOptions& options = {});
@@ -176,10 +183,19 @@ class TrajectoryService {
   const RetraSynEngine* retrasyn_engine() const { return retrasyn_; }
 
  private:
+  /// The one body behind the four factories: recovers \p options'
+  /// journal and checkpoint directories (a missing or empty one recovers to
+  /// a fresh service) and opens the journal writers and the checkpoint
+  /// manager. With \p fresh (the Create pair) any journal segment, shard
+  /// journal directory, checkpoint or history file already there fails with
+  /// FailedPrecondition before a single file is truncated or deleted.
+  static Result<std::unique_ptr<TrajectoryService>> Open(
+      const StateSpace& states, std::unique_ptr<StreamReleaseEngine> engine,
+      const ServiceOptions& options, bool fresh);
+
   /// Wraps \p engine in an un-journaled service whose async closer (under
-  /// kAsync) is not armed yet: the factories attach the checkpoint and
-  /// journal subsystems, and Recover replays the journal inline, before
-  /// ArmCloser.
+  /// kAsync) is not armed yet: Open replays the journal inline, then opens
+  /// the journal and checkpoint subsystems, before ArmCloser.
   TrajectoryService(const StateSpace& states,
                     std::unique_ptr<StreamReleaseEngine> engine,
                     const ServiceOptions& options);
@@ -197,11 +213,6 @@ class TrajectoryService {
 
   /// Builds the async round-closing pipeline (kAsync only).
   void ArmCloser(const ServiceOptions& options);
-  /// Adopts the per-shard journal writers (none = journaling disabled):
-  /// every accepted event and round boundary appends to them from now on.
-  void AttachJournals(std::vector<std::unique_ptr<JournalWriter>> journals);
-  /// Adopts the checkpoint subsystem (null = disabled).
-  void AttachCheckpoint(std::unique_ptr<CheckpointManager> checkpoint);
   /// Feeds recovered events through the (inline) session, round-locked
   /// across the shard journals: each scan's events are bucketed into rounds
   /// by its boundary records (numbered from its own base round), rounds

@@ -7,10 +7,12 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "checkpoint/checkpoint_format.h"
 #include "common/file_io.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -97,6 +99,35 @@ void DriveRounds(IngestSession& session, const std::vector<DeviceTrace>& traces,
     }
     ASSERT_TRUE(session.Tick().ok());
   }
+}
+
+/// BaseConfig plus a journal under <root>/journal and checkpoints every 4
+/// rounds under <root>/ckpt, over \p shards ingest shards.
+RetraSynConfig DurableConfig(const std::string& root, int shards) {
+  RetraSynConfig config = BaseConfig();
+  config.ingest_shards = shards;
+  config.journal_dir = root + "/journal";
+  config.checkpoint_dir = root + "/ckpt";
+  config.checkpoint_every_rounds = 4;
+  return config;
+}
+
+/// Every regular file under \p dir, recursively: relative path -> bytes.
+/// Empty when \p dir does not exist.
+std::map<std::string, std::string> ReadTree(const std::string& dir) {
+  std::map<std::string, std::string> tree;
+  std::vector<std::string> files;
+  std::vector<std::string> subdirs;
+  if (!ListDirectoryEntries(dir, &files, &subdirs).ok()) return tree;
+  for (const std::string& name : files) {
+    tree[name] = ReadFileToString(dir + "/" + name).ValueOrDie();
+  }
+  for (const std::string& sub : subdirs) {
+    for (const auto& [name, bytes] : ReadTree(dir + "/" + sub)) {
+      tree[sub + "/" + name] = bytes;
+    }
+  }
+  return tree;
 }
 
 void ExpectSameRelease(const CellStreamSet& a, const CellStreamSet& b) {
@@ -567,6 +598,121 @@ TEST(RecoveryTest, RecoverOnAMissingOrEmptyJournalIsAFreshService) {
   ASSERT_TRUE(recovered.value()->session().Tick().ok());
   recovered.value().reset();  // release the journal LOCK before cleanup
   RemoveDirTree(journaled.journal_dir).CheckOK();
+
+  // Boot is recovery: a journaled, checkpointed Create and a Recover over
+  // empty directories write the same files, byte for byte, and release the
+  // same bytes — flat and sharded.
+  const auto traces = MakeWorkload(5, 40);
+  for (int shards : {1, 3}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    TempDir created_root;
+    TempDir recovered_root;
+    const RetraSynConfig create_config =
+        DurableConfig(created_root.path(), shards);
+    const RetraSynConfig recover_config =
+        DurableConfig(recovered_root.path(), shards);
+    for (const RetraSynConfig* config : {&create_config, &recover_config}) {
+      ASSERT_TRUE(CreateDirIfMissing(config->journal_dir).ok());
+      ASSERT_TRUE(CreateDirIfMissing(config->checkpoint_dir).ok());
+    }
+    auto created = TrajectoryService::Create(states, create_config);
+    auto booted = TrajectoryService::Recover(states, recover_config);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    ASSERT_TRUE(booted.ok()) << booted.status().ToString();
+    for (auto* service : {&created, &booted}) {
+      DriveRounds(service->value()->session(), traces, 0, 12);
+      ASSERT_TRUE(service->value()->Drain().ok());
+    }
+    EXPECT_EQ(booted.value()->checkpoint()->last_checkpoint_round(), 12);
+    auto want = created.value()->SnapshotRelease();
+    auto got = booted.value()->SnapshotRelease();
+    ASSERT_TRUE(want.ok() && got.ok());
+    ExpectSameRelease(got.value(), want.value());
+    created.value().reset();  // close the segments
+    booted.value().reset();
+    const auto journal = ReadTree(create_config.journal_dir);
+    EXPECT_EQ(journal.size(), static_cast<size_t>(2 * shards));  // LOCK + 1
+    EXPECT_EQ(ReadTree(recover_config.journal_dir), journal);
+    const auto checkpoints = ReadTree(create_config.checkpoint_dir);
+    EXPECT_EQ(checkpoints.count(CheckpointFileName(12)), 1u);
+    EXPECT_EQ(ReadTree(recover_config.checkpoint_dir), checkpoints);
+  }
+}
+
+TEST(RecoveryTest, RefusedCreateChangesNoFile) {
+  // A Create over existing durable state must refuse before it truncates a
+  // torn journal tail or deletes a corrupt checkpoint — the recovery that
+  // would repair them is Recover's, and a refused Create must leave it
+  // possible.
+  const BoundingBox box{0.0, 0.0, 400.0, 400.0};
+  const auto grid_owner = MakeEnvGrid(box, 3);
+  const SpatialGrid& grid = *grid_owner;
+  const StateSpace states(grid);
+  const auto traces = MakeWorkload(9, 40);
+  for (int shards : {1, 3}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    TempDir root;
+    const RetraSynConfig config = DurableConfig(root.path(), shards);
+    {
+      auto service = TrajectoryService::Create(states, config);
+      ASSERT_TRUE(service.ok()) << service.status().ToString();
+      DriveRounds(service.value()->session(), traces, 0, 12);
+      ASSERT_TRUE(service.value()->Drain().ok());
+    }
+    // Tear the tail of shard 0's last segment and cut the newest checkpoint
+    // in half: the next recovery truncates the one and deletes the other.
+    const std::string shard0 =
+        shards == 1 ? config.journal_dir
+                    : config.journal_dir + "/" + ShardJournalDirName(0);
+    const std::string segment =
+        shard0 + "/" + JournalWriter::SegmentFileName(0);
+    std::string bytes = ReadFileToString(segment).ValueOrDie();
+    const std::string kTorn("\x07\x00torn", 6);
+    bytes.append(kTorn);
+    WriteFileAtomically(shard0, JournalWriter::SegmentFileName(0), bytes)
+        .CheckOK();
+    auto scan = JournalReader::ScanDir(shard0);
+    ASSERT_TRUE(scan.ok() && scan.value().torn);
+    const std::string newest = config.checkpoint_dir + "/" +
+                               CheckpointFileName(12);
+    const std::string checkpoint = ReadFileToString(newest).ValueOrDie();
+    WriteFileAtomically(config.checkpoint_dir, CheckpointFileName(12),
+                        checkpoint.substr(0, checkpoint.size() / 2))
+        .CheckOK();
+    const auto journal = ReadTree(config.journal_dir);
+    const auto checkpoints = ReadTree(config.checkpoint_dir);
+    ASSERT_EQ(checkpoints.count(CheckpointFileName(12)), 1u);
+
+    auto refused = TrajectoryService::Create(states, config);
+    EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(ReadTree(config.journal_dir), journal);
+    EXPECT_EQ(ReadTree(config.checkpoint_dir), checkpoints);
+
+    // Each refusal holds on its own. The journal alone (checkpointing off)
+    // is refused before its torn tail is truncated ...
+    RetraSynConfig journal_only = config;
+    journal_only.checkpoint_every_rounds = 0;
+    refused = TrajectoryService::Create(states, journal_only);
+    EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(ReadTree(config.journal_dir), journal);
+
+    // ... and a fresh journal beside the old checkpoints before the corrupt
+    // checkpoint is deleted, without making the journal dir.
+    RetraSynConfig fresh_journal = config;
+    fresh_journal.journal_dir = root.path() + "/journal2";
+    refused = TrajectoryService::Create(states, fresh_journal);
+    EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(ReadTree(config.checkpoint_dir), checkpoints);
+    EXPECT_FALSE(ListDirectory(fresh_journal.journal_dir).ok());
+
+    // Recover still repairs both and resumes at the last durable round.
+    auto recovered = TrajectoryService::Recover(states, config);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_EQ(recovered.value()->rounds_closed(), 12);
+    EXPECT_EQ(recovered.value()->checkpoint()->last_checkpoint_round(), 8);
+    EXPECT_EQ(FileSize(segment).ValueOrDie(),
+              static_cast<int64_t>(bytes.size() - kTorn.size()));
+  }
 }
 
 TEST(RecoveryTest, CustomEngineServicesRecoverThroughRecoverWithEngine) {

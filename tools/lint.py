@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific static lint gates, run by ctest and the CI static-analysis job.
 
-Six checks, all over src/ (tests and benches may use what they like):
+Seven checks, all over src/ (tests and benches may use what they like):
 
   1. No naked synchronization primitives. Every mutex in src/ must be the
      annotated retrasyn::Mutex from common/mutex.h; a raw std::mutex is
@@ -41,6 +41,11 @@ Six checks, all over src/ (tests and benches may use what they like):
      front, so such a test is dead code or a detach path coming back. Only
      the engine (src/core) keeps an optional AttachTelemetry, for the bare
      batch pipeline.
+  7. Boot and recovery are one path. Under src/service, JournalWriter::Open,
+     JournalWriter::OpenLocked and CheckpointManager::Open may be called
+     from one function only (TrajectoryService::Open, behind all four
+     factories). A second caller is a second way to open the durable
+     directories, whose checks and seeding can drift from the first.
 
 Comments and string/char literals are stripped before matching, so prose like
 "time (rush hours)" or a banned token inside an error message never trips a
@@ -141,6 +146,13 @@ TELEMETRY_NAME = re.compile(
 NULL_TEST_MESSAGE = ("null test of telemetry pointer `%s` (the service layers "
                      "take a Telemetry& and always record; see docs/"
                      "observability.md)")
+
+# Check 7: one function under src/service opens the durable subsystems.
+OPENER_DIR = os.path.join("src", "service") + os.sep
+OPENER_CALL = re.compile(
+    r"\b(?:JournalWriter::(?:Open|OpenLocked)|CheckpointManager::Open)\s*\(")
+SCOPE_HEAD = re.compile(r"\b(?:namespace|class|struct|union|extern)\b")
+FUNCTION_NAME = re.compile(r"([A-Za-z_~][\w:~]*)\s*\(")
 
 # Where the fingerprinted config structs and the fingerprint live.
 CONFIG_STRUCTS = [
@@ -279,6 +291,54 @@ def struct_fields(stripped, name):
                 yield field.group(1), offset
 
 
+def enclosing_functions(stripped):
+    """Yields (name, start, end) for each function body in \p stripped that
+    is not nested in another function. Namespace, class and struct bodies
+    are looked through; any other brace outside a function opens one, named
+    by the first `name(` in its header. Function bodies are skipped whole, so
+    every other brace met belongs to a looked-through scope."""
+    head_start = 0
+    i = 0
+    while i < len(stripped):
+        c = stripped[i]
+        if c == "{" and not SCOPE_HEAD.search(stripped[head_start:i]):
+            m = FUNCTION_NAME.search(stripped[head_start:i])
+            end = brace_body(stripped, i)
+            yield (m.group(1) if m else "<unnamed>"), i, end
+            i = head_start = end
+            continue
+        if c in "{};":
+            head_start = i + 1
+        i += 1
+
+
+def lint_openers(root, findings):
+    """Check 7: JournalWriter::Open/OpenLocked and CheckpointManager::Open
+    are called from exactly one function under src/service."""
+    calls = []  # (rel, line, function)
+    for dirpath, _, filenames in os.walk(os.path.join(root, OPENER_DIR)):
+        for name in sorted(filenames):
+            if not name.endswith((".h", ".cc")):
+                continue
+            rel = os.path.relpath(os.path.join(dirpath, name), root)
+            with open(os.path.join(root, rel), encoding="utf-8") as f:
+                stripped = strip_comments_and_strings(f.read())
+            bodies = list(enclosing_functions(stripped))
+            for m in OPENER_CALL.finditer(stripped):
+                function = next((n for n, start, end in bodies
+                                 if start <= m.start() < end), "<file scope>")
+                calls.append((rel, line_of(stripped, m.start()), function))
+    openers = sorted({(rel, function) for rel, _, function in calls})
+    if len(openers) <= 1:
+        return
+    names = ", ".join(function for _, function in openers)
+    for rel, line, function in calls:
+        findings.append((rel, line,
+                         "durable subsystem opened from %d functions (%s); "
+                         "open journals and checkpoints only in "
+                         "TrajectoryService::Open" % (len(openers), names)))
+
+
 def lint_fingerprint(root, findings):
     with open(os.path.join(root, FINGERPRINT_FILE), encoding="utf-8") as f:
         stripped = strip_comments_and_strings(f.read())
@@ -363,6 +423,7 @@ def main():
             num_files += 1
             lint_file(root, rel, findings)
     lint_fingerprint(root, findings)
+    lint_openers(root, findings)
     findings.sort()
     for rel, line, message in findings:
         print(f"{rel}:{line}: {message}")
