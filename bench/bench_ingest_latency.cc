@@ -5,9 +5,8 @@
 // the ingest thread, so Tick() pays the full synthesis cost. Async mode
 // seals + enqueues and a background closer does the heavy step, so Tick()
 // latency is decoupled from synthesis cost — until the bounded round queue
-// fills and the configured backpressure policy kicks in (this bench uses
-// kBlock, so saturation shows up honestly in the tail percentiles rather
-// than as dropped rounds).
+// fills and Tick() blocks, so saturation shows up honestly in the tail
+// percentiles rather than as dropped rounds.
 //
 // The same scripted random-walk event sequence drives both modes through a
 // real RetraSynEngine. Output: a table on stderr and a JSON array (--json,
@@ -123,7 +122,6 @@ ModeResult RunMode(const std::string& mode, const StateSpace& states,
   config.sync_policy =
       mode.rfind("inline", 0) == 0 ? SyncPolicy::kInline : SyncPolicy::kAsync;
   config.round_queue_capacity = queue_capacity;
-  config.backpressure = BackpressurePolicy::kBlock;
   if (journaled) {
     config.journal_dir = MakeTempDir("bench-ingest-", ".").ValueOrDie();
     config.journal_fsync = FsyncPolicy::kEveryRound;

@@ -20,10 +20,6 @@ Status CheckpointOptions::Validate() const {
     return Status::InvalidArgument(
         "checkpointing requires a checkpoint directory");
   }
-  if (retain < 1) {
-    return Status::InvalidArgument(
-        "checkpoint retention must keep at least one checkpoint");
-  }
   if (window < 0) {
     return Status::InvalidArgument("checkpoint window must be >= 0");
   }
@@ -304,7 +300,7 @@ Status CheckpointManager::WriteCheckpoint(int64_t sealed_round,
 
 Status CheckpointManager::PruneCheckpoints() {
   bool removed = false;
-  while (retained_rounds_.size() > static_cast<size_t>(options_.retain)) {
+  while (retained_rounds_.size() > kRetainedCheckpoints) {
     // History spill files are deliberately NOT pruned with their checkpoint:
     // newer checkpoints reference the full cumulative manifest.
     RETRASYN_RETURN_NOT_OK(RemoveFile(

@@ -12,7 +12,7 @@
 //   2. writes `checkpoint-*.ckpt` atomically (tmp + fsync + rename + dir
 //      fsync) — a crash never leaves a half-written checkpoint under its
 //      final name;
-//   3. prunes checkpoints beyond the retention count; and
+//   3. prunes all but the newest kRetainedCheckpoints checkpoints; and
 //   4. retires journal segments that ended at or before the oldest retained
 //      checkpoint's round minus the w-window, through the BASE declaration
 //      of journal_compaction.h — recovery then replays only the suffix.
@@ -28,6 +28,7 @@
 #ifndef RETRASYN_CHECKPOINT_CHECKPOINT_MANAGER_H_
 #define RETRASYN_CHECKPOINT_CHECKPOINT_MANAGER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -52,10 +53,6 @@ struct CheckpointOptions {
   std::string dir;
   /// Write a checkpoint every N closed rounds; 0 disables checkpointing.
   int64_t every_rounds = 0;
-  /// Newest checkpoints kept on disk; older ones are pruned. At least 1 —
-  /// two by default, so a checkpoint corrupted in place still leaves a
-  /// bounded-replay recovery path.
-  int retain = 2;
   /// Move closed synthetic streams out of memory into history spill files at
   /// every checkpoint; SnapshotRelease reads them back on demand.
   bool spill_history = true;
@@ -82,6 +79,11 @@ struct CheckpointOptions {
 
 class CheckpointManager {
  public:
+  /// Newest checkpoints kept on disk; older ones are pruned. Two, so a
+  /// checkpoint corrupted in place still leaves a bounded-replay recovery
+  /// path.
+  static constexpr size_t kRetainedCheckpoints = 2;
+
   /// What a checkpoint directory holds, read by one listing that changes
   /// nothing: the rounds of its checkpoint and history spill files
   /// (ascending) and the orphaned `*.tmp` files of atomic writes that never

@@ -51,7 +51,8 @@ Status SyncDir(const std::string& dir) {
 
 Status ListDirectoryEntries(const std::string& dir,
                             std::vector<std::string>* files,
-                            std::vector<std::string>* subdirs) {
+                            std::vector<std::string>* subdirs,
+                            bool follow_symlinks) {
   DIR* d = ::opendir(dir.c_str());
   if (d == nullptr) {
     if (errno == ENOENT) return Status::NotFound("no such directory: " + dir);
@@ -62,12 +63,16 @@ Status ListDirectoryEntries(const std::string& dir,
   while (struct dirent* entry = ::readdir(d)) {
     const std::string name = entry->d_name;
     if (name == "." || name == "..") continue;
+    const std::string path = dir + "/" + name;
     struct stat st;
-    if (::stat((dir + "/" + name).c_str(), &st) != 0) continue;
-    if (S_ISREG(st.st_mode)) {
+    if ((follow_symlinks ? ::stat(path.c_str(), &st)
+                         : ::lstat(path.c_str(), &st)) != 0) {
+      continue;
+    }
+    if (S_ISDIR(st.st_mode)) {
+      if (subdirs != nullptr) subdirs->push_back(name);
+    } else if (S_ISREG(st.st_mode) || !follow_symlinks) {
       files->push_back(name);
-    } else if (S_ISDIR(st.st_mode) && subdirs != nullptr) {
-      subdirs->push_back(name);
     }
   }
   ::closedir(d);
@@ -181,24 +186,12 @@ Result<std::string> MakeTempDir(const std::string& prefix,
 }
 
 Status RemoveDirTree(const std::string& dir) {
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) {
-    if (errno == ENOENT) return Status::OK();
-    return Status::IOError(ErrnoMessage("opendir", dir));
-  }
   std::vector<std::string> files;
   std::vector<std::string> subdirs;
-  while (struct dirent* entry = ::readdir(d)) {
-    const std::string name = entry->d_name;
-    if (name == "." || name == "..") continue;
-    struct stat st;
-    if (::stat((dir + "/" + name).c_str(), &st) == 0 && S_ISDIR(st.st_mode)) {
-      subdirs.push_back(name);
-    } else {
-      files.push_back(name);
-    }
-  }
-  ::closedir(d);
+  const Status listed =
+      ListDirectoryEntries(dir, &files, &subdirs, /*follow_symlinks=*/false);
+  if (listed.code() == StatusCode::kNotFound) return Status::OK();
+  RETRASYN_RETURN_NOT_OK(listed);
   for (const std::string& name : subdirs) {
     RETRASYN_RETURN_NOT_OK(RemoveDirTree(dir + "/" + name));
   }

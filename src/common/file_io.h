@@ -29,10 +29,14 @@ Result<std::vector<std::string>> ListDirectory(const std::string& dir);
 /// \brief Sets \p files to the names (not paths) of the regular files in
 /// \p dir and, unless \p subdirs is null, \p subdirs to those of its
 /// subdirectories ("." and ".." excluded), each sorted, from one pass over
-/// the directory. NotFound when \p dir itself does not exist.
+/// the directory. NotFound when \p dir itself does not exist. Symlinks are
+/// classified by their targets unless \p follow_symlinks is false; then
+/// \p subdirs gets only real directories and \p files every other entry,
+/// symlinks included.
 Status ListDirectoryEntries(const std::string& dir,
                             std::vector<std::string>* files,
-                            std::vector<std::string>* subdirs);
+                            std::vector<std::string>* subdirs,
+                            bool follow_symlinks = true);
 
 /// \brief Size of the file at \p path in bytes.
 Result<int64_t> FileSize(const std::string& path);
@@ -70,6 +74,7 @@ Result<std::string> MakeTempDir(const std::string& prefix,
 
 /// \brief Removes \p dir and everything beneath it, recursing into
 /// subdirectories (sharded journal directories hold one subdir per shard).
+/// A symlink beneath \p dir is unlinked, never followed.
 Status RemoveDirTree(const std::string& dir);
 
 /// \brief An exclusive advisory lock on a file (LevelDB-style LOCK file),

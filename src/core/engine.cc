@@ -92,7 +92,7 @@ RetraSynEngine::RetraSynEngine(const StateSpace& states,
     : states_(&states),
       config_(config),
       rng_(config.seed),
-      collector_(states.size(), config.collection_mode, config.oracle),
+      collector_(states.size(), config.collection_mode),
       model_(states),
       synthesizer_(states, MakeSynthesizerConfig(config)),
       allocator_(config.allocation, config.window, states.size()),

@@ -59,14 +59,6 @@ enum class SyncPolicy {
   kAsync,   ///< Tick() seals + enqueues; a background closer runs the round
 };
 
-/// \brief What Tick() does under SyncPolicy::kAsync when the round queue is
-/// full (the closer has fallen behind the ingest rate).
-enum class BackpressurePolicy {
-  kBlock,     ///< block the ingest thread until the closer frees a slot
-  kFailFast,  ///< fail the Tick with ResourceExhausted; the round stays open
-              ///< with its events intact and the Tick may be retried later
-};
-
 /// \brief Uniform interface for all stream-release mechanisms (RetraSyn, its
 /// ablation variants, and the LDP-IDS baselines), so the evaluation harness
 /// and metrics treat them identically.
@@ -112,10 +104,8 @@ struct ServiceOptions {
   /// SnapshotRelease().
   SyncPolicy sync_policy = SyncPolicy::kInline;
   /// Bounded depth of the async round queue (sealed batches waiting for the
-  /// closer); >= 1. Ignored under kInline.
+  /// closer); >= 1. Tick() blocks while it is full. Ignored under kInline.
   int round_queue_capacity = 8;
-  /// Tick() behavior when the async round queue is full.
-  BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
   /// Ingest shards: the service's IngestSession partitions users across this
   /// many shards (hash of user id), each owning its slice of validation,
   /// pending-event state, and — when journaling — its own journal segment
@@ -146,14 +136,11 @@ struct ServiceOptions {
   /// checkpoint and replays only the journal suffix behind it — O(window)
   /// instead of O(horizon) — and compaction retires journal segments older
   /// than the oldest retained checkpoint minus the w-window. Deliberately
-  /// NOT part of the deployment fingerprint: cadence and retention may
-  /// change across restarts. See docs/durability.md.
+  /// NOT part of the deployment fingerprint: the cadence may change across
+  /// restarts. See docs/durability.md.
   int64_t checkpoint_every_rounds = 0;
   /// Directory for checkpoint and history spill files.
   std::string checkpoint_dir;
-  /// Newest checkpoints kept on disk (>= 1; default 2, so one corrupted
-  /// checkpoint still leaves a bounded-replay recovery path).
-  int checkpoint_retain = 2;
   /// Move closed synthetic streams into history spill files at every
   /// checkpoint, keeping steady-state memory flat over unbounded horizons;
   /// SnapshotRelease reads them back on demand.
@@ -182,10 +169,6 @@ struct RetraSynConfig : ServiceOptions {
   /// dataset's average stream length, per SV-A).
   double lambda = 13.61;
   CollectionMode collection_mode = CollectionMode::kAggregateSim;
-  /// Frequency oracle. The paper uses OUE (optimal variance for the large
-  /// transition-state domains here); kAuto switches to GRR per round when the
-  /// domain/budget combination favors it.
-  OracleKind oracle = OracleKind::kOue;
   /// Consistency post-processing applied to each round's frequency estimates
   /// (privacy-free by Thm. 2). kClip keeps every state's (non-negative)
   /// estimate, preserving per-cell relative movement structure even for

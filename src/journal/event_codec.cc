@@ -24,8 +24,6 @@ const char* JournalEventTypeName(JournalEventType type) {
       return "Quit";
     case JournalEventType::kTick:
       return "Tick";
-    case JournalEventType::kAdvanceTo:
-      return "AdvanceTo";
   }
   return "Unknown";
 }
@@ -76,9 +74,6 @@ void EncodeRecord(const JournalEvent& event, std::string* out) {
       break;
     case JournalEventType::kTick:
       break;
-    case JournalEventType::kAdvanceTo:
-      PutVarint64(ZigzagEncode(event.target_t), out);
-      break;
   }
   const size_t payload_len = out->size() - payload_at;
   (*out)[length_at] = static_cast<char>(payload_len);
@@ -93,8 +88,8 @@ Status DecodeRecord(const char* data, size_t size, size_t* offset,
     return Status::OutOfRange("record ends inside the length varint");
   }
   if (payload_len == 0 || payload_len > kMaxPayloadBytes) {
-    return Status::InvalidArgument("implausible record length " +
-                                   std::to_string(payload_len));
+    return Status::IOError("implausible record length " +
+                           std::to_string(payload_len));
   }
   if (size - pos < payload_len + 4) {
     return Status::OutOfRange("record ends inside payload or checksum");
@@ -106,7 +101,8 @@ Status DecodeRecord(const char* data, size_t size, size_t* offset,
     return Status::IOError("record checksum mismatch");
   }
 
-  // The frame is intact; anything wrong below is well-framed garbage.
+  // The frame holds; anything wrong below is a whole record that does not
+  // decode.
   ByteReader r(payload, payload_len);
   JournalEvent out;
   uint8_t type_byte = 0;
@@ -128,12 +124,6 @@ Status DecodeRecord(const char* data, size_t size, size_t* offset,
       break;
     case JournalEventType::kTick:
       out.type = JournalEventType::kTick;
-      break;
-    case JournalEventType::kAdvanceTo:
-      out.type = JournalEventType::kAdvanceTo;
-      if (!r.GetSigned(&out.target_t)) {
-        return Status::InvalidArgument("short AdvanceTo payload");
-      }
       break;
     default:
       return Status::InvalidArgument("unknown journal event type " +

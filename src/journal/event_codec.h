@@ -7,11 +7,9 @@
 //   Enter(user, point)   the user's stream begins at `point`
 //   Move(user, point)    the user's next report
 //   Quit(user)           the user leaves
-//   Tick                 the open round closed
-//   AdvanceTo(t)         every round up to t closed (codec vocabulary; the
-//                        live session emits one Tick per closed round, but
-//                        readers accept AdvanceTo so compacted or externally
-//                        produced journals can skip idle stretches)
+//   Tick                 the open round closed; the only round boundary
+//
+// Type 5 is retired (an AdvanceTo record no writer emitted); do not reuse it.
 //
 // Segment layout (see docs/durability.md for the diagram):
 //
@@ -41,12 +39,17 @@
 //
 // Decoding classifies failures so the reader can tell a torn tail from rot:
 //   kOutOfRange      — the buffer ends mid-record (clean truncation point)
-//   kIOError         — framing intact but the checksum does not match
-//   kInvalidArgument — well-framed garbage (unknown type, trailing bytes)
-// All three truncate the journal when they occur in the *last* segment; any
-// of them mid-journal is unrecoverable corruption. The segment header is
-// stricter: only a header cut short (kOutOfRange) is a torn tail, while a
-// complete header with a bad magic or version fails the scan everywhere.
+//   kIOError         — the frame does not hold: a zero or implausible length,
+//                      or a checksum mismatch
+//   kInvalidArgument — a checksum-valid record that does not decode (unknown
+//                      type, short payload, trailing bytes)
+// The first two truncate the journal when they occur in the *last* segment:
+// they are what an interrupted append leaves. A checksum-valid record was
+// written whole, so one that does not decode is never a torn write; it fails
+// the scan in every segment, as any failure before the last segment does.
+// The segment header follows the same rule: only a header cut short
+// (kOutOfRange) is a torn tail, while a complete header with a bad magic or
+// version fails the scan everywhere.
 
 #ifndef RETRASYN_JOURNAL_EVENT_CODEC_H_
 #define RETRASYN_JOURNAL_EVENT_CODEC_H_
@@ -66,7 +69,6 @@ enum class JournalEventType : uint8_t {
   kMove = 2,
   kQuit = 3,
   kTick = 4,
-  kAdvanceTo = 5,
 };
 
 const char* JournalEventTypeName(JournalEventType type);
@@ -75,7 +77,6 @@ struct JournalEvent {
   JournalEventType type = JournalEventType::kTick;
   uint64_t user = 0;      ///< kEnter / kMove / kQuit
   Point location{};       ///< kEnter / kMove
-  int64_t target_t = 0;   ///< kAdvanceTo
 
   static JournalEvent Enter(uint64_t user, const Point& location) {
     JournalEvent e;
@@ -98,23 +99,9 @@ struct JournalEvent {
     return e;
   }
   static JournalEvent Tick() { return JournalEvent{}; }
-  static JournalEvent AdvanceTo(int64_t t) {
-    JournalEvent e;
-    e.type = JournalEventType::kAdvanceTo;
-    e.target_t = t;
-    return e;
-  }
-
-  /// True for the record kinds that close rounds (the fsync points of
-  /// FsyncPolicy::kEveryRound and the only legal segment-rotation points).
-  bool is_round_boundary() const {
-    return type == JournalEventType::kTick ||
-           type == JournalEventType::kAdvanceTo;
-  }
 
   friend bool operator==(const JournalEvent& a, const JournalEvent& b) {
-    return a.type == b.type && a.user == b.user && a.location == b.location &&
-           a.target_t == b.target_t;
+    return a.type == b.type && a.user == b.user && a.location == b.location;
   }
 };
 

@@ -126,14 +126,20 @@ Result<JournalScan> JournalReader::ScanDir(const std::string& dir) {
       while (offset < data.size()) {
         const size_t record_start = offset;
         st = DecodeRecord(data.data(), data.size(), &offset, &event);
+        if (st.code() == StatusCode::kInvalidArgument) {
+          // A checksum-valid record was written whole: no torn append
+          // leaves one, so cutting it off as a torn tail would drop it and
+          // every record behind it.
+          return Status::IOError(
+              "journal segment " + path + " holds a record at offset " +
+              std::to_string(record_start) +
+              " that passes its checksum but does not decode: " +
+              st.message());
+        }
         if (!st.ok()) break;
         last_record_start = record_start;
         any_records = true;
-        if (event.type == JournalEventType::kTick) {
-          ++round_cursor;
-        } else if (event.type == JournalEventType::kAdvanceTo) {
-          round_cursor = std::max(round_cursor, event.target_t);
-        }
+        if (event.type == JournalEventType::kTick) ++round_cursor;
         scan.events.push_back(event);
       }
       if (any_records) {

@@ -8,13 +8,15 @@
 //  * Inside every segment but the last, each record must decode cleanly and
 //    the segment must end exactly on a record boundary — the writer rotates
 //    only after durable round boundaries, so anything else is corruption.
-//  * In the LAST segment, the first incomplete record, checksum mismatch, or
-//    well-framed garbage marks the torn tail: events before it are kept, the
-//    scan reports the valid byte prefix (`valid_tail_size`) so the caller can
-//    physically truncate the file, and everything after is discarded. A
-//    segment header cut short counts as torn too; a complete header with a
-//    bad magic or version does not, and fails the scan (kIOError) with the
-//    file left as it is.
+//  * In the LAST segment, the first incomplete record, zero or implausible
+//    length, or checksum mismatch marks the torn tail: events before it are
+//    kept, the scan reports the valid byte prefix (`valid_tail_size`) so the
+//    caller can physically truncate the file, and everything after is
+//    discarded. A segment header cut short counts as torn too.
+//  * A record that passes its checksum but does not decode (an unknown type,
+//    a short payload, trailing bytes), or a complete segment header with a
+//    bad magic or version, is never torn: it fails the scan (kIOError) in
+//    any segment, with the file left as it is.
 //
 // An empty or missing directory scans to zero events (a fresh deployment).
 

@@ -288,7 +288,7 @@ Status JournalWriter::Append(const JournalEvent& event) {
   if (st.ok() && options_.fsync == FsyncPolicy::kEveryRecord) {
     st = SyncDataTimed();
   }
-  if (st.ok() && event.is_round_boundary()) {
+  if (st.ok() && event.type == JournalEventType::kTick) {
     if (options_.fsync == FsyncPolicy::kEveryRound) st = SyncDataTimed();
     if (st.ok()) {
       ++rounds_appended_;

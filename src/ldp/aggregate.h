@@ -2,6 +2,10 @@
 // users (each holding one TransitionState) and the curator's noisy frequency
 // estimate over the state space.
 //
+// Every round collects with OUE (paper SIV): its worst-case variance does not
+// grow with the domain size, and transition-state domains hold up to 11
+// states per cell, where GRR's variance (which grows with the domain) loses.
+//
 // Two fidelities are provided:
 //  * kPerUser       — every reporting user runs a real OUE client and the
 //                     curator aggregates the bit vectors. This is the actual
@@ -115,13 +119,6 @@ enum class CollectionMode {
   kAggregateSim,
 };
 
-/// \brief Which frequency oracle a collection round runs.
-enum class OracleKind {
-  kOue,   ///< optimized unary encoding (paper default; best for large |S|)
-  kGrr,   ///< generalized randomized response (wins for tiny domains/high eps)
-  kAuto,  ///< pick per round by comparing worst-case estimator variances
-};
-
 /// \brief Outcome of one LDP collection round.
 struct CollectionResult {
   /// Unbiased frequency estimates over the full state space (fraction of the
@@ -145,39 +142,24 @@ struct CollectTimings {
 /// \brief Runs LDP collection rounds over a transition-state domain.
 class TransitionCollector {
  public:
-  TransitionCollector(uint32_t domain_size, CollectionMode mode,
-                      OracleKind oracle = OracleKind::kOue)
-      : domain_size_(domain_size), mode_(mode), oracle_(oracle) {}
+  TransitionCollector(uint32_t domain_size, CollectionMode mode)
+      : domain_size_(domain_size), mode_(mode) {}
 
   uint32_t domain_size() const { return domain_size_; }
   CollectionMode mode() const { return mode_; }
-  OracleKind oracle() const { return oracle_; }
-
-  /// The oracle a round with budget \p epsilon would use (resolves kAuto by
-  /// the worst-case variance comparison; per-round population size does not
-  /// affect the comparison since both variances scale as 1/n).
-  OracleKind EffectiveOracle(double epsilon) const;
 
   /// Collects the given users' states with per-report budget \p epsilon.
   /// An empty \p states or non-positive epsilon yields a zero-report result
   /// with empty frequency estimates (callers treat that as "no update").
   /// When \p timings is non-null, the user-side / curator-side wall-clock
   /// split is reported through it.
-  /// Not const: OUE rounds reuse the collector's count buffers.
+  /// Not const: rounds reuse the collector's count buffers.
   CollectionResult Collect(const std::vector<StateId>& states, double epsilon,
                            Rng& rng, CollectTimings* timings = nullptr);
 
  private:
-  CollectionResult CollectOue(const std::vector<StateId>& states,
-                              double epsilon, Rng& rng,
-                              CollectTimings* timings);
-  CollectionResult CollectGrr(const std::vector<StateId>& states,
-                              double epsilon, Rng& rng,
-                              CollectTimings* timings) const;
-
   uint32_t domain_size_;
   CollectionMode mode_;
-  OracleKind oracle_;
   // OUE round buffers, kept across rounds: the aggregate simulation's
   // per-state counts and the aggregator's one-counts (built on first use).
   std::vector<uint64_t> counts_;

@@ -130,39 +130,6 @@ uint32_t GrrClient::Perturb(uint32_t value, Rng& rng) const {
   return other >= value ? other + 1 : other;
 }
 
-GrrAggregator::GrrAggregator(double epsilon, uint32_t domain_size)
-    : epsilon_(epsilon), domain_size_(domain_size) {
-  RETRASYN_CHECK(domain_size >= 2);
-  counts_.assign(domain_size, 0);
-}
-
-void GrrAggregator::AddReport(uint32_t value) {
-  RETRASYN_DCHECK(value < domain_size_);
-  ++counts_[value];
-  ++n_;
-}
-
-std::vector<double> GrrAggregator::EstimateFrequencies() const {
-  std::vector<double> freqs(domain_size_, 0.0);
-  if (n_ == 0) return freqs;
-  const double e = std::exp(epsilon_);
-  const double p = e / (e + domain_size_ - 1.0);
-  const double q = 1.0 / (e + domain_size_ - 1.0);
-  const double n = static_cast<double>(n_);
-  for (uint32_t i = 0; i < domain_size_; ++i) {
-    freqs[i] = (static_cast<double>(counts_[i]) / n - q) / (p - q);
-  }
-  return freqs;
-}
-
-double GrrFrequencyVariance(double epsilon, uint32_t domain_size, uint64_t n) {
-  if (n == 0) return std::numeric_limits<double>::infinity();
-  const double e = std::exp(epsilon);
-  const double d = static_cast<double>(domain_size);
-  // Worst-case (f -> 0) variance of the GRR estimator.
-  return (e + d - 2.0) / (static_cast<double>(n) * (e - 1.0) * (e - 1.0));
-}
-
 void ApplyPostprocess(Postprocess mode, std::vector<double>& freqs,
                       double target_mass) {
   switch (mode) {

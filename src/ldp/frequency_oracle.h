@@ -5,8 +5,8 @@
 // minimal worst-case estimation variance among unary-encoding protocols,
 // Var[f_hat] = 4 e^eps / (n (e^eps - 1)^2)   (Eq. 3),
 // which is exactly the quantity the DMU mechanism trades off against
-// approximation bias. Generalized Randomized Response (GRR) is provided as a
-// secondary oracle for comparison and testing.
+// approximation bias. The Generalized Randomized Response (GRR) client is
+// kept for the perturbation audit (ldp/audit.h); rounds never collect with it.
 
 #ifndef RETRASYN_LDP_FREQUENCY_ORACLE_H_
 #define RETRASYN_LDP_FREQUENCY_ORACLE_H_
@@ -104,26 +104,6 @@ class GrrClient {
   uint32_t domain_size_;
   double p_;
 };
-
-class GrrAggregator {
- public:
-  GrrAggregator(double epsilon, uint32_t domain_size);
-
-  void AddReport(uint32_t value);
-
-  uint64_t num_reports() const { return n_; }
-
-  std::vector<double> EstimateFrequencies() const;
-
- private:
-  double epsilon_;
-  uint32_t domain_size_;
-  std::vector<uint64_t> counts_;
-  uint64_t n_ = 0;
-};
-
-/// \brief Variance of the GRR frequency estimate (for oracle selection).
-double GrrFrequencyVariance(double epsilon, uint32_t domain_size, uint64_t n);
 
 /// \brief Post-processing for noisy frequency vectors (Thm. 2 keeps this
 /// privacy-free).

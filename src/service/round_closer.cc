@@ -14,6 +14,7 @@ RoundCloser::RoundCloser(Options options, Telemetry& telemetry, CloseFn close,
   RETRASYN_CHECK(options_.queue_capacity >= 1);
   RETRASYN_CHECK(close_ != nullptr);
   RETRASYN_CHECK(deliver_ != nullptr);
+  RETRASYN_CHECK(options_.recycle != nullptr);
   MetricsRegistry& registry = telemetry_.registry();
   queue_depth_metric_ = registry.GetGauge(
       "retrasyn_closer_queue_depth",
@@ -26,7 +27,7 @@ RoundCloser::RoundCloser(Options options, Telemetry& telemetry, CloseFn close,
       "Close-callback duration on the closer worker (Observe + release)");
   backpressure_blocks_metric_ = registry.GetCounter(
       "retrasyn_closer_backpressure_blocks_total",
-      "Submit() calls that blocked on a full queue (kBlock policy)");
+      "Submit() calls that blocked on a full queue");
   poisonings_metric_ = registry.GetCounter(
       "retrasyn_closer_poisonings_total",
       "Pipeline poisonings (close or delivery failures)");
@@ -58,12 +59,6 @@ Status RoundCloser::Submit(TimestampBatch batch) {
   MutexLock l(mu_);
   if (!error_.ok()) return error_;
   if (rounds_.size() >= options_.queue_capacity) {
-    if (options_.backpressure == BackpressurePolicy::kFailFast) {
-      return Status::ResourceExhausted(
-          "round queue is full (" + std::to_string(options_.queue_capacity) +
-          " sealed batches); the closer has fallen behind — retry the Tick "
-          "later or use BackpressurePolicy::kBlock");
-    }
     backpressure_blocks_metric_->Increment();
     while (!stop_ && error_.ok() &&
            rounds_.size() >= options_.queue_capacity) {
@@ -121,7 +116,7 @@ void RoundCloser::CloserLoop() {
     Stopwatch close_watch;
     Result<RoundRelease> release = close_(batch);
     close_hist_->Record(close_watch.ElapsedSeconds());
-    if (options_.recycle) options_.recycle(std::move(batch));
+    options_.recycle(std::move(batch));
     mu_.Lock();
     if (!release.ok()) {
       ++finished_;

@@ -63,11 +63,10 @@ class RoundCloser {
 
   struct Options {
     size_t queue_capacity = 8;  ///< sealed batches waiting for the closer
-    BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
     /// Invoked on the closer worker after the close callback has consumed a
     /// batch (whether it succeeded or not — only the buffer matters), so the
     /// observation vector can return to the session's reuse pool instead of
-    /// being freed. Optional.
+    /// being freed. Required.
     std::function<void(TimestampBatch&&)> recycle;
   };
 
@@ -79,11 +78,9 @@ class RoundCloser {
   RoundCloser(const RoundCloser&) = delete;
   RoundCloser& operator=(const RoundCloser&) = delete;
 
-  /// Hands a sealed round to the pipeline. Returns the sticky pipeline error
-  /// if a previous round failed (the batch is NOT enqueued — the caller's
-  /// round state should stay un-committed), ResourceExhausted when the queue
-  /// is full under BackpressurePolicy::kFailFast, and otherwise blocks until
-  /// a slot frees up.
+  /// Hands a sealed round to the pipeline, blocking while the queue is full.
+  /// Returns the sticky pipeline error if a previous round failed (the batch
+  /// is NOT enqueued — the caller's round state should stay un-committed).
   Status Submit(TimestampBatch batch) EXCLUDES(mu_);
 
   /// Barrier: returns once every submitted round has been closed and its

@@ -105,16 +105,15 @@ JournalOptions JournalOptionsFor(const ServiceOptions& options,
 
 /// The checkpoint subsystem's options from the service's: the same
 /// fingerprint the journal stamps, retirement window = \p window (the
-/// engine's w-event window; 0 for a custom engine). The cadence/retention
-/// knobs are deliberately NOT fingerprinted — they may change across
-/// restarts without invalidating durable state.
+/// engine's w-event window; 0 for a custom engine). The cadence is
+/// deliberately NOT fingerprinted — it may change across restarts without
+/// invalidating durable state.
 CheckpointOptions CheckpointOptionsFor(const ServiceOptions& options,
                                        int window, uint64_t fingerprint,
                                        std::string grid_describe) {
   CheckpointOptions checkpoint;
   checkpoint.dir = options.checkpoint_dir;
   checkpoint.every_rounds = options.checkpoint_every_rounds;
-  checkpoint.retain = options.checkpoint_retain;
   checkpoint.spill_history = options.checkpoint_spill_history;
   checkpoint.fingerprint = fingerprint;
   checkpoint.grid_describe = std::move(grid_describe);
@@ -204,7 +203,8 @@ uint64_t TrajectoryService::DeploymentFingerprint() const {
     PutFixed64(config.use_eq ? 1 : 0, &bytes);
     PutDouble(config.lambda, &bytes);
     PutFixed64(static_cast<uint64_t>(config.collection_mode), &bytes);
-    PutFixed64(static_cast<uint64_t>(config.oracle), &bytes);
+    // OUE's code from when the oracle was a setting: old fingerprints hold.
+    PutFixed64(0, &bytes);
     PutFixed64(static_cast<uint64_t>(config.postprocess), &bytes);
     PutFixed64(config.seed, &bytes);
   }
@@ -219,7 +219,6 @@ void TrajectoryService::ArmCloser(const ServiceOptions& options) {
   RoundCloser::Options closer_options;
   closer_options.queue_capacity =
       static_cast<size_t>(options.round_queue_capacity);
-  closer_options.backpressure = options.backpressure;
   closer_options.recycle = [this](TimestampBatch&& batch) {
     session_->RecycleBatch(std::move(batch));
   };
@@ -383,11 +382,7 @@ Result<std::unique_ptr<TrajectoryService>> TrajectoryService::Open(
   auto closed_rounds = [](const JournalScan& scan) {
     int64_t round = scan.base_round;
     for (const JournalEvent& e : scan.events) {
-      if (e.type == JournalEventType::kTick) {
-        ++round;
-      } else if (e.type == JournalEventType::kAdvanceTo) {
-        round = std::max(round, e.target_t);
-      }
+      if (e.type == JournalEventType::kTick) ++round;
     }
     return round;
   };
@@ -561,11 +556,8 @@ Status TrajectoryService::ReplayJournals(const std::vector<JournalScan>& scans,
                                          int64_t target_round) {
   // Bucket each shard's events by the round they belong to, numbering from
   // that journal's own base round (per-shard BASE files may differ — shard
-  // segment sizes do). A kTick boundary closes one bucket; a kAdvanceTo
-  // closes through its target, leaving empty buckets for the skipped
-  // rounds (the session itself only ever journals kTick, but the codec
-  // admits kAdvanceTo, so replay handles it). The final bucket holds the
-  // open round's trailing events.
+  // segment sizes do). A kTick boundary closes one bucket. The final bucket
+  // holds the open round's trailing events.
   struct ShardBuckets {
     int64_t base = 0;
     std::vector<std::vector<const JournalEvent*>> rounds;
@@ -578,12 +570,6 @@ Status TrajectoryService::ReplayJournals(const std::vector<JournalScan>& scans,
     for (const JournalEvent& e : scans[s].events) {
       if (e.type == JournalEventType::kTick) {
         shard.rounds.emplace_back();
-      } else if (e.type == JournalEventType::kAdvanceTo) {
-        const int64_t current =
-            shard.base + static_cast<int64_t>(shard.rounds.size()) - 1;
-        for (int64_t r = current; r < e.target_t; ++r) {
-          shard.rounds.emplace_back();
-        }
       } else {
         shard.rounds.back().push_back(&e);
       }

@@ -21,8 +21,8 @@
 //     + sink delivery on the calling thread. A handler/sink failure fails
 //     the Tick, which rolls back and may be retried.
 //   SyncPolicy::kAsync  — Tick() seals the round and enqueues it on a
-//     bounded queue (backpressure / round_queue_capacity control a full
-//     queue); a background closer runs the heavy step and sinks receive
+//     bounded queue (round_queue_capacity deep; a full queue blocks the
+//     Tick); a background closer runs the heavy step and sinks receive
 //     releases strictly in round order on a delivery worker. Call Drain()
 //     before SnapshotRelease(). Failures surface on the next Tick()/Drain().
 //     For a fixed seed the released bytes equal kInline's.

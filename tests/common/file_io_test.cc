@@ -1,6 +1,7 @@
 #include "common/file_io.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <string>
 #include <vector>
@@ -60,6 +61,29 @@ TEST(FileIoTest, WriteFileAtomicallyFailsOnAMissingDirectory) {
   TempDir dir;
   EXPECT_EQ(WriteFileAtomically(dir.path() + "/absent", "STATE", "x").code(),
             StatusCode::kIOError);
+}
+
+TEST(FileIoTest, RemoveDirTreeUnlinksSymlinksWithoutFollowingThem) {
+  // A tree holding a file, a subdirectory, a symlink to a directory outside
+  // it and one to a file outside it: the tree goes, the outside stays whole.
+  TempDir outside;
+  ASSERT_TRUE(WriteFileAtomically(outside.path(), "KEEP", "k").ok());
+  TempDir holder;
+  const std::string tree = holder.path() + "/tree";
+  ASSERT_TRUE(CreateDirIfMissing(tree).ok());
+  ASSERT_TRUE(CreateDirIfMissing(tree + "/sub").ok());
+  ASSERT_TRUE(WriteFileAtomically(tree + "/sub", "FILE", "f").ok());
+  ASSERT_EQ(::symlink(outside.path().c_str(), (tree + "/dir-link").c_str()),
+            0);
+  ASSERT_EQ(::symlink((outside.path() + "/KEEP").c_str(),
+                      (tree + "/file-link").c_str()),
+            0);
+
+  ASSERT_TRUE(RemoveDirTree(tree).ok());
+  EXPECT_EQ(ListDirectory(tree).status().code(), StatusCode::kNotFound);
+  auto kept = ListDirectory(outside.path());
+  ASSERT_TRUE(kept.ok());
+  EXPECT_EQ(kept.value(), std::vector<std::string>{"KEEP"});
 }
 
 TEST(FileIoTest, IsTempFileNameMatchesOnlyTheSuffix) {

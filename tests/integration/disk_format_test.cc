@@ -67,7 +67,7 @@ TEST(DiskFormatTest, SegmentHeader) {
             "efcdab8967452301");  // fingerprint, LE
 }
 
-TEST(DiskFormatTest, EnterAndAdvanceToRecords) {
+TEST(DiskFormatTest, EnterRecord) {
   std::string enter;
   EncodeRecord(JournalEvent::Enter(300, Point{1.5, -2.25}), &enter);
   EXPECT_EQ(Hex(enter),
@@ -77,13 +77,6 @@ TEST(DiskFormatTest, EnterAndAdvanceToRecords) {
             "000000000000f83f"    // x = 1.5, IEEE-754 bits LE
             "00000000000002c0"    // y = -2.25
             "9d437a26");          // CRC32C(payload), LE
-  std::string advance;
-  EncodeRecord(JournalEvent::AdvanceTo(-3), &advance);
-  EXPECT_EQ(Hex(advance),
-            "02"                  // payload length 2
-            "05"                  // kAdvanceTo
-            "05"                  // zigzag(-3)
-            "659ab899");          // CRC32C(payload)
 }
 
 TEST(DiskFormatTest, JournalBaseFile) {

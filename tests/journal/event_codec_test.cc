@@ -52,9 +52,6 @@ std::vector<JournalEvent> AllEventKinds() {
       JournalEvent::Move(7, Point{3.25, -4.5}),
       JournalEvent::Quit(129),
       JournalEvent::Tick(),
-      JournalEvent::AdvanceTo(0),
-      JournalEvent::AdvanceTo(886),
-      JournalEvent::AdvanceTo(std::numeric_limits<int64_t>::max()),
   };
 }
 
@@ -157,11 +154,15 @@ std::string FrameRaw(const std::string& payload) {
 }
 
 TEST(EventCodecTest, UnknownTypeWithValidChecksumIsInvalidArgument) {
-  const std::string buf = FrameRaw(std::string(1, static_cast<char>(250)));
-  size_t offset = 0;
-  JournalEvent out;
-  EXPECT_EQ(DecodeRecord(buf.data(), buf.size(), &offset, &out).code(),
-            StatusCode::kInvalidArgument);
+  // Type 250, and the retired type 5 (an AdvanceTo record, target zigzag -3).
+  for (const std::string& payload :
+       {std::string(1, static_cast<char>(250)), std::string("\x05\x05")}) {
+    const std::string buf = FrameRaw(payload);
+    size_t offset = 0;
+    JournalEvent out;
+    EXPECT_EQ(DecodeRecord(buf.data(), buf.size(), &offset, &out).code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(EventCodecTest, TrailingPayloadBytesAreInvalidArgument) {
@@ -176,14 +177,18 @@ TEST(EventCodecTest, TrailingPayloadBytesAreInvalidArgument) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(EventCodecTest, ImplausibleLengthIsInvalidArgument) {
-  std::string buf;
-  PutVarint64(1 << 20, &buf);  // far beyond any v1 payload
-  buf.append(8, '\x00');
-  size_t offset = 0;
-  JournalEvent out;
-  EXPECT_EQ(DecodeRecord(buf.data(), buf.size(), &offset, &out).code(),
-            StatusCode::kInvalidArgument);
+TEST(EventCodecTest, ImplausibleLengthIsIOError) {
+  // Far beyond any v1 payload, and zero (a zero-filled tail reads as one).
+  for (const uint64_t length : {uint64_t{1} << 20, uint64_t{0}}) {
+    std::string buf;
+    PutVarint64(length, &buf);
+    buf.append(8, '\x00');
+    size_t offset = 0;
+    JournalEvent out;
+    EXPECT_EQ(DecodeRecord(buf.data(), buf.size(), &offset, &out).code(),
+              StatusCode::kIOError)
+        << "length " << length;
+  }
 }
 
 TEST(EventCodecTest, EncodingIntoAReservedBufferAllocatesNothing) {

@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "common/coding.h"
+#include "common/crc32c.h"
 #include "common/file_io.h"
 #include "journal/journal_reader.h"
 #include "journal/journal_writer.h"
@@ -240,6 +242,56 @@ TEST(JournalTest, UnreadableHeaderInFinalSegmentFailsTheScan) {
     ASSERT_TRUE(after.ok());
     EXPECT_EQ(after.value(), static_cast<int64_t>(data.size()))
         << "byte " << byte;
+  }
+}
+
+TEST(JournalTest, ChecksumValidRecordThatDoesNotDecodeFailsTheScan) {
+  // An interrupted append leaves a frame cut short, a zero length or a
+  // checksum mismatch, never a whole record that passes its checksum. One
+  // that does not decode (an unknown type 6, or the retired type 5) is
+  // corruption even in the final segment: the scan must fail and leave the
+  // file as it is, not cut it and the two Ticks behind it off as a torn
+  // tail. A zero-filled tail, which a crash can leave, still reads as torn.
+  std::string tail_ticks;
+  EncodeRecord(JournalEvent::Tick(), &tail_ticks);
+  EncodeRecord(JournalEvent::Tick(), &tail_ticks);
+  for (const std::string& payload :
+       {std::string("\x06"), std::string("\x05\x05"), std::string()}) {
+    TempDir dir;
+    const std::vector<JournalEvent> events = SampleWorkload(4, 3);
+    ASSERT_TRUE(WriteAll(dir.path(), JournalOptions(), events).ok());
+    const std::string segment =
+        dir.path() + "/" + JournalWriter::SegmentFileName(0);
+    std::string appended;
+    if (payload.empty()) {
+      appended.assign(16, '\0');
+    } else {
+      PutVarint64(payload.size(), &appended);
+      appended += payload;
+      PutFixed32(Crc32c(payload.data(), payload.size()), &appended);
+      appended += tail_ticks;
+    }
+    const std::string written = ReadFileToString(segment).ValueOrDie();
+    {
+      std::FILE* f = std::fopen(segment.c_str(), "ab");
+      ASSERT_NE(f, nullptr);
+      ASSERT_EQ(std::fwrite(appended.data(), 1, appended.size(), f),
+                appended.size());
+      std::fclose(f);
+    }
+    auto scan = JournalReader::ScanDir(dir.path());
+    if (payload.empty()) {
+      ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+      EXPECT_TRUE(scan.value().torn);
+      EXPECT_EQ(scan.value().valid_tail_size,
+                static_cast<int64_t>(written.size()));
+      EXPECT_EQ(scan.value().events, events);
+      continue;
+    }
+    EXPECT_EQ(scan.status().code(), StatusCode::kIOError)
+        << "type " << static_cast<int>(payload[0]);
+    EXPECT_EQ(ReadFileToString(segment).ValueOrDie(), written + appended)
+        << "type " << static_cast<int>(payload[0]);
   }
 }
 

@@ -123,8 +123,7 @@ TEST(CollectorTest, AggregateSimOneCountsMatchTheExactConvolution) {
   for (double eps : {0.05, 1.0, 4.0}) {
     const double q = OueParams{eps, 1}.q();
     TransitionCollector collector(static_cast<uint32_t>(true_counts.size()),
-                                  CollectionMode::kAggregateSim,
-                                  OracleKind::kOue);
+                                  CollectionMode::kAggregateSim);
     Rng rng(++seed);
     std::vector<std::vector<uint64_t>> ones(
         true_counts.size(), std::vector<uint64_t>(n + 1, 0));

@@ -153,42 +153,12 @@ TEST(GrrTest, KeepProbability) {
   EXPECT_NEAR(client.keep_probability(), e / (e + 9.0), 1e-12);
 }
 
-TEST(GrrTest, UnbiasedEstimation) {
-  Rng rng(8);
-  const double eps = 2.0;
-  const uint32_t d = 6;
-  GrrClient client(eps, d);
-  GrrAggregator agg(eps, d);
-  const int n = 60000;
-  for (int i = 0; i < n; ++i) {
-    const uint32_t value = (i % 2 == 0) ? 1 : 4;  // 50/50 over two values
-    agg.AddReport(client.Perturb(value, rng));
-  }
-  const auto freqs = agg.EstimateFrequencies();
-  EXPECT_NEAR(freqs[1], 0.5, 0.02);
-  EXPECT_NEAR(freqs[4], 0.5, 0.02);
-  EXPECT_NEAR(freqs[0], 0.0, 0.02);
-}
-
 TEST(GrrTest, PerturbStaysInDomain) {
   Rng rng(9);
   GrrClient client(0.5, 4);
   for (int i = 0; i < 1000; ++i) {
     EXPECT_LT(client.Perturb(i % 4, rng), 4u);
   }
-}
-
-TEST(GrrVarianceTest, LargerDomainLargerVariance) {
-  EXPECT_GT(GrrFrequencyVariance(1.0, 100, 1000),
-            GrrFrequencyVariance(1.0, 10, 1000));
-}
-
-TEST(OracleChoiceTest, OueBeatsGrrOnLargeDomains) {
-  // The reason the paper uses OUE: for transition-state domains (hundreds to
-  // thousands of states), OUE's variance is smaller than GRR's.
-  const uint32_t domain = 900;  // ~ 9|C| + 2|C| at K = 9
-  EXPECT_LT(OueFrequencyVariance(1.0, 1000),
-            GrrFrequencyVariance(1.0, domain, 1000));
 }
 
 TEST(PostprocessTest, ClipRemovesNegatives) {

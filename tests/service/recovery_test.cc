@@ -13,6 +13,8 @@
 #include <vector>
 
 #include "checkpoint/checkpoint_format.h"
+#include "common/coding.h"
+#include "common/crc32c.h"
 #include "common/file_io.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -536,8 +538,6 @@ TEST(RecoveryTest, TornTailRecoversAPrefixAtEveryByteOffset) {
           ASSERT_TRUE(session.Tick().ok());
           ++expected_rounds;
           break;
-        case JournalEventType::kAdvanceTo:
-          FAIL() << "live sessions never journal AdvanceTo";
       }
     }
 
@@ -988,6 +988,49 @@ TEST(RecoveryTest, UnsupportedHeaderVersionInTheFinalSegmentFailsRecovery) {
   auto after = ReadFileToString(segment);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after.value(), data);
+}
+
+TEST(RecoveryTest, ChecksumValidRecordThatDoesNotDecodeFailsRecovery) {
+  // A whole, checksum-valid record that does not decode (an unknown type 6,
+  // or the retired type 5) followed by two good Ticks is not a torn tail:
+  // Recover must refuse the journal and leave its bytes alone rather than
+  // cut it there and come back without those two rounds.
+  const BoundingBox box{0.0, 0.0, 400.0, 400.0};
+  const auto grid_owner = MakeEnvGrid(box, 3);
+  const StateSpace states(*grid_owner);
+  const auto traces = MakeWorkload(13, 100);
+  for (const std::string& payload :
+       {std::string("\x06"), std::string("\x05\x05")}) {
+    TempDir dir;
+    RetraSynConfig journaled = BaseConfig();
+    journaled.journal_dir = dir.path();
+    {
+      auto service = TrajectoryService::Create(states, journaled);
+      ASSERT_TRUE(service.ok());
+      DriveRounds(service.value()->session(), traces, 0, 6);
+    }
+    std::string appended;
+    PutVarint64(payload.size(), &appended);
+    appended += payload;
+    PutFixed32(Crc32c(payload.data(), payload.size()), &appended);
+    EncodeRecord(JournalEvent::Tick(), &appended);
+    EncodeRecord(JournalEvent::Tick(), &appended);
+    const std::string segment =
+        dir.path() + "/" + JournalWriter::SegmentFileName(0);
+    {
+      std::FILE* f = std::fopen(segment.c_str(), "ab");
+      ASSERT_NE(f, nullptr);
+      ASSERT_EQ(std::fwrite(appended.data(), 1, appended.size(), f),
+                appended.size());
+      std::fclose(f);
+    }
+    const std::map<std::string, std::string> before = ReadTree(dir.path());
+    auto recovered = TrajectoryService::Recover(states, journaled);
+    EXPECT_EQ(recovered.status().code(), StatusCode::kIOError)
+        << "type " << static_cast<int>(payload[0]);
+    EXPECT_TRUE(ReadTree(dir.path()) == before)  // no dump of the bytes
+        << "type " << static_cast<int>(payload[0]);
+  }
 }
 
 TEST(RecoveryTest, PoisonedJournalBlocksTheSessionWithoutCrashing) {

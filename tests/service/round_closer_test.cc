@@ -1,5 +1,5 @@
 // The async round-closing pipeline: ordered sink delivery under a slow sink,
-// backpressure (block and fail-fast), the Drain()-before-snapshot rule,
+// a blocking full queue, the Drain()-before-snapshot rule,
 // error propagation from background failures to the ingest thread, and
 // byte-exact Inline-vs-Async equivalence for the real engine.
 
@@ -154,7 +154,6 @@ TEST(RoundCloserTest, BlockBackpressureProcessesEveryRound) {
   ServiceOptions options;
   options.sync_policy = SyncPolicy::kAsync;
   options.round_queue_capacity = 1;  // force the ingest thread to block
-  options.backpressure = BackpressurePolicy::kBlock;
   auto engine =
       std::make_unique<StubEngine>(fx.grid.NumCells(), /*observe_delay_ms=*/3);
   StubEngine* raw = engine.get();
@@ -169,47 +168,6 @@ TEST(RoundCloserTest, BlockBackpressureProcessesEveryRound) {
   EXPECT_EQ(raw->observed(), 10);
   ASSERT_EQ(sink.rounds.size(), 10u);
   for (int64_t t = 0; t < 10; ++t) EXPECT_EQ(sink.rounds[t], t);
-}
-
-TEST(RoundCloserTest, FailFastBackpressureRejectsAndAllowsRetry) {
-  AsyncFixture fx;
-  ServiceOptions options;
-  options.sync_policy = SyncPolicy::kAsync;
-  options.round_queue_capacity = 1;
-  options.backpressure = BackpressurePolicy::kFailFast;
-  auto engine = std::make_unique<StubEngine>(fx.grid.NumCells(),
-                                             /*observe_delay_ms=*/30);
-  StubEngine* raw = engine.get();
-  auto service = TrajectoryService::CreateWithEngine(fx.states,
-                                                     std::move(engine), options);
-  ASSERT_TRUE(service.ok()) << service.status().ToString();
-  IngestSession& session = service.value()->session();
-
-  // Round 0 heads for the (slow) closer; subsequent rounds pile up in the
-  // single queue slot until a Tick fails fast. The failed Tick leaves the
-  // round open with its events intact.
-  ASSERT_TRUE(session.Enter(1, fx.CellPoint(0, 0)).ok());
-  ASSERT_TRUE(session.Tick().ok());
-  ASSERT_TRUE(session.Move(1, fx.CellPoint(0, 1)).ok());
-  Status st = Status::OK();
-  int accepted = 0;
-  while (true) {
-    st = session.Tick();
-    if (!st.ok()) break;
-    ++accepted;
-    ASSERT_TRUE(session.Move(1, fx.CellPoint(0, 0)).ok());
-    ASSERT_LT(accepted, 1000) << "queue never filled";
-  }
-  EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
-  const int64_t open_round = session.open_round();
-  EXPECT_EQ(session.num_pending_events(), 1u);
-
-  // Once the closer catches up, the identical round goes through.
-  ASSERT_TRUE(service.value()->Drain().ok());
-  ASSERT_TRUE(session.Tick().ok());
-  EXPECT_EQ(session.open_round(), open_round + 1);
-  ASSERT_TRUE(service.value()->Drain().ok());
-  EXPECT_EQ(raw->observed(), session.open_round());
 }
 
 TEST(RoundCloserTest, SnapshotRequiresDrain) {

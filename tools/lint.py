@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Repo-specific static lint gates, run by ctest and the CI static-analysis job.
 
-Seven checks, all over src/ (tests and benches may use what they like):
+Eight checks, all over src/ (tests and benches may use what they like;
+check 8 reads bench/ and perfbench/ too):
 
   1. No naked synchronization primitives. Every mutex in src/ must be the
      annotated retrasyn::Mutex from common/mutex.h; a raw std::mutex is
@@ -46,6 +47,11 @@ Seven checks, all over src/ (tests and benches may use what they like):
      from one function only (TrajectoryService::Open, behind all four
      factories). A second caller is a second way to open the durable
      directories, whose checks and seeding can drift from the first.
+  8. Every knob has a caller. Each data member declared directly in
+     ServiceOptions or RetraSynConfig must be assigned (`.field =` or
+     `->field =`, a member of it counting too) somewhere in src/, bench/ or
+     perfbench/, or sit in KNOB_ALLOWLIST with a reason. A field only the
+     tests set keeps a code path alive that no deployment selects.
 
 Comments and string/char literals are stripped before matching, so prose like
 "time (rush hours)" or a banned token inside an error message never trips a
@@ -153,6 +159,17 @@ OPENER_CALL = re.compile(
     r"\b(?:JournalWriter::(?:Open|OpenLocked)|CheckpointManager::Open)\s*\(")
 SCOPE_HEAD = re.compile(r"\b(?:namespace|class|struct|union|extern)\b")
 FUNCTION_NAME = re.compile(r"([A-Za-z_~][\w:~]*)\s*\(")
+
+# Check 8: the knobs and where their callers live.
+KNOB_STRUCTS = [
+    (os.path.join("src", "core", "engine.h"), "ServiceOptions"),
+    (os.path.join("src", "core", "engine.h"), "RetraSynConfig"),
+]
+KNOB_CALLER_DIRS = ("src", "bench", "perfbench")
+KNOB_ALLOWLIST = {
+    "RetraSynConfig.thread_pool":
+        "a shared deployment resource: one pool serves several services",
+}
 
 # Where the fingerprinted config structs and the fingerprint live.
 CONFIG_STRUCTS = [
@@ -339,6 +356,34 @@ def lint_openers(root, findings):
                          "TrajectoryService::Open" % (len(openers), names)))
 
 
+def lint_knobs(root, findings):
+    """Check 8: every ServiceOptions/RetraSynConfig field is assigned by a
+    non-test caller, or allowlisted."""
+    callers = []
+    for top in KNOB_CALLER_DIRS:
+        for dirpath, _, filenames in os.walk(os.path.join(root, top)):
+            for name in sorted(filenames):
+                if name.endswith((".h", ".cc")):
+                    with open(os.path.join(dirpath, name),
+                              encoding="utf-8") as f:
+                        callers.append(strip_comments_and_strings(f.read()))
+    code = "\n".join(callers)
+    for header, struct in KNOB_STRUCTS:
+        with open(os.path.join(root, header), encoding="utf-8") as f:
+            text = strip_comments_and_strings(f.read())
+        for field, offset in struct_fields(text, struct):
+            key = struct + "." + field
+            if key in KNOB_ALLOWLIST:
+                continue
+            if re.search(r"(?:\.|->)" + field + r"(?:\.\w+)*\s*=(?!=)", code):
+                continue
+            findings.append((header, line_of(text, offset),
+                             "%s is set by no caller in src/, bench/ or "
+                             "perfbench/ (make it a constant, delete it, or "
+                             "allowlist it with a reason in tools/lint.py)" %
+                             key))
+
+
 def lint_fingerprint(root, findings):
     with open(os.path.join(root, FINGERPRINT_FILE), encoding="utf-8") as f:
         stripped = strip_comments_and_strings(f.read())
@@ -424,6 +469,7 @@ def main():
             lint_file(root, rel, findings)
     lint_fingerprint(root, findings)
     lint_openers(root, findings)
+    lint_knobs(root, findings)
     findings.sort()
     for rel, line, message in findings:
         print(f"{rel}:{line}: {message}")

@@ -8,7 +8,10 @@ Reports, for the tree at repo_root:
   * the settable fields of each config struct (data members declared
     directly in the struct; static members, nested types and functions are
     not fields). RetraSynConfig's count excludes what it inherits from
-    ServiceOptions, which is listed on its own.
+    ServiceOptions, which is listed on its own;
+  * the alternatives of each policy enum a config field selects, plus the
+    journal's record vocabulary (JournalEventType): every alternative is a
+    path the tests and the benchmark must cover.
 
 It only prints; nothing here is a gate. Run it on two checkouts and compare.
 
@@ -31,6 +34,8 @@ CONFIG_STRUCTS = [
     (os.path.join("src", "core", "synthesizer.h"), "SynthesizerConfig"),
 ]
 SERVICE_HEADER = os.path.join("src", "service", "trajectory_service.h")
+EXTRA_ENUMS = ["JournalEventType"]
+ENUM_DECL = re.compile(r"\benum\s+class\s+(\w+)\b[^;{]*\{")
 
 
 def read_stripped(root, rel):
@@ -45,6 +50,22 @@ def line_count(root, top):
             with open(os.path.join(dirpath, name), "rb") as f:
                 total += f.read().count(b"\n")
     return total
+
+
+def enum_alternatives(root):
+    """Enum class name -> number of enumerators, over every header in src/."""
+    counts = {}
+    for dirpath, _, filenames in os.walk(os.path.join(root, "src")):
+        for name in filenames:
+            if not name.endswith(".h"):
+                continue
+            text = read_stripped(root, os.path.relpath(
+                os.path.join(dirpath, name), root))
+            for m in ENUM_DECL.finditer(text):
+                body = text[m.end():brace_body(text, m.end() - 1) - 1]
+                counts[m.group(1)] = len(
+                    [e for e in body.split(",") if e.strip()])
+    return counts
 
 
 def public_factories(root):
@@ -72,11 +93,20 @@ def main():
     factories = public_factories(root)
     print("TrajectoryService public static factories: %d (%s)" %
           (len(factories), ", ".join(factories)))
+    enums = enum_alternatives(root)
+    selected = []
     for header, struct in CONFIG_STRUCTS:
-        fields = [f for f, _ in struct_fields(read_stripped(root, header),
-                                              struct)]
+        text = read_stripped(root, header)
+        fields = []
+        for field, offset in struct_fields(text, struct):
+            fields.append(field)
+            kind = re.match(r"[\w:]+", text[offset:]).group(0)
+            if kind in enums and kind not in selected:
+                selected.append(kind)
         print("%s settable fields: %d (%s)" % (struct, len(fields),
                                                ", ".join(fields)))
+    for kind in selected + EXTRA_ENUMS:
+        print("%s alternatives: %d" % (kind, enums.get(kind, 0)))
     return 0
 
 
