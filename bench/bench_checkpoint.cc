@@ -10,8 +10,9 @@
 //   checkpointed  — journal + checkpoints every `every` rounds with history
 //                   spill. Recover loads the newest checkpoint and replays
 //                   only the journal suffix behind it: O(window), constant
-//                   in the horizon. Compaction retires the journal prefix,
-//                   so the on-disk footprint is bounded too.
+//                   in the horizon. Journal segments end at checkpoint
+//                   rounds, so compaction retires the journal prefix and
+//                   the on-disk footprint is bounded too.
 //
 // For each mode the bench reports ingest time, the on-disk journal (and
 // checkpoint) footprint at crash time, timed TrajectoryService::Recover
@@ -20,6 +21,8 @@
 //
 // Output: a table on stderr and a JSON array (--json, default
 // BENCH_checkpoint.json); --quick shrinks the workload for CI smoke runs.
+// Exits 1 when the checkpointed case retired no journal segment: the
+// journal would then grow with the horizon.
 
 #include <algorithm>
 #include <cstdint>
@@ -63,8 +66,7 @@ struct CaseResult {
 
 CaseResult RunCase(bool checkpointed, const StateSpace& states,
                    const UniformGrid& grid, int64_t rounds, int64_t live,
-                   int64_t churn, int window, int64_t every,
-                   int64_t segment_bytes, uint64_t seed) {
+                   int64_t churn, int window, int64_t every, uint64_t seed) {
   const std::string journal_dir =
       MakeTempDir("bench-ckpt-journal-", ".").ValueOrDie();
   const std::string checkpoint_dir =
@@ -78,7 +80,6 @@ CaseResult RunCase(bool checkpointed, const StateSpace& states,
   config.seed = seed;
   config.journal_dir = journal_dir;
   config.journal_fsync = FsyncPolicy::kNever;
-  config.journal_segment_bytes = segment_bytes;
   if (checkpointed) {
     config.checkpoint_dir = checkpoint_dir;
     config.checkpoint_every_rounds = every;
@@ -153,7 +154,6 @@ int Main(int argc, char** argv) {
       static_cast<uint32_t>(flags.GetInt("grid", quick ? 8 : 16));
   const int window = static_cast<int>(flags.GetInt("window", 20));
   const int64_t every = flags.GetInt("every", quick ? 50 : 100);
-  const int64_t segment_bytes = flags.GetInt("segment_bytes", 1 << 20);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   const std::string json_path =
       flags.GetString("json", "BENCH_checkpoint.json");
@@ -169,9 +169,9 @@ int Main(int argc, char** argv) {
 
   std::vector<CaseResult> results;
   results.push_back(RunCase(false, states, grid, rounds, live, churn, window,
-                            every, segment_bytes, seed));
+                            every, seed));
   results.push_back(RunCase(true, states, grid, rounds, live, churn, window,
-                            every, segment_bytes, seed));
+                            every, seed));
   const double speedup = results[0].recover_s / results[1].recover_s;
 
   for (const CaseResult& c : results) {
@@ -200,15 +200,15 @@ int Main(int argc, char** argv) {
         f,
         "  {\"bench\": \"checkpoint\", \"mode\": \"%s\", \"grid_k\": %u, "
         "\"rounds\": %lld, \"live\": %lld, \"churn\": %lld, \"window\": %d, "
-        "\"every\": %lld, \"segment_bytes\": %lld, \"ingest_s\": %.3f, "
-        "\"journal_mb\": %.2f, \"checkpoint_mb\": %.2f, "
+        "\"every\": %lld, \"ingest_s\": %.3f, \"journal_mb\": %.2f, "
+        "\"checkpoint_mb\": %.2f, "
         "\"checkpoints_written\": %llu, \"segments_retired\": %llu, "
         "\"recover_s\": %.4f, \"replayed_rounds\": %lld, "
         "\"recovered_rounds_per_s\": %.1f%s}%s\n",
         c.mode.c_str(), grid_k, static_cast<long long>(c.rounds),
         static_cast<long long>(live), static_cast<long long>(churn), window,
-        static_cast<long long>(every), static_cast<long long>(segment_bytes),
-        c.ingest_s, static_cast<double>(c.journal_bytes) / (1 << 20),
+        static_cast<long long>(every), c.ingest_s,
+        static_cast<double>(c.journal_bytes) / (1 << 20),
         static_cast<double>(c.checkpoint_bytes) / (1 << 20),
         static_cast<unsigned long long>(c.checkpoints_written),
         static_cast<unsigned long long>(c.segments_retired), c.recover_s,
@@ -223,6 +223,12 @@ int Main(int argc, char** argv) {
   std::fprintf(f, "]\n");
   std::fclose(f);
   std::fprintf(stderr, "wrote %s\n", json_path.c_str());
+  if (results[1].segments_retired == 0) {
+    std::fprintf(stderr,
+                 "checkpointed case retired no journal segment: the journal "
+                 "is unbounded\n");
+    return 1;
+  }
   return 0;
 }
 

@@ -119,7 +119,6 @@ ModeNumbers RunMode(bool spill, const StateSpace& states,
     checkpoint_dir = MakeTempDir("bench-horizon-ckpt-", ".").ValueOrDie();
     config.journal_dir = journal_dir;
     config.journal_fsync = FsyncPolicy::kNever;
-    config.journal_segment_bytes = 1 << 20;  // rotate → compactable prefix
     config.checkpoint_dir = checkpoint_dir;
     config.checkpoint_every_rounds = every;
   }

@@ -2,7 +2,7 @@
 // recovery time.
 //
 // Two measurement families, each swept over FsyncPolicy
-// {never, every_round, every_record}:
+// {never, every_round}:
 //
 //   append   — raw JournalWriter throughput on a scripted random-walk event
 //              stream (users x rounds Moves + one Tick per round), isolating
@@ -36,8 +36,7 @@ namespace retrasyn {
 namespace {
 
 constexpr FsyncPolicy kPolicies[] = {FsyncPolicy::kNever,
-                                     FsyncPolicy::kEveryRound,
-                                     FsyncPolicy::kEveryRecord};
+                                     FsyncPolicy::kEveryRound};
 
 struct AppendResult {
   FsyncPolicy fsync;

@@ -137,10 +137,10 @@ class CheckpointManager {
   ~CheckpointManager();
 
   /// True when a checkpoint is due at the round boundary that sealed round
-  /// \p t — i.e. every `every_rounds` closed rounds.
+  /// \p t — i.e. every `every_rounds` closed rounds, where the journal
+  /// writers end their segments.
   bool DueAt(int64_t sealed_round) const {
-    return options_.every_rounds > 0 &&
-           (sealed_round + 1) % options_.every_rounds == 0;
+    return IsCheckpointRound(sealed_round + 1, options_.every_rounds);
   }
 
   /// Engine half, from the round-closing thread right after Observe(t).

@@ -125,19 +125,17 @@ struct ServiceOptions {
   /// continue appending. See docs/durability.md.
   std::string journal_dir;
   /// When the journal fsyncs. kEveryRound (default) makes every closed round
-  /// crash-durable; kNever trusts the OS; kEveryRecord hardens every event.
+  /// crash-durable; kNever trusts the OS.
   FsyncPolicy journal_fsync = FsyncPolicy::kEveryRound;
-  /// Journal segment rotation threshold in bytes
-  /// (>= JournalOptions::kMinSegmentBytes).
-  int64_t journal_segment_bytes = 64 << 20;
   /// Write a full service checkpoint every N closed rounds (0 = off).
   /// Requires journal_dir, checkpoint_dir and a RetraSynEngine (custom
   /// engines have no serializable state). Recovery then loads the newest
   /// checkpoint and replays only the journal suffix behind it — O(window)
-  /// instead of O(horizon) — and compaction retires journal segments older
-  /// than the oldest retained checkpoint minus the w-window. Deliberately
-  /// NOT part of the deployment fingerprint: the cadence may change across
-  /// restarts. See docs/durability.md.
+  /// instead of O(horizon). Journal segments end at these rounds, so
+  /// compaction retires the ones older than the oldest retained checkpoint
+  /// minus the w-window. Deliberately NOT part of the deployment
+  /// fingerprint: the cadence may change across restarts. See
+  /// docs/durability.md.
   int64_t checkpoint_every_rounds = 0;
   /// Directory for checkpoint and history spill files.
   std::string checkpoint_dir;

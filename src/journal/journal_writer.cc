@@ -17,8 +17,6 @@ const char* FsyncPolicyName(FsyncPolicy policy) {
       return "never";
     case FsyncPolicy::kEveryRound:
       return "every_round";
-    case FsyncPolicy::kEveryRecord:
-      return "every_record";
   }
   return "unknown";
 }
@@ -27,17 +25,9 @@ Status JournalOptions::Validate() const {
   switch (fsync) {
     case FsyncPolicy::kNever:
     case FsyncPolicy::kEveryRound:
-    case FsyncPolicy::kEveryRecord:
-      break;
-    default:
-      return Status::InvalidArgument("unknown fsync policy");
+      return Status::OK();
   }
-  if (segment_bytes < kMinSegmentBytes) {
-    return Status::InvalidArgument(
-        "journal segment_bytes must be >= " + std::to_string(kMinSegmentBytes) +
-        ", got " + std::to_string(segment_bytes));
-  }
-  return Status::OK();
+  return Status::InvalidArgument("unknown fsync policy");
 }
 
 std::string JournalWriter::SegmentFileName(uint64_t index) {
@@ -95,17 +85,6 @@ Result<std::unique_ptr<JournalWriter>> JournalWriter::Open(
   RETRASYN_RETURN_NOT_OK(CreateDirIfMissing(dir));
   auto lock = FileLock::Acquire(dir + "/" + kLockFileName);
   if (!lock.ok()) return lock.status();
-  return OpenLocked(dir, options, std::move(lock).value(), telemetry);
-}
-
-Result<std::unique_ptr<JournalWriter>> JournalWriter::OpenLocked(
-    const std::string& dir, const JournalOptions& options, FileLock lock,
-    Telemetry& telemetry) {
-  RETRASYN_RETURN_NOT_OK(options.Validate());
-  if (!lock.held()) {
-    return Status::InvalidArgument("OpenLocked requires a held journal lock");
-  }
-  RETRASYN_RETURN_NOT_OK(CreateDirIfMissing(dir));
   auto names = ListDirectory(dir);
   if (!names.ok()) return names.status();
   uint64_t next_index = 0;
@@ -115,8 +94,19 @@ Result<std::unique_ptr<JournalWriter>> JournalWriter::OpenLocked(
       next_index = index + 1;
     }
   }
+  return OpenLocked(dir, options, std::move(lock).value(), next_index,
+                    telemetry);
+}
+
+Result<std::unique_ptr<JournalWriter>> JournalWriter::OpenLocked(
+    const std::string& dir, const JournalOptions& options, FileLock lock,
+    uint64_t next_segment_index, Telemetry& telemetry) {
+  RETRASYN_RETURN_NOT_OK(options.Validate());
+  if (!lock.held()) {
+    return Status::InvalidArgument("OpenLocked requires a held journal lock");
+  }
   std::unique_ptr<JournalWriter> writer(
-      new JournalWriter(dir, options, next_index, telemetry));
+      new JournalWriter(dir, options, next_segment_index, telemetry));
   writer->lock_ = std::move(lock);
   RETRASYN_RETURN_NOT_OK(writer->RotateSegment());
   return writer;
@@ -244,7 +234,7 @@ Status JournalWriter::RotateSegment() {
     // before segment N's tail, leaving a torn record in a non-final segment,
     // which recovery rightly treats as unrecoverable corruption rather than
     // the graceful suffix loss kNever promises. One fdatasync per
-    // segment_bytes is noise.
+    // checkpoint cadence is noise.
     RETRASYN_RETURN_NOT_OK(SyncDataTimed());
     RETRASYN_RETURN_NOT_OK(segment_.Close());
   }
@@ -255,11 +245,9 @@ Status JournalWriter::RotateSegment() {
   ++next_segment_index_;
   ++segments_created_;
   segments_metric_->Increment();
-  segment_size_ = 0;
   scratch_.clear();
   AppendSegmentHeader(options_.fingerprint, &scratch_);
   RETRASYN_RETURN_NOT_OK(segment_.Append(scratch_));
-  segment_size_ = static_cast<int64_t>(scratch_.size());
   // Make the header and the new file's directory entry durable before any
   // record lands (the entry is metadata of the *directory*, not the file:
   // file fsync alone cannot keep a crash from forgetting the segment ever
@@ -282,25 +270,22 @@ Status JournalWriter::Append(const JournalEvent& event) {
   const uint64_t record_bytes = scratch_.size();
 
   Status st = segment_.Append(scratch_);
-  if (st.ok()) segment_size_ += static_cast<int64_t>(record_bytes);
-  // fdatasync, not fsync: an append's data plus the size metadata needed to
-  // read it back is exactly what fdatasync covers; mtime can lag.
-  if (st.ok() && options_.fsync == FsyncPolicy::kEveryRecord) {
-    st = SyncDataTimed();
-  }
   if (st.ok() && event.type == JournalEventType::kTick) {
+    // fdatasync, not fsync: an append's data plus the size metadata needed
+    // to read it back is exactly what fdatasync covers; mtime can lag.
     if (options_.fsync == FsyncPolicy::kEveryRound) st = SyncDataTimed();
     if (st.ok()) {
       ++rounds_appended_;
       rounds_metric_->Increment();
-      // Rotate only at a durable round boundary: every finished segment ends
-      // on a closed round, so a torn tail can only live in the last one.
-      if (segment_size_ >= options_.segment_bytes) {
+      // Rotate only at a durable boundary that completes a checkpoint round:
+      // every finished segment ends on a closed round, so a torn tail can
+      // only live in the last one, and compaction retires whole segments.
+      const int64_t closed =
+          base_round_ + static_cast<int64_t>(rounds_appended_);
+      if (IsCheckpointRound(closed, options_.checkpoint_every_rounds)) {
         {
           MutexLock l(sealed_mu_);
-          sealed_.push_back(SealedSegment{
-              next_segment_index_ - 1,
-              base_round_ + static_cast<int64_t>(rounds_appended_)});
+          sealed_.push_back(SealedSegment{next_segment_index_ - 1, closed});
         }
         st = RotateSegment();
       }

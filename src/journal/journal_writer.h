@@ -3,10 +3,12 @@
 // A journal is a directory of numbered segment files
 // (`journal-00000000.wal`, `journal-00000001.wal`, ...), each starting with
 // the versioned header of event_codec.h and followed by framed records.
-// Segments rotate when the current one crosses `segment_bytes`, and only at
-// round boundaries (Tick records) — so every segment except the
-// last ends on a closed round, and only the final segment can ever hold a
-// torn tail after a crash.
+// A segment ends only at the round boundary (Tick record) that completes a
+// checkpoint round (IsCheckpointRound over the absolute closed-round count),
+// so every segment except the last ends on a closed round, only the final
+// segment can ever hold a torn tail after a crash, and compaction behind a
+// checkpoint retires whole segments. With checkpointing off, a writer keeps
+// one segment for its lifetime.
 //
 // Durability knob (FsyncPolicy):
 //   kNever       appends are buffered; the OS decides when bytes hit disk.
@@ -14,8 +16,6 @@
 //   kEveryRound  fsync once per round-boundary record. A crash loses at most
 //                the open (uncommitted) round — the default, matching the
 //                session's unit of atomicity.
-//   kEveryRecord fsync after every record. A crash loses at most the one
-//                event being appended. Strongest and slowest.
 //
 // Open() always starts a NEW segment (it never appends into an existing
 // file), so a writer opened over a recovered journal cannot be corrupted by
@@ -74,10 +74,12 @@ class JournalWriter {
 
   /// Like Open, but adopts a `<dir>/LOCK` the caller already holds — for
   /// recovery, which must take the lock *before* its destructive scan and
-  /// tail truncation, not merely before appending.
+  /// tail truncation, not merely before appending — and lists nothing: \p
+  /// dir must exist, and the first segment is \p next_segment_index (one
+  /// past the last segment the recovery scan found; 0 when it found none).
   static Result<std::unique_ptr<JournalWriter>> OpenLocked(
       const std::string& dir, const JournalOptions& options, FileLock lock,
-      Telemetry& telemetry);
+      uint64_t next_segment_index, Telemetry& telemetry);
 
   /// The lock-file name; never parsed as a segment.
   static constexpr char kLockFileName[] = "LOCK";
@@ -86,7 +88,8 @@ class JournalWriter {
   JournalWriter& operator=(const JournalWriter&) = delete;
   ~JournalWriter();
 
-  /// Appends one framed record, fsyncing and rotating per the options.
+  /// Appends one framed record, fsyncing per the policy and ending the
+  /// segment after a boundary that completes a checkpoint round.
   Status Append(const JournalEvent& event);
 
   /// Starts making the records appended so far durable on a background
@@ -112,8 +115,8 @@ class JournalWriter {
   /// Seeds the absolute closed-round count this writer's rounds continue
   /// from: recovery passes the number of rounds already in the journal, a
   /// fresh deployment passes 0 (the default). Call right after
-  /// Open/OpenLocked, before the first Append, so sealed segments carry
-  /// absolute end rounds.
+  /// Open/OpenLocked, before the first Append, so segments end at absolute
+  /// checkpoint rounds and carry absolute end rounds.
   void set_base_round(int64_t base) { base_round_ = base; }
 
   /// Drains the segments sealed (rotated away) since the last call, each
@@ -165,7 +168,6 @@ class JournalWriter {
   uint64_t next_segment_index_ = 0;
 
   AppendableFile segment_;  ///< closed until the first RotateSegment
-  int64_t segment_size_ = 0;
   std::string scratch_;
 
   uint64_t records_appended_ = 0;

@@ -92,13 +92,14 @@ Result<std::vector<bool>> ReadJournalRoot(const ServiceOptions& options,
   return existed;
 }
 
-/// The journal writers' options: the flat ServiceOptions fields plus the
-/// deployment fingerprint every segment header carries.
+/// The journal writers' options: the fsync policy, the checkpoint cadence
+/// their segments end at, and the deployment fingerprint every segment
+/// header carries.
 JournalOptions JournalOptionsFor(const ServiceOptions& options,
                                  uint64_t fingerprint) {
   JournalOptions journal;
   journal.fsync = options.journal_fsync;
-  journal.segment_bytes = options.journal_segment_bytes;
+  journal.checkpoint_every_rounds = options.checkpoint_every_rounds;
   journal.fingerprint = fingerprint;
   return journal;
 }
@@ -499,7 +500,7 @@ Result<std::unique_ptr<TrajectoryService>> TrajectoryService::Open(
       service->ReplayJournals(scans, resume_round, min_closed));
 
   // Open the journal writers, which adopt the held locks and continue in
-  // fresh segments after the replayed ones (their round accounting
+  // fresh segments numbered after the scanned ones (their round accounting
   // continues from the replayed total).
   if (!options.journal_dir.empty()) {
     RETRASYN_RETURN_NOT_OK(CreateDirIfMissing(options.journal_dir));
@@ -517,8 +518,10 @@ Result<std::unique_ptr<TrajectoryService>> TrajectoryService::Open(
       if (!lock.ok()) return lock.status();
       locks[s] = std::move(lock).value();
     }
+    const std::vector<ScannedSegment>& scanned = scans[s].segments;
     auto writer = JournalWriter::OpenLocked(
-        dirs[s], journal_options, std::move(locks[s]), service->telemetry_);
+        dirs[s], journal_options, std::move(locks[s]),
+        scanned.empty() ? 0 : scanned.back().index + 1, service->telemetry_);
     if (!writer.ok()) return writer.status();
     writer.value()->set_base_round(service->rounds_closed());
     journals.push_back(writer.value().get());
@@ -555,9 +558,9 @@ Status TrajectoryService::ReplayJournals(const std::vector<JournalScan>& scans,
                                          int64_t resume_round,
                                          int64_t target_round) {
   // Bucket each shard's events by the round they belong to, numbering from
-  // that journal's own base round (per-shard BASE files may differ — shard
-  // segment sizes do). A kTick boundary closes one bucket. The final bucket
-  // holds the open round's trailing events.
+  // that journal's own base round (per-shard BASE files may differ: a crash
+  // can fall between two shards' compactions). A kTick boundary closes one
+  // bucket. The final bucket holds the open round's trailing events.
   struct ShardBuckets {
     int64_t base = 0;
     std::vector<std::vector<const JournalEvent*>> rounds;

@@ -59,12 +59,14 @@ Status WriteAll(const std::string& dir, const JournalOptions& options,
   return writer.value()->Close();
 }
 
-TEST(JournalOptionsTest, ValidateRejectsTinySegments) {
+TEST(JournalOptionsTest, ValidateRejectsAnUnknownFsyncPolicy) {
   JournalOptions options;
-  options.segment_bytes = 16;
-  EXPECT_EQ(options.Validate().code(), StatusCode::kInvalidArgument);
-  options.segment_bytes = JournalOptions::kMinSegmentBytes;
   EXPECT_TRUE(options.Validate().ok());
+  options.fsync = FsyncPolicy::kNever;
+  EXPECT_TRUE(options.Validate().ok());
+  // 2 was the per-record policy; a config still naming it is refused.
+  options.fsync = static_cast<FsyncPolicy>(2);
+  EXPECT_EQ(options.Validate().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(JournalWriterTest, SegmentFileNameRoundtrips) {
@@ -83,8 +85,7 @@ TEST(JournalWriterTest, SegmentFileNameRoundtrips) {
 
 TEST(JournalTest, WriterReaderRoundtripAllPolicies) {
   const std::vector<JournalEvent> events = SampleWorkload(10, 7);
-  for (FsyncPolicy policy : {FsyncPolicy::kNever, FsyncPolicy::kEveryRound,
-                             FsyncPolicy::kEveryRecord}) {
+  for (FsyncPolicy policy : {FsyncPolicy::kNever, FsyncPolicy::kEveryRound}) {
     TempDir dir;
     JournalOptions options;
     options.fsync = policy;
@@ -94,13 +95,15 @@ TEST(JournalTest, WriterReaderRoundtripAllPolicies) {
     ASSERT_TRUE(scan.ok()) << scan.status().ToString();
     EXPECT_FALSE(scan.value().torn);
     EXPECT_EQ(scan.value().events, events) << FsyncPolicyName(policy);
+    // Without a checkpoint cadence the writer never ends its segment.
+    EXPECT_EQ(scan.value().num_segments, 1u);
   }
 }
 
 TEST(JournalTest, RotatesAtRoundBoundariesOnly) {
   TempDir dir;
   JournalOptions options;
-  options.segment_bytes = JournalOptions::kMinSegmentBytes;  // rotate often
+  options.checkpoint_every_rounds = 7;
   const std::vector<JournalEvent> events = SampleWorkload(40, 20);
   {
     Telemetry telemetry;
@@ -109,8 +112,14 @@ TEST(JournalTest, RotatesAtRoundBoundariesOnly) {
     for (const JournalEvent& e : events) {
       ASSERT_TRUE(writer.value()->Append(e).ok());
     }
-    EXPECT_GT(writer.value()->segments_created(), 2u);
+    // Segments end at rounds 7, 14, 21, 28 and 35; the sixth stays open.
+    EXPECT_EQ(writer.value()->segments_created(), 6u);
     EXPECT_EQ(writer.value()->records_appended(), events.size());
+    std::vector<int64_t> sealed_ends;
+    for (const SealedSegment& s : writer.value()->TakeSealedSegments()) {
+      sealed_ends.push_back(s.end_round);
+    }
+    EXPECT_EQ(sealed_ends, (std::vector<int64_t>{7, 14, 21, 28, 35}));
     ASSERT_TRUE(writer.value()->Close().ok());
   }
   // Every non-final segment must end exactly on a record boundary with a
@@ -118,9 +127,36 @@ TEST(JournalTest, RotatesAtRoundBoundariesOnly) {
   // the scan proves the latter by reproducing the exact event sequence.
   auto scan = JournalReader::ScanDir(dir.path());
   ASSERT_TRUE(scan.ok()) << scan.status().ToString();
-  EXPECT_GT(scan.value().num_segments, 2u);
+  ASSERT_EQ(scan.value().num_segments, 6u);
   EXPECT_EQ(scan.value().events, events);
+  for (size_t i = 0; i + 1 < scan.value().segments.size(); ++i) {
+    EXPECT_EQ(scan.value().segments[i].end_round,
+              7 * static_cast<int64_t>(i + 1));
+  }
+  EXPECT_EQ(scan.value().segments.back().end_round, 40);
 }
+
+TEST(JournalTest, SegmentsEndAtAbsoluteCheckpointRounds) {
+  // A writer continuing a recovered journal counts checkpoint rounds from
+  // the absolute base, not from its own first round.
+  TempDir dir;
+  JournalOptions options;
+  options.checkpoint_every_rounds = 4;
+  Telemetry telemetry;
+  auto writer = JournalWriter::Open(dir.path(), options, telemetry);
+  ASSERT_TRUE(writer.ok());
+  writer.value()->set_base_round(6);
+  for (int t = 0; t < 10; ++t) {  // closes rounds 7 .. 16
+    ASSERT_TRUE(writer.value()->Append(JournalEvent::Tick()).ok());
+  }
+  std::vector<int64_t> sealed_ends;
+  for (const SealedSegment& s : writer.value()->TakeSealedSegments()) {
+    sealed_ends.push_back(s.end_round);
+  }
+  EXPECT_EQ(sealed_ends, (std::vector<int64_t>{8, 12, 16}));
+  EXPECT_EQ(writer.value()->segments_created(), 4u);
+}
+
 
 TEST(JournalTest, ReopenStartsNewSegmentAndScanSeesBoth) {
   TempDir dir;
@@ -183,7 +219,7 @@ TEST(JournalTest, ZeroLengthSegmentAnywhereIsCleanEmpty) {
 TEST(JournalTest, SegmentGapFailsTheScan) {
   TempDir dir;
   JournalOptions options;
-  options.segment_bytes = JournalOptions::kMinSegmentBytes;
+  options.checkpoint_every_rounds = 7;
   ASSERT_TRUE(WriteAll(dir.path(), options, SampleWorkload(40, 20)).ok());
   auto before = JournalReader::ScanDir(dir.path());
   ASSERT_TRUE(before.ok());
@@ -197,7 +233,7 @@ TEST(JournalTest, SegmentGapFailsTheScan) {
 TEST(JournalTest, CorruptionBeforeFinalSegmentFailsTheScan) {
   TempDir dir;
   JournalOptions options;
-  options.segment_bytes = JournalOptions::kMinSegmentBytes;
+  options.checkpoint_every_rounds = 7;
   ASSERT_TRUE(WriteAll(dir.path(), options, SampleWorkload(40, 20)).ok());
 
   const std::string first = dir.path() + "/" + JournalWriter::SegmentFileName(0);

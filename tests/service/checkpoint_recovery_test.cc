@@ -21,6 +21,7 @@
 #include "geo/grid.h"
 #include "geo/grid_factory.h"
 #include "journal/journal_compaction.h"
+#include "journal/journal_reader.h"
 #include "journal/journal_writer.h"
 #include "service/trajectory_service.h"
 
@@ -34,13 +35,7 @@ class TempDir {
     EXPECT_TRUE(dir.ok()) << dir.status().ToString();
     path_ = std::move(dir).value();
   }
-  ~TempDir() {
-    // RemoveDirTree is single-level; clear the known subdirectories first.
-    for (const char* sub : {"/journal", "/ckpt", "/ckpt2"}) {
-      RemoveDirTree(path_ + sub).CheckOK();
-    }
-    RemoveDirTree(path_).CheckOK();
-  }
+  ~TempDir() { RemoveDirTree(path_).CheckOK(); }
   const std::string& path() const { return path_; }
 
  private:
@@ -234,7 +229,6 @@ TEST(CheckpointRecoveryTest, CompactionRetiresThePrefixAndRecoveryHolds) {
 
   RetraSynConfig config = CheckpointedConfig(parent.path());
   config.checkpoint_every_rounds = 10;
-  config.journal_segment_bytes = JournalOptions::kMinSegmentBytes;
   {
     auto service = TrajectoryService::Create(states, config);
     ASSERT_TRUE(service.ok()) << service.status().ToString();
@@ -272,6 +266,44 @@ TEST(CheckpointRecoveryTest, CompactionRetiresThePrefixAndRecoveryHolds) {
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   ASSERT_TRUE(want.ok());
   ExpectSameRelease(got.value(), want.value());
+}
+
+TEST(CheckpointRecoveryTest, ShardedSegmentsEndAtCheckpointRounds) {
+  // Every shard journal ends a segment exactly at each checkpoint round, so
+  // compaction retires the same whole-segment prefix in every shard.
+  const BoundingBox box{0.0, 0.0, 400.0, 400.0};
+  const auto grid_owner = MakeEnvGrid(box, 4);
+  const SpatialGrid& grid = *grid_owner;
+  const StateSpace states(grid);
+  TempDir parent;
+  constexpr int kShards = 3;
+  constexpr int64_t kEvery = 5, kRounds = 33;
+
+  RetraSynConfig config = CheckpointedConfig(parent.path());
+  config.ingest_shards = kShards;
+  {
+    auto service = TrajectoryService::Create(states, config);
+    ASSERT_TRUE(service.ok()) << service.status().ToString();
+    DriveChurnRounds(service.value()->session(), grid, 0, kRounds, 20, 4);
+    ASSERT_TRUE(service.value()->Drain().ok());
+    EXPECT_GT(service.value()->checkpoint()->segments_retired(), 0u);
+  }
+  for (int shard = 0; shard < kShards; ++shard) {
+    SCOPED_TRACE("shard " + std::to_string(shard));
+    auto scan = JournalReader::ScanDir(config.journal_dir + "/" +
+                                       ShardJournalDirName(shard));
+    ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+    const std::vector<ScannedSegment>& segments = scan.value().segments;
+    ASSERT_GE(segments.size(), 2u);
+    // Checkpoints at 25 and 30 are retained; window 8 keeps rounds from 17,
+    // so the segments ending at 5, 10 and 15 are retired.
+    EXPECT_EQ(scan.value().base_round, 15);
+    for (size_t i = 0; i + 1 < segments.size(); ++i) {
+      EXPECT_EQ(segments[i].end_round % kEvery, 0)
+          << "segment " << segments[i].index;
+    }
+    EXPECT_EQ(segments.back().end_round, kRounds);
+  }
 }
 
 TEST(CheckpointRecoveryTest, TruncatedNewestCheckpointFallsBackToPrevious) {

@@ -41,12 +41,7 @@ class TempDir {
     EXPECT_TRUE(dir.ok()) << dir.status().ToString();
     path_ = std::move(dir).value();
   }
-  ~TempDir() {
-    for (const char* sub : {"/journal", "/ckpt"}) {
-      RemoveDirTree(path_ + sub).CheckOK();
-    }
-    RemoveDirTree(path_).CheckOK();
-  }
+  ~TempDir() { RemoveDirTree(path_).CheckOK(); }
   const std::string& path() const { return path_; }
 
  private:

@@ -630,8 +630,10 @@ TEST(RecoveryTest, RecoverOnAMissingOrEmptyJournalIsAFreshService) {
     ExpectSameRelease(got.value(), want.value());
     created.value().reset();  // close the segments
     booted.value().reset();
+    // Per shard: LOCK, the segments ending at checkpoint rounds 4, 8 and 12,
+    // and the one opened after round 12 (window 8 retires none of them).
     const auto journal = ReadTree(create_config.journal_dir);
-    EXPECT_EQ(journal.size(), static_cast<size_t>(2 * shards));  // LOCK + 1
+    EXPECT_EQ(journal.size(), static_cast<size_t>(5 * shards));
     EXPECT_EQ(ReadTree(recover_config.journal_dir), journal);
     const auto checkpoints = ReadTree(create_config.checkpoint_dir);
     EXPECT_EQ(checkpoints.count(CheckpointFileName(12)), 1u);
@@ -664,13 +666,13 @@ TEST(RecoveryTest, RefusedCreateChangesNoFile) {
     const std::string shard0 =
         shards == 1 ? config.journal_dir
                     : config.journal_dir + "/" + ShardJournalDirName(0);
-    const std::string segment =
-        shard0 + "/" + JournalWriter::SegmentFileName(0);
+    const std::string last_segment = JournalWriter::SegmentFileName(
+        JournalReader::ScanDir(shard0).ValueOrDie().segments.back().index);
+    const std::string segment = shard0 + "/" + last_segment;
     std::string bytes = ReadFileToString(segment).ValueOrDie();
     const std::string kTorn("\x07\x00torn", 6);
     bytes.append(kTorn);
-    WriteFileAtomically(shard0, JournalWriter::SegmentFileName(0), bytes)
-        .CheckOK();
+    WriteFileAtomically(shard0, last_segment, bytes).CheckOK();
     auto scan = JournalReader::ScanDir(shard0);
     ASSERT_TRUE(scan.ok() && scan.value().torn);
     const std::string newest = config.checkpoint_dir + "/" +
@@ -928,11 +930,15 @@ TEST(RecoveryTest, CorruptionBeforeTheFinalSegmentFailsRecovery) {
 
   RetraSynConfig journaled = BaseConfig();
   journaled.journal_dir = dir.path();
-  journaled.journal_segment_bytes = JournalOptions::kMinSegmentBytes;
-  {
+  {  // A restart ends the first writer's segment; the second writes another.
     auto service = TrajectoryService::Create(states, journaled);
     ASSERT_TRUE(service.ok());
-    DriveRounds(service.value()->session(), traces, 0, kHorizon);
+    DriveRounds(service.value()->session(), traces, 0, kHorizon / 2);
+  }
+  {
+    auto service = TrajectoryService::Recover(states, journaled);
+    ASSERT_TRUE(service.ok()) << service.status().ToString();
+    DriveRounds(service.value()->session(), traces, kHorizon / 2, kHorizon);
   }
   // Flip one byte mid-way through the first of several segments.
   const std::string first = dir.path() + "/" + JournalWriter::SegmentFileName(0);
@@ -1036,19 +1042,17 @@ TEST(RecoveryTest, ChecksumValidRecordThatDoesNotDecodeFailsRecovery) {
 TEST(RecoveryTest, PoisonedJournalBlocksTheSessionWithoutCrashing) {
   // Force a real journal I/O failure by deleting the journal directory out
   // from under the writer: appends to the open segment still land in the
-  // orphaned inode, but the next segment rotation cannot create a file, and
-  // from that point every session entry point must refuse work with the
-  // sticky error — no aborts, no silent divergence.
+  // orphaned inode, but the segment rotation at the first checkpoint round
+  // cannot create a file, and from that point every session entry point
+  // must refuse work with the sticky error — no aborts, no silent
+  // divergence.
   const BoundingBox box{0.0, 0.0, 400.0, 400.0};
   const auto grid_owner = MakeEnvGrid(box, 3);
   const SpatialGrid& grid = *grid_owner;
   const StateSpace states(grid);
   TempDir parent;
-  const std::string dir = parent.path() + "/journal";
-
-  RetraSynConfig journaled = BaseConfig();
-  journaled.journal_dir = dir;
-  journaled.journal_segment_bytes = JournalOptions::kMinSegmentBytes;
+  const RetraSynConfig journaled = DurableConfig(parent.path(), 1);
+  const std::string& dir = journaled.journal_dir;
   auto service = TrajectoryService::Create(states, journaled);
   ASSERT_TRUE(service.ok());
   IngestSession& session = service.value()->session();
