@@ -14,15 +14,21 @@
 //                   rounds, so compaction retires the journal prefix and
 //                   the on-disk footprint is bounded too.
 //
+// The default horizons end half a cadence past a checkpoint round, so the
+// checkpointed Recover replays a real suffix.
+//
 // For each mode the bench reports ingest time, the on-disk journal (and
 // checkpoint) footprint at crash time, timed TrajectoryService::Recover
-// wall time, and — for the checkpointed mode — the replayed-suffix length
-// and the speedup over full replay.
+// wall time, the journal records Recover decoded
+// (`retrasyn_recovery_events_decoded_total`), and — for the checkpointed
+// mode — the replayed-suffix length and the speedup over full replay.
 //
 // Output: a table on stderr and a JSON array (--json, default
 // BENCH_checkpoint.json); --quick shrinks the workload for CI smoke runs.
-// Exits 1 when the checkpointed case retired no journal segment: the
-// journal would then grow with the horizon.
+// Exits 1 when the checkpointed case retired no journal segment (the
+// journal would then grow with the horizon) or when its Recover decoded
+// more records than the replayed suffix holds (recovery would then read
+// the journal prefix behind the checkpoint).
 
 #include <algorithm>
 #include <cstdint>
@@ -52,6 +58,15 @@ uint64_t DirBytes(const std::string& dir) {
   return total;
 }
 
+/// The value of the unlabelled metric \p name in \p service's telemetry
+/// (0 when it is not registered).
+double MetricValue(const TrajectoryService& service, const std::string& name) {
+  for (const MetricSample& sample : service.telemetry().metrics) {
+    if (sample.name == name && sample.labels.empty()) return sample.value;
+  }
+  return 0.0;
+}
+
 struct CaseResult {
   std::string mode;
   int64_t rounds = 0;
@@ -62,6 +77,10 @@ struct CaseResult {
   uint64_t checkpoints_written = 0;
   uint64_t segments_retired = 0;
   int64_t replayed_rounds = 0;  ///< journal suffix applied by Recover
+  /// Records (round boundaries included) journaled in the replayed suffix,
+  /// and the records Recover decoded.
+  uint64_t suffix_records = 0;
+  uint64_t records_decoded = 0;
 };
 
 CaseResult RunCase(bool checkpointed, const StateSpace& states,
@@ -88,6 +107,8 @@ CaseResult RunCase(bool checkpointed, const StateSpace& states,
   CaseResult result;
   result.mode = checkpointed ? "checkpointed" : "full_replay";
   result.rounds = rounds;
+  // Records journaled per round: its events plus the boundary.
+  std::vector<uint64_t> round_records;
   {
     auto service = TrajectoryService::Create(states, config);
     service.status().CheckOK();
@@ -99,6 +120,7 @@ CaseResult RunCase(bool checkpointed, const StateSpace& states,
     };
     Stopwatch ingest;
     for (int64_t t = 0; t < rounds; ++t) {
+      uint64_t records = 1;
       const int64_t first = std::max<int64_t>(0, (t - lifetime) * churn);
       for (int64_t u = first; u < (t + 1) * churn; ++u) {
         const int64_t entered = u / churn;
@@ -108,9 +130,13 @@ CaseResult RunCase(bool checkpointed, const StateSpace& states,
           session.Move(static_cast<uint64_t>(u), at(u, t)).CheckOK();
         } else if (t == entered + lifetime) {
           session.Quit(static_cast<uint64_t>(u)).CheckOK();
+        } else {
+          continue;
         }
+        ++records;
       }
       session.Tick().CheckOK();
+      round_records.push_back(records);
     }
     service.value()->Drain().CheckOK();
     result.ingest_s = ingest.ElapsedSeconds();
@@ -137,6 +163,11 @@ CaseResult RunCase(bool checkpointed, const StateSpace& states,
       checkpointed
           ? rounds - recovered.value()->checkpoint()->last_checkpoint_round()
           : rounds;
+  for (int64_t t = rounds - result.replayed_rounds; t < rounds; ++t) {
+    result.suffix_records += round_records[static_cast<size_t>(t)];
+  }
+  result.records_decoded = static_cast<uint64_t>(MetricValue(
+      *recovered.value(), "retrasyn_recovery_events_decoded_total"));
 
   recovered.value().reset();
   RemoveDirTree(journal_dir).CheckOK();
@@ -147,7 +178,7 @@ CaseResult RunCase(bool checkpointed, const StateSpace& states,
 int Main(int argc, char** argv) {
   const Flags flags = Flags::Parse(argc, argv);
   const bool quick = flags.GetBool("quick", false);
-  const int64_t rounds = flags.GetInt("rounds", quick ? 400 : 10000);
+  const int64_t rounds = flags.GetInt("rounds", quick ? 425 : 10050);
   const int64_t live = flags.GetInt("live", quick ? 200 : 500);
   const int64_t churn = flags.GetInt("churn", quick ? 10 : 25);
   const uint32_t grid_k =
@@ -179,12 +210,13 @@ int Main(int argc, char** argv) {
         stderr,
         "%-12s rounds=%6lld  ingest %6.2f s  journal %7.2f MiB  "
         "ckpt %6.2f MiB  recover %7.4f s  (replayed %5lld rounds, "
-        "%7.1f rounds/s)\n",
+        "%7.1f rounds/s, decoded %9llu records)\n",
         c.mode.c_str(), static_cast<long long>(c.rounds), c.ingest_s,
         static_cast<double>(c.journal_bytes) / (1 << 20),
         static_cast<double>(c.checkpoint_bytes) / (1 << 20), c.recover_s,
         static_cast<long long>(c.replayed_rounds),
-        static_cast<double>(c.rounds) / c.recover_s);
+        static_cast<double>(c.rounds) / c.recover_s,
+        static_cast<unsigned long long>(c.records_decoded));
   }
   std::fprintf(stderr, "checkpointed recovery speedup: %.1fx\n", speedup);
 
@@ -204,6 +236,7 @@ int Main(int argc, char** argv) {
         "\"checkpoint_mb\": %.2f, "
         "\"checkpoints_written\": %llu, \"segments_retired\": %llu, "
         "\"recover_s\": %.4f, \"replayed_rounds\": %lld, "
+        "\"suffix_events\": %llu, \"events_decoded\": %llu, "
         "\"recovered_rounds_per_s\": %.1f%s}%s\n",
         c.mode.c_str(), grid_k, static_cast<long long>(c.rounds),
         static_cast<long long>(live), static_cast<long long>(churn), window,
@@ -213,6 +246,8 @@ int Main(int argc, char** argv) {
         static_cast<unsigned long long>(c.checkpoints_written),
         static_cast<unsigned long long>(c.segments_retired), c.recover_s,
         static_cast<long long>(c.replayed_rounds),
+        static_cast<unsigned long long>(c.suffix_records),
+        static_cast<unsigned long long>(c.records_decoded),
         static_cast<double>(c.rounds) / c.recover_s,
         c.mode == "checkpointed"
             ? (", \"speedup_vs_full_replay\": " + std::to_string(speedup))
@@ -227,6 +262,14 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr,
                  "checkpointed case retired no journal segment: the journal "
                  "is unbounded\n");
+    return 1;
+  }
+  if (results[1].records_decoded > results[1].suffix_records) {
+    std::fprintf(stderr,
+                 "checkpointed recovery decoded %llu journal records, more "
+                 "than the %llu its replayed suffix holds\n",
+                 static_cast<unsigned long long>(results[1].records_decoded),
+                 static_cast<unsigned long long>(results[1].suffix_records));
     return 1;
   }
   return 0;

@@ -114,6 +114,81 @@ Result<std::string> ReadFileToString(const std::string& path) {
   return out;
 }
 
+SequentialFileReader::SequentialFileReader()
+    : buffer_(new char[kBufferBytes]) {}
+
+SequentialFileReader::SequentialFileReader(
+    SequentialFileReader&& other) noexcept {
+  *this = std::move(other);
+}
+
+SequentialFileReader& SequentialFileReader::operator=(
+    SequentialFileReader&& other) noexcept {
+  if (this != &other) {
+    Close();
+    buffer_ = std::move(other.buffer_);
+    begin_ = other.begin_;
+    end_ = other.end_;
+    offset_ = other.offset_;
+    remaining_ = other.remaining_;
+    eof_ = other.eof_;
+    fd_ = other.fd_;
+    path_ = std::move(other.path_);
+    other.fd_ = -1;
+    other.begin_ = other.end_ = 0;
+    other.eof_ = true;
+  }
+  return *this;
+}
+
+Status SequentialFileReader::Open(const std::string& path, int64_t limit) {
+  Close();
+  fd_ = ::open(path.c_str(), O_RDONLY);
+  if (fd_ < 0) {
+    if (errno == ENOENT) return Status::NotFound("no such file: " + path);
+    return Status::IOError(ErrnoMessage("open", path));
+  }
+  path_ = path;
+  begin_ = end_ = 0;
+  offset_ = 0;
+  remaining_ = limit;
+  eof_ = limit == 0;
+  return Status::OK();
+}
+
+Status SequentialFileReader::Fill() {
+  if (eof_) return Status::OK();
+  if (begin_ == 0 && end_ == kBufferBytes) {
+    return Status::Internal("read window of " + path_ + " fills the " +
+                            std::to_string(kBufferBytes) + "-byte buffer");
+  }
+  std::memmove(buffer_.get(), buffer_.get() + begin_, end_ - begin_);
+  end_ -= begin_;
+  begin_ = 0;
+  while (end_ < kBufferBytes && !eof_) {
+    size_t want = kBufferBytes - end_;
+    if (remaining_ >= 0) {
+      want = std::min(want, static_cast<size_t>(remaining_));
+    }
+    const ssize_t n = ::read(fd_, buffer_.get() + end_, want);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Status::IOError(ErrnoMessage("read", path_));
+    }
+    end_ += static_cast<size_t>(n);
+    if (remaining_ >= 0) remaining_ -= n;
+    if (n == 0 || remaining_ == 0) eof_ = true;
+  }
+  return Status::OK();
+}
+
+void SequentialFileReader::Close() {
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = -1;
+  begin_ = end_ = 0;
+  eof_ = true;
+}
+
 Status TruncateFile(const std::string& path, int64_t size) {
   if (size < 0) {
     return Status::InvalidArgument("negative truncation size");

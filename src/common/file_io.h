@@ -1,14 +1,17 @@
 // Small POSIX file-system helpers for the durability layer: an appendable
-// file that can be flushed and fsync'd explicitly, the one atomic tmp +
-// rename write, plus directory listing, sizing, whole-file reads, and
-// truncation. Everything returns Status / Result — a full disk or a vanished
-// directory is an environmental failure, never a crash.
+// file that can be flushed and fsync'd explicitly, a sequential reader with
+// one fixed-size buffer, the one atomic tmp + rename write, plus directory
+// listing, sizing, whole-file reads, and truncation. Everything returns
+// Status / Result — a full disk or a vanished directory is an environmental
+// failure, never a crash.
 
 #ifndef RETRASYN_COMMON_FILE_IO_H_
 #define RETRASYN_COMMON_FILE_IO_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -110,6 +113,61 @@ class FileLock {
  private:
   FileLock(int fd, std::string path) : fd_(fd), path_(std::move(path)) {}
 
+  int fd_ = -1;
+  std::string path_;
+};
+
+/// \brief Reads files front to back through one fixed-size buffer, so its
+/// memory does not grow with the file.
+///
+/// The unconsumed bytes form a window [data(), data() + size()) that starts
+/// at file offset offset(). Fill() moves the window to the front of the
+/// buffer and tops the buffer up, so a record that straddles a refill is
+/// contiguous afterwards as long as it fits in kBufferBytes. One reader can
+/// read many files in turn; Open() reuses the buffer.
+class SequentialFileReader {
+ public:
+  static constexpr size_t kBufferBytes = size_t{64} << 10;
+
+  SequentialFileReader();
+  SequentialFileReader(SequentialFileReader&& other) noexcept;
+  SequentialFileReader& operator=(SequentialFileReader&& other) noexcept;
+  SequentialFileReader(const SequentialFileReader&) = delete;
+  SequentialFileReader& operator=(const SequentialFileReader&) = delete;
+  ~SequentialFileReader() { Close(); }
+
+  /// Closes the current file (if any) and opens \p path with an empty
+  /// window. At most \p limit bytes are read from it; a negative \p limit
+  /// reads to the end of the file.
+  Status Open(const std::string& path, int64_t limit = -1);
+
+  /// Moves the window to the front and reads until the buffer is full or
+  /// the file (or its limit) ends. Fails when the window already fills the
+  /// whole buffer: nothing could be added.
+  Status Fill();
+
+  const char* data() const { return buffer_.get() + begin_; }
+  size_t size() const { return end_ - begin_; }
+  /// File offset of data()[0].
+  int64_t offset() const { return offset_; }
+  /// True once the file (or its limit) has no bytes beyond the window.
+  bool eof() const { return eof_; }
+
+  /// Drops the first \p n bytes of the window (n <= size()).
+  void Consume(size_t n) {
+    begin_ += n;
+    offset_ += static_cast<int64_t>(n);
+  }
+
+  void Close();
+
+ private:
+  std::unique_ptr<char[]> buffer_;
+  size_t begin_ = 0;
+  size_t end_ = 0;
+  int64_t offset_ = 0;
+  int64_t remaining_ = -1;  ///< bytes left under the limit; < 0 unlimited
+  bool eof_ = true;
   int fd_ = -1;
   std::string path_;
 };

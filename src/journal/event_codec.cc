@@ -6,14 +6,6 @@
 
 namespace retrasyn {
 
-namespace {
-
-// Payloads are tiny (type byte + at most one varint and two doubles); any
-// framed length beyond this is garbage, not a record to skip over.
-constexpr uint64_t kMaxPayloadBytes = 1 << 10;
-
-}  // namespace
-
 const char* JournalEventTypeName(JournalEventType type) {
   switch (type) {
     case JournalEventType::kEnter:

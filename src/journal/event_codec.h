@@ -123,6 +123,14 @@ Status CheckSegmentHeader(const char* data, size_t size, size_t* offset,
 
 // --- record framing ---------------------------------------------------------
 
+/// Payloads are tiny (type byte + at most one varint and two doubles); any
+/// framed length beyond this is garbage, not a record to skip over.
+inline constexpr uint64_t kMaxPayloadBytes = 1 << 10;
+/// The longest frame DecodeRecord can accept: a 10-byte length varint at
+/// most, the payload, the checksum. A buffer at least this long that still
+/// reads kOutOfRange does so because of its bytes, not its length.
+inline constexpr size_t kMaxRecordBytes = 10 + kMaxPayloadBytes + 4;
+
 /// Appends \p event as one framed record (length varint + payload + CRC32C).
 void EncodeRecord(const JournalEvent& event, std::string* out);
 

@@ -21,17 +21,19 @@ Status WriteJournalBase(const std::string& dir, const JournalBase& base) {
 
 Result<JournalBase> ReadJournalBase(const std::string& dir) {
   const std::string path = dir + "/" + kJournalBaseFileName;
-  auto contents = ReadFileToString(path);
-  if (!contents.ok()) return contents.status();
-  const std::string& data = contents.value();
-  if (data.size() != kJournalBaseFileSize) {
-    return Status::IOError("journal BASE file " + path + " has " +
-                           std::to_string(data.size()) +
-                           " bytes, expected exactly " +
-                           std::to_string(kJournalBaseFileSize));
+  // One byte past the expected size is enough to tell a longer file.
+  SequentialFileReader reader;
+  RETRASYN_RETURN_NOT_OK(reader.Open(path, kJournalBaseFileSize + 1));
+  RETRASYN_RETURN_NOT_OK(reader.Fill());
+  const char* data = reader.data();
+  if (reader.size() != kJournalBaseFileSize) {
+    auto size = FileSize(path);
+    return Status::IOError(
+        "journal BASE file " + path + " has " +
+        (size.ok() ? std::to_string(size.value()) : std::string("the wrong")) +
+        " bytes, expected exactly " + std::to_string(kJournalBaseFileSize));
   }
-  if (std::memcmp(data.data(), kJournalBaseMagic, sizeof(kJournalBaseMagic)) !=
-      0) {
+  if (std::memcmp(data, kJournalBaseMagic, sizeof(kJournalBaseMagic)) != 0) {
     return Status::IOError("journal BASE file " + path + " has a bad magic");
   }
   const uint8_t version =
@@ -42,14 +44,14 @@ Result<JournalBase> ReadJournalBase(const std::string& dir) {
                            std::to_string(version));
   }
   const size_t payload_size = kJournalBaseFileSize - 4;
-  const uint32_t stored_crc = GetFixed32(data.data() + payload_size);
-  if (Crc32c(data.data(), payload_size) != stored_crc) {
+  const uint32_t stored_crc = GetFixed32(data + payload_size);
+  if (Crc32c(data, payload_size) != stored_crc) {
     return Status::IOError("journal BASE file " + path +
                            " fails its checksum");
   }
   JournalBase base;
-  base.first_surviving_index = GetFixed64(data.data() + 9);
-  base.base_round = static_cast<int64_t>(GetFixed64(data.data() + 17));
+  base.first_surviving_index = GetFixed64(data + 9);
+  base.base_round = static_cast<int64_t>(GetFixed64(data + 17));
   if (base.base_round < 0) {
     return Status::IOError("journal BASE file " + path +
                            " declares a negative base round");

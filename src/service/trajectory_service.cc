@@ -313,6 +313,14 @@ Result<std::unique_ptr<TrajectoryService>> TrajectoryService::Open(
       new TrajectoryService(states, std::move(engine), options));
   RETRASYN_RETURN_NOT_OK(CheckCheckpointable(options, service->retrasyn_));
   const uint64_t fingerprint = service->DeploymentFingerprint();
+  // Each phase's wall time, exported once the service has recovered. The
+  // last phase, manager_seeding, also opens the journal writers.
+  std::vector<std::pair<const char*, double>> phase_seconds;
+  Stopwatch phase_watch;
+  const auto end_phase = [&](const char* phase) {
+    phase_seconds.emplace_back(phase, phase_watch.ElapsedSeconds());
+    phase_watch.Reset();
+  };
 
   // Boot and recovery are one path: a fresh deployment is the recovery of
   // directories that hold nothing, and `fresh` only adds the refusals
@@ -356,6 +364,7 @@ Result<std::unique_ptr<TrajectoryService>> TrajectoryService::Open(
           "point the new one elsewhere");
     }
   }
+  end_phase("lock_listing");
 
   std::vector<JournalScan> scans(dirs.size());
   for (size_t s = 0; s < dirs.size(); ++s) {
@@ -379,15 +388,6 @@ Result<std::unique_ptr<TrajectoryService>> TrajectoryService::Open(
     scans[s] = std::move(scan);
   }
 
-  // Rounds durable in one scanned shard journal.
-  auto closed_rounds = [](const JournalScan& scan) {
-    int64_t round = scan.base_round;
-    for (const JournalEvent& e : scan.events) {
-      if (e.type == JournalEventType::kTick) ++round;
-    }
-    return round;
-  };
-
   // Durable rounds for the deployment = the minimum across shards: a round
   // only counts once its boundary reached every shard's journal. A shard
   // can be at most one boundary ahead — a crash or I/O failure between the
@@ -396,18 +396,18 @@ Result<std::unique_ptr<TrajectoryService>> TrajectoryService::Open(
   // the header-only segment a rotation may have opened right after it),
   // restoring the all-journals-agree invariant before the new writers
   // append a byte. Anything else is real inter-journal corruption.
-  int64_t min_closed = scans.empty() ? 0 : closed_rounds(scans.front());
+  int64_t min_closed = scans.empty() ? 0 : scans.front().end_round;
   for (const JournalScan& scan : scans) {
-    min_closed = std::min(min_closed, closed_rounds(scan));
+    min_closed = std::min(min_closed, scan.end_round);
   }
   for (size_t s = 0; s < scans.size(); ++s) {
     int drops = 0;
-    while (closed_rounds(scans[s]) > min_closed) {
-      if (++drops > 1 || scans[s].events.empty() ||
-          scans[s].events.back().type != JournalEventType::kTick) {
+    while (scans[s].end_round > min_closed) {
+      if (++drops > 1 || scans[s].records == 0 ||
+          scans[s].last_record_type != JournalEventType::kTick) {
         return Status::IOError(
             "journal in " + dirs[s] + " closed " +
-            std::to_string(closed_rounds(scans[s]) - min_closed) +
+            std::to_string(scans[s].end_round - min_closed) +
             " round(s) its sibling shards never did; the shard journals are "
             "inconsistent beyond the single-boundary skew a crash can cause");
       }
@@ -436,6 +436,7 @@ Result<std::unique_ptr<TrajectoryService>> TrajectoryService::Open(
       scans[s] = std::move(rescan).value();
     }
   }
+  end_phase("framing_scan");
 
   // Load the newest usable checkpoint (checkpointing configured only). A
   // structurally valid checkpoint under the wrong fingerprint fails loudly
@@ -496,8 +497,11 @@ Result<std::unique_ptr<TrajectoryService>> TrajectoryService::Open(
     RETRASYN_RETURN_NOT_OK(
         service->session_->RestoreCheckpointState(std::move(ckpt.session)));
   }
-  RETRASYN_RETURN_NOT_OK(
-      service->ReplayJournals(scans, resume_round, min_closed));
+  end_phase("checkpoint_load");
+  uint64_t records_decoded = 0;
+  RETRASYN_RETURN_NOT_OK(service->ReplayJournals(scans, resume_round,
+                                                 min_closed, &records_decoded));
+  end_phase("decode_replay");
 
   // Open the journal writers, which adopt the held locks and continue in
   // fresh segments numbered after the scanned ones (their round accounting
@@ -528,14 +532,6 @@ Result<std::unique_ptr<TrajectoryService>> TrajectoryService::Open(
     service->journals_.push_back(std::move(writer).value());
   }
   service->session_->AttachJournals(journals);
-  // The recovery fallback-ladder depth: how many corrupt checkpoints
-  // LoadForRecovery deleted before finding a usable one (0 on a clean
-  // recovery, on a fresh boot, or when checkpointing is off).
-  service->telemetry_.registry()
-      .GetGauge("retrasyn_recovery_corrupt_checkpoints_skipped",
-                "Corrupt checkpoints deleted by the last recovery's "
-                "newest-first fallback ladder")
-      ->Set(corrupt_skipped);
 
   // Then the checkpoint subsystem, seeded with the restored checkpoint's
   // spill manifest, the surviving checkpoints, and the scanned segments
@@ -549,6 +545,29 @@ Result<std::unique_ptr<TrajectoryService>> TrajectoryService::Open(
     if (!manager.ok()) return manager.status();
     service->checkpoint_ = std::move(manager).value();
   }
+  end_phase("manager_seeding");
+
+  MetricsRegistry& registry = service->telemetry_.registry();
+  // The recovery fallback-ladder depth: how many corrupt checkpoints
+  // LoadForRecovery deleted before finding a usable one (0 on a clean
+  // recovery, on a fresh boot, or when checkpointing is off).
+  registry
+      .GetGauge("retrasyn_recovery_corrupt_checkpoints_skipped",
+                "Corrupt checkpoints deleted by the last recovery's "
+                "newest-first fallback ladder")
+      ->Set(corrupt_skipped);
+  registry
+      .GetCounter("retrasyn_recovery_events_decoded_total",
+                  "Journal records (round boundaries included) the recovery "
+                  "replay decoded, skipped rounds included")
+      ->Add(records_decoded);
+  for (const auto& [phase, seconds] : phase_seconds) {
+    registry
+        .GetGauge("retrasyn_recovery_phase_microseconds",
+                  "Wall time of one phase of the last recovery",
+                  {{"phase", phase}})
+        ->Set(static_cast<int64_t>(seconds * 1e6));
+  }
   // Finally async closing per the config.
   if (options.sync_policy == SyncPolicy::kAsync) service->ArmCloser(options);
   return service;
@@ -556,68 +575,63 @@ Result<std::unique_ptr<TrajectoryService>> TrajectoryService::Open(
 
 Status TrajectoryService::ReplayJournals(const std::vector<JournalScan>& scans,
                                          int64_t resume_round,
-                                         int64_t target_round) {
-  // Bucket each shard's events by the round they belong to, numbering from
-  // that journal's own base round (per-shard BASE files may differ: a crash
-  // can fall between two shards' compactions). A kTick boundary closes one
-  // bucket. The final bucket holds the open round's trailing events.
-  struct ShardBuckets {
-    int64_t base = 0;
-    std::vector<std::vector<const JournalEvent*>> rounds;
-  };
-  std::vector<ShardBuckets> shards(scans.size());
-  for (size_t s = 0; s < scans.size(); ++s) {
-    ShardBuckets& shard = shards[s];
-    shard.base = scans[s].base_round;
-    shard.rounds.emplace_back();
-    for (const JournalEvent& e : scans[s].events) {
-      if (e.type == JournalEventType::kTick) {
-        shard.rounds.emplace_back();
-      } else {
-        shard.rounds.back().push_back(&e);
-      }
-    }
+                                         int64_t target_round,
+                                         uint64_t* decoded) {
+  // Each cursor numbers rounds from its own journal's base round (per-shard
+  // BASE files may differ: a crash can fall between two shards'
+  // compactions).
+  std::vector<JournalCursor> cursors;
+  cursors.reserve(scans.size());
+  for (const JournalScan& scan : scans) {
+    auto cursor = JournalCursor::Open(scan, resume_round);
+    if (!cursor.ok()) return cursor.status();
+    cursors.push_back(std::move(cursor).value());
   }
-
-  auto feed = [this](const JournalEvent& e) -> Status {
-    Status st;
-    switch (e.type) {
-      case JournalEventType::kEnter:
-        st = session_->Enter(e.user, e.location);
-        break;
-      case JournalEventType::kMove:
-        st = session_->Move(e.user, e.location);
-        break;
-      case JournalEventType::kQuit:
-        st = session_->Quit(e.user);
-        break;
-      default:
-        st = Status::Internal("round boundary inside a replay bucket");
-        break;
+  std::vector<JournalEvent> events;
+  auto feed = [this, &events]() -> Status {
+    for (const JournalEvent& e : events) {
+      Status st;
+      switch (e.type) {
+        case JournalEventType::kEnter:
+          st = session_->Enter(e.user, e.location);
+          break;
+        case JournalEventType::kMove:
+          st = session_->Move(e.user, e.location);
+          break;
+        case JournalEventType::kQuit:
+          st = session_->Quit(e.user);
+          break;
+        case JournalEventType::kTick:
+          st = Status::Internal("round boundary inside a replayed round");
+          break;
+      }
+      if (!st.ok()) {
+        // The journal only ever holds events the session accepted, so a
+        // rejection means the journal does not match this config/state
+        // space.
+        return Status::Internal("journal replay rejected a " +
+                                std::string(JournalEventTypeName(e.type)) +
+                                " record: " + st.message());
+      }
     }
-    if (!st.ok()) {
-      // The journal only ever holds events the session accepted, so a
-      // rejection means the journal does not match this config/state space.
-      return Status::Internal("journal replay rejected a " +
-                              std::string(JournalEventTypeName(e.type)) +
-                              " record: " + st.message());
-    }
-    return st;
+    return Status::OK();
   };
 
-  // Closed rounds in lockstep across shards. Rounds before resume_round are
-  // skipped — a restored checkpoint already holds their effect. Users are
-  // disjoint across shards and arrival order within a round never affects
-  // the sealed batch, so feeding whole shard buckets in shard order
-  // reproduces the exact batches the original merge sealed.
+  // Closed rounds in lockstep across shards. Users are disjoint across
+  // shards and arrival order within a round never affects the sealed batch,
+  // so feeding whole shard rounds in shard order reproduces the exact
+  // batches the original merge sealed.
   target_round = std::max(target_round, resume_round);
+  bool closed = false;
   for (int64_t r = resume_round; r < target_round; ++r) {
-    for (const ShardBuckets& shard : shards) {
-      const int64_t i = r - shard.base;
-      if (i < 0 || i >= static_cast<int64_t>(shard.rounds.size())) continue;
-      for (const JournalEvent* e : shard.rounds[static_cast<size_t>(i)]) {
-        RETRASYN_RETURN_NOT_OK(feed(*e));
+    for (size_t s = 0; s < cursors.size(); ++s) {
+      RETRASYN_RETURN_NOT_OK(cursors[s].ReadRound(&events, &closed));
+      if (!closed) {
+        return Status::Internal("journal in " + scans[s].dir +
+                                " ends before round " + std::to_string(r) +
+                                " closes, below the durable minimum");
       }
+      RETRASYN_RETURN_NOT_OK(feed());
     }
     Status ticked = session_->Tick();
     if (!ticked.ok()) {
@@ -627,14 +641,12 @@ Status TrajectoryService::ReplayJournals(const std::vector<JournalScan>& scans,
   }
   // Trailing events: rounds at/after target_round never closed durably on
   // every shard, so their events re-buffer into the reopened round.
-  for (const ShardBuckets& shard : shards) {
-    for (int64_t i = target_round - shard.base;
-         i < static_cast<int64_t>(shard.rounds.size()); ++i) {
-      if (i < 0) continue;
-      for (const JournalEvent* e : shard.rounds[static_cast<size_t>(i)]) {
-        RETRASYN_RETURN_NOT_OK(feed(*e));
-      }
-    }
+  for (JournalCursor& cursor : cursors) {
+    do {
+      RETRASYN_RETURN_NOT_OK(cursor.ReadRound(&events, &closed));
+      RETRASYN_RETURN_NOT_OK(feed());
+    } while (closed);
+    *decoded += cursor.records_decoded();
   }
   return Status::OK();
 }

@@ -214,14 +214,16 @@ class TrajectoryService {
   /// Builds the async round-closing pipeline (kAsync only).
   void ArmCloser(const ServiceOptions& options);
   /// Feeds recovered events through the (inline) session, round-locked
-  /// across the shard journals: each scan's events are bucketed into rounds
-  /// by its boundary records (numbered from its own base round), rounds
-  /// before \p resume_round are skipped — a restored checkpoint already
-  /// holds their effect — and rounds up to \p target_round (the durable
-  /// minimum across shards) are Ticked; trailing events re-buffer into the
-  /// open round.
+  /// across the shard journals: one JournalCursor per scan, opened at
+  /// \p resume_round (a restored checkpoint already holds the effect of the
+  /// rounds before it, so only the segment holding it is read from its
+  /// start), yields each shard's round in turn, and rounds up to
+  /// \p target_round (the durable minimum across shards) are Ticked;
+  /// trailing events re-buffer into the open round. Adds the records the
+  /// cursors decoded to \p decoded.
   Status ReplayJournals(const std::vector<JournalScan>& scans,
-                        int64_t resume_round, int64_t target_round);
+                        int64_t resume_round, int64_t target_round,
+                        uint64_t* decoded);
   /// The session's round handler: inline, runs the round to completion;
   /// async, submits it to the closer.
   Status OnRound(TimestampBatch batch);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -84,6 +85,49 @@ TEST(FileIoTest, RemoveDirTreeUnlinksSymlinksWithoutFollowingThem) {
   auto kept = ListDirectory(outside.path());
   ASSERT_TRUE(kept.ok());
   EXPECT_EQ(kept.value(), std::vector<std::string>{"KEEP"});
+}
+
+TEST(FileIoTest, SequentialReaderKeepsAStraddlingRecordContiguous) {
+  // A file several buffers long, read in 7-byte "records": whenever a record
+  // straddles the end of the buffer, Fill() must bring it in whole, at the
+  // right file offset.
+  TempDir dir;
+  const std::string path = dir.path() + "/data";
+  std::string bytes(3 * SequentialFileReader::kBufferBytes + 123, '\0');
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<char>((i * 131) % 251);
+  }
+  ASSERT_TRUE(WriteFileAtomically(dir.path(), "data", bytes).ok());
+
+  SequentialFileReader reader;
+  ASSERT_TRUE(reader.Open(path).ok());
+  std::string read;
+  constexpr size_t kRecord = 7;
+  while (true) {
+    if (reader.size() < kRecord) {
+      ASSERT_TRUE(reader.Fill().ok());
+    }
+    if (reader.size() == 0) break;
+    const size_t n = std::min(kRecord, reader.size());
+    ASSERT_TRUE(n == kRecord || reader.eof());
+    ASSERT_EQ(reader.offset(), static_cast<int64_t>(read.size()));
+    read.append(reader.data(), n);
+    reader.Consume(n);
+  }
+  EXPECT_TRUE(reader.eof());
+  EXPECT_EQ(read, bytes);
+
+  // A limit stops the read there; a full window cannot be filled further.
+  ASSERT_TRUE(reader.Open(path, 1000).ok());
+  ASSERT_TRUE(reader.Fill().ok());
+  EXPECT_EQ(std::string(reader.data(), reader.size()), bytes.substr(0, 1000));
+  EXPECT_TRUE(reader.eof());
+  ASSERT_TRUE(reader.Open(path).ok());
+  ASSERT_TRUE(reader.Fill().ok());
+  ASSERT_EQ(reader.size(), SequentialFileReader::kBufferBytes);
+  EXPECT_EQ(reader.Fill().code(), StatusCode::kInternal);
+  EXPECT_EQ(reader.Open(dir.path() + "/missing").code(),
+            StatusCode::kNotFound);
 }
 
 TEST(FileIoTest, IsTempFileNameMatchesOnlyTheSuffix) {

@@ -10,11 +10,15 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "checkpoint/checkpoint_format.h"
+#include "common/coding.h"
+#include "common/crc32c.h"
 #include "common/file_io.h"
 #include "common/thread_pool.h"
 #include "core/synthesizer.h"
@@ -303,6 +307,142 @@ TEST(CheckpointRecoveryTest, ShardedSegmentsEndAtCheckpointRounds) {
           << "segment " << segments[i].index;
     }
     EXPECT_EQ(segments.back().end_round, kRounds);
+  }
+}
+
+/// The value of metric \p name with exactly \p labels in \p service's
+/// telemetry; fails the test when it is not registered.
+double MetricValue(const TrajectoryService& service, const std::string& name,
+                   const std::vector<std::pair<std::string, std::string>>&
+                       labels = {}) {
+  for (const MetricSample& sample : service.telemetry().metrics) {
+    if (sample.name == name && sample.labels == labels) return sample.value;
+  }
+  ADD_FAILURE() << "no metric " << name;
+  return -1;
+}
+
+TEST(CheckpointRecoveryTest, RecoveryDecodesOnlyTheSuffixBehindTheCheckpoint) {
+  // Two shard journals, a checkpoint at round 30 and a crash three rounds
+  // and a few trailing events later. Recovery decodes exactly the records
+  // journaled from round 30 on in both shards, and none of the 15 rounds
+  // that the journal still retains before it.
+  const BoundingBox box{0.0, 0.0, 400.0, 400.0};
+  const auto grid_owner = MakeEnvGrid(box, 4);
+  const SpatialGrid& grid = *grid_owner;
+  const StateSpace states(grid);
+  TempDir parent;
+  constexpr int64_t kLive = 20, kChurn = 4, kCheckpoint = 30, kCrashAt = 33;
+  constexpr const char* kAppended = "retrasyn_journal_records_appended_total";
+
+  RetraSynConfig config = CheckpointedConfig(parent.path());
+  config.ingest_shards = 2;
+  double total = 0, suffix = 0;
+  {
+    auto service = TrajectoryService::Create(states, config);
+    ASSERT_TRUE(service.ok()) << service.status().ToString();
+    IngestSession& session = service.value()->session();
+    DriveChurnRounds(session, grid, 0, kCheckpoint, kLive, kChurn);
+    const double before = MetricValue(*service.value(), kAppended);
+    DriveChurnRounds(session, grid, kCheckpoint, kCrashAt, kLive, kChurn);
+    // The open round's first events (fresh users, so no Move conflicts).
+    for (uint64_t u = 1000; u < 1003; ++u) {
+      ASSERT_TRUE(session.Enter(u, grid.CellCenter(0)).ok());
+    }
+    ASSERT_TRUE(service.value()->Drain().ok());
+    ASSERT_EQ(service.value()->checkpoint()->last_checkpoint_round(),
+              kCheckpoint);
+    total = MetricValue(*service.value(), kAppended);
+    suffix = total - before;
+  }
+
+  auto recovered = TrajectoryService::Recover(states, config);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  ASSERT_EQ(recovered.value()->rounds_closed(), kCrashAt);
+  const double decoded = MetricValue(
+      *recovered.value(), "retrasyn_recovery_events_decoded_total");
+  EXPECT_EQ(decoded, suffix);
+  EXPECT_LT(decoded * 5, total);
+  for (const char* phase : {"lock_listing", "framing_scan", "checkpoint_load",
+                            "decode_replay", "manager_seeding"}) {
+    EXPECT_GE(MetricValue(*recovered.value(),
+                          "retrasyn_recovery_phase_microseconds",
+                          {{"phase", phase}}),
+              0)
+        << phase;
+  }
+}
+
+/// Every regular file under \p dir, one level of subdirectories included,
+/// by relative path.
+std::map<std::string, std::string> TreeBytes(const std::string& dir) {
+  std::map<std::string, std::string> bytes;
+  std::vector<std::string> files, subdirs;
+  EXPECT_TRUE(ListDirectoryEntries(dir, &files, &subdirs).ok()) << dir;
+  for (const std::string& name : files) {
+    bytes[name] = ReadFileToString(dir + "/" + name).ValueOrDie();
+  }
+  for (const std::string& sub : subdirs) {
+    for (auto& [name, contents] : TreeBytes(dir + "/" + sub)) {
+      bytes[sub + "/" + name] = std::move(contents);
+    }
+  }
+  return bytes;
+}
+
+TEST(CheckpointRecoveryTest, CorruptionBeforeTheResumeSegmentFailsRecovery) {
+  // Replay starts at the checkpoint's segment, but the framing pass still
+  // reads every retained segment: rot in one that lies wholly behind the
+  // resume round must fail Recover loudly and leave every file as it is,
+  // for a flipped byte and for a record that passes its checksum but does
+  // not decode.
+  const BoundingBox box{0.0, 0.0, 400.0, 400.0};
+  const auto grid_owner = MakeEnvGrid(box, 4);
+  const SpatialGrid& grid = *grid_owner;
+  const StateSpace states(grid);
+  constexpr int64_t kRounds = 22;
+  for (const bool undecodable : {false, true}) {
+    SCOPED_TRACE(undecodable ? "CRC-valid undecodable record"
+                             : "flipped byte");
+    TempDir parent;
+    RetraSynConfig config = CheckpointedConfig(parent.path());
+    {
+      auto service = TrajectoryService::Create(states, config);
+      ASSERT_TRUE(service.ok()) << service.status().ToString();
+      DriveChurnRounds(service.value()->session(), grid, 0, kRounds, 20, 4);
+      ASSERT_TRUE(service.value()->Drain().ok());
+      ASSERT_EQ(service.value()->checkpoint()->last_checkpoint_round(), 20);
+    }
+    // Checkpoints 15 and 20 are retained; window 8 keeps rounds from 7, so
+    // the segment (5, 10] survives although replay resumes at round 20.
+    auto scan = JournalReader::ScanDir(config.journal_dir);
+    ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+    ASSERT_EQ(scan.value().base_round, 5);
+    const ScannedSegment& victim = scan.value().segments.front();
+    ASSERT_EQ(victim.end_round, 10);
+    const std::string path =
+        config.journal_dir + "/" + JournalWriter::SegmentFileName(victim.index);
+    std::string data = ReadFileToString(path).ValueOrDie();
+    if (undecodable) {
+      // An unknown type-6 record, framed and checksummed, after the header.
+      std::string record;
+      const std::string payload = "\x06";
+      PutVarint64(payload.size(), &record);
+      record += payload;
+      PutFixed32(Crc32c(payload.data(), payload.size()), &record);
+      data.insert(kSegmentHeaderSize, record);
+    } else {
+      data[data.size() / 2] = static_cast<char>(data[data.size() / 2] ^ 0x40);
+    }
+    WriteBytes(path, data);
+
+    const auto journal_before = TreeBytes(config.journal_dir);
+    const auto checkpoints_before = TreeBytes(config.checkpoint_dir);
+    auto recovered = TrajectoryService::Recover(states, config);
+    EXPECT_EQ(recovered.status().code(), StatusCode::kIOError)
+        << recovered.status().ToString();
+    EXPECT_EQ(TreeBytes(config.journal_dir), journal_before);
+    EXPECT_EQ(TreeBytes(config.checkpoint_dir), checkpoints_before);
   }
 }
 

@@ -21,6 +21,7 @@
 #include "journal/journal_reader.h"
 #include "journal/journal_writer.h"
 #include "service/trajectory_service.h"
+#include "testing/journal_events.h"
 
 namespace retrasyn {
 namespace {
@@ -512,8 +513,9 @@ TEST(ShardedIngestTest, BoundaryAppendSkewIsRepairedOnRecovery) {
   {
     auto scan = JournalReader::ScanDir(lagging);
     ASSERT_TRUE(scan.ok()) << scan.status().ToString();
-    ASSERT_FALSE(scan.value().events.empty());
-    ASSERT_EQ(scan.value().events.back().type, JournalEventType::kTick);
+    const std::vector<JournalEvent> events = ReadJournalEvents(scan.value());
+    ASSERT_FALSE(events.empty());
+    ASSERT_EQ(events.back().type, JournalEventType::kTick);
     ASSERT_TRUE(TruncateFile(scan.value().last_record_segment,
                              scan.value().last_record_offset)
                     .ok());
